@@ -3,8 +3,6 @@
 //! Hand-rolled on purpose: the binaries take four flags, which does not
 //! justify an argument-parsing dependency in the workspace.
 
-use lunule_sim::{ClientModel, SimConfig};
-
 /// Flags every experiment binary understands.
 #[derive(Clone, Debug)]
 pub struct CommonArgs {
@@ -31,11 +29,6 @@ pub struct CommonArgs {
     /// chaos battery). `0` = auto (`available_parallelism`). Results are
     /// byte-identical regardless of the value — only wall time changes.
     pub jobs: usize,
-    /// Client execution engine: the aggregated cohort model (default) or
-    /// the legacy one-struct-per-client path. The two journal
-    /// byte-identically; legacy exists as the differential baseline and as
-    /// an escape hatch, and is infeasible past ~10^5 clients.
-    pub client_model: ClientModel,
 }
 
 impl Default for CommonArgs {
@@ -49,7 +42,6 @@ impl Default for CommonArgs {
             quick: false,
             faults: None,
             jobs: 0,
-            client_model: ClientModel::Cohort,
         }
     }
 }
@@ -89,13 +81,6 @@ impl CommonArgs {
                     )
                 }
                 "--jobs" => out.jobs = expect_value(&mut it, "--jobs"),
-                "--client-model" => {
-                    out.client_model = match it.next().as_deref() {
-                        Some("cohort") => ClientModel::Cohort,
-                        Some("legacy") => ClientModel::Legacy,
-                        _ => usage("--client-model needs 'cohort' or 'legacy'"),
-                    }
-                }
                 "--quick" => out.quick = true,
                 "--help" | "-h" => usage("usage"),
                 other => usage(&format!("unknown flag: {other}")),
@@ -106,13 +91,6 @@ impl CommonArgs {
             out.clients = out.clients.min(20);
         }
         out
-    }
-
-    /// Stamps the flags that map directly onto simulator knobs —
-    /// `--client-model` and `--jobs` — onto a config the binary built.
-    pub fn configure_sim(&self, sim: &mut SimConfig) {
-        sim.client_model = self.client_model;
-        sim.jobs = self.jobs;
     }
 }
 
@@ -126,7 +104,7 @@ fn expect_value<T: std::str::FromStr, I: Iterator<Item = String>>(it: &mut I, fl
 #[allow(clippy::exit)]
 fn usage(msg: &str) -> ! {
     eprintln!(
-        "{msg}\n\nflags:\n  --scale <f>     dataset/op scale (default 0.1)\n  --seed <u64>    master seed (default 42)\n  --clients <n>   concurrent clients (default 100)\n  --out <dir>     JSON dump directory (default ./results)\n  --no-out        disable JSON dumps\n  --telemetry-out <dir>  export telemetry (events JSONL, metrics CSV, Chrome trace)\n  --faults <spec> fault schedule: crash@T:R:D;limp@T:R:F:D;loss@T:R:E;stall@T:R:D, or seed=N,crashes=2,...\n  --jobs <n>      worker-pool width for parallel drivers (0 = auto)\n  --client-model <m>  client engine: cohort (default) or legacy\n  --quick         CI smoke mode (tiny scale)"
+        "{msg}\n\nflags:\n  --scale <f>     dataset/op scale (default 0.1)\n  --seed <u64>    master seed (default 42)\n  --clients <n>   concurrent clients (default 100)\n  --out <dir>     JSON dump directory (default ./results)\n  --no-out        disable JSON dumps\n  --telemetry-out <dir>  export telemetry (events JSONL, metrics CSV, Chrome trace)\n  --faults <spec> fault schedule: crash@T:R:D;limp@T:R:F:D;loss@T:R:E;stall@T:R:D, or seed=N,crashes=2,...\n  --jobs <n>      worker-pool width for parallel drivers (0 = auto)\n  --quick         CI smoke mode (tiny scale)"
     );
     std::process::exit(2)
 }
@@ -184,28 +162,6 @@ mod tests {
         assert_eq!(parse(&["--jobs", "4"]).jobs, 4);
         // 0 stays 0 (auto) — resolution happens in the pool.
         assert_eq!(parse(&["--jobs", "0"]).jobs, 0);
-    }
-
-    #[test]
-    fn client_model_flag() {
-        assert_eq!(parse(&[]).client_model, ClientModel::Cohort);
-        assert_eq!(
-            parse(&["--client-model", "legacy"]).client_model,
-            ClientModel::Legacy
-        );
-        assert_eq!(
-            parse(&["--client-model", "cohort"]).client_model,
-            ClientModel::Cohort
-        );
-    }
-
-    #[test]
-    fn configure_sim_stamps_model_and_jobs() {
-        let a = parse(&["--client-model", "legacy", "--jobs", "3"]);
-        let mut sim = SimConfig::default();
-        a.configure_sim(&mut sim);
-        assert_eq!(sim.client_model, ClientModel::Legacy);
-        assert_eq!(sim.jobs, 3);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! a million clients cost what eight flows cost), overridable via
 //! `MEGASCALE_BUDGET_SECS` for slow runners.
 //!
-//! Usage: `megascale [--quick] [--jobs N] [--client-model cohort|legacy]
-//! [--telemetry-out <dir>]`
+//! Usage: `megascale [--quick] [--jobs N] [--telemetry-out <dir>]`
 
 use lunule_bench::{write_json, CommonArgs, ScaleSpec, TelemetrySink};
 use lunule_telemetry::{events_jsonl, Telemetry};
@@ -47,7 +46,7 @@ fn main() {
             Telemetry::enabled()
         };
         let build_start = Instant::now();
-        let sim = lunule_bench::build_sim(&spec, args.client_model, jobs, tel.clone());
+        let sim = lunule_bench::build_sim(&spec, jobs, tel.clone());
         let built = build_start.elapsed();
         let flows = sim.n_flows();
         let run_start = Instant::now();

@@ -20,7 +20,6 @@
 
 use lunule_bench::perf::to_bench_json;
 use lunule_bench::{build_sim, run_bench, BenchResult, CommonArgs, Protocol, ScaleSpec};
-use lunule_sim::ClientModel;
 use lunule_telemetry::Telemetry;
 
 /// One grid axis point: a total client population and a label for the
@@ -101,7 +100,7 @@ fn main() {
             let name = format!("tp_c{}_m{n_mds}", pop.label);
             let ticks = spec.duration_secs;
             let r = run_bench(&name, protocol, || {
-                let sim = build_sim(&spec, ClientModel::Cohort, args.jobs, Telemetry::disabled());
+                let sim = build_sim(&spec, args.jobs, Telemetry::disabled());
                 let res = sim.run();
                 assert!(res.total_ops > 0, "throughput cell served no ops");
                 ticks

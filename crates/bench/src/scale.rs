@@ -1,16 +1,15 @@
 //! Megascale run construction: million-client populations over
-//! multi-million-inode namespaces, built through the cohort client model.
+//! multi-million-inode namespaces, built as client groups.
 //!
-//! The legacy one-struct-per-client engine tops out around 10^5 clients;
-//! the cohort engine carries a population as a handful of flows, so the
-//! only per-client cost left is arithmetic on counts. This module builds
+//! The simulator carries a population as a handful of cohort flows, so
+//! the only per-client cost left is arithmetic on counts. This module builds
 //! the namespace and the grouped streams the scale experiments
 //! (`megascale`, fig13's scale frontier) share, so their populations are
 //! identical and their journals comparable.
 
 use lunule_core::{make_balancer, BalancerKind};
 use lunule_namespace::{InodeId, Namespace};
-use lunule_sim::{ClientModel, FixedStream, OpStream, SimConfig, Simulation};
+use lunule_sim::{FixedStream, OpStream, SimConfig, Simulation};
 use lunule_telemetry::Telemetry;
 
 /// Shape of one megascale run.
@@ -102,12 +101,7 @@ pub fn build_namespace(spec: &ScaleSpec) -> (Namespace, Vec<Vec<InodeId>>) {
 /// Builds a megascale simulation: namespace per [`build_namespace`], one
 /// cohort group per target list, population split evenly with the
 /// remainder on the last group, Lunule balancing.
-pub fn build_sim(
-    spec: &ScaleSpec,
-    model: ClientModel,
-    jobs: usize,
-    telemetry: Telemetry,
-) -> Simulation {
+pub fn build_sim(spec: &ScaleSpec, jobs: usize, telemetry: Telemetry) -> Simulation {
     let (ns, targets) = build_namespace(spec);
     let cfg = SimConfig {
         n_mds: spec.n_mds,
@@ -121,7 +115,6 @@ pub fn build_sim(
         client_rate: 5.0,
         client_cache_cap: 256,
         seed: spec.seed,
-        client_model: model,
         jobs,
         telemetry,
         ..SimConfig::default()
@@ -176,7 +169,7 @@ mod tests {
             clients: 1_001,
             ..tiny()
         };
-        let sim = build_sim(&spec, ClientModel::Cohort, 1, Telemetry::disabled());
+        let sim = build_sim(&spec, 1, Telemetry::disabled());
         assert_eq!(sim.n_clients(), 1_001);
         assert_eq!(sim.n_flows(), spec.groups, "one cohort per group");
     }
@@ -193,7 +186,7 @@ mod tests {
         let (_, targets) = build_namespace(&spec);
         assert_eq!(targets.len(), 8);
         assert!(targets.iter().all(|t| !t.is_empty()));
-        let sim = build_sim(&spec, ClientModel::Cohort, 1, Telemetry::disabled());
+        let sim = build_sim(&spec, 1, Telemetry::disabled());
         assert_eq!(sim.n_clients(), 1_000, "tiny() population, all placed");
         assert_eq!(sim.n_flows(), 8);
     }
@@ -201,7 +194,7 @@ mod tests {
     #[test]
     fn tiny_run_completes_and_serves_ops() {
         let spec = tiny();
-        let sim = build_sim(&spec, ClientModel::Cohort, 2, Telemetry::disabled());
+        let sim = build_sim(&spec, 2, Telemetry::disabled());
         let r = sim.run();
         assert!(r.total_ops > 0);
         assert!(!r.epochs.is_empty());

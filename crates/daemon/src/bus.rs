@@ -33,9 +33,8 @@ pub struct StatusSnapshot {
     pub down_ranks: Vec<bool>,
     /// Clients attached (including finished ones).
     pub clients: usize,
-    /// Flows actually stepped per tick: cohorts under the cohort client
-    /// model (a million clients can be a handful of flows), one per client
-    /// under the legacy model.
+    /// Flows actually stepped per tick: live client cohorts (a million
+    /// clients can be a handful of flows).
     pub flows: usize,
     /// Metadata ops completed so far.
     pub total_ops: u64,

@@ -10,10 +10,11 @@
 //! re-converge byte-for-byte.
 //!
 //! Membership is tracked as a sorted list of disjoint client-id intervals
-//! that exactly partitions `0..n_clients`; the legacy engine's rotated
-//! per-client issue order becomes a rotated walk over these intervals, so
-//! the cohort engine can reproduce the legacy effect order exactly (see
-//! `cohort_engine`).
+//! that exactly partitions `0..n_clients`. The issue engine visits
+//! members in rotated id order (`tick % n_clients` first), which becomes
+//! a rotated walk over these intervals: every member keeps its place in
+//! the effect order although its cohort is stepped once (see
+//! `cohort_engine`, whose golden-digest battery pins that order).
 //!
 //! Invariants (audited under `strict-invariants`):
 //! - intervals are sorted, disjoint, non-empty, and cover `0..n_clients`;
@@ -57,6 +58,8 @@ pub struct Cohort {
 }
 
 /// The whole client population, as cohorts plus an id-interval partition.
+/// The default is the empty population.
+#[derive(Default)]
 pub struct CohortSet {
     pub(crate) cohorts: Vec<Cohort>,
     /// Sorted by `start`; disjoint; exactly covers `0..n_clients`.

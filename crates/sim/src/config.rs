@@ -41,26 +41,6 @@ lunule_util::impl_json_struct!(DataPathConfig {
     client_window,
 });
 
-/// Which client-side execution engine the simulation runs.
-///
-/// Both engines produce byte-identical telemetry journals for the same
-/// config and seed — `Legacy` exists as the differential oracle the cohort
-/// engine's equivalence tests compare against, and as an escape hatch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ClientModel {
-    /// Cohort-aggregated clients: identical clients advance as one flow
-    /// carrying a member count, splitting lazily on divergence and
-    /// re-merging when state re-converges. The only engine that scales to
-    /// millions of clients.
-    #[default]
-    Cohort,
-    /// One `Client` object stepped per client per tick — the original
-    /// engine, O(clients) memory and time.
-    Legacy,
-}
-
-lunule_util::impl_json_enum!(ClientModel { Cohort, Legacy });
-
 lunule_util::impl_json_struct!(SimConfig {
     n_mds,
     mds_capacity,
@@ -79,7 +59,6 @@ lunule_util::impl_json_struct!(SimConfig {
     mds_memory_inodes,
     memory_thrash_factor,
     data_path,
-    client_model,
     seed,
 });
 
@@ -140,10 +119,6 @@ pub struct SimConfig {
     pub memory_thrash_factor: f64,
     /// Optional data path; `None` = metadata-only run.
     pub data_path: Option<DataPathConfig>,
-    /// Client execution engine (see [`ClientModel`]). Part of the config
-    /// digest: the two engines write different snapshot client sections, so
-    /// a snapshot must be restored under the model that took it.
-    pub client_model: ClientModel,
     /// Worker threads for the cohort engine's sharded fan-out: `0` sizes
     /// from the `LUNULE_JOBS` env var / machine (see
     /// [`lunule_util::par::WorkerPool::auto`]). Excluded from the JSON dump
@@ -185,7 +160,6 @@ impl Default for SimConfig {
             mds_memory_inodes: 0,
             memory_thrash_factor: 0.25,
             data_path: None,
-            client_model: ClientModel::Cohort,
             jobs: 0,
             seed: 0xC0FFEE,
             telemetry: Telemetry::disabled(),

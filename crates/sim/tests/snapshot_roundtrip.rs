@@ -231,10 +231,9 @@ fn tampered_sections_are_refused_with_typed_errors() {
 
 // --- Cohort-model snapshot coverage -------------------------------------
 //
-// The default engine aggregates identical clients into cohorts, and its
-// snapshots carry a "cohorts" section instead of per-client "clients"
-// entries. The batteries below pin that section the same three ways the
-// legacy one is pinned: it is present (so the generic tamper loop above
+// The simulator aggregates identical clients into cohorts, and its
+// snapshots carry them in one "cohorts" section. The batteries below pin
+// that section three ways: it is present (so the generic tamper loop above
 // provably exercises it), it survives snapshot→restore→snapshot without a
 // byte of drift for multi-member groups, and structurally-wrong restores
 // (wrong stream arity, tampered payload) are refused with typed errors.
@@ -269,7 +268,7 @@ fn grouped_restore_streams(files: usize) -> Vec<Box<dyn OpStream>> {
 }
 
 /// A grouped population's snapshot carries the "cohorts" section (and no
-/// legacy "clients" section), and its member/stream counts read back
+/// per-client "clients" section), and its member/stream counts read back
 /// through the sizing accessors the daemon restores with.
 #[test]
 fn grouped_snapshot_carries_the_cohort_section() {
@@ -280,7 +279,7 @@ fn grouped_snapshot_carries_the_cohort_section() {
     assert!(names.contains(&"cohorts"), "roster: {names:?}");
     assert!(
         !names.contains(&"clients"),
-        "cohort snapshots must not also carry a legacy clients section"
+        "cohort snapshots must not also carry a per-client clients section"
     );
     assert_eq!(lunule_sim::snapshot_client_count(&snap).unwrap(), 8);
     assert_eq!(lunule_sim::snapshot_stream_count(&snap).unwrap(), 2);

@@ -42,7 +42,7 @@ pub const MAGIC: [u8; 8] = *b"LUNSNAP\0";
 /// Current snapshot format version. Bump on any wire-format change; old
 /// files are rejected with [`SnapshotError::UnsupportedVersion`] rather
 /// than misread.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be read or validated.
 #[derive(Debug)]
@@ -413,12 +413,16 @@ mod tests {
             Snapshot::from_bytes(&bytes),
             Err(SnapshotError::BadMagic)
         ));
-        let mut bytes = sample().to_bytes();
-        bytes[8] = 99; // version field
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes),
-            Err(SnapshotError::UnsupportedVersion { found: 99 })
-        ));
+        // An unknown future version, and version 1, whose simulations
+        // could carry a per-client "clients" roster instead of "cohorts".
+        for found in [99, 1] {
+            let mut bytes = sample().to_bytes();
+            bytes[8] = found; // version field
+            assert!(matches!(
+                Snapshot::from_bytes(&bytes),
+                Err(SnapshotError::UnsupportedVersion { found: f }) if u32::from(found) == f
+            ));
+        }
     }
 
     #[test]
