@@ -6,9 +6,11 @@
 //!    total op count and per-rank request totals recorded in [`GOLDEN`].
 //!    The table was captured from the one-struct-per-client engine, which
 //!    stepped every client individually in the same rotation order and is
-//!    the reference the aggregated engine was derived from.
+//!    the reference the aggregated engine was derived from. A second
+//!    column pins the telemetry metrics export, recorded later from the
+//!    cohort engine.
 //! 2. **Jobs 1 vs N** — the sharded route-resolution fan-out may change
-//!    wall time only, never a journal byte.
+//!    wall time only, never a journal or metrics byte.
 //! 3. **Grouped vs expanded** — a population built as shared-stream
 //!    cohorts must journal exactly like the same population handed over
 //!    as one singleton stream per client.
@@ -22,7 +24,7 @@ use lunule_core::{make_balancer, BalancerKind};
 use lunule_faults::FaultPlan;
 use lunule_namespace::{InodeId, MdsRank, Namespace};
 use lunule_sim::{DataPathConfig, FixedStream, MetaOp, OpStream, SimConfig, Simulation};
-use lunule_telemetry::{events_jsonl, Telemetry};
+use lunule_telemetry::{events_jsonl, metrics_csv, Telemetry};
 use lunule_util::codec::fnv1a64;
 use lunule_util::ToJson;
 
@@ -34,36 +36,42 @@ const FILES: usize = 12;
 /// the tombstone) is stale and trips debug asserts.
 const REMOVE_POOL: usize = 4;
 
-/// Frozen outcomes, one per case: `(case, digest, total_ops)`. The digest
-/// is FNV-1a over the JSONL journal followed by the compact JSON of the
-/// run's `RunResult`, so it also pins the per-rank request totals, the
-/// per-epoch series, latency and per-client completion times.
-const GOLDEN: &[(&str, u64, u64)] = &[
-    ("seed7/quiet/plain", 0x2d37_6250_d0e3_abe2, 200),
-    ("seed7/quiet/memory", 0xaeb1_7266_8f50_22af, 200),
-    ("seed7/quiet/datapath", 0xb863_517c_4f61_97d2, 200),
-    ("seed7/chaotic/plain", 0xf062_8d7b_37f8_a5cd, 200),
-    ("seed7/chaotic/memory", 0x37bc_5cbf_24b6_e877, 200),
-    ("seed7/chaotic/datapath", 0x3cc6_5dbc_9499_edf5, 200),
-    ("seed7/quiet/contended", 0x6a33_01f4_b4db_3a9d, 200),
-    ("seed7/chaotic/contended", 0x8b1b_a18b_80d3_60a9, 200),
-    ("seed42/quiet/plain", 0x2d37_6250_d0e3_abe2, 200),
-    ("seed42/quiet/memory", 0x3b2d_c2fc_6150_4cb4, 200),
-    ("seed42/quiet/datapath", 0xb863_517c_4f61_97d2, 200),
-    ("seed42/chaotic/plain", 0xf062_8d7b_37f8_a5cd, 200),
-    ("seed42/chaotic/memory", 0x37bc_5cbf_24b6_e877, 200),
-    ("seed42/chaotic/datapath", 0x3cc6_5dbc_9499_edf5, 200),
-    ("seed42/quiet/contended", 0xcf3c_cb05_df3c_cdcb, 200),
-    ("seed42/chaotic/contended", 0xa059_9b89_b062_a56d, 200),
-    ("wide320", 0x18f8_a685_584a_ef7a, 1680),
-    ("expanded8", 0x4f84_cd82_226f_d5d9, 54),
-    ("creates6", 0x24fa_dad4_8192_3a35, 30),
+/// Frozen outcomes, one per case: `(case, digest, metrics_digest,
+/// total_ops)`. The digest is FNV-1a over the JSONL journal followed by
+/// the compact JSON of the run's `RunResult`, so it also pins the per-rank
+/// request totals, the per-epoch series, latency and per-client completion
+/// times. The metrics digest is FNV-1a over the telemetry metrics CSV
+/// (counters, gauge series and histograms), which the journal does not
+/// carry.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, u64, u64, u64)] = &[
+    ("seed7/quiet/plain", 0x2d37_6250_d0e3_abe2, 0xeae5_c80b_4563_be8d, 200),
+    ("seed7/quiet/memory", 0xaeb1_7266_8f50_22af, 0xeb0a_d75e_fc18_1e2e, 200),
+    ("seed7/quiet/datapath", 0xb863_517c_4f61_97d2, 0xeae5_c80b_4563_be8d, 200),
+    ("seed7/chaotic/plain", 0xf062_8d7b_37f8_a5cd, 0x6156_4d42_7327_008e, 200),
+    ("seed7/chaotic/memory", 0x37bc_5cbf_24b6_e877, 0x0524_d6be_7881_a87a, 200),
+    ("seed7/chaotic/datapath", 0x3cc6_5dbc_9499_edf5, 0x6156_4d42_7327_008e, 200),
+    ("seed7/quiet/contended", 0x6a33_01f4_b4db_3a9d, 0xaf4d_8fe6_7521_352f, 200),
+    ("seed7/chaotic/contended", 0x8b1b_a18b_80d3_60a9, 0x91ad_e969_3fe7_ce92, 200),
+    ("seed42/quiet/plain", 0x2d37_6250_d0e3_abe2, 0x9406_dde7_3d6b_1024, 200),
+    ("seed42/quiet/memory", 0x3b2d_c2fc_6150_4cb4, 0xd189_dc46_d993_c864, 200),
+    ("seed42/quiet/datapath", 0xb863_517c_4f61_97d2, 0x9406_dde7_3d6b_1024, 200),
+    ("seed42/chaotic/plain", 0xf062_8d7b_37f8_a5cd, 0x6874_7f5f_09e8_caed, 200),
+    ("seed42/chaotic/memory", 0x37bc_5cbf_24b6_e877, 0x501f_dae9_476c_8cbb, 200),
+    ("seed42/chaotic/datapath", 0x3cc6_5dbc_9499_edf5, 0x6874_7f5f_09e8_caed, 200),
+    ("seed42/quiet/contended", 0xcf3c_cb05_df3c_cdcb, 0xd7f5_4b97_266d_bee9, 200),
+    ("seed42/chaotic/contended", 0xa059_9b89_b062_a56d, 0xd4c4_9c87_03a1_1403, 200),
+    ("wide320", 0x18f8_a685_584a_ef7a, 0xbe7c_a2c0_00dc_a06a, 1680),
+    ("expanded8", 0x4f84_cd82_226f_d5d9, 0x6c34_e138_87ae_e209, 54),
+    ("creates6", 0x24fa_dad4_8192_3a35, 0xacf3_f989_c7a8_c773, 30),
 ];
 
-/// What one run produced: its journal and its results.
+/// What one run produced: its journal, metrics export and results.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     journal: String,
+    /// The telemetry snapshot's metrics CSV.
+    metrics: String,
     /// Compact JSON of the `RunResult`.
     result: String,
     total_ops: u64,
@@ -75,12 +83,19 @@ impl Outcome {
         fnv1a64(format!("{}{}", self.journal, self.result).as_bytes())
     }
 
+    fn metrics_digest(&self) -> u64 {
+        fnv1a64(self.metrics.as_bytes())
+    }
+
     /// Asserts this outcome reproduces the golden entry for `case`.
     fn assert_golden(&self, case: &str) {
         let digest = self.digest();
-        let Some(&(_, want_digest, want_ops)) = GOLDEN.iter().find(|g| g.0 == case) else {
+        let metrics_digest = self.metrics_digest();
+        let Some(&(_, want_digest, want_metrics, want_ops)) = GOLDEN.iter().find(|g| g.0 == case)
+        else {
             panic!(
-                "no golden entry; this run gives ({case:?}, {digest:#018x}, {})",
+                "no golden entry; this run gives ({case:?}, {digest:#018x}, \
+                 {metrics_digest:#018x}, {})",
                 self.total_ops
             );
         };
@@ -89,6 +104,10 @@ impl Outcome {
             digest, want_digest,
             "{case}: journal or results drifted (per-rank requests {:?})",
             self.per_mds
+        );
+        assert_eq!(
+            metrics_digest, want_metrics,
+            "{case}: metrics export drifted"
         );
     }
 }
@@ -207,10 +226,11 @@ fn streams_for(n: usize, seed: u64) -> Vec<Box<dyn OpStream>> {
 /// Runs a built simulation to its configured duration.
 fn drive(mut sim: Simulation, tel: &Telemetry) -> Outcome {
     sim.run_until(u64::MAX);
-    let journal = events_jsonl(&tel.snapshot().unwrap());
+    let snap = tel.snapshot().unwrap();
     let r = sim.finish();
     Outcome {
-        journal,
+        journal: events_jsonl(&snap),
+        metrics: metrics_csv(&snap),
         result: r.to_json().to_string_compact(),
         total_ops: r.total_ops,
         per_mds: r.per_mds_requests_total,
