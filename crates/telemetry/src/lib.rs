@@ -33,7 +33,6 @@
 pub mod event;
 pub mod export;
 pub mod metrics;
-mod ring;
 
 pub use event::{Event, EventRecord};
 pub use export::{
@@ -65,42 +64,21 @@ struct Collector {
     metrics: MetricsRegistry,
 }
 
-impl Collector {
-    /// Applies one drained hot-path record to the registry. Gauges stamp
-    /// with the current clock — correct because every clock mutation
-    /// drains first, so the clock here is the clock at push time.
-    fn apply_hot(&mut self, name: &'static str, rec: ring::HotRecord) {
-        match rec.kind {
-            ring::HotKind::Counter => self.metrics.counter_add(name, rec.label, rec.value),
-            ring::HotKind::Histogram => self.metrics.histogram_record_n(name, rec.value, rec.count),
-            ring::HotKind::Gauge => {
-                let tick = self.clock;
-                self.metrics
-                    .gauge_set(name, rec.label, tick, f64::from_bits(rec.value));
-            }
-        }
-    }
-}
-
 /// A shared handle onto one run's telemetry collector.
 ///
 /// Clones are cheap and all point at the same collector, so the simulator,
 /// balancer, and migrator can each hold one. A disabled handle (the
 /// default) turns every method into a branch on `None`.
 ///
-/// Hot-path metric calls (`counter_add*`, `histogram_record*`,
-/// `gauge_set`) go through a lock-free SPSC ring instead of the collector
-/// mutex; the rings are drained — in shard order, coalescing equal-key
-/// records exactly — at every clock change and before every read, so
-/// observable state is indistinguishable from the direct path.
+/// Every recording call applies directly to the collector under its
+/// mutex, so each sample is stamped with the clock in effect at the call
+/// and gauge series follow call order. The per-served-op records, the
+/// only ones frequent enough to matter, are aggregated by the caller and
+/// handed over once per tick through [`Telemetry::record_batch`].
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Mutex<Collector>>>,
-    rings: Option<Arc<ring::RingSet>>,
 }
-
-/// The shard the single serial producer (the simulator thread) pushes to.
-const MAIN_SHARD: usize = 0;
 
 /// One entry of a [`Telemetry::record_batch`] flush: the two hot-path
 /// metric kinds whose records are associative and therefore batchable.
@@ -132,17 +110,13 @@ impl Telemetry {
     /// A no-op handle: every recording call returns immediately without
     /// locking or allocating. This is the default for all simulations.
     pub fn disabled() -> Self {
-        Telemetry {
-            inner: None,
-            rings: None,
-        }
+        Telemetry { inner: None }
     }
 
     /// A live handle with an empty collector at tick 0.
     pub fn enabled() -> Self {
         Telemetry {
             inner: Some(Arc::new(Mutex::new(Collector::default()))),
-            rings: Some(Arc::new(ring::RingSet::new(1, ring::DEFAULT_RING_CAPACITY))),
         }
     }
 
@@ -157,92 +131,11 @@ impl Telemetry {
         inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Locks the collector and drains the rings into it first, so the
-    /// caller observes (or stamps relative to) fully settled state.
-    fn lock_settled<'a>(&self, inner: &'a Arc<Mutex<Collector>>) -> MutexGuard<'a, Collector> {
-        let mut c = Self::lock(inner);
-        if let Some(rings) = &self.rings {
-            Self::drain_rings(rings, &mut c);
-        }
-        c
-    }
-
-    /// Drains every ring into the collector, coalescing records with equal
-    /// keys first. Coalescing is exact: counter deltas add associatively,
-    /// histogram `record_n(v, a + b)` is defined as bit-identical to
-    /// `record_n(v, a); record_n(v, b)`, and gauges (whose series order is
-    /// observable) are never merged — they apply immediately, in drain
-    /// order. This is what makes the ring a net win: a tick's worth of
-    /// per-op records collapses to a handful of registry walks.
-    fn drain_rings(rings: &ring::RingSet, c: &mut Collector) {
-        // (name, record) pending per key, in first-seen order.
-        let mut pending: Vec<(&'static str, ring::HotRecord)> = Vec::new();
-        rings.drain(|name, rec| match rec.kind {
-            ring::HotKind::Gauge => c.apply_hot(name, rec),
-            ring::HotKind::Counter => {
-                match pending.iter_mut().find(|(_, p)| {
-                    p.kind == ring::HotKind::Counter && p.name == rec.name && p.label == rec.label
-                }) {
-                    Some((_, p)) => p.value += rec.value,
-                    None => pending.push((name, rec)),
-                }
-            }
-            ring::HotKind::Histogram => {
-                match pending.iter_mut().find(|(_, p)| {
-                    p.kind == ring::HotKind::Histogram && p.name == rec.name && p.value == rec.value
-                }) {
-                    Some((_, p)) => p.count = p.count.saturating_add(rec.count),
-                    None => pending.push((name, rec)),
-                }
-            }
-        });
-        for (name, rec) in pending {
-            c.apply_hot(name, rec);
-        }
-    }
-
-    /// Routes one hot-path metric record through the ring; on overflow (or
-    /// name-table exhaustion) falls back to drain-then-apply under the
-    /// mutex, which preserves order exactly — backpressure, never loss.
+    /// Applies `f` to the collector under its lock; a no-op when disabled.
     #[inline]
-    fn record_hot(
-        &self,
-        kind: ring::HotKind,
-        name: &'static str,
-        label: u32,
-        value: u64,
-        count: u64,
-    ) {
+    fn record(&self, f: impl FnOnce(&mut Collector)) {
         let Some(inner) = &self.inner else { return };
-        if let Some(rings) = &self.rings {
-            if rings.push(MAIN_SHARD, kind, name, label, value, count) {
-                return;
-            }
-            let mut c = Self::lock(inner);
-            Self::drain_rings(rings, &mut c);
-            c.apply_hot(
-                name,
-                ring::HotRecord {
-                    kind,
-                    name: 0,
-                    label,
-                    value,
-                    count,
-                },
-            );
-            return;
-        }
-        let mut c = Self::lock(inner);
-        c.apply_hot(
-            name,
-            ring::HotRecord {
-                kind,
-                name: 0,
-                label,
-                value,
-                count,
-            },
-        );
+        f(&mut Self::lock(inner));
     }
 
     /// Advances the clock and journals one event under a single lock —
@@ -251,7 +144,7 @@ impl Telemetry {
     /// of two.
     pub fn begin_tick(&self, tick: u64, make: impl FnOnce() -> Event) {
         let Some(inner) = &self.inner else { return };
-        let mut c = self.lock_settled(inner);
+        let mut c = Self::lock(inner);
         if tick != c.clock {
             c.clock = tick;
             c.seq = 0;
@@ -266,17 +159,16 @@ impl Telemetry {
     }
 
     /// Applies a pre-coalesced batch of metric records under a single
-    /// lock, after draining the rings (so everything pushed earlier still
-    /// lands first). This is the tick-boundary flush path: a caller that
+    /// lock. This is the tick-boundary flush path: a caller that
     /// aggregated a tick's worth of hot records locally (see the
     /// simulator's per-tick op ledger) hands them over in one acquisition
-    /// instead of one ring round-trip per record. State afterwards is
-    /// identical to recording each entry individually — counters and
-    /// histograms are associative and the registry keys them in sorted
-    /// maps, so batch order is unobservable.
+    /// instead of one per record. State afterwards is identical to
+    /// recording each entry individually — counters and histograms are
+    /// associative and the registry keys them in sorted maps, so batch
+    /// order is unobservable.
     pub fn record_batch(&self, records: impl IntoIterator<Item = MetricRecord>) {
         let Some(inner) = &self.inner else { return };
-        let mut c = self.lock_settled(inner);
+        let mut c = Self::lock(inner);
         for r in records {
             match r {
                 MetricRecord::Counter { name, label, delta } => {
@@ -294,9 +186,7 @@ impl Telemetry {
     /// with `tick`. Resets the intra-tick sequence counter.
     pub fn set_clock(&self, tick: u64) {
         let Some(inner) = &self.inner else { return };
-        // Drain before moving the clock: pending gauge records belong to
-        // the tick they were pushed in.
-        let mut c = self.lock_settled(inner);
+        let mut c = Self::lock(inner);
         if tick != c.clock {
             c.clock = tick;
             c.seq = 0;
@@ -333,43 +223,40 @@ impl Telemetry {
     /// Adds `delta` to the counter `name` (label 0).
     #[inline]
     pub fn counter_add(&self, name: &'static str, delta: u64) {
-        self.record_hot(ring::HotKind::Counter, name, 0, delta, 0);
+        self.record(|c| c.metrics.counter_add(name, 0, delta));
     }
 
     /// Adds `delta` to the counter `name` for one label (e.g. an MDS rank).
     #[inline]
     pub fn counter_add_labeled(&self, name: &'static str, label: u32, delta: u64) {
-        self.record_hot(ring::HotKind::Counter, name, label, delta, 0);
+        self.record(|c| c.metrics.counter_add(name, label, delta));
     }
 
     /// Current value of counter `name` summed over all labels (0 when the
     /// counter was never touched or the handle is disabled).
     pub fn counter_value(&self, name: &str) -> u64 {
         let Some(inner) = &self.inner else { return 0 };
-        self.lock_settled(inner).metrics.counter_total(name)
+        Self::lock(inner).metrics.counter_total(name)
     }
 
     /// Records one sample of the gauge `name` for `label` at the current
     /// clock, appending to that gauge's time series.
     #[inline]
     pub fn gauge_set(&self, name: &'static str, label: u32, value: f64) {
-        self.record_hot(ring::HotKind::Gauge, name, label, value.to_bits(), 0);
+        self.record(|c| c.metrics.gauge_set(name, label, c.clock, value));
     }
 
     /// Records `value` into the fixed-bucket histogram `name`.
     #[inline]
     pub fn histogram_record(&self, name: &'static str, value: u64) {
-        self.record_hot(ring::HotKind::Histogram, name, 0, value, 1);
+        self.record(|c| c.metrics.histogram_record(name, value));
     }
 
     /// Records `value` into the fixed-bucket histogram `name`, `n` times,
     /// identically to `n` sequential [`Telemetry::histogram_record`] calls.
     #[inline]
     pub fn histogram_record_n(&self, name: &'static str, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.record_hot(ring::HotKind::Histogram, name, 0, value, n);
+        self.record(|c| c.metrics.histogram_record_n(name, value, n));
     }
 
     /// Number of journal events whose [`Event::kind`] equals `kind`.
@@ -420,8 +307,7 @@ impl Telemetry {
     /// `seq = 0`. No-op on a disabled handle.
     pub fn restore_clock_position(&self, clock: u64, seq: u64) {
         let Some(inner) = &self.inner else { return };
-        // As in `set_clock`: settle pending records under the old clock.
-        let mut c = self.lock_settled(inner);
+        let mut c = Self::lock(inner);
         c.clock = clock;
         c.seq = seq;
     }
@@ -429,7 +315,7 @@ impl Telemetry {
     /// A deep copy of everything collected so far (`None` when disabled).
     pub fn snapshot(&self) -> Option<Snapshot> {
         let inner = self.inner.as_ref()?;
-        let c = self.lock_settled(inner);
+        let c = Self::lock(inner);
         Some(Snapshot {
             events: c.events.clone(),
             metrics: c.metrics.clone(),
@@ -487,89 +373,6 @@ impl Drop for Span {
 mod tests {
     use super::*;
 
-    /// Overflowing the ring's fixed capacity must spill to the direct
-    /// mutex path without dropping or reordering anything: every counter
-    /// delta accounted for, histogram totals exact, and the gauge series —
-    /// the one hot-path stream whose *order* is observable — monotone in
-    /// push order with every sample present, across repeated
-    /// overflow/drain cycles.
-    #[test]
-    fn ring_overflow_backpressure_never_drops_or_reorders() {
-        let t = Telemetry::enabled();
-        let n = u64::try_from(3 * ring::DEFAULT_RING_CAPACITY + 17).unwrap();
-        for i in 0..n {
-            t.counter_add("bp.counter", 1);
-            t.histogram_record("bp.hist", i % 7);
-            #[allow(clippy::cast_precision_loss)]
-            t.gauge_set("bp.gauge", 0, i as f64);
-        }
-        let snap = t.snapshot().unwrap();
-        assert_eq!(snap.metrics.counter_get("bp.counter", 0), n);
-        let h = snap.metrics.histogram("bp.hist").unwrap();
-        assert_eq!(h.count(), n);
-        let series: Vec<(u64, f64)> = snap
-            .metrics
-            .gauges()
-            .find(|(n, l, _)| *n == "bp.gauge" && *l == 0)
-            .map(|(_, _, s)| s.to_vec())
-            .unwrap();
-        assert_eq!(
-            series.len(),
-            usize::try_from(n).unwrap(),
-            "no gauge dropped"
-        );
-        for (i, (tick, v)) in series.iter().enumerate() {
-            assert_eq!(*tick, 0);
-            #[allow(clippy::cast_precision_loss)]
-            let want = i as f64;
-            assert_eq!(*v, want, "gauge series out of order at {i}");
-        }
-        // A second burst after the drain reuses the same rings.
-        t.set_clock(1);
-        for i in 0..n {
-            #[allow(clippy::cast_precision_loss)]
-            t.gauge_set("bp.gauge", 0, (n + i) as f64);
-        }
-        let snap2 = t.snapshot().unwrap();
-        let series2: Vec<(u64, f64)> = snap2
-            .metrics
-            .gauges()
-            .find(|(n, l, _)| *n == "bp.gauge" && *l == 0)
-            .map(|(_, _, s)| s.to_vec())
-            .unwrap();
-        assert_eq!(series2.len(), 2 * usize::try_from(n).unwrap());
-        assert!(series2[usize::try_from(n).unwrap()..]
-            .iter()
-            .all(|(tick, _)| *tick == 1));
-    }
-
-    /// The ring path must be observationally identical to the pre-ring
-    /// direct path: a handle whose rings are disabled (forcing every call
-    /// through the mutex fallback) collects exactly the same registry.
-    #[test]
-    fn ring_and_direct_paths_collect_identical_registries() {
-        let ringed = Telemetry::enabled();
-        let direct = Telemetry {
-            inner: Some(Arc::new(Mutex::new(Collector::default()))),
-            rings: None,
-        };
-        for t in [&ringed, &direct] {
-            for tick in 0..5u64 {
-                t.set_clock(tick);
-                for i in 0..50u64 {
-                    t.counter_add_labeled("eq.ops", u32::try_from(i % 3).unwrap(), 1);
-                    t.histogram_record("eq.stall", i % 4);
-                    t.gauge_set("eq.load", 1, 0.5);
-                }
-                t.histogram_record_n("eq.stall", 2, 9);
-            }
-        }
-        let a = ringed.snapshot().unwrap();
-        let b = direct.snapshot().unwrap();
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.last_tick, b.last_tick);
-    }
-
     #[test]
     fn disabled_handle_records_nothing() {
         let t = Telemetry::disabled();
@@ -597,6 +400,38 @@ mod tests {
         assert_eq!((snap.events[1].t, snap.events[1].seq), (7, 0));
         assert_eq!((snap.events[2].t, snap.events[2].seq), (7, 1));
         assert_eq!(snap.last_tick, 7);
+
+        // Gauge samples are stamped with the clock in effect at the call,
+        // and the series keeps call order across clock changes.
+        t.gauge_set("g", 0, 1.0);
+        t.set_clock(8);
+        t.gauge_set("g", 0, 2.0);
+        t.gauge_set("g", 0, 3.0);
+        t.restore_clock_position(9, 4);
+        t.gauge_set("g", 0, 4.0);
+        let series: Vec<(u64, f64)> = t
+            .snapshot()
+            .unwrap()
+            .metrics
+            .gauges()
+            .find(|(n, l, _)| *n == "g" && *l == 0)
+            .map(|(_, _, s)| s.to_vec())
+            .unwrap();
+        assert_eq!(series, vec![(7, 1.0), (8, 2.0), (8, 3.0), (9, 4.0)]);
+
+        // A burst of metric calls keeps exact counter and histogram totals.
+        let n = 10_000u64;
+        for i in 0..n {
+            t.counter_add_labeled("burst.ops", u32::from(i % 3 == 0), 1);
+            t.histogram_record("burst.hist", i % 7);
+        }
+        t.histogram_record_n("burst.hist", 3, 5);
+        let metrics = t.snapshot().unwrap().metrics;
+        assert_eq!(metrics.counter_get("burst.ops", 1), n.div_ceil(3));
+        assert_eq!(metrics.counter_total("burst.ops"), n);
+        let h = metrics.histogram("burst.hist").unwrap();
+        assert_eq!(h.count(), n + 5);
+        assert_eq!(h.sum(), (0..n).map(|i| i % 7).sum::<u64>() + 15);
     }
 
     #[test]
