@@ -201,7 +201,7 @@ impl Simulation {
             journal_base: (0, 0, 0),
             costs_scratch: Vec::new(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
-            op_ledger: crate::tick_ledger::TickOpLedger::new(cfg.n_mds),
+            op_ledger: crate::tick_ledger::TickOpLedger::default(),
             #[cfg(feature = "strict-invariants")]
             checker: InvariantChecker::new(lunule_core::IfModelConfig {
                 mds_capacity: cfg.mds_capacity,
@@ -951,25 +951,53 @@ mod tests {
 
     #[test]
     fn add_mds_grows_cluster() {
-        let (ns, ids) = tiny_ns(10);
-        let streams: Vec<Box<dyn OpStream>> = vec![Box::new(FixedStream::new(ids))];
-        let mut sim = Simulation::new(
-            SimConfig {
-                stop_when_done: false,
-                ..tiny_cfg()
-            },
-            ns,
-            Box::new(NoopBalancer),
-            streams,
-        );
+        let (ns, ids) = tiny_ns(800);
+        let cfg = || SimConfig {
+            stop_when_done: false,
+            telemetry: Telemetry::enabled(),
+            ..tiny_cfg()
+        };
+        let streams = |ids: &[InodeId]| -> Vec<Box<dyn OpStream>> {
+            vec![Box::new(FixedStream::new(ids.to_vec()))]
+        };
+        let mut sim = Simulation::new(cfg(), ns, Box::new(NoopBalancer), streams(&ids));
         assert_eq!(sim.n_mds(), 2);
         sim.run_until(4);
         sim.add_mds();
         assert_eq!(sim.n_mds(), 3);
+        // Leave the added rank as the only one serving, so every later op
+        // is counted for a rank the cluster did not start with.
+        sim.drain_mds(MdsRank(0));
+        sim.drain_mds(MdsRank(1));
         sim.run_until(8);
+        let snap = sim.snapshot();
+        let served = |tel: &Telemetry, rank: u32| {
+            tel.snapshot()
+                .unwrap()
+                .metrics
+                .counter_get("ops.served", rank)
+        };
+        let pre: Vec<u64> = (0..3).map(|r| served(sim.telemetry(), r)).collect();
+        sim.run_until(12);
+        let tel = sim.telemetry().clone();
         let result = sim.finish();
         // Later epochs report three ranks.
         assert_eq!(result.epochs.last().unwrap().per_mds_iops.len(), 3);
+        assert!(result.per_mds_requests_total[2] > 0);
+        let all: Vec<u64> = (0..3).map(|r| served(&tel, r)).collect();
+        assert_eq!(all, result.per_mds_requests_total);
+
+        // A run restored from a snapshot taken after the rank was added
+        // counts it too: its served ops continue the original's exactly.
+        let mut resumed =
+            Simulation::restore(cfg(), Box::new(NoopBalancer), streams(&ids), &snap).unwrap();
+        resumed.run_until(12);
+        let post_tel = resumed.telemetry().clone();
+        let stitched: Vec<u64> = (0..3)
+            .map(|r| pre[r] + served(&post_tel, usize_to_u32(r)))
+            .collect();
+        assert_eq!(stitched, resumed.finish().per_mds_requests_total);
+        assert_eq!(stitched, result.per_mds_requests_total);
     }
 
     #[test]

@@ -294,7 +294,7 @@ impl Simulation {
             journal_base,
             costs_scratch: Vec::new(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
-            op_ledger: crate::tick_ledger::TickOpLedger::new(cfg.n_mds),
+            op_ledger: crate::tick_ledger::TickOpLedger::default(),
             #[cfg(feature = "strict-invariants")]
             checker: InvariantChecker::new(lunule_core::IfModelConfig {
                 mds_capacity: cfg.mds_capacity,

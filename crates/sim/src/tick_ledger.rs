@@ -2,9 +2,9 @@
 //! plain dense columns and flushed to telemetry once per tick.
 //!
 //! The serve loop used to push two telemetry records per served op
-//! (`client.stall_ticks`, `ops.served`) — even through the lock-free
-//! ring that is the dominant share of the enabled/disabled gap in the
-//! `telemetry_on`/`telemetry_off` benches. Both metrics are associative
+//! (`client.stall_ticks`, `ops.served`), which was the dominant share of
+//! the enabled/disabled gap in the `telemetry_on`/`telemetry_off`
+//! benches. Both metrics are associative
 //! (counter deltas add; `histogram_record_n(v, a + b)` is defined as
 //! identical to recording `a` then `b` samples), and the registry keys
 //! them in `BTreeMap`s, so the order records reach the collector within
@@ -21,9 +21,10 @@ use lunule_telemetry::{MetricRecord, Telemetry};
 use lunule_util::convert::usize_to_u32;
 
 /// Accumulates one tick's served-op metrics; see the module docs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct TickOpLedger {
-    /// Ops served this tick, indexed by MDS rank.
+    /// Ops served this tick, indexed by MDS rank; grows on demand, so
+    /// ranks added after construction are counted too.
     served: Vec<u64>,
     /// Stall samples this tick as `(stall_ticks, count)`, in first-seen
     /// order. Stalls cluster around zero and a few small backoff values,
@@ -34,14 +35,6 @@ pub(crate) struct TickOpLedger {
 }
 
 impl TickOpLedger {
-    pub fn new(n_mds: usize) -> TickOpLedger {
-        TickOpLedger {
-            served: vec![0; n_mds],
-            stalls: Vec::new(),
-            dirty: false,
-        }
-    }
-
     /// Accounts `n` ops served by `rank` that each stalled for
     /// `stall_ticks` before being served.
     #[inline]
@@ -49,9 +42,10 @@ impl TickOpLedger {
         if n == 0 {
             return;
         }
-        if let Some(s) = self.served.get_mut(rank) {
-            *s += n;
+        if rank >= self.served.len() {
+            self.served.resize(rank + 1, 0);
         }
+        self.served[rank] += n;
         match self.stalls.iter_mut().find(|(v, _)| *v == stall_ticks) {
             Some((_, c)) => *c += n,
             None => self.stalls.push((stall_ticks, n)),
@@ -100,7 +94,7 @@ mod tests {
         // leave identical collector state.
         let per_op = Telemetry::enabled();
         let ledger_tel = Telemetry::enabled();
-        let mut ledger = TickOpLedger::new(4);
+        let mut ledger = TickOpLedger::default();
         let ops = [(0usize, 0u64, 1u64), (2, 3, 2), (0, 0, 1), (1, 3, 1)];
         for &(rank, stall, n) in &ops {
             per_op.histogram_record_n("client.stall_ticks", stall, n);
@@ -123,7 +117,7 @@ mod tests {
     #[test]
     fn empty_and_zero_records_flush_nothing() {
         let tel = Telemetry::enabled();
-        let mut ledger = TickOpLedger::new(2);
+        let mut ledger = TickOpLedger::default();
         ledger.record(0, 5, 0); // n == 0 is a no-op
         ledger.flush(&tel);
         assert_eq!(tel.counter_value("ops.served"), 0);
@@ -131,12 +125,23 @@ mod tests {
 
     #[test]
     fn out_of_range_rank_still_counts_stalls() {
-        // A defensive path: the serve loop validates ranks first, but the
-        // ledger must not panic (or lose the histogram sample) if not.
+        // A rank past the ledger's current width (one added after
+        // construction) grows the served column: both the served count
+        // and the histogram sample land.
         let tel = Telemetry::enabled();
-        let mut ledger = TickOpLedger::new(1);
+        let mut ledger = TickOpLedger::default();
+        ledger.record(0, 1, 1);
         ledger.record(7, 2, 1);
         ledger.flush(&tel);
-        assert_eq!(tel.counter_value("ops.served"), 0);
+        let snap = tel.snapshot().unwrap();
+        assert_eq!(snap.metrics.counter_get("ops.served", 7), 1);
+        assert_eq!(tel.counter_value("ops.served"), 2);
+        assert_eq!(
+            snap.metrics
+                .histogram("client.stall_ticks")
+                .unwrap()
+                .count(),
+            2
+        );
     }
 }
