@@ -971,20 +971,19 @@ mod tests {
         sim.drain_mds(MdsRank(1));
         sim.run_until(8);
         let snap = sim.snapshot();
-        let served = |tel: &Telemetry, rank: u32| {
-            tel.snapshot()
-                .unwrap()
-                .metrics
-                .counter_get("ops.served", rank)
+        let served = |tel: &Telemetry| -> Vec<u64> {
+            let metrics = tel.snapshot().unwrap().metrics;
+            (0..3)
+                .map(|r| metrics.counter_get("ops.served", r))
+                .collect()
         };
-        let pre: Vec<u64> = (0..3).map(|r| served(sim.telemetry(), r)).collect();
+        let pre = served(sim.telemetry());
         sim.run_until(12);
-        let tel = sim.telemetry().clone();
+        let all = served(sim.telemetry());
         let result = sim.finish();
         // Later epochs report three ranks.
         assert_eq!(result.epochs.last().unwrap().per_mds_iops.len(), 3);
         assert!(result.per_mds_requests_total[2] > 0);
-        let all: Vec<u64> = (0..3).map(|r| served(&tel, r)).collect();
         assert_eq!(all, result.per_mds_requests_total);
 
         // A run restored from a snapshot taken after the rank was added
@@ -992,10 +991,8 @@ mod tests {
         let mut resumed =
             Simulation::restore(cfg(), Box::new(NoopBalancer), streams(&ids), &snap).unwrap();
         resumed.run_until(12);
-        let post_tel = resumed.telemetry().clone();
-        let stitched: Vec<u64> = (0..3)
-            .map(|r| pre[r] + served(&post_tel, usize_to_u32(r)))
-            .collect();
+        let post = served(resumed.telemetry());
+        let stitched: Vec<u64> = pre.iter().zip(&post).map(|(a, b)| a + b).collect();
         assert_eq!(stitched, resumed.finish().per_mds_requests_total);
         assert_eq!(stitched, result.per_mds_requests_total);
     }

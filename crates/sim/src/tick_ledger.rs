@@ -4,9 +4,9 @@
 //! The serve loop used to push two telemetry records per served op
 //! (`client.stall_ticks`, `ops.served`), which was the dominant share of
 //! the enabled/disabled gap in the `telemetry_on`/`telemetry_off`
-//! benches. Both metrics are associative
-//! (counter deltas add; `histogram_record_n(v, a + b)` is defined as
-//! identical to recording `a` then `b` samples), and the registry keys
+//! benches. Both metrics are associative (counter deltas add;
+//! `histogram_record_n(v, a + b)` is defined as identical to recording
+//! `a` then `b` samples), and the registry keys
 //! them in `BTreeMap`s, so the order records reach the collector within
 //! a tick is unobservable. That makes a tick's worth of ops free to
 //! collapse into one flush: a per-rank served column plus a tiny
