@@ -124,7 +124,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_rank_still_counts_stalls() {
+    fn record_grows_served_for_added_rank() {
         // A rank past the ledger's current width (one added after
         // construction) grows the served column: both the served count
         // and the histogram sample land.
