@@ -142,7 +142,7 @@ fn scale_frontier(args: &CommonArgs) {
             seed: args.seed,
             ..base
         };
-        let sim = build_sim(&spec, args.jobs, Telemetry::disabled());
+        let sim = build_sim(&spec, Telemetry::disabled());
         let flows = sim.n_flows();
         let r = sim.run();
         println!(

@@ -6,12 +6,8 @@
 //!
 //! Usage: `telemetry_check <dir>`
 
-use lunule_telemetry::{parse_events_jsonl, validate_chrome_trace, Event};
-use std::collections::BTreeMap;
+use lunule_telemetry::{parse_events_jsonl, validate_chrome_trace, Event, EventRecord};
 use std::path::Path;
-
-/// One run's shard journals: `(file name, its (t, seq) stamps)` per shard.
-type ShardJournals = Vec<(String, Vec<(u64, u64)>)>;
 
 fn main() {
     let dir = std::env::args().nth(1).unwrap_or_else(|| {
@@ -41,7 +37,6 @@ fn check_dir(dir: &Path) -> Result<(usize, usize), String> {
         .collect();
     names.sort();
     let (mut n_events, mut n_trace, mut n_files) = (0usize, 0usize, 0usize);
-    let mut groups: BTreeMap<String, ShardJournals> = BTreeMap::new();
     for path in &names {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
@@ -52,20 +47,7 @@ fn check_dir(dir: &Path) -> Result<(usize, usize), String> {
             let events = parse_events_jsonl(&text)
                 .map_err(|e| format!("{}: bad event log: {e}", path.display()))?;
             check_fault_events(&events).map_err(|e| format!("{}: {e}", path.display()))?;
-            let (group, shard) = shard_group(name);
-            if shard.is_none() {
-                // A whole-run journal must be contiguous on its own; a
-                // shard journal only carries its shard's slice of each
-                // tick, so contiguity is a group property (checked below).
-                check_stamps(&events).map_err(|e| format!("{}: {e}", path.display()))?;
-            } else {
-                check_stamp_order(&events).map_err(|e| format!("{}: {e}", path.display()))?;
-            }
-            let stamps: Vec<(u64, u64)> = events.iter().map(|r| (r.t, r.seq)).collect();
-            groups
-                .entry(group)
-                .or_default()
-                .push((name.to_string(), stamps));
+            check_stamps(&events).map_err(|e| format!("{}: {e}", path.display()))?;
             n_events += events.len();
             n_files += 1;
         } else if name.ends_with(".trace.json") {
@@ -79,76 +61,7 @@ fn check_dir(dir: &Path) -> Result<(usize, usize), String> {
     if n_files == 0 {
         return Err(format!("no telemetry files found in {}", dir.display()));
     }
-    for (group, files) in &groups {
-        check_shard_interleaving(files).map_err(|e| format!("run '{group}': {e}"))?;
-    }
     Ok((n_events, n_trace))
-}
-
-/// Splits a journal file name into its run group and optional shard index:
-/// `web.shard3.events.jsonl` → `("web", Some(3))`, `web.events.jsonl` →
-/// `("web", None)`. Shard journals of one run are validated together.
-fn shard_group(name: &str) -> (String, Option<usize>) {
-    let Some(stem) = name.strip_suffix(".events.jsonl") else {
-        return (name.to_string(), None);
-    };
-    if let Some((run, shard)) = stem.rsplit_once(".shard") {
-        if let Ok(k) = shard.parse::<usize>() {
-            return (run.to_string(), Some(k));
-        }
-    }
-    (stem.to_string(), None)
-}
-
-/// Weak per-file discipline for shard journals: stamps strictly increase
-/// lexicographically. Gaps are expected — the missing seqs live in sibling
-/// shards — but reordering or duplication within one shard never is.
-fn check_stamp_order(events: &[lunule_telemetry::EventRecord]) -> Result<(), String> {
-    let mut prev: Option<(u64, u64)> = None;
-    for rec in events {
-        if let Some(p) = prev {
-            if (rec.t, rec.seq) <= p {
-                return Err(format!(
-                    "stamp ({}, {}) after {p:?} breaks shard-journal ordering",
-                    rec.t, rec.seq
-                ));
-            }
-        }
-        prev = Some((rec.t, rec.seq));
-    }
-    Ok(())
-}
-
-/// Cross-shard stamp interleaving: the union of `(t, seq)` stamps across
-/// one run's journals must carry no duplicate stamp (two shards claiming
-/// the same slot) and, within each tick, seqs must cover `0..n`
-/// contiguously (a gap means a record was dropped in the shard merge).
-/// The per-journal contiguity check cannot see either failure — each file
-/// looks internally consistent while the run as a whole is not.
-fn check_shard_interleaving(files: &[(String, Vec<(u64, u64)>)]) -> Result<(), String> {
-    let mut per_tick: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    let mut owner: BTreeMap<(u64, u64), &str> = BTreeMap::new();
-    for (name, stamps) in files {
-        for &(t, seq) in stamps {
-            if let Some(first) = owner.insert((t, seq), name) {
-                return Err(format!(
-                    "stamp ({t}, {seq}) appears in both {first} and {name}"
-                ));
-            }
-            per_tick.entry(t).or_default().push(seq);
-        }
-    }
-    for (t, seqs) in &mut per_tick {
-        seqs.sort_unstable();
-        for (want, have) in seqs.iter().enumerate() {
-            if *have != lunule_util::convert::usize_to_u64(want) {
-                return Err(format!(
-                    "tick {t}: seq {want} missing from every shard (found seq {have})"
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Validates the `(t, seq)` stamping discipline the deterministic clock
@@ -157,19 +70,27 @@ fn check_shard_interleaving(files: &[(String, Vec<(u64, u64)>)]) -> Result<(), S
 /// satisfies this by construction; a journal stitched together across a
 /// crash/restore (`--restore`) must satisfy it too — a duplicate, dropped,
 /// or out-of-order record at the stitch point fails here.
-fn check_stamps(events: &[lunule_telemetry::EventRecord]) -> Result<(), String> {
+fn check_stamps(events: &[EventRecord]) -> Result<(), String> {
     let mut prev: Option<(u64, u64)> = None;
     for rec in events {
-        let ok = match prev {
-            None => true,
-            Some((t, seq)) if rec.t == t => rec.seq == seq + 1,
-            Some((t, _)) => rec.t > t && rec.seq == 0,
-        };
-        if !ok {
-            return Err(format!(
-                "stamp ({}, {}) after {:?} breaks (t, seq) monotonicity",
-                rec.t, rec.seq, prev
-            ));
+        if let Some((t, seq)) = prev {
+            let broken = if rec.t < t {
+                Some("tick goes backwards")
+            } else if rec.t > t && rec.seq != 0 {
+                Some("tick does not start at seq 0")
+            } else if rec.t == t && rec.seq <= seq {
+                Some("duplicate or reordered record")
+            } else if rec.t == t && rec.seq > seq + 1 {
+                Some("seq gap: a record was dropped")
+            } else {
+                None
+            };
+            if let Some(why) = broken {
+                return Err(format!(
+                    "stamp ({}, {}) after ({t}, {seq}): {why}",
+                    rec.t, rec.seq
+                ));
+            }
         }
         prev = Some((rec.t, rec.seq));
     }
@@ -181,7 +102,7 @@ fn check_stamps(events: &[lunule_telemetry::EventRecord]) -> Result<(), String> 
 /// must pair up (recoveries never exceed crashes), and migration retries
 /// never exceed timeouts — a journal violating these was not produced by
 /// the simulator's fault path.
-fn check_fault_events(events: &[lunule_telemetry::EventRecord]) -> Result<(), String> {
+fn check_fault_events(events: &[EventRecord]) -> Result<(), String> {
     const KNOWN_KINDS: [&str; 4] = ["crash", "limp", "report_loss", "migration_stall"];
     let (mut injected, mut crashes, mut recoveries) = (0u64, 0u64, 0u64);
     let (mut timeouts, mut retries) = (0u64, 0u64);
@@ -220,69 +141,51 @@ fn check_fault_events(events: &[lunule_telemetry::EventRecord]) -> Result<(), St
 mod tests {
     use super::*;
 
-    #[test]
-    fn shard_group_parses_infix() {
-        assert_eq!(shard_group("web.events.jsonl"), ("web".into(), None));
-        assert_eq!(
-            shard_group("web.shard3.events.jsonl"),
-            ("web".into(), Some(3))
-        );
-        assert_eq!(
-            shard_group("a.b.shard10.events.jsonl"),
-            ("a.b".into(), Some(10))
-        );
-        // A non-numeric infix is part of the run name, not a shard index.
-        assert_eq!(
-            shard_group("web.shardx.events.jsonl"),
-            ("web.shardx".into(), None)
-        );
+    /// A journal record carrying only its stamp.
+    fn journal(stamps: &[(u64, u64)]) -> Vec<EventRecord> {
+        stamps
+            .iter()
+            .map(|&(t, seq)| EventRecord {
+                t,
+                seq,
+                event: Event::TickStart,
+            })
+            .collect()
+    }
+
+    fn rejection(stamps: &[(u64, u64)]) -> String {
+        check_stamps(&journal(stamps)).expect_err("journal must be rejected")
     }
 
     #[test]
-    fn interleaving_accepts_a_clean_split() {
-        // Tick 0's seqs 0..4 split across two shards; tick 1 lives in one.
-        let files = vec![
-            (
-                "a.shard0.events.jsonl".to_string(),
-                vec![(0, 0), (0, 2), (1, 0)],
-            ),
-            ("a.shard1.events.jsonl".to_string(), vec![(0, 1), (0, 3)]),
-        ];
-        assert!(check_shard_interleaving(&files).is_ok());
+    fn stamps_accept_a_clean_journal() {
+        // Ticks may be skipped (idle ticks record nothing).
+        let clean = [(0, 0), (0, 1), (0, 2), (1, 0), (3, 0), (3, 1)];
+        assert_eq!(check_stamps(&journal(&clean)), Ok(()));
+        assert_eq!(check_stamps(&[]), Ok(()));
     }
 
     #[test]
-    fn interleaving_rejects_duplicate_stamps() {
-        let files = vec![
-            ("a.shard0.events.jsonl".to_string(), vec![(0, 0), (0, 1)]),
-            ("a.shard1.events.jsonl".to_string(), vec![(0, 1)]),
-        ];
-        let err = check_shard_interleaving(&files).unwrap_err();
-        assert!(err.contains("appears in both"), "{err}");
+    fn stamps_reject_a_duplicated_record() {
+        let err = rejection(&[(0, 0), (0, 1), (0, 1), (0, 2)]);
+        assert!(err.contains("duplicate"), "{err}");
     }
 
     #[test]
-    fn interleaving_rejects_a_dropped_record() {
-        // Seq 1 of tick 0 is in no shard: the merge dropped it. Each file
-        // passes its own ordering check — only the union reveals the hole.
-        let files = vec![
-            ("a.shard0.events.jsonl".to_string(), vec![(0, 0)]),
-            ("a.shard1.events.jsonl".to_string(), vec![(0, 2)]),
-        ];
-        let err = check_shard_interleaving(&files).unwrap_err();
-        assert!(err.contains("missing from every shard"), "{err}");
+    fn stamps_reject_a_dropped_seq() {
+        let err = rejection(&[(0, 0), (0, 1), (0, 3)]);
+        assert!(err.contains("dropped"), "{err}");
     }
 
     #[test]
-    fn shard_order_check_allows_gaps_but_not_reorders() {
-        use lunule_telemetry::{Event, EventRecord};
-        let rec = |t, seq| EventRecord {
-            t,
-            seq,
-            event: Event::TickStart,
-        };
-        assert!(check_stamp_order(&[rec(0, 0), rec(0, 5), rec(2, 1)]).is_ok());
-        assert!(check_stamp_order(&[rec(0, 5), rec(0, 0)]).is_err());
-        assert!(check_stamp_order(&[rec(1, 0), rec(1, 0)]).is_err());
+    fn stamps_reject_a_tick_not_starting_at_seq_zero() {
+        let err = rejection(&[(0, 0), (1, 1), (1, 2)]);
+        assert!(err.contains("seq 0"), "{err}");
+    }
+
+    #[test]
+    fn stamps_reject_a_tick_going_backwards() {
+        let err = rejection(&[(2, 0), (2, 1), (1, 0)]);
+        assert!(err.contains("backwards"), "{err}");
     }
 }

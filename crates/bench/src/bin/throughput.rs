@@ -100,7 +100,7 @@ fn main() {
             let name = format!("tp_c{}_m{n_mds}", pop.label);
             let ticks = spec.duration_secs;
             let r = run_bench(&name, protocol, || {
-                let sim = build_sim(&spec, args.jobs, Telemetry::disabled());
+                let sim = build_sim(&spec, Telemetry::disabled());
                 let res = sim.run();
                 assert!(res.total_ops > 0, "throughput cell served no ops");
                 ticks

@@ -35,12 +35,9 @@ pub struct ScaleSpec {
 
 impl ScaleSpec {
     /// The CI smoke shape: 1M clients over a 10^7-inode namespace on 128
-    /// ranks, a few ticks — enough to exercise splits, shard fan-out, and
-    /// an epoch close, small enough for a CI wall-clock budget. The group
-    /// count sits above the engine's serial-resolve cutoff so a multi-job
-    /// run actually fans route resolution out over the worker pool — the
-    /// jobs-1-vs-N journal comparison would otherwise compare two serial
-    /// walks.
+    /// ranks, a few ticks — enough to exercise splits, a 512-route resolve
+    /// batch per round, and an epoch close, small enough for a CI
+    /// wall-clock budget.
     pub fn quick() -> ScaleSpec {
         ScaleSpec {
             clients: 1_000_000,
@@ -101,7 +98,7 @@ pub fn build_namespace(spec: &ScaleSpec) -> (Namespace, Vec<Vec<InodeId>>) {
 /// Builds a megascale simulation: namespace per [`build_namespace`], one
 /// cohort group per target list, population split evenly with the
 /// remainder on the last group, Lunule balancing.
-pub fn build_sim(spec: &ScaleSpec, jobs: usize, telemetry: Telemetry) -> Simulation {
+pub fn build_sim(spec: &ScaleSpec, telemetry: Telemetry) -> Simulation {
     let (ns, targets) = build_namespace(spec);
     let cfg = SimConfig {
         n_mds: spec.n_mds,
@@ -115,7 +112,6 @@ pub fn build_sim(spec: &ScaleSpec, jobs: usize, telemetry: Telemetry) -> Simulat
         client_rate: 5.0,
         client_cache_cap: 256,
         seed: spec.seed,
-        jobs,
         telemetry,
         ..SimConfig::default()
     };
@@ -169,7 +165,7 @@ mod tests {
             clients: 1_001,
             ..tiny()
         };
-        let sim = build_sim(&spec, 1, Telemetry::disabled());
+        let sim = build_sim(&spec, Telemetry::disabled());
         assert_eq!(sim.n_clients(), 1_001);
         assert_eq!(sim.n_flows(), spec.groups, "one cohort per group");
     }
@@ -186,7 +182,7 @@ mod tests {
         let (_, targets) = build_namespace(&spec);
         assert_eq!(targets.len(), 8);
         assert!(targets.iter().all(|t| !t.is_empty()));
-        let sim = build_sim(&spec, 1, Telemetry::disabled());
+        let sim = build_sim(&spec, Telemetry::disabled());
         assert_eq!(sim.n_clients(), 1_000, "tiny() population, all placed");
         assert_eq!(sim.n_flows(), 8);
     }
@@ -194,7 +190,7 @@ mod tests {
     #[test]
     fn tiny_run_completes_and_serves_ops() {
         let spec = tiny();
-        let sim = build_sim(&spec, 2, Telemetry::disabled());
+        let sim = build_sim(&spec, Telemetry::disabled());
         let r = sim.run();
         assert!(r.total_ops > 0);
         assert!(!r.epochs.is_empty());

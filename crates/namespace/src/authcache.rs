@@ -38,12 +38,8 @@ fn decode_rank(v: u32) -> MdsRank {
 /// A memoized view of [`SubtreeMap::authority`], valid for one subtree-map
 /// generation and refreshed automatically when the generation moves.
 ///
-/// The mutating entry points ([`AuthorityCache::authority`],
-/// [`AuthorityCache::chain`]) prime the memo; the shared read-only
-/// entry points ([`AuthorityCache::cached_authority`],
-/// [`AuthorityCache::cached_chain_into`]) are `&self` and thread-safe, so
-/// a parallel resolve phase can fan out over a cache primed serially
-/// beforehand.
+/// Both entry points ([`AuthorityCache::authority`],
+/// [`AuthorityCache::chain`]) fill the memo as they go.
 #[derive(Clone, Default)]
 pub struct AuthorityCache {
     /// Subtree-map generation the memo was built against.
@@ -138,38 +134,6 @@ impl AuthorityCache {
         self.chain_buf = buf;
         &self.chain_buf
     }
-
-    /// Read-only memo probe for a primed cache (parallel resolve phases).
-    /// `None` when the entry is missing or the memo is stale for `map`.
-    #[must_use]
-    pub fn cached_authority(&self, map: &SubtreeMap, ino: InodeId) -> Option<MdsRank> {
-        if !self.synced || self.map_generation != map.generation() {
-            return None;
-        }
-        self.memo.get(ino.index()).map(decode_rank)
-    }
-
-    /// Read-only chain assembly from the memo: fills `out` with the
-    /// root-to-`ino` authority chain and returns true iff every node on
-    /// the path was memoized (callers fall back to the live walk
-    /// otherwise). Does not check the generation — callers hold `&self`
-    /// across a phase during which the map is frozen.
-    pub fn cached_chain_into(&self, ns: &Namespace, ino: InodeId, out: &mut Vec<MdsRank>) -> bool {
-        out.clear();
-        let mut cur = ino;
-        loop {
-            match self.memo.get(cur.index()) {
-                Some(v) => out.push(decode_rank(v)),
-                None => return false,
-            }
-            match ns.inode(cur).parent() {
-                Some(p) => cur = p,
-                None => break,
-            }
-        }
-        out.reverse();
-        true
-    }
 }
 
 #[cfg(test)]
@@ -234,38 +198,18 @@ mod tests {
     fn invalidates_on_generation_bump() {
         let (ns, mut map, all) = setup();
         let mut cache = AuthorityCache::new();
-        let target = all[0];
+        // `all[1]` is the child of `all[0]`: re-pointing the parent's
+        // fragment moves the child's authority.
+        let target = all[1];
         let before = cache.authority(&map, &ns, target);
-        assert_eq!(cache.cached_authority(&map, target), Some(before));
-        map.set_authority(FragKey::whole(target), MdsRank(3));
-        assert_eq!(
-            cache.cached_authority(&map, target),
-            None,
-            "stale memo must not serve the new generation"
-        );
+        map.set_authority(FragKey::whole(all[0]), MdsRank(3));
+        let live = map.authority(&ns, target);
+        assert_ne!(before, live, "the mutation must change the answer");
         assert_eq!(
             cache.authority(&map, &ns, target),
-            map.authority(&ns, target)
+            live,
+            "stale memo must not serve the new generation"
         );
-    }
-
-    #[test]
-    fn cached_views_match_after_priming() {
-        let (ns, map, all) = setup();
-        let mut cache = AuthorityCache::new();
-        for &ino in &all {
-            cache.authority(&map, &ns, ino);
-        }
-        let shared = &cache;
-        let mut chain = Vec::new();
-        for &ino in &all {
-            assert_eq!(
-                shared.cached_authority(&map, ino),
-                Some(map.authority(&ns, ino))
-            );
-            assert!(shared.cached_chain_into(&ns, ino, &mut chain));
-            assert_eq!(chain, map.authority_chain(&ns, ino));
-        }
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod builder;
 pub mod error;
 pub mod frag;
 pub mod inode;
-pub mod shard;
 pub mod stats;
 pub mod subtree;
 pub mod tree;
@@ -43,7 +42,6 @@ pub use builder::{
 pub use error::{NsError, NsResult};
 pub use frag::{dentry_hash, Frag, FragSet, HASH_BITS, HASH_MASK};
 pub use inode::{FileType, Inode, InodeId};
-pub use shard::ShardPlan;
 pub use stats::NamespaceStats;
 pub use subtree::{FragKey, MdsRank, SubtreeMap};
 pub use tree::{Namespace, SubtreeIter};

@@ -153,10 +153,21 @@ impl Namespace {
         // A parentless inode can only be the root, which is a directory and
         // was rejected above; route the impossible case as a typed error.
         let parent = ino.parent.ok_or(NsError::RootIsImmovable)?;
-        self.arena[parent.index()].children.retain(|c| *c != id);
+        self.remove_child(parent, id);
         self.arena[id.index()].alive = false;
         self.n_files -= 1;
         Ok(())
+    }
+
+    /// Drops `id` from `parent`'s child list. A child is listed once, so
+    /// the first match is the only one; `Vec::remove` shifts the tail in
+    /// one memmove and keeps the creation order that iteration and
+    /// snapshots follow.
+    fn remove_child(&mut self, parent: InodeId, id: InodeId) {
+        let children = &mut self.arena[parent.index()].children;
+        if let Some(pos) = children.iter().position(|c| *c == id) {
+            children.remove(pos);
+        }
     }
 
     /// Removes an *empty* directory. The root cannot be removed.
@@ -175,7 +186,7 @@ impl Namespace {
             return Err(NsError::DirectoryNotEmpty(id));
         }
         let parent = ino.parent.ok_or(NsError::RootIsImmovable)?;
-        self.arena[parent.index()].children.retain(|c| *c != id);
+        self.remove_child(parent, id);
         self.arena[id.index()].alive = false;
         self.frags.remove(&id);
         self.n_dirs -= 1;
@@ -205,7 +216,7 @@ impl Namespace {
             });
         }
         let old_parent = ino.parent.ok_or(NsError::RootIsImmovable)?;
-        self.arena[old_parent.index()].children.retain(|c| *c != id);
+        self.remove_child(old_parent, id);
         self.arena[new_parent.index()].children.push(id);
         let entry = &mut self.arena[id.index()];
         entry.parent = Some(new_parent);
@@ -635,6 +646,18 @@ mod tests {
         // Ids are never reused: a new file gets a fresh slot.
         let f2 = ns.create_file(d, "b.bin", 1).unwrap();
         assert_ne!(f2, f);
+    }
+
+    #[test]
+    fn unlink_keeps_sibling_creation_order() {
+        let mut ns = Namespace::new();
+        let d = ns.mkdir(InodeId::ROOT, "d").unwrap();
+        let files: Vec<InodeId> = (0..5)
+            .map(|i| ns.create_file(d, &format!("f{i}"), 1).unwrap())
+            .collect();
+        ns.unlink(files[0]).unwrap();
+        ns.unlink(files[2]).unwrap();
+        assert_eq!(ns.inode(d).children(), &[files[1], files[3], files[4]]);
     }
 
     #[test]

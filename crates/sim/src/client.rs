@@ -169,12 +169,9 @@ impl Client {
     }
 }
 
-/// [`Client::resolve`] as a free function over the bare authority cache.
-///
-/// The cohort engine resolves routes for many cohorts in parallel on the
-/// worker pool; `&Client` is not `Sync` (the boxed op stream is only
-/// `Send`), but the cache map is plain data, so the parallel phase borrows
-/// caches directly and calls this.
+/// [`Client::resolve`] as a free function over the bare route cache:
+/// the uncached live-walk reference the memoized
+/// [`resolve_route_cached`] must agree with.
 pub(crate) fn resolve_route(
     cache: &BTreeMap<InodeId, Vec<(Frag, MdsRank)>>,
     ns: &Namespace,
@@ -286,70 +283,6 @@ pub(crate) fn resolve_route_cached(
     }
     if dir_auth != final_auth {
         forwards.push(dir_auth);
-    }
-    (
-        Route {
-            target: final_auth,
-            forwards,
-        },
-        false,
-    )
-}
-
-/// [`resolve_route`] against a *pre-primed* authority cache, `&self` only
-/// — the form the parallel resolve phase uses. The serial prime pass
-/// memoizes every anchor directory's path first, so the probes below are
-/// pure reads; the live-map fallbacks keep the answer correct (and
-/// identical) even if an anchor was somehow skipped.
-pub(crate) fn resolve_route_primed(
-    cache: &BTreeMap<InodeId, Vec<(Frag, MdsRank)>>,
-    ns: &Namespace,
-    map: &SubtreeMap,
-    auth: &AuthorityCache,
-    dir: InodeId,
-    hash: u32,
-) -> (Route, bool) {
-    let cached = cache.get(&dir).and_then(|entries| {
-        entries
-            .iter()
-            .filter(|(f, _)| f.contains_hash(hash))
-            .max_by_key(|(f, _)| f.bits())
-            .map(|(_, r)| *r)
-    });
-    if let Some(cached_rank) = cached {
-        let dir_auth = auth
-            .cached_authority(map, dir)
-            .unwrap_or_else(|| map.authority(ns, dir));
-        let true_auth = resolve_child(map, ns, dir, hash, dir_auth);
-        if true_auth == cached_rank {
-            return (
-                Route {
-                    target: cached_rank,
-                    forwards: Vec::new(),
-                },
-                true,
-            );
-        }
-        return (
-            Route {
-                target: true_auth,
-                forwards: vec![cached_rank],
-            },
-            false,
-        );
-    }
-    let mut auths = Vec::new();
-    if !auth.cached_chain_into(ns, dir, &mut auths) {
-        auths = map.authority_chain(ns, dir);
-    }
-    let dir_auth = auths.last().copied().unwrap_or_else(|| map.root_rank());
-    let final_auth = resolve_child(map, ns, dir, hash, dir_auth);
-    auths.push(final_auth);
-    let mut forwards = Vec::new();
-    for w in auths.windows(2) {
-        if w[0] != w[1] {
-            forwards.push(w[0]);
-        }
     }
     (
         Route {
@@ -660,10 +593,10 @@ mod tests {
         (ns, map, d, f)
     }
 
-    /// The three resolve implementations — live walk, tick-cached, and
-    /// pre-primed read-only — must be observationally identical for every
-    /// cache state (miss, fresh hit, stale hit). The cohort engine relies
-    /// on this to keep journals byte-identical across `--jobs` widths.
+    /// The two resolve implementations — live walk and tick-cached — must
+    /// be observationally identical for every cache state (miss, fresh
+    /// hit, stale hit). The cohort engine resolves through the cached one,
+    /// so this keeps its journals equal to the live-walk reference.
     #[test]
     fn resolve_variants_agree_on_every_cache_state() {
         let mut ns = Namespace::new();
@@ -699,16 +632,6 @@ mod tests {
                 let mut auth = AuthorityCache::new();
                 let cached = resolve_route_cached(cache, &ns, &map, &mut auth, dir, hash);
                 assert_eq!(live, cached, "cached variant diverged");
-                // Prime a cache the way the parallel phase does, then
-                // resolve through the read-only view.
-                let mut primed = AuthorityCache::new();
-                primed.authority(&map, &ns, dir);
-                let par = resolve_route_primed(cache, &ns, &map, &primed, dir, hash);
-                assert_eq!(live, par, "primed variant diverged");
-                // An unprimed cache must fall back to the live walk.
-                let cold = AuthorityCache::new();
-                let cold_r = resolve_route_primed(cache, &ns, &map, &cold, dir, hash);
-                assert_eq!(live, cold_r, "fallback path diverged");
             }
         }
     }

@@ -33,9 +33,6 @@ pub struct Simulation {
     /// moves it out (`std::mem::take`) while it borrows the rest of the
     /// simulation mutably.
     pub(crate) cohorts: CohortSet,
-    /// Worker pool for the cohort engine's parallel resolve phase (and any
-    /// future sharded work). Worker count never affects results.
-    pub(crate) pool: lunule_util::par::WorkerPool,
     pub(crate) migrator: Migrator,
     pub(crate) balancer: Box<dyn Balancer>,
     pub(crate) latency: LatencyHistogram,
@@ -185,7 +182,6 @@ impl Simulation {
             latency: LatencyHistogram::new(),
             resident,
             cohorts: CohortSet::new(groups),
-            pool: lunule_util::par::WorkerPool::new(cfg.jobs),
             balancer,
             ns,
             map,
@@ -264,10 +260,10 @@ impl Simulation {
             journal,
         );
         // Cohort model: member conservation against the configured client
-        // total, the id-interval partition's integrity, and the shard
-        // plan's coverage of the inode arena. The checker re-derives these
-        // from plain data rather than trusting `CohortSet::check_invariants`
-        // — an independent implementation is the point of the audit.
+        // total and the id-interval partition's integrity. The checker
+        // re-derives these from plain data rather than trusting
+        // `CohortSet::check_invariants` — an independent implementation is
+        // the point of the audit.
         let set = &self.cohorts;
         let counts: Vec<u64> = set.cohorts.iter().map(|c| c.count).collect();
         let ids: Vec<usize> = set.cohorts.iter().map(|c| c.state.id).collect();
@@ -280,9 +276,6 @@ impl Simulation {
             .check_cohort_conservation(&counts, None, usize_to_u64(set.n_clients()));
         self.checker
             .check_cohort_partition(&intervals, &counts, &ids, set.n_clients());
-        let plan = lunule_namespace::ShardPlan::new(self.ns.len(), self.pool.jobs());
-        let ranges: Vec<(usize, usize)> = plan.ranges().collect();
-        self.checker.check_shard_coverage(&ranges, self.ns.len());
         self.checker.assert_clean();
     }
 

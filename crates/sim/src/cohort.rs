@@ -283,8 +283,8 @@ impl CohortSet {
     /// Merges cohorts of the same origin whose states have re-converged
     /// byte-for-byte (ignoring the canonical id), then compacts. Merging
     /// into the lowest-id cohort keeps the result independent of split
-    /// history, so `--jobs 1` and `--jobs N` runs converge to identical
-    /// cohort structure.
+    /// history: the merged structure depends only on the member states,
+    /// not on the order in which the splits happened.
     pub fn merge_equal_states(&mut self) {
         use std::collections::BTreeMap;
         // Origin → live cohort indices, in canonical-id order (intervals

@@ -18,11 +18,10 @@
 //!    cohorts holding a create/remove explode into singletons first —
 //!    mutations change the namespace mid-round, so they serve one member
 //!    at a time.
-//! 2. **Resolve** (parallel, pure): read/remove routes are looked up
-//!    against the immutable namespace + subtree map, grouped by the
-//!    [`ShardPlan`] shard owning the anchor directory and fanned out over
-//!    the workspace [`WorkerPool`]. Results merge in submission order, so
-//!    `--jobs 1` and `--jobs N` are byte-identical.
+//! 2. **Resolve** (sequential, pure): read/remove routes are looked up
+//!    against the namespace + subtree map, which cannot change until the
+//!    round ends, with authority walks memoized in the simulation's
+//!    [`AuthorityCache`](lunule_namespace::AuthorityCache).
 //! 3. **Serve** (sequential, effect-ordered): runs are walked in rotation
 //!    order. Each run drains MDS budgets member by member, charging the
 //!    per-rank costs of [`route_costs`]. It then applies the world
@@ -46,37 +45,23 @@
 //! result digests recorded from an engine that stepped every client
 //! individually, and every case must still reproduce them.
 
-use crate::client::{resolve_route_cached, resolve_route_primed, routing_anchor, Client, Route};
+use crate::client::{resolve_route_cached, routing_anchor, Client, Route};
 use crate::cluster::Simulation;
 use crate::cohort::{Cohort, CohortSet};
 use crate::request::MetaOp;
 use lunule_core::{Access, OpKind};
-use lunule_namespace::{Frag, InodeId, MdsRank, ShardPlan};
+use lunule_namespace::InodeId;
 use lunule_util::convert::{u64_to_usize, usize_to_u64};
-use std::collections::BTreeMap;
 
 /// What a classified cohort does this round.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Class {
-    /// Read/remove with a precomputed route from the parallel phase.
+    /// Read/remove with a route precomputed in the resolve phase.
     Resolve,
     /// Singleton create: resolved and served inline at its run position
     /// (its routing anchor depends on the live arena length).
     CreateInline,
 }
-
-/// A client-authority-cache reference — the only part of a client the
-/// parallel resolve phase reads, and (unlike the full `Client`, whose op
-/// stream is `Send`-only) safely shareable across worker threads.
-type CacheRef<'a> = &'a BTreeMap<InodeId, Vec<(Frag, MdsRank)>>;
-
-/// Smallest resolve batch worth fanning out. The pool spawns scoped
-/// threads per call (it keeps none between calls), which costs tens of
-/// microseconds — far more than resolving a handful of routes inline. A
-/// round below this cutoff resolves serially; the outcome is identical
-/// either way (resolution is pure and results are keyed by cohort), so
-/// the threshold is invisible to journals.
-const PAR_RESOLVE_MIN: usize = 256;
 
 /// Transient per-round buffers, reused across the rounds of one tick. The
 /// round loop runs once per served op per client at small populations, so
@@ -211,56 +196,21 @@ impl Simulation {
             }
         }
 
-        // Phase 2: resolve routes in parallel, sharded by the arena shard
-        // that owns the anchor directory. Resolution is pure (namespace,
-        // subtree map, and caches are all frozen for the round) and the
-        // pool merges results in submission order, so worker count cannot
-        // leak into the outcome.
+        // Phase 2: resolve routes. Resolution is pure (namespace, subtree
+        // map and client caches are all frozen for the round), so resolving
+        // every route before serving any is exact.
         let mut routes = std::mem::take(&mut scratch.routes);
         routes.clear();
         routes.resize(set.cohorts.len(), None);
-        if resolve_reqs.len() < PAR_RESOLVE_MIN || self.pool.jobs() == 1 {
-            for &(c, dir, hash) in &resolve_reqs {
-                routes[c] = Some(resolve_route_cached(
-                    &set.cohorts[c].state.cache,
-                    &self.ns,
-                    &self.map,
-                    &mut self.auth_cache,
-                    dir,
-                    hash,
-                ));
-            }
-        } else {
-            // Prime the authority memo for every anchor directory before
-            // fanning out: "resolve once per directory cohort". Distinct
-            // anchors are few (one per cohort at most) and the memo
-            // deduplicates repeats, so this serial pass is cheap; the
-            // workers below then only do pure reads of the primed cache.
-            for &(_, dir, _) in &resolve_reqs {
-                self.auth_cache.authority(&self.map, &self.ns, dir);
-            }
-            let plan = ShardPlan::new(self.ns.len(), self.pool.jobs());
-            let mut buckets: Vec<Vec<(usize, CacheRef<'_>, InodeId, u32)>> =
-                (0..plan.n_shards()).map(|_| Vec::new()).collect();
-            for &(c, dir, hash) in &resolve_reqs {
-                buckets[plan.shard_of(dir)].push((c, &set.cohorts[c].state.cache, dir, hash));
-            }
-            let ns = &self.ns;
-            let map = &self.map;
-            let auth = &self.auth_cache;
-            let resolved = self.pool.map(&buckets, |_, bucket| {
-                bucket
-                    .iter()
-                    .map(|&(c, cache, dir, hash)| {
-                        (c, resolve_route_primed(cache, ns, map, auth, dir, hash))
-                    })
-                    .collect::<Vec<_>>()
-            });
-            for shard in resolved {
-                for (c, r) in shard {
-                    routes[c] = Some(r);
-                }
-            }
+        for &(c, dir, hash) in &resolve_reqs {
+            routes[c] = Some(resolve_route_cached(
+                &set.cohorts[c].state.cache,
+                &self.ns,
+                &self.map,
+                &mut self.auth_cache,
+                dir,
+                hash,
+            ));
         }
 
         // Phase 3: serve runs in rotation order, effects in member order.
@@ -752,6 +702,7 @@ fn rotated_runs(set: &CohortSet, offset: usize) -> Vec<(usize, usize, usize)> {
 mod tests {
     use super::*;
     use crate::request::FixedStream;
+    use lunule_namespace::MdsRank;
 
     fn set_of(counts: &[u64]) -> CohortSet {
         let mut groups = Vec::new();

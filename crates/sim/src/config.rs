@@ -119,11 +119,10 @@ pub struct SimConfig {
     pub memory_thrash_factor: f64,
     /// Optional data path; `None` = metadata-only run.
     pub data_path: Option<DataPathConfig>,
-    /// Worker threads for the cohort engine's sharded fan-out: `0` sizes
-    /// from the `LUNULE_JOBS` env var / machine (see
-    /// [`lunule_util::par::WorkerPool::auto`]). Excluded from the JSON dump
-    /// and digest — thread count is an execution detail that never changes
-    /// output bytes, like `telemetry`.
+    /// Ignored: every tick runs on one thread, and nothing in the
+    /// simulator reads this field. It remains only because the standalone
+    /// benchmark package still names it in a struct literal; it goes once
+    /// that literal drops it. Excluded from the JSON dump and digest.
     pub jobs: usize,
     /// Master seed; all stochastic components derive from it.
     pub seed: u64,

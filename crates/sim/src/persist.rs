@@ -278,7 +278,6 @@ impl Simulation {
             latency,
             resident,
             cohorts,
-            pool: lunule_util::par::WorkerPool::new(cfg.jobs),
             balancer,
             ns,
             map,

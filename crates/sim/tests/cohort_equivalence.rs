@@ -1,6 +1,6 @@
 //! Equivalence battery of the cohort client engine.
 //!
-//! The cohort engine's correctness claim is *byte-identity*, three ways:
+//! The cohort engine's correctness claim is *byte-identity*, two ways:
 //!
 //! 1. **Golden digests** — every case below must reproduce the journal,
 //!    total op count and per-rank request totals recorded in [`GOLDEN`].
@@ -9,16 +9,14 @@
 //!    the reference the aggregated engine was derived from. A second
 //!    column pins the telemetry metrics export, recorded later from the
 //!    cohort engine.
-//! 2. **Jobs 1 vs N** — the sharded route-resolution fan-out may change
-//!    wall time only, never a journal or metrics byte.
-//! 3. **Grouped vs expanded** — a population built as shared-stream
+//! 2. **Grouped vs expanded** — a population built as shared-stream
 //!    cohorts must journal exactly like the same population handed over
 //!    as one singleton stream per client.
 //!
 //! The matrix runs seeds × fault schedules × simulator knobs (memory
 //! pressure, data path) over a mixed read/create/remove workload, plus a
-//! wide population past the parallel-resolve cutoff and two grouped
-//! populations (read-only, and create-heavy).
+//! wide population with hundreds of routes per resolve batch and two
+//! grouped populations (read-only, and create-heavy).
 
 use lunule_core::{make_balancer, BalancerKind};
 use lunule_faults::FaultPlan;
@@ -238,10 +236,9 @@ fn drive(mut sim: Simulation, tel: &Telemetry) -> Outcome {
 }
 
 /// Builds and runs one simulation with one stream per client.
-fn run_once(cfg: SimConfig, jobs: usize, streams: Vec<Box<dyn OpStream>>) -> Outcome {
+fn run_once(cfg: SimConfig, streams: Vec<Box<dyn OpStream>>) -> Outcome {
     let (ns, _, _) = fixture();
     let cfg = SimConfig {
-        jobs,
         telemetry: Telemetry::enabled(),
         ..cfg
     };
@@ -313,30 +310,9 @@ fn matrix_matches_golden_digests() {
                     faults: schedule.clone(),
                     ..base_cfg(seed)
                 });
-                run_once(cfg, 1, streams_for(10, seed))
+                run_once(cfg, streams_for(10, seed))
                     .assert_golden(&format!("seed{seed}/{sched_label}/{knob_label}"));
             }
-        }
-    }
-}
-
-/// The worker count may never change a journal byte, with or without
-/// faults in play.
-#[test]
-fn jobs_one_vs_n_is_byte_identical() {
-    let schedules = [
-        FaultPlan::new().build(),
-        FaultPlan::new().crash(4, MdsRank(0), 4).build(),
-    ];
-    for seed in [7u64, 42] {
-        for schedule in &schedules {
-            let cfg = SimConfig {
-                faults: schedule.clone(),
-                ..base_cfg(seed)
-            };
-            let one = run_once(cfg.clone(), 1, streams_for(10, seed));
-            let three = run_once(cfg, 3, streams_for(10, seed));
-            assert_eq!(one, three, "seed {seed}: jobs 1 vs 3 outcomes differ");
         }
     }
 }
@@ -366,19 +342,12 @@ fn wide_streams(n: usize, seed: u64) -> Vec<Box<dyn OpStream>> {
         .collect()
 }
 
-/// The small-population jobs test above never leaves the engine's serial
-/// fast path (batches under its cutoff resolve inline). This one runs 320
-/// distinct single-member cohorts — past the cutoff — so the sharded
-/// worker-pool fan-out itself is what must reproduce the serial journal,
-/// and both must match the golden digest.
+/// 320 distinct single-member cohorts: every round resolves hundreds of
+/// routes in one batch, and the run must match its golden digest.
 #[test]
-fn wide_population_engages_the_parallel_resolver() {
+fn wide_population_matches_golden() {
     let seed = 13u64;
-    let cfg = base_cfg(seed);
-    let one = run_once(cfg.clone(), 1, wide_streams(320, seed));
-    let three = run_once(cfg, 3, wide_streams(320, seed));
-    assert_eq!(one, three, "pooled resolve must reproduce the serial run");
-    one.assert_golden("wide320");
+    run_once(base_cfg(seed), wide_streams(320, seed)).assert_golden("wide320");
 }
 
 /// Grouped construction (one shared cloneable stream carrying a member
@@ -412,7 +381,7 @@ fn grouped_population_matches_expanded_population() {
             Box::new(FixedStream::new(list)) as Box<dyn OpStream>
         })
         .collect();
-    let e = run_once(base_cfg(7), 1, expanded);
+    let e = run_once(base_cfg(7), expanded);
     let g = run_grouped(base_cfg(7), grouped);
     assert_eq!(
         g, e,
@@ -447,7 +416,7 @@ fn grouped_creates_match_golden() {
         .map(|_| Box::new(ScriptStream::new(script.clone())) as Box<dyn OpStream>)
         .collect();
     let g = run_grouped(base_cfg(11), group);
-    let e = run_once(base_cfg(11), 1, singletons);
+    let e = run_once(base_cfg(11), singletons);
     assert_eq!(g, e, "create-heavy group must journal like its singletons");
     g.assert_golden("creates6");
 }

@@ -445,31 +445,6 @@ impl InvariantChecker {
         self.violations.len() - before
     }
 
-    /// Shard-plan coverage: `ranges` (as `(start, end)` half-open index
-    /// ranges, in shard order) must tile `[0, arena_len)` contiguously —
-    /// the property that makes a sharded scan equivalent to a sequential
-    /// one.
-    pub fn check_shard_coverage(&mut self, ranges: &[(usize, usize)], arena_len: usize) -> usize {
-        let before = self.violations.len();
-        let mut at = 0usize;
-        for (i, &(start, end)) in ranges.iter().enumerate() {
-            if start != at || end < start {
-                self.record(
-                    InvariantKind::ShardCoverage,
-                    format!("shard {i} spans [{start}, {end}), expected to start at {at}"),
-                );
-            }
-            at = end.max(at);
-        }
-        if at != arena_len {
-            self.record(
-                InvariantKind::ShardCoverage,
-                format!("shards cover {at} inodes, arena holds {arena_len}"),
-            );
-        }
-        self.violations.len() - before
-    }
-
     /// The full battery: map well-formedness, fragment partitions,
     /// conservation, and frozen-subtree stability in one call.
     pub fn audit(
@@ -785,33 +760,5 @@ mod tests {
         let added = checker.check_cohort_partition(&[(0, 0, 0), (0, 4, 7)], &[4], &[0], 4);
         // Empty interval, unknown cohort 7, and cohort 0's count unmet.
         assert_eq!(added, 3);
-    }
-
-    #[test]
-    fn shard_coverage_accepts_contiguous_tiles() {
-        let mut checker = InvariantChecker::default();
-        // An empty shard (jobs exceed items) is legal as long as the
-        // tiling stays contiguous.
-        assert_eq!(
-            checker.check_shard_coverage(&[(0, 3), (3, 3), (3, 7)], 7),
-            0
-        );
-        assert_eq!(
-            checker.check_shard_coverage(&[(0, 3), (3, 5), (5, 9)], 9),
-            0
-        );
-        assert_eq!(checker.check_shard_coverage(&[], 0), 0);
-        checker.assert_clean();
-    }
-
-    #[test]
-    fn shard_coverage_flags_gaps_and_short_cover() {
-        let mut checker = InvariantChecker::default();
-        // Gap between shard 0 and shard 1, and the tail stops short.
-        let added = checker.check_shard_coverage(&[(0, 2), (3, 5)], 6);
-        assert_eq!(added, 2);
-        assert!(kinds(&checker)
-            .iter()
-            .all(|k| *k == InvariantKind::ShardCoverage));
     }
 }

@@ -34,8 +34,6 @@ pub enum InvariantKind {
     /// The cohort id-interval partition has a gap, overlap, or a cohort
     /// whose canonical id is not its lowest member.
     CohortPartition,
-    /// A shard plan's ranges fail to tile the inode arena exactly.
-    ShardCoverage,
 }
 
 /// One observed violation: the invariant that broke plus the offending
