@@ -32,7 +32,12 @@ fn main() {
     let series: Vec<Series> = results
         .iter()
         .map(|r| {
-            let mut done: Vec<u64> = r.client_completion_secs.iter().flatten().copied().collect();
+            let mut done: Vec<u64> = r
+                .client_completion_secs
+                .iter()
+                .flatten()
+                .map(|t| u64::from(*t))
+                .collect();
             done.sort_unstable();
             let n = r.client_completion_secs.len().max(1) as f64;
             Series::new(

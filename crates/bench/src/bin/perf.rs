@@ -17,8 +17,8 @@
 use lunule_bench::perf::to_bench_json;
 use lunule_bench::{default_sim, run_bench, BenchResult, CommonArgs, Protocol};
 use lunule_core::{
-    make_balancer, Access, Balancer, BalancerKind, EpochStats, ExportTask, LunuleBalancer,
-    LunuleConfig, MigrationPlan, OpKind, SubtreeChoice,
+    build_candidates, make_balancer, Access, Balancer, BalancerKind, EpochStats, ExportTask,
+    LunuleBalancer, LunuleConfig, MigrationPlan, OpKind, SubtreeChoice,
 };
 use lunule_namespace::{
     dentry_hash, AuthorityCache, Frag, FragKey, FragSet, InodeId, MdsRank, Namespace, SubtreeMap,
@@ -283,6 +283,47 @@ fn authority_walk(p: Protocol) -> BenchResult {
     })
 }
 
+/// Epoch-close candidate aggregation at 10^6 inodes: 1,000 directories of
+/// 1,000 files, each directory's root fragment pinned round-robin over 128
+/// ranks, every tenth directory split into four fragments pinned the same
+/// way. The namespace is built once, outside the timed closure; ops = calls
+/// of `build_candidates`, so `ns_per_op` is the cost of one aggregation.
+fn build_candidates_1m(p: Protocol) -> BenchResult {
+    const DIRS: usize = 1_000;
+    const FILES: usize = 1_000;
+    const RANKS: usize = 128;
+    const CALLS: u64 = 20;
+    let mut ns = Namespace::new();
+    let mut map = SubtreeMap::new(MdsRank(0));
+    let mut pins = 0usize;
+    let mut pin = |map: &mut SubtreeMap, key: FragKey| {
+        map.set_authority(key, MdsRank::from_index(pins % RANKS));
+        pins += 1;
+    };
+    for d in 0..DIRS {
+        let dir = ns
+            .mkdir(InodeId::ROOT, &format!("d{d:04}"))
+            .unwrap_or(InodeId::ROOT);
+        for f in 0..FILES {
+            let _ = ns.create_file(dir, &format!("f{f:06}"), 0);
+        }
+        if d % 10 == 0 {
+            for frag in ns.split_frag(dir, &Frag::root(), 2).unwrap_or_default() {
+                pin(&mut map, FragKey { dir, frag });
+            }
+        } else {
+            pin(&mut map, FragKey::whole(dir));
+        }
+    }
+    let local = |d: InodeId| (d.raw() % 97 + 1) as f64;
+    run_bench("build_candidates_1m", p, || {
+        for _ in 0..CALLS {
+            std::hint::black_box(build_candidates(&ns, &map, &local));
+        }
+        CALLS
+    })
+}
+
 fn main() {
     let args = CommonArgs::parse();
     let protocol = if args.quick {
@@ -299,6 +340,7 @@ fn main() {
         telemetry_on(protocol),
         authority_resolve(protocol),
         authority_walk(protocol),
+        build_candidates_1m(protocol),
     ];
 
     println!(

@@ -16,9 +16,21 @@
 //! same directory, and the aggregate of a candidate is simply its local load
 //! share plus the aggregates of non-delegated child directories inside the
 //! fragment.
+//!
+//! ## Cost
+//!
+//! [`build_candidates`] visits directories only, through the namespace's
+//! directory index ([`Namespace::dir_ids`], [`Namespace::subdir_slots`]), so
+//! an epoch close costs O(directories + fragments) plus one dentry hash per
+//! child of a fragmented directory — not O(inodes). Files enter only through
+//! `children().len()` and per-fragment child counts. Directories are visited
+//! in descending id order and each one sums its subdirectories in
+//! `children` order, exactly as a reverse walk over the whole arena would,
+//! so every f64 sum, and therefore every candidate, is bit-identical to
+//! that walk (a test keeps it as the oracle).
 
 use lunule_namespace::{FragKey, InodeId, MdsRank, Namespace, SubtreeMap};
-use lunule_util::convert::usize_to_f64;
+use lunule_util::convert::{u32_to_usize, usize_to_f64};
 
 /// A migration candidate: a dirfrag subtree with its aggregated load.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -37,6 +49,19 @@ pub struct Candidate {
     pub inodes: usize,
 }
 
+/// One live fragment's running totals while its directory is visited.
+#[derive(Clone, Copy, Default)]
+struct FragAgg {
+    /// Children of the directory whose dentry hash falls in the fragment.
+    children: usize,
+    /// The directory's local load apportioned by `children`.
+    local: f64,
+    /// `local` plus the aggregates of subdirectories in the frag.
+    load: f64,
+    /// `children` plus the inode counts of subdirectories in the frag.
+    inodes: usize,
+}
+
 /// Computes the candidate list for the whole cluster given a per-directory
 /// local load metric.
 ///
@@ -48,94 +73,99 @@ pub fn build_candidates(
     map: &SubtreeMap,
     local: &impl Fn(InodeId) -> f64,
 ) -> Vec<Candidate> {
-    // Bottom-up pass: our arenas only append, so a parent's index is always
-    // smaller than its children's — iterating indices in reverse visits
-    // children before parents.
-    let n = ns.len();
-    // agg_whole[d] = aggregate load of dir d's *non-delegated* portion,
-    // i.e. what flows up into d's parent candidate.
-    let mut agg_whole = vec![0.0f64; n];
-    let mut inodes_whole = vec![0usize; n];
+    // Bottom-up pass: ids only append, so a directory's id is normally
+    // smaller than its subdirectories' and a descending walk visits them
+    // first. (A rename can break that; the subdirectory then contributes
+    // the zero its slot still holds, as in an arena-order walk.)
+    let dirs = ns.dir_ids();
+    // Per directory slot: aggregate load and inode count of the
+    // directory's *non-delegated* portion, i.e. what flows up into its
+    // parent's candidate.
+    let mut agg_whole = vec![0.0f64; dirs.len()];
+    let mut inodes_whole = vec![0usize; dirs.len()];
+    let mut per_frag: Vec<FragAgg> = Vec::new();
     let mut candidates = Vec::new();
-
-    for idx in (0..n).rev() {
-        let id = InodeId::from_index(idx);
-        let ino = ns.inode(id);
-        if !ino.is_dir() {
-            continue;
+    let mut push = |key: FragKey, load: f64, local_load: f64, inodes: usize| {
+        if load > 0.0 {
+            candidates.push(Candidate {
+                key,
+                rank: map.frag_authority(ns, key.dir, &key.frag),
+                load,
+                local_load,
+                inodes,
+            });
         }
+    };
+
+    for (slot, &id) in dirs.iter().enumerate().rev() {
+        let ino = ns.inode(id);
         let local_load = local(id);
         let n_children = ino.children().len();
-        let frags = ns.frags_of(id);
+        let subdirs = ns.subdir_slots(slot);
+        let fragmented = ns
+            .frag_set(id)
+            .filter(|set| !matches!(set.frags(), [only] if only.is_root()));
 
-        // Fast path: undivided directory with no frag-level delegation.
-        if frags.len() == 1 && frags[0].is_root() {
-            let frag = frags[0];
+        // Fast path: undivided directory.
+        let Some(set) = fragmented else {
+            let key = FragKey::whole(id);
             let mut load = local_load;
             let mut count = n_children;
-            for &c in ino.children() {
-                if ns.inode(c).is_dir() {
-                    // agg_whole[c] is the child's *non-delegated* portion by
-                    // construction (delegated fragments were excluded when
-                    // the child itself was processed), so it always flows up.
-                    load += agg_whole[c.index()];
-                    count += inodes_whole[c.index()];
-                }
+            for &s in subdirs {
+                // A subdirectory's slot holds its *non-delegated* portion by
+                // construction (delegated fragments were excluded when it
+                // was visited), so it always flows up.
+                load += agg_whole[u32_to_usize(s)];
+                count += inodes_whole[u32_to_usize(s)];
             }
-            let rank = map.frag_authority(ns, id, &frag);
-            if load > 0.0 {
-                candidates.push(Candidate {
-                    key: FragKey { dir: id, frag },
-                    rank,
-                    load,
-                    local_load,
-                    inodes: count,
-                });
-            }
-            let delegated = map.explicit_entry_rank(id, &frag).is_some();
-            if !delegated {
-                agg_whole[idx] = load;
-                inodes_whole[idx] = count;
+            push(key, load, local_load, count);
+            if map.explicit_entry_rank(id, &key.frag).is_none() {
+                agg_whole[slot] = load;
+                inodes_whole[slot] = count;
             }
             continue;
-        }
+        };
 
         // Fragmented directory: one candidate per live fragment, local load
         // apportioned by the share of children hashing into the fragment.
-        let mut up_load = 0.0;
-        let mut up_inodes = 0usize;
-        for frag in frags {
-            let in_frag = ns.children_in_frag(id, &frag);
+        // One pass counts the children of every fragment; subdirectory
+        // aggregates then join their fragment in `children` order.
+        let frags = set.frags();
+        per_frag.clear();
+        per_frag.resize(frags.len(), FragAgg::default());
+        for &c in ino.children() {
+            if let Some(i) = set.index_for_hash(ns.dentry_hash_of(c)) {
+                per_frag[i].children += 1;
+            }
+        }
+        for agg in &mut per_frag {
             let frac = if n_children == 0 {
                 0.0
             } else {
-                usize_to_f64(in_frag.len()) / usize_to_f64(n_children)
+                usize_to_f64(agg.children) / usize_to_f64(n_children)
             };
-            let mut load = local_load * frac;
-            let mut count = in_frag.len();
-            for c in &in_frag {
-                if ns.inode(*c).is_dir() {
-                    load += agg_whole[c.index()];
-                    count += inodes_whole[c.index()];
-                }
-            }
-            let rank = map.frag_authority(ns, id, &frag);
-            if load > 0.0 {
-                candidates.push(Candidate {
-                    key: FragKey { dir: id, frag },
-                    rank,
-                    load,
-                    local_load: local_load * frac,
-                    inodes: count,
-                });
-            }
-            if map.explicit_entry_rank(id, &frag).is_none() {
-                up_load += load;
-                up_inodes += count;
+            agg.local = local_load * frac;
+            agg.load = agg.local;
+            agg.inodes = agg.children;
+        }
+        for &s in subdirs {
+            let s = u32_to_usize(s);
+            if let Some(i) = set.index_for_hash(ns.dentry_hash_of(dirs[s])) {
+                per_frag[i].load += agg_whole[s];
+                per_frag[i].inodes += inodes_whole[s];
             }
         }
-        agg_whole[idx] = up_load;
-        inodes_whole[idx] = up_inodes;
+        let mut up_load = 0.0;
+        let mut up_inodes = 0usize;
+        for (&frag, agg) in frags.iter().zip(&per_frag) {
+            push(FragKey { dir: id, frag }, agg.load, agg.local, agg.inodes);
+            if map.explicit_entry_rank(id, &frag).is_none() {
+                up_load += agg.load;
+                up_inodes += agg.inodes;
+            }
+        }
+        agg_whole[slot] = up_load;
+        inodes_whole[slot] = up_inodes;
     }
     candidates
 }
@@ -152,7 +182,228 @@ pub fn candidates_of_rank(all: &[Candidate], rank: MdsRank) -> Vec<Candidate> {
 mod tests {
     use super::*;
     use lunule_namespace::Frag;
+    use lunule_util::codec::{Decoder, Encoder};
+    use lunule_util::propcheck;
+    use lunule_util::rng::DetRng;
     use std::collections::HashMap;
+
+    /// The O(inodes) walk `build_candidates` replaced, kept verbatim as the
+    /// oracle: every inode in reverse arena order, files skipped, each
+    /// fragment's children gathered by a filter over the whole child list.
+    fn arena_walk_oracle(
+        ns: &Namespace,
+        map: &SubtreeMap,
+        local: &impl Fn(InodeId) -> f64,
+    ) -> Vec<Candidate> {
+        let n = ns.len();
+        let mut agg_whole = vec![0.0f64; n];
+        let mut inodes_whole = vec![0usize; n];
+        let mut candidates = Vec::new();
+
+        for idx in (0..n).rev() {
+            let id = InodeId::from_index(idx);
+            let ino = ns.inode(id);
+            if !ino.is_dir() {
+                continue;
+            }
+            let local_load = local(id);
+            let n_children = ino.children().len();
+            let frags = ns.frags_of(id);
+
+            if frags.len() == 1 && frags[0].is_root() {
+                let frag = frags[0];
+                let mut load = local_load;
+                let mut count = n_children;
+                for &c in ino.children() {
+                    if ns.inode(c).is_dir() {
+                        load += agg_whole[c.index()];
+                        count += inodes_whole[c.index()];
+                    }
+                }
+                let rank = map.frag_authority(ns, id, &frag);
+                if load > 0.0 {
+                    candidates.push(Candidate {
+                        key: FragKey { dir: id, frag },
+                        rank,
+                        load,
+                        local_load,
+                        inodes: count,
+                    });
+                }
+                let delegated = map.explicit_entry_rank(id, &frag).is_some();
+                if !delegated {
+                    agg_whole[idx] = load;
+                    inodes_whole[idx] = count;
+                }
+                continue;
+            }
+
+            let mut up_load = 0.0;
+            let mut up_inodes = 0usize;
+            for frag in frags {
+                let in_frag = ns.children_in_frag(id, &frag);
+                let frac = if n_children == 0 {
+                    0.0
+                } else {
+                    usize_to_f64(in_frag.len()) / usize_to_f64(n_children)
+                };
+                let mut load = local_load * frac;
+                let mut count = in_frag.len();
+                for c in &in_frag {
+                    if ns.inode(*c).is_dir() {
+                        load += agg_whole[c.index()];
+                        count += inodes_whole[c.index()];
+                    }
+                }
+                let rank = map.frag_authority(ns, id, &frag);
+                if load > 0.0 {
+                    candidates.push(Candidate {
+                        key: FragKey { dir: id, frag },
+                        rank,
+                        load,
+                        local_load: local_load * frac,
+                        inodes: count,
+                    });
+                }
+                if map.explicit_entry_rank(id, &frag).is_none() {
+                    up_load += load;
+                    up_inodes += count;
+                }
+            }
+            agg_whole[idx] = up_load;
+            inodes_whole[idx] = up_inodes;
+        }
+        candidates
+    }
+
+    /// A candidate list with every float as its bit pattern, so equality
+    /// means bit-identical output.
+    fn as_bits(cands: &[Candidate]) -> Vec<(FragKey, MdsRank, u64, u64, usize)> {
+        cands
+            .iter()
+            .map(|c| {
+                let bits = (c.load.to_bits(), c.local_load.to_bits());
+                (c.key, c.rank, bits.0, bits.1, c.inodes)
+            })
+            .collect()
+    }
+
+    /// Grows a random namespace: nested directories and files, 1- and
+    /// 3-bit fragment splits, directory renames across parents (which can
+    /// put a directory under a parent with a larger id) and `rmdir` of
+    /// empty directories.
+    fn random_namespace(rng: &mut DetRng) -> Namespace {
+        let mut ns = Namespace::new();
+        for step in 0..rng.gen_range(20..140) {
+            let dirs: Vec<InodeId> = ns.all_dirs().collect();
+            let d = dirs[rng.gen_range(0..dirs.len())];
+            match rng.gen_range(0..10) {
+                0..=2 => {
+                    ns.mkdir(d, &format!("d{step}")).unwrap();
+                }
+                3..=5 => {
+                    for i in 0..rng.gen_range(1..12) {
+                        ns.create_file(d, &format!("f{step}.{i}"), 0).unwrap();
+                    }
+                }
+                6 => {
+                    let frags = ns.frags_of(d);
+                    let frag = frags[rng.gen_range(0..frags.len())];
+                    let by = if rng.gen_bool() { 1 } else { 3 };
+                    if frag.bits() + by <= 9 {
+                        ns.split_frag(d, &frag, by).unwrap();
+                    }
+                }
+                7 | 8 => {
+                    let to = dirs[rng.gen_range(0..dirs.len())];
+                    // The root and moves into the own subtree are refused.
+                    let _ = ns.rename(d, to, &format!("r{step}"));
+                }
+                _ => {
+                    // Only empty directories go.
+                    let _ = ns.rmdir(d);
+                }
+            }
+        }
+        ns
+    }
+
+    /// Explicit delegations on whole directories and on single live
+    /// fragments of split ones, over four ranks.
+    fn random_map(rng: &mut DetRng, ns: &Namespace) -> SubtreeMap {
+        let mut map = SubtreeMap::new(MdsRank(0));
+        for d in ns.all_dirs() {
+            let rank = MdsRank::from_index(rng.gen_range(0..4));
+            match rng.gen_range(0..6) {
+                0 => map.set_authority(FragKey::whole(d), rank),
+                1 => {
+                    let frags = ns.frags_of(d);
+                    let frag = frags[rng.gen_range(0..frags.len())];
+                    map.set_authority(FragKey { dir: d, frag }, rank);
+                }
+                _ => {}
+            }
+        }
+        map
+    }
+
+    /// A local load per inode slot (tombstoned directories included),
+    /// zero for a fifth of them and spread over eight decades otherwise so
+    /// that summation order shows in the bits.
+    fn random_loads(rng: &mut DetRng, ns: &Namespace) -> Vec<f64> {
+        (0..ns.len())
+            .map(|_| {
+                if rng.gen_ratio(0.2) {
+                    0.0
+                } else {
+                    let decade = i32::try_from(rng.gen_range(0..8)).unwrap() - 3;
+                    rng.gen_f64() * 10f64.powi(decade)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prop_index_walk_matches_arena_walk_bit_for_bit() {
+        let mut reordered = 0;
+        let mut fragmented = 0;
+        let mut frag_delegations = 0;
+        let mut tombstones = 0;
+        propcheck::run(300, |rng| {
+            let ns = random_namespace(rng);
+            let map = random_map(rng, &ns);
+            let loads = random_loads(rng, &ns);
+            let local = |d: InodeId| loads[d.index()];
+            let want = as_bits(&arena_walk_oracle(&ns, &map, &local));
+            assert_eq!(as_bits(&build_candidates(&ns, &map, &local)), want);
+
+            let mut e = Encoder::new();
+            ns.encode(&mut e);
+            let bytes = e.into_bytes();
+            let back = Namespace::decode(&mut Decoder::new(&bytes)).unwrap();
+            assert_eq!(as_bits(&build_candidates(&back, &map, &local)), want);
+
+            let slots = 0..ns.dir_ids().len();
+            reordered += usize::from(slots.clone().any(|s| !ns.subdir_slots(s).is_sorted()));
+            fragmented += usize::from(ns.dir_ids().iter().any(|d| ns.frag_set(*d).is_some()));
+            frag_delegations +=
+                usize::from(map.all_entries().iter().any(|(k, _)| !k.frag.is_root()));
+            tombstones += usize::from(
+                slots
+                    .into_iter()
+                    .any(|s| !ns.inode(ns.dir_ids()[s]).is_alive()),
+            );
+        });
+        // The generator really reaches every shape the walk special-cases.
+        for (what, n) in [
+            ("child order differing from index order", reordered),
+            ("fragmented directories", fragmented),
+            ("fragment delegations", frag_delegations),
+            ("tombstoned directories", tombstones),
+        ] {
+            assert!(n >= 30, "only {n} of 300 cases had {what}");
+        }
+    }
 
     /// Namespace:
     /// /           (ROOT)

@@ -31,6 +31,9 @@ pub enum NsError {
         /// The destination directory (inside `moved`'s subtree).
         into: InodeId,
     },
+    /// The namespace's name arena would grow past `u32::MAX` bytes, the
+    /// most an inode's `u32` name offset can address.
+    NameArenaFull,
 }
 
 impl std::fmt::Display for NsError {
@@ -47,6 +50,7 @@ impl std::fmt::Display for NsError {
             NsError::WouldCreateCycle { moved, into } => {
                 write!(f, "moving {moved:?} into {into:?} would create a cycle")
             }
+            NsError::NameArenaFull => write!(f, "the namespace name arena is full (4 GiB)"),
         }
     }
 }

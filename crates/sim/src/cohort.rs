@@ -395,14 +395,14 @@ impl CohortSet {
     }
 
     /// Per-client completion ticks, expanded to one entry per member id —
-    /// the shape [`crate::results::RunResult::client_completion_secs`]
-    /// carries.
-    pub fn completion_expanded(&self) -> Vec<Option<u64>> {
+    /// the shape (and the `u32` saturation rule) of
+    /// [`crate::results::RunResult::client_completion_secs`].
+    pub fn completion_expanded(&self) -> Vec<Option<u32>> {
         let mut out = vec![None; self.n_clients];
         for iv in &self.intervals {
             let s = &self.cohorts[iv.cohort].state;
             let done = if s.finished && s.data_pending == 0 {
-                s.finished_at
+                s.finished_at.map(|t| u32::try_from(t).unwrap_or(u32::MAX))
             } else {
                 None
             };
@@ -643,6 +643,9 @@ mod tests {
         assert_eq!(done[0], None);
         assert_eq!(done[5], Some(7));
         assert_eq!(done[6], Some(7));
+        // Completion ticks past `u32::MAX` saturate instead of wrapping.
+        s.cohorts[1].state.finished_at = Some(u64::from(u32::MAX) + 5);
+        assert_eq!(s.completion_expanded()[6], Some(u32::MAX));
     }
 
     #[test]

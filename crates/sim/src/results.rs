@@ -44,8 +44,10 @@ pub struct RunResult {
     /// Total forwards performed per MDS over the whole run.
     pub per_mds_forwards_total: Vec<u64>,
     /// Per-client job completion time in simulated seconds (`None` when the
-    /// client had not finished when the run ended).
-    pub client_completion_secs: Vec<Option<u64>>,
+    /// client had not finished when the run ended). Stored as `u32` to halve
+    /// the vector for million-client runs; a completion time beyond
+    /// `u32::MAX` seconds (136 simulated years) saturates to `u32::MAX`.
+    pub client_completion_secs: Vec<Option<u32>>,
     /// Simulated seconds the run lasted.
     pub duration_secs: u64,
     /// Total metadata ops served.
@@ -197,7 +199,7 @@ impl RunResult {
             .client_completion_secs
             .iter()
             .flatten()
-            .copied()
+            .map(|t| u64::from(*t))
             .collect();
         if done.is_empty() {
             return None;
