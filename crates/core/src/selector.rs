@@ -253,7 +253,7 @@ fn child_candidates(ns: &Namespace, cand: &Candidate) -> Vec<Candidate> {
     let share = nested / usize_to_f64(dirs.len());
     dirs.into_iter()
         .map(|d| {
-            let inodes = ns.walk_subtree(d).count();
+            let inodes = ns.subtree_size(d);
             Candidate {
                 key: FragKey::whole(d),
                 rank: cand.rank,
