@@ -16,10 +16,11 @@
 //! The matrix runs seeds × fault schedules × simulator knobs (memory
 //! pressure, data path) over a mixed read/create/remove workload, plus a
 //! wide population with hundreds of routes per resolve batch and two
-//! grouped populations (read-only, and create-heavy).
+//! grouped populations (read-only, and create-heavy). [`KIND_GOLDEN`]
+//! pins one case under every balancer kind, with a mid-run snapshot.
 
 use lunule_core::{make_balancer, BalancerKind};
-use lunule_faults::FaultPlan;
+use lunule_faults::{FaultPlan, FaultSchedule};
 use lunule_namespace::{InodeId, MdsRank, Namespace};
 use lunule_sim::{DataPathConfig, FixedStream, MetaOp, OpStream, SimConfig, Simulation};
 use lunule_telemetry::{events_jsonl, metrics_csv, Telemetry};
@@ -63,6 +64,26 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     ("expanded8", 0x4f84_cd82_226f_d5d9, 0x6c34_e138_87ae_e209, 54),
     ("creates6", 0x24fa_dad4_8192_3a35, 0xacf3_f989_c7a8_c773, 30),
 ];
+
+/// The `seed7/chaotic/plain` case under every balancer kind: `(kind,
+/// digest, metrics_digest, snapshot_digest, total_ops)`. The first two
+/// digests are computed as in [`GOLDEN`]; the snapshot digest is FNV-1a
+/// over `Simulation::snapshot().to_bytes()` taken between ticks
+/// [`SNAPSHOT_TICK`] - 1 and [`SNAPSHOT_TICK`], so it also pins each
+/// policy's saved state (heat counters, analyzer windows, knob values).
+#[rustfmt::skip]
+const KIND_GOLDEN: &[(BalancerKind, u64, u64, u64, u64)] = &[
+    (BalancerKind::Lunule, 0xf062_8d7b_37f8_a5cd, 0x6156_4d42_7327_008e, 0x1842_6cca_9ad4_b219, 200),
+    (BalancerKind::LunuleLight, 0x3c67_ff72_c490_eac8, 0x9cc8_6533_0162_1577, 0x3c89_fdc7_484e_9f7c, 200),
+    (BalancerKind::Vanilla, 0x9cf0_6739_b944_fb8d, 0x215d_6354_ecdf_b9eb, 0x6d3b_d76b_a671_604a, 200),
+    (BalancerKind::GreedySpill, 0x64cc_46a2_2bd4_f50c, 0x215d_6354_ecdf_b9eb, 0xf2e6_3795_fccb_9e51, 200),
+    (BalancerKind::DirHash, 0x880f_4a79_bd33_2ec6, 0x017d_6a8d_f5d7_04e8, 0xdcb0_8306_b3b9_2c54, 200),
+    (BalancerKind::Off, 0x8469_7671_d5f3_1065, 0xa259_3dd1_b6f8_473e, 0x572c_77e6_ef45_4d78, 200),
+];
+
+/// The tick at which [`KIND_GOLDEN`]'s snapshot is taken: after the third
+/// epoch close, while the crash and limp faults are live.
+const SNAPSHOT_TICK: u64 = 10;
 
 /// What one run produced: its journal, metrics export and results.
 #[derive(Debug, PartialEq)]
@@ -237,14 +258,32 @@ fn drive(mut sim: Simulation, tel: &Telemetry) -> Outcome {
 
 /// Builds and runs one simulation with one stream per client.
 fn run_once(cfg: SimConfig, streams: Vec<Box<dyn OpStream>>) -> Outcome {
+    run_kind(BalancerKind::Lunule, cfg, streams, None)
+}
+
+/// [`run_once`] under any balancer kind. With `snapshot_at`, the run stops
+/// before that tick and stores the FNV-1a digest of the simulation's
+/// snapshot bytes, then runs on to its configured duration.
+fn run_kind(
+    kind: BalancerKind,
+    cfg: SimConfig,
+    streams: Vec<Box<dyn OpStream>>,
+    snapshot_at: Option<(u64, &mut u64)>,
+) -> Outcome {
     let (ns, _, _) = fixture();
     let cfg = SimConfig {
         telemetry: Telemetry::enabled(),
         ..cfg
     };
     let tel = cfg.telemetry.clone();
-    let balancer = make_balancer(BalancerKind::Lunule, cfg.mds_capacity);
-    drive(Simulation::new(cfg, ns, balancer, streams), &tel)
+    let balancer = make_balancer(kind, cfg.mds_capacity);
+    let mut sim = Simulation::new(cfg, ns, balancer, streams);
+    if let Some((tick, digest)) = snapshot_at {
+        sim.run_until(tick);
+        assert_eq!(sim.now(), tick, "run ended before the snapshot tick");
+        *digest = fnv1a64(&sim.snapshot().to_bytes());
+    }
+    drive(sim, &tel)
 }
 
 /// Builds and runs one simulation from `(stream, member count)` groups.
@@ -295,13 +334,7 @@ fn matrix_matches_golden_digests() {
     ];
     let schedules = [
         ("quiet", FaultPlan::new().build()),
-        (
-            "chaotic",
-            FaultPlan::new()
-                .crash(4, MdsRank(1), 5)
-                .limp(8, MdsRank(2), 0.5, 6)
-                .build(),
-        ),
+        ("chaotic", chaotic_schedule()),
     ];
     for seed in [7u64, 42] {
         for (sched_label, schedule) in &schedules {
@@ -315,6 +348,66 @@ fn matrix_matches_golden_digests() {
             }
         }
     }
+}
+
+fn chaotic_schedule() -> FaultSchedule {
+    FaultPlan::new()
+        .crash(4, MdsRank(1), 5)
+        .limp(8, MdsRank(2), 0.5, 6)
+        .build()
+}
+
+/// Every balancer kind on the `seed7/chaotic/plain` case reproduces its
+/// journal, metrics and mid-run snapshot digests. Lunule's journal digest
+/// is the matrix's own entry for that case.
+#[test]
+fn every_balancer_kind_matches_golden() {
+    let kinds = [
+        BalancerKind::Lunule,
+        BalancerKind::LunuleLight,
+        BalancerKind::Vanilla,
+        BalancerKind::GreedySpill,
+        BalancerKind::DirHash,
+        BalancerKind::Off,
+    ];
+    let seed = 7u64;
+    let mut missing = Vec::new();
+    for kind in kinds {
+        let cfg = SimConfig {
+            faults: chaotic_schedule(),
+            ..base_cfg(seed)
+        };
+        let mut snapshot = 0u64;
+        let out = run_kind(
+            kind,
+            cfg,
+            streams_for(10, seed),
+            Some((SNAPSHOT_TICK, &mut snapshot)),
+        );
+        if kind == BalancerKind::Lunule {
+            out.assert_golden("seed7/chaotic/plain");
+        }
+        let (digest, metrics) = (out.digest(), out.metrics_digest());
+        let Some(&(_, want_digest, want_metrics, want_snapshot, want_ops)) =
+            KIND_GOLDEN.iter().find(|g| g.0 == kind)
+        else {
+            missing.push(format!(
+                "    (BalancerKind::{kind:?}, {digest:#018x}, {metrics:#018x}, \
+                 {snapshot:#018x}, {}),",
+                out.total_ops
+            ));
+            continue;
+        };
+        assert_eq!(out.total_ops, want_ops, "{kind}: total ops");
+        assert_eq!(digest, want_digest, "{kind}: journal or results drifted");
+        assert_eq!(metrics, want_metrics, "{kind}: metrics export drifted");
+        assert_eq!(snapshot, want_snapshot, "{kind}: mid-run snapshot drifted");
+    }
+    assert!(
+        missing.is_empty(),
+        "no golden entry; these runs give\n{}",
+        missing.join("\n")
+    );
 }
 
 /// A wide population of read-only clients, every script distinct so no two
