@@ -22,7 +22,6 @@ fn variants(capacity: f64) -> Vec<Variant> {
         },
         roles: RoleConfig {
             migration_capacity: capacity * 0.5,
-            ..RoleConfig::default()
         },
         ..LunuleConfig::default()
     };
@@ -50,7 +49,6 @@ fn variants(capacity: f64) -> Vec<Variant> {
             cfg: LunuleConfig {
                 analyzer: AnalyzerConfig {
                     sibling_probability: 0.0,
-                    ..AnalyzerConfig::default()
                 },
                 ..base.clone()
             },
@@ -60,7 +58,6 @@ fn variants(capacity: f64) -> Vec<Variant> {
             cfg: LunuleConfig {
                 roles: RoleConfig {
                     migration_capacity: f64::MAX,
-                    ..base.roles
                 },
                 ..base.clone()
             },

@@ -19,7 +19,7 @@ fn main() {
     // (a) Static inode distribution: apply the pinning and count.
     let (ns, _) = spec.build();
     let mut map = SubtreeMap::new(MdsRank(0));
-    let mut pinning = DirHashBalancer::default();
+    let mut pinning = DirHashBalancer;
     pinning.setup(&ns, &mut map, 5);
     let inode_counts = map.inode_counts(&ns, 5);
     let total_inodes: usize = inode_counts.iter().sum();

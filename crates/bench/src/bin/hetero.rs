@@ -56,7 +56,6 @@ fn main() {
         },
         roles: RoleConfig {
             migration_capacity: base.mds_capacity * 0.5,
-            ..RoleConfig::default()
         },
         capacities,
         ..LunuleConfig::default()

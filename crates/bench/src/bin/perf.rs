@@ -27,7 +27,7 @@ use lunule_core::{
     build_candidates, decide_roles, make_balancer, select_subtrees, Access, AnalyzerConfig,
     Balancer, BalancerKind, Candidate, EpochStats, ExportTask, IfModelConfig, ImbalanceFactorModel,
     LoadHistory, LunuleBalancer, LunuleConfig, MigrationPlan, OpKind, PatternAnalyzer, RoleConfig,
-    SelectorConfig, SubtreeChoice,
+    SubtreeChoice,
 };
 use lunule_namespace::{
     build_flat_dataset, dentry_hash, AuthorityCache, FlatDataset, Frag, FragKey, FragSet, InodeId,
@@ -486,16 +486,10 @@ fn decide_roles_16(p: Protocol) -> BenchResult {
 /// Subtree selection over the analyzer fixture's candidates; ops = calls.
 fn select_subtrees_cell(p: Protocol) -> BenchResult {
     let (ns, candidates) = selection_fixture();
-    let cfg = SelectorConfig::default();
     const CALLS: u64 = 1_000;
     run_bench("select_subtrees", p, || {
         for _ in 0..CALLS {
-            black_box(select_subtrees(
-                &ns,
-                black_box(&candidates),
-                SELECT_AMOUNT,
-                &cfg,
-            ));
+            black_box(select_subtrees(&ns, black_box(&candidates), SELECT_AMOUNT));
         }
         CALLS
     })
@@ -601,7 +595,7 @@ mod tests {
     #[test]
     fn selection_fixture_selects_subtrees() {
         let (ns, candidates) = selection_fixture();
-        let chosen = select_subtrees(&ns, &candidates, SELECT_AMOUNT, &SelectorConfig::default());
+        let chosen = select_subtrees(&ns, &candidates, SELECT_AMOUNT);
         assert!(
             !chosen.is_empty(),
             "{} candidates, none selected",

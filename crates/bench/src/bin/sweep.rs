@@ -40,7 +40,6 @@ fn lunule_cfg(sim: &SimConfig) -> LunuleConfig {
         },
         roles: RoleConfig {
             migration_capacity: sim.mds_capacity * 0.5,
-            ..RoleConfig::default()
         },
         ..LunuleConfig::default()
     }

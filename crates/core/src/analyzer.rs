@@ -34,29 +34,34 @@ use lunule_util::intern::PagedMap;
 /// Number of cutting windows the per-inode visit mask can remember.
 const MASK_BITS: u32 = 64;
 
+/// `N`: number of recent cutting windows aggregated into `l_t`, `l_s`, α
+/// and β.
+pub const RECENT_WINDOWS: usize = 4;
+
+/// How many windows back a repeat visit still counts as *recurrent*.
+const RECURRENCE_LOOKBACK: u32 = 8;
+
+/// RNG seed for the sibling propagation choice.
+const SIBLING_SEED: u64 = 0x5EED_1A7E;
+
+const _: () = assert!(
+    RECURRENCE_LOOKBACK >= 1 && RECURRENCE_LOOKBACK < MASK_BITS,
+    "recurrence lookback must fit the visit mask"
+);
+
 /// Configuration of the pattern analyzer.
 #[derive(Clone, Copy, Debug)]
 pub struct AnalyzerConfig {
-    /// `N`: number of recent cutting windows aggregated into `l_t`, `l_s`,
-    /// α and β.
-    pub recent_windows: usize,
-    /// How many windows back a repeat visit still counts as *recurrent*.
-    pub recurrence_lookback: u32,
     /// Probability of propagating a first visit to a sibling subtree's
     /// `l_s` (the paper's "select one of its sibling subtrees with a certain
     /// probability").
     pub sibling_probability: f64,
-    /// RNG seed for the sibling propagation choice.
-    pub seed: u64,
 }
 
 impl Default for AnalyzerConfig {
     fn default() -> Self {
         AnalyzerConfig {
-            recent_windows: 4,
-            recurrence_lookback: 8,
             sibling_probability: 0.5,
-            seed: 0x5EED_1A7E,
         }
     }
 }
@@ -84,8 +89,8 @@ struct WindowCounters {
 }
 
 /// Sliding per-directory statistics over the last `N` windows, stored as a
-/// struct-of-arrays slab: one flat ring arena (stride `stride` per
-/// directory) plus parallel scalar columns, all indexed by a stable dense
+/// struct-of-arrays slab: one flat ring arena ([`RECENT_WINDOWS`] entries
+/// per directory) plus parallel scalar columns, all indexed by a stable dense
 /// slot resolved through a [`PagedMap`] from the inode index. The hot
 /// per-access path is two O(1) array probes instead of a `BTreeMap` walk,
 /// and the window counters of a directory sit contiguously in one or two
@@ -95,12 +100,10 @@ struct WindowCounters {
 /// has no eviction — so the slab needs no compaction pass.
 #[derive(Clone, Debug)]
 struct DirSlab {
-    /// Ring length per directory (`cfg.recent_windows`).
-    stride: usize,
     /// Slot → directory id.
     ids: Vec<InodeId>,
-    /// Flat ring arena; directory `s` owns `rings[s*stride .. (s+1)*stride]`
-    /// and `rings[s*stride + cursor[s]]` is its current window.
+    /// Flat ring arena; directory `s` owns `rings[s*N .. (s+1)*N]` and
+    /// `rings[s*N + cursor[s]]` is its current window.
     rings: Vec<WindowCounters>,
     /// Slot → position of the current window inside the directory's ring.
     cursor: Vec<u32>,
@@ -115,9 +118,8 @@ struct DirSlab {
 }
 
 impl DirSlab {
-    fn new(stride: usize) -> Self {
+    fn new() -> Self {
         DirSlab {
-            stride,
             ids: Vec::new(),
             rings: Vec::new(),
             cursor: Vec::new(),
@@ -150,7 +152,7 @@ impl DirSlab {
         let slot = self.ids.len();
         self.ids.push(dir);
         self.rings
-            .resize(self.rings.len() + self.stride, WindowCounters::default());
+            .resize(self.rings.len() + RECENT_WINDOWS, WindowCounters::default());
         self.cursor.push(0);
         self.window.push(window);
         self.total_inodes.push(total_inodes());
@@ -165,10 +167,10 @@ impl DirSlab {
         if gap == 0 {
             return;
         }
-        let base = slot * self.stride;
+        let base = slot * RECENT_WINDOWS;
         let mut c = u32_to_usize(self.cursor[slot]);
-        for _ in 0..gap.min(usize_to_u64(self.stride)) {
-            c = (c + 1) % self.stride;
+        for _ in 0..gap.min(usize_to_u64(RECENT_WINDOWS)) {
+            c = (c + 1) % RECENT_WINDOWS;
             self.rings[base + c] = WindowCounters::default();
         }
         self.cursor[slot] = usize_to_u32(c);
@@ -177,7 +179,7 @@ impl DirSlab {
 
     /// The current-window counters of `slot`.
     fn current_mut(&mut self, slot: usize) -> &mut WindowCounters {
-        let at = slot * self.stride + u32_to_usize(self.cursor[slot]);
+        let at = slot * RECENT_WINDOWS + u32_to_usize(self.cursor[slot]);
         &mut self.rings[at]
     }
 
@@ -187,9 +189,9 @@ impl DirSlab {
     /// positions age out without the ring being rolled, so its statistics
     /// decay to zero naturally.
     fn sums_at(&self, slot: usize, current: u64) -> (u64, u64, u64) {
-        let n = usize_to_u64(self.stride);
+        let n = usize_to_u64(RECENT_WINDOWS);
         let base_age = current.saturating_sub(self.window[slot]);
-        let base = slot * self.stride;
+        let base = slot * RECENT_WINDOWS;
         let cursor = u32_to_usize(self.cursor[slot]);
         let mut visits = 0u64;
         let mut recurrent = 0u64;
@@ -198,7 +200,7 @@ impl DirSlab {
             if base_age + back >= n {
                 break;
             }
-            let idx = (cursor + self.stride - u64_to_usize(back)) % self.stride;
+            let idx = (cursor + RECENT_WINDOWS - u64_to_usize(back)) % RECENT_WINDOWS;
             let w = &self.rings[base + idx];
             visits += u64::from(w.visits);
             recurrent += u64::from(w.recurrent);
@@ -254,11 +256,6 @@ pub struct PatternAnalyzer {
 impl PatternAnalyzer {
     /// Creates an analyzer starting at window 0.
     pub fn new(cfg: AnalyzerConfig) -> Self {
-        assert!(cfg.recent_windows >= 1, "need at least one cutting window");
-        assert!(
-            cfg.recurrence_lookback >= 1 && cfg.recurrence_lookback < MASK_BITS,
-            "recurrence lookback must fit the visit mask"
-        );
         assert!(
             (0.0..=1.0).contains(&cfg.sibling_probability),
             "sibling probability must be in [0, 1]"
@@ -267,8 +264,8 @@ impl PatternAnalyzer {
             cfg,
             window: 0,
             inodes: Vec::new(),
-            dirs: DirSlab::new(cfg.recent_windows),
-            rng_state: cfg.seed | 1,
+            dirs: DirSlab::new(),
+            rng_state: SIBLING_SEED | 1,
         }
     }
 
@@ -360,7 +357,6 @@ impl PatternAnalyzer {
     /// window share the verdict).
     fn record_access_inner(&mut self, ns: &Namespace, ino: InodeId, is_create: bool) -> bool {
         let window = self.window;
-        let lookback = self.cfg.recurrence_lookback;
 
         // -- per-inode visit mask ------------------------------------------
         let st = self.inode_state(ino);
@@ -374,7 +370,7 @@ impl PatternAnalyzer {
             st.last_window = window;
         }
         let already_this_window = st.mask & 1 != 0;
-        let recurrent = (st.mask >> 1) & ((1u64 << lookback) - 1) != 0;
+        let recurrent = (st.mask >> 1) & ((1u64 << RECURRENCE_LOOKBACK) - 1) != 0;
         let first_ever = !st.ever_visited;
         st.mask |= 1;
         st.ever_visited = true;
@@ -436,7 +432,7 @@ impl PatternAnalyzer {
         };
         let unvisited = self.dirs.total_inodes[slot].saturating_sub(self.dirs.visited_ever[slot]);
         let beta = u64_to_f64(unvisited) / u64_to_f64(visits.max(1));
-        let n = usize_to_f64(self.cfg.recent_windows);
+        let n = usize_to_f64(RECENT_WINDOWS);
         Some(MigrationIndex {
             alpha,
             beta,
@@ -498,10 +494,9 @@ impl PatternAnalyzer {
         // (and identical to the ordered-map layout this replaces).
         let mut order: Vec<usize> = (0..self.dirs.len()).collect();
         order.sort_by_key(|&s| self.dirs.ids[s]);
-        let stride = self.dirs.stride;
         e.put_seq(&order, |e, &slot| {
             e.put_u64(self.dirs.ids[slot].raw());
-            let ring = &self.dirs.rings[slot * stride..(slot + 1) * stride];
+            let ring = &self.dirs.rings[slot * RECENT_WINDOWS..(slot + 1) * RECENT_WINDOWS];
             e.put_seq(ring, |e, w| {
                 e.put_u32(w.visits);
                 e.put_u32(w.recurrent);
@@ -531,7 +526,6 @@ impl PatternAnalyzer {
                 ever_visited: d.get_bool("visit ever")?,
             })
         })?;
-        let stride = self.cfg.recent_windows;
         let dirs = d.get_seq("analyzer dirs", |d| {
             let raw = d.get_u64("analyzer dir id")?;
             let idx = u32::try_from(raw).map_err(|_| CodecError::Invalid {
@@ -547,9 +541,9 @@ impl PatternAnalyzer {
             })?;
             let cursor = d.get_usize("dir cursor")?;
             // The slab stores rings at a fixed stride, so a snapshot whose
-            // ring length disagrees with this analyzer's configuration is
-            // rejected outright instead of silently re-striding.
-            if ring.len() != stride || cursor >= ring.len() {
+            // ring length disagrees with `RECENT_WINDOWS` is rejected
+            // outright instead of silently re-striding.
+            if ring.len() != RECENT_WINDOWS || cursor >= ring.len() {
                 return Err(CodecError::Invalid {
                     what: "analyzer ring",
                 });
@@ -566,7 +560,7 @@ impl PatternAnalyzer {
                 visited_ever,
             ))
         })?;
-        self.dirs = DirSlab::new(stride);
+        self.dirs = DirSlab::new();
         for (id, ring, cursor, window, total_inodes, visited_ever) in dirs {
             if self.dirs.slot_of(id).is_some() {
                 return Err(CodecError::Invalid {
@@ -574,7 +568,8 @@ impl PatternAnalyzer {
                 });
             }
             let slot = self.dirs.slot_or_insert(id, window, || total_inodes);
-            self.dirs.rings[slot * stride..(slot + 1) * stride].copy_from_slice(&ring);
+            self.dirs.rings[slot * RECENT_WINDOWS..(slot + 1) * RECENT_WINDOWS]
+                .copy_from_slice(&ring);
             self.dirs.cursor[slot] = usize_to_u32(cursor);
             self.dirs.visited_ever[slot] = visited_ever;
         }
@@ -615,10 +610,7 @@ mod tests {
 
     fn analyzer(sibling_probability: f64) -> PatternAnalyzer {
         PatternAnalyzer::new(AnalyzerConfig {
-            recent_windows: 4,
-            recurrence_lookback: 8,
             sibling_probability,
-            seed: 42,
         })
     }
 

@@ -12,41 +12,20 @@ use crate::stats::EpochStats;
 use lunule_namespace::{FragKey, MdsRank, Namespace, SubtreeMap};
 use lunule_util::convert::{u64_to_usize, usize_to_u64};
 
-/// Tunables of the Dir-Hash baseline.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DirHashConfig {
-    /// Hash seed, so experiments can explore different static placements.
-    pub seed: u64,
-}
-
 /// The static-pinning balancer. All work happens in [`Balancer::setup`];
 /// epochs never produce migrations.
-pub struct DirHashBalancer {
-    cfg: DirHashConfig,
-}
+#[derive(Debug, Default)]
+pub struct DirHashBalancer;
 
 impl DirHashBalancer {
-    /// Builds the baseline.
-    pub fn new(cfg: DirHashConfig) -> Self {
-        DirHashBalancer { cfg }
-    }
-
     /// The rank a directory id hashes to among `n_mds` ranks.
     pub fn rank_of(&self, raw_dir_id: u64, n_mds: usize) -> MdsRank {
-        // SplitMix64 finalizer: uniform, deterministic, seedable.
-        let mut z = raw_dir_id
-            .wrapping_add(self.cfg.seed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
+        // SplitMix64 finalizer: uniform and deterministic.
+        let mut z = raw_dir_id.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
         MdsRank::from_index(u64_to_usize(z % usize_to_u64(n_mds)))
-    }
-}
-
-impl Default for DirHashBalancer {
-    fn default() -> Self {
-        Self::new(DirHashConfig::default())
     }
 }
 
@@ -90,7 +69,7 @@ mod tests {
             ns.create_file(dir, "f", 1).unwrap();
         }
         let mut map = SubtreeMap::new(MdsRank(0));
-        let mut b = DirHashBalancer::default();
+        let mut b = DirHashBalancer;
         b.setup(&ns, &mut map, 5);
         // Every directory (root included) has an entry.
         assert_eq!(map.entry_count(), ns.dir_count());
@@ -106,27 +85,26 @@ mod tests {
     fn never_migrates() {
         let ns = Namespace::new();
         let map = SubtreeMap::new(MdsRank(0));
-        let mut b = DirHashBalancer::default();
+        let mut b = DirHashBalancer;
         let plan = b.on_epoch(&ns, &map, &EpochStats::new(0, 1.0, vec![100, 0]));
         assert!(plan.is_empty());
     }
 
     #[test]
-    fn seed_changes_placement() {
-        let a = DirHashBalancer::new(DirHashConfig { seed: 1 });
-        let b = DirHashBalancer::new(DirHashConfig { seed: 2 });
+    fn hash_shuffles_placement() {
+        let b = DirHashBalancer;
         let moved = (0..100u64)
-            .filter(|i| a.rank_of(*i, 5) != b.rank_of(*i, 5))
+            .filter(|i| b.rank_of(*i, 5).index() != (*i % 5) as usize)
             .count();
         assert!(
             moved > 30,
-            "different seeds must shuffle placements: {moved}"
+            "hashing must shuffle a round-robin layout: {moved}"
         );
     }
 
     #[test]
     fn rank_always_in_range() {
-        let b = DirHashBalancer::default();
+        let b = DirHashBalancer;
         for i in 0..1000u64 {
             assert!(b.rank_of(i, 7).index() < 7);
         }

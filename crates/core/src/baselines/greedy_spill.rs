@@ -1,4 +1,4 @@
-//! The GreedySpill baseline (GIGA+-style, via the Mantle framework).
+//! The GreedySpill baseline (GIGA+-style).
 //!
 //! Policy as described in the paper's evaluation setup: re-balance triggers
 //! whenever some MDSs carry no load at all, and each loaded MDS then spills
@@ -13,48 +13,18 @@ use crate::selector::select_hottest;
 use crate::stats::EpochStats;
 use lunule_namespace::{MdsRank, Namespace, SubtreeMap};
 
-/// Tunables of the GreedySpill baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct GreedySpillConfig {
-    /// IOPS below which a neighbour counts as "idle".
-    pub idle_iops: f64,
-    /// Fraction of the loaded MDS's load spilled per decision (the policy
-    /// ships half).
-    pub spill_fraction: f64,
-    /// Heat decay per epoch (selection is hotspot-based, like Vanilla's).
-    pub heat_decay: f64,
-}
+/// IOPS below which a neighbour counts as "idle".
+const IDLE_IOPS: f64 = 1.0;
 
-impl Default for GreedySpillConfig {
-    fn default() -> Self {
-        GreedySpillConfig {
-            idle_iops: 1.0,
-            spill_fraction: 0.5,
-            heat_decay: 0.5,
-        }
-    }
-}
+/// Fraction of the loaded MDS's load spilled per decision (the policy ships
+/// half).
+const SPILL_FRACTION: f64 = 0.5;
 
-/// The GreedySpill balancer. See module docs.
+/// The GreedySpill balancer. See module docs. Selection is hotspot-based,
+/// like Vanilla's.
+#[derive(Debug, Default)]
 pub struct GreedySpillBalancer {
-    cfg: GreedySpillConfig,
     heat: HeatMap,
-}
-
-impl GreedySpillBalancer {
-    /// Builds the baseline.
-    pub fn new(cfg: GreedySpillConfig) -> Self {
-        GreedySpillBalancer {
-            heat: HeatMap::new(cfg.heat_decay),
-            cfg,
-        }
-    }
-}
-
-impl Default for GreedySpillBalancer {
-    fn default() -> Self {
-        Self::new(GreedySpillConfig::default())
-    }
 }
 
 impl Balancer for GreedySpillBalancer {
@@ -93,16 +63,16 @@ impl Balancer for GreedySpillBalancer {
         let candidates = build_candidates(ns, map, &|d| heat.heat_of(d));
         let mut exports = Vec::new();
         for (i, &load) in loads.iter().enumerate() {
-            if load <= self.cfg.idle_iops {
+            if load <= IDLE_IOPS {
                 continue;
             }
             let neighbor = (i + 1) % n;
-            if loads[neighbor] > self.cfg.idle_iops {
+            if loads[neighbor] > IDLE_IOPS {
                 continue;
             }
             let exporter = MdsRank::from_index(i);
             let mine = candidates_of_rank(&candidates, exporter);
-            let demand = load * self.cfg.spill_fraction * stats.epoch_secs;
+            let demand = load * SPILL_FRACTION * stats.epoch_secs;
             let subtrees = select_hottest(ns, &mine, demand, exporter);
             if subtrees.is_empty() {
                 continue;

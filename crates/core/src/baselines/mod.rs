@@ -4,6 +4,6 @@ pub mod dir_hash;
 pub mod greedy_spill;
 pub mod vanilla;
 
-pub use dir_hash::{DirHashBalancer, DirHashConfig};
-pub use greedy_spill::{GreedySpillBalancer, GreedySpillConfig};
-pub use vanilla::{VanillaBalancer, VanillaConfig};
+pub use dir_hash::DirHashBalancer;
+pub use greedy_spill::GreedySpillBalancer;
+pub use vanilla::VanillaBalancer;

@@ -23,51 +23,20 @@ use crate::stats::EpochStats;
 use lunule_namespace::{MdsRank, Namespace, SubtreeMap};
 use lunule_util::convert::usize_to_f64;
 
-/// Tunables of the Vanilla baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct VanillaConfig {
-    /// A rank exports only when `load > mean * (1 + margin)`. CephFS's
-    /// need-factor behaviour corresponds to a sizeable margin, which is
-    /// precisely why moderately skewed clusters are left alone.
-    pub trigger_margin: f64,
-    /// Minimum absolute load (IOPS) below which a rank never exports —
-    /// stock CephFS uses a small constant; keep it small so that the
-    /// "migrates on trivial load" behaviour is preserved.
-    pub min_export_iops: f64,
-    /// Heat decay per epoch.
-    pub heat_decay: f64,
-}
+/// A rank exports only when `load > mean * (1 + margin)`. CephFS's
+/// need-factor behaviour corresponds to a sizeable margin, which is
+/// precisely why moderately skewed clusters are left alone.
+const TRIGGER_MARGIN: f64 = 0.35;
 
-impl Default for VanillaConfig {
-    fn default() -> Self {
-        VanillaConfig {
-            trigger_margin: 0.35,
-            min_export_iops: 10.0,
-            heat_decay: 0.5,
-        }
-    }
-}
+/// Minimum absolute load (IOPS) below which a rank never exports — stock
+/// CephFS uses a small constant; keep it small so that the "migrates on
+/// trivial load" behaviour is preserved.
+const MIN_EXPORT_IOPS: f64 = 10.0;
 
 /// The CephFS built-in balancer model. See module docs.
+#[derive(Debug, Default)]
 pub struct VanillaBalancer {
-    cfg: VanillaConfig,
     heat: HeatMap,
-}
-
-impl VanillaBalancer {
-    /// Builds the baseline.
-    pub fn new(cfg: VanillaConfig) -> Self {
-        VanillaBalancer {
-            heat: HeatMap::new(cfg.heat_decay),
-            cfg,
-        }
-    }
-}
-
-impl Default for VanillaBalancer {
-    fn default() -> Self {
-        Self::new(VanillaConfig::default())
-    }
 }
 
 impl Balancer for VanillaBalancer {
@@ -122,7 +91,7 @@ impl Balancer for VanillaBalancer {
 
         let mut exports = Vec::new();
         for (i, &load) in loads.iter().enumerate() {
-            if load <= mean * (1.0 + self.cfg.trigger_margin) || load < self.cfg.min_export_iops {
+            if load <= mean * (1.0 + TRIGGER_MARGIN) || load < MIN_EXPORT_IOPS {
                 continue;
             }
             // Shed the entire excess in one decision.

@@ -25,10 +25,14 @@ use lunule_namespace::{InodeId, Namespace};
 use lunule_util::convert::{u32_to_usize, usize_to_u32};
 use lunule_util::intern::PagedMap;
 
+/// Factor every counter is multiplied by at each epoch boundary. CephFS's
+/// default popularity half-life of roughly one balancing interval
+/// corresponds to 0.5.
+pub(crate) const DECAY: f64 = 0.5;
+
 /// Per-directory decaying heat counters.
 #[derive(Clone, Debug, Default)]
 pub struct HeatMap {
-    decay: f64,
     /// Slot → directory id.
     ids: Vec<InodeId>,
     /// Slot → counter. Parallel to `ids`.
@@ -41,24 +45,10 @@ pub struct HeatMap {
 }
 
 impl HeatMap {
-    /// Creates a heat map whose counters are multiplied by `decay` at every
-    /// epoch boundary. CephFS's default popularity half-life of roughly one
-    /// balancing interval corresponds to `decay = 0.5`.
-    ///
-    /// # Panics
-    /// Panics unless `0.0 <= decay < 1.0`.
-    pub fn new(decay: f64) -> Self {
-        assert!((0.0..1.0).contains(&decay), "decay must be in [0, 1)");
-        HeatMap {
-            decay,
-            ..HeatMap::default()
-        }
-    }
-
-    /// Changes the decay factor in place, keeping accumulated counters
-    /// (runtime tuning). The factor is clamped into `[0, 1)`.
-    pub fn set_decay(&mut self, decay: f64) {
-        self.decay = decay.clamp(0.0, 0.999);
+    /// Creates an empty heat map whose counters halve at every epoch
+    /// boundary.
+    pub fn new() -> Self {
+        HeatMap::default()
     }
 
     /// The slot for `dir`, allocating one (counter 0.0) on first sight.
@@ -91,9 +81,9 @@ impl HeatMap {
     ///
     /// When the counter is integer-valued (and stays within f64's exact
     /// integer range) the `n` unit additions collapse to one — the common
-    /// case for undecayed counters. Fractional counters (after a non-dyadic
-    /// decay) fall back to the sequential unit additions, because repeated
-    /// `+ 1.0` is not associative at the bit level there.
+    /// case for undecayed counters. Fractional counters (after a decay)
+    /// fall back to the sequential unit additions, so no argument about
+    /// their bits is needed.
     pub fn record_n(&mut self, ns: &Namespace, ino: InodeId, n: u64) {
         if n == 0 {
             return;
@@ -121,10 +111,9 @@ impl HeatMap {
     /// negligible so the map does not grow without bound. Compacts the
     /// slab and rebuilds the index — the one O(n) moment per epoch.
     pub fn decay_epoch(&mut self) {
-        let decay = self.decay;
         let mut w = 0usize;
         for r in 0..self.heat.len() {
-            let h = self.heat[r] * decay;
+            let h = self.heat[r] * DECAY;
             if h > 1e-3 {
                 self.heat[w] = h;
                 self.ids[w] = self.ids[r];
@@ -174,7 +163,7 @@ impl HeatMap {
     /// order — the same bytes the ordered-map layout produced) to a
     /// snapshot section.
     pub fn encode(&self, e: &mut lunule_util::codec::Encoder) {
-        e.put_f64(self.decay);
+        e.put_f64(DECAY);
         let entries: Vec<(InodeId, f64)> = self
             .sorted
             .iter()
@@ -186,13 +175,13 @@ impl HeatMap {
         });
     }
 
-    /// Reads a heat map back; counters restore bit-exactly.
+    /// Reads a heat map back; counters restore bit-exactly. A decay factor
+    /// other than `DECAY` is rejected: this map cannot honour it.
     pub fn decode(
         d: &mut lunule_util::codec::Decoder<'_>,
     ) -> Result<HeatMap, lunule_util::codec::CodecError> {
         use lunule_util::codec::CodecError;
-        let decay = d.get_f64("heat decay")?;
-        if !(0.0..1.0).contains(&decay) {
+        if d.get_f64("heat decay")?.to_bits() != DECAY.to_bits() {
             return Err(CodecError::Invalid { what: "heat decay" });
         }
         let entries = d.get_seq("heat entries", |d| {
@@ -207,10 +196,7 @@ impl HeatMap {
                 h,
             ))
         })?;
-        let mut hm = HeatMap {
-            decay,
-            ..HeatMap::default()
-        };
+        let mut hm = HeatMap::new();
         for (id, h) in entries {
             if hm.index.get(id.index()).is_some() {
                 return Err(CodecError::Invalid {
@@ -238,7 +224,7 @@ mod tests {
     #[test]
     fn record_charges_parent_dir() {
         let (ns, d, f) = ns_with_dir();
-        let mut hm = HeatMap::new(0.5);
+        let mut hm = HeatMap::new();
         hm.record(&ns, f);
         hm.record(&ns, f);
         hm.record(&ns, d); // dir access charges the dir's parent (root)
@@ -250,7 +236,7 @@ mod tests {
     #[test]
     fn decay_halves_and_evicts() {
         let (ns, d, f) = ns_with_dir();
-        let mut hm = HeatMap::new(0.5);
+        let mut hm = HeatMap::new();
         hm.record(&ns, f);
         hm.decay_epoch();
         assert_eq!(hm.heat_of(d), 0.5);
@@ -264,15 +250,25 @@ mod tests {
     #[test]
     fn root_self_charge() {
         let ns = Namespace::new();
-        let mut hm = HeatMap::new(0.5);
+        let mut hm = HeatMap::new();
         hm.record(&ns, InodeId::ROOT);
         assert_eq!(hm.heat_of(InodeId::ROOT), 1.0);
     }
 
     #[test]
-    #[should_panic]
-    fn decay_of_one_rejected() {
-        HeatMap::new(1.0);
+    fn decode_rejects_a_foreign_decay() {
+        let (ns, _, f) = ns_with_dir();
+        let mut hm = HeatMap::new();
+        hm.record(&ns, f);
+        let mut e = lunule_util::codec::Encoder::new();
+        hm.encode(&mut e);
+        let mut bytes = e.into_bytes();
+        let mut d = lunule_util::codec::Decoder::new(&bytes);
+        assert!(HeatMap::decode(&mut d).is_ok());
+        // The decay factor is the first field.
+        bytes[..8].copy_from_slice(&0.7f64.to_bits().to_le_bytes());
+        let mut d = lunule_util::codec::Decoder::new(&bytes);
+        assert!(HeatMap::decode(&mut d).is_err());
     }
 
     /// Eviction compacts slots; later records must still resolve to the
@@ -285,7 +281,7 @@ mod tests {
             let dir = ns.mkdir(InodeId::ROOT, &format!("d{d}")).unwrap();
             files.push((dir, ns.create_file(dir, "f", 1).unwrap()));
         }
-        let mut hm = HeatMap::new(0.5);
+        let mut hm = HeatMap::new();
         // Heat dirs unevenly: after 10 half-life rounds the cold dirs
         // (1 → ~0.00098) fall under the 1e-3 floor while the hot ones
         // (100 → ~0.098) survive.
@@ -323,18 +319,21 @@ mod tests {
             let dir = ns.mkdir(InodeId::ROOT, &format!("d{d}")).unwrap();
             files.push(ns.create_file(dir, "f", 1).unwrap());
         }
-        // Decay between batches so per-dir heats are sums of powers of 0.7
-        // — values whose addition order genuinely changes the result.
+        // Directory 0 carries 2^53 requests, the others one each; after a
+        // decay that is 2^52 against 0.5, half a unit in the last place.
+        // Each 0.5 added after the big counter rounds away, while halves
+        // summed first survive, so the total genuinely depends on the
+        // addition order.
         let run = |order: &[usize]| {
-            let mut hm = HeatMap::new(0.7);
-            for round in 0..5 {
-                for &i in order {
-                    for _ in 0..=(i + round) % 4 {
-                        hm.record(&ns, files[i]);
-                    }
+            let mut hm = HeatMap::new();
+            for &i in order {
+                if i == 0 {
+                    hm.record_n(&ns, files[i], 1 << 52);
+                    hm.record_n(&ns, files[i], (1 << 52) - 1);
                 }
-                hm.decay_epoch();
+                hm.record(&ns, files[i]);
             }
+            hm.decay_epoch();
             hm
         };
         let forward: Vec<usize> = (0..8).collect();
@@ -343,6 +342,12 @@ mod tests {
         let a = run(&forward);
         let b = run(&reverse);
         let c = run(&interleaved);
+        let slot_order_sum = |hm: &HeatMap| hm.heat.iter().sum::<f64>();
+        assert_ne!(
+            slot_order_sum(&a).to_bits(),
+            slot_order_sum(&b).to_bits(),
+            "fixture must make the summation order matter"
+        );
         assert_eq!(a.total().to_bits(), b.total().to_bits());
         assert_eq!(a.total().to_bits(), c.total().to_bits());
         // The snapshot bytes are equally order-independent.

@@ -28,7 +28,6 @@ pub mod heat;
 pub mod if_model;
 pub mod linreg;
 pub mod lunule;
-pub mod mantle;
 pub mod roles;
 pub mod selector;
 pub mod stats;
@@ -37,19 +36,13 @@ pub use analyzer::{AnalyzerConfig, MigrationIndex, PatternAnalyzer};
 pub use balancer::{
     Access, Balancer, BalancerKind, ExportTask, MigrationPlan, NoopBalancer, OpKind, SubtreeChoice,
 };
-pub use baselines::{
-    DirHashBalancer, DirHashConfig, GreedySpillBalancer, GreedySpillConfig, VanillaBalancer,
-    VanillaConfig,
-};
+pub use baselines::{DirHashBalancer, GreedySpillBalancer, VanillaBalancer};
 pub use dirload::{build_candidates, candidates_of_rank, Candidate};
 pub use heat::HeatMap;
 pub use if_model::{IfModelConfig, ImbalanceFactorModel};
 pub use lunule::{LunuleBalancer, LunuleConfig};
-pub use mantle::{PolicyCtx, ProgrammableBalancer, Transfer};
 pub use roles::{decide_roles, Pairing, RoleConfig, RoleDecision};
-pub use selector::{
-    observe_selection, select_hottest, select_subtrees, subtrees_overlap, SelectorConfig,
-};
+pub use selector::{observe_selection, select_hottest, select_subtrees, subtrees_overlap};
 pub use stats::{EpochStats, LoadHistory};
 
 use lunule_namespace::MdsRank;
@@ -63,7 +56,6 @@ pub fn make_balancer(kind: BalancerKind, capacity: f64) -> Box<dyn Balancer> {
     // without the migration itself destabilising the cluster.
     let roles = crate::roles::RoleConfig {
         migration_capacity: capacity * 0.5,
-        ..crate::roles::RoleConfig::default()
     };
     match kind {
         BalancerKind::Lunule => Box::new(LunuleBalancer::new(LunuleConfig {
@@ -84,7 +76,7 @@ pub fn make_balancer(kind: BalancerKind, capacity: f64) -> Box<dyn Balancer> {
         })),
         BalancerKind::Vanilla => Box::new(VanillaBalancer::default()),
         BalancerKind::GreedySpill => Box::new(GreedySpillBalancer::default()),
-        BalancerKind::DirHash => Box::new(DirHashBalancer::default()),
+        BalancerKind::DirHash => Box::new(DirHashBalancer),
         BalancerKind::Off => Box::new(NoopBalancer),
     }
 }

@@ -10,14 +10,23 @@
 use crate::analyzer::{AnalyzerConfig, PatternAnalyzer};
 use crate::balancer::{Access, Balancer, ExportTask, MigrationPlan, OpKind};
 use crate::dirload::{build_candidates, candidates_of_rank};
-use crate::heat::HeatMap;
+use crate::heat::{self, HeatMap};
 use crate::if_model::{IfModelConfig, ImbalanceFactorModel};
-use crate::roles::{decide_roles_weighted, RoleConfig};
-use crate::selector::{select_hottest, select_subtrees, subtrees_overlap, SelectorConfig};
+use crate::roles::{decide_roles_weighted, RoleConfig, DEVIATION_THRESHOLD};
+use crate::selector::{select_hottest, select_subtrees, subtrees_overlap};
 use crate::stats::{EpochStats, LoadHistory};
 use lunule_namespace::{Namespace, SubtreeMap};
 use lunule_telemetry::{Event, Telemetry};
+use lunule_util::codec::{CodecError, Decoder, Encoder};
 use lunule_util::convert::usize_to_u64;
+
+/// Epochs of load history retained for future-load prediction.
+const HISTORY_WINDOW: usize = 6;
+
+/// How many epochs a rank's last-known-good load report stays usable when
+/// fresh reports go missing. Beyond this age the rank is treated as idle
+/// (load 0) rather than trusted with stale data.
+const MAX_REPORT_AGE_EPOCHS: u64 = 3;
 
 /// Full configuration of a Lunule balancer instance.
 #[derive(Clone, Debug)]
@@ -26,17 +35,13 @@ pub struct LunuleConfig {
     pub if_model: IfModelConfig,
     /// Re-balance trigger: migrate only when `IF` exceeds this.
     pub if_threshold: f64,
-    /// Algorithm 1 parameters (deviation threshold `L`, per-epoch capacity).
+    /// Algorithm 1 parameters (per-epoch capacity).
     pub roles: RoleConfig,
-    /// Pattern analyzer parameters (cutting windows, sibling probability).
+    /// Pattern analyzer parameters (sibling probability).
     pub analyzer: AnalyzerConfig,
-    /// Epochs of load history retained for future-load prediction.
-    pub history_window: usize,
     /// Selection strategy: `true` = migration-index selection (full
     /// Lunule), `false` = decayed-heat hotspots (Lunule-Light).
     pub workload_aware: bool,
-    /// Heat decay factor used by the Lunule-Light selection path.
-    pub heat_decay: f64,
     /// Ablation: treat the urgency term as 1 (trigger on raw normalised
     /// CoV), removing the benign-imbalance tolerance.
     pub ablate_urgency: bool,
@@ -47,10 +52,6 @@ pub struct LunuleConfig {
     /// paper's uniform-capacity model; when set, imbalance is measured
     /// over utilisations and Algorithm 1 targets capacity shares.
     pub capacities: Option<Vec<f64>>,
-    /// How many epochs a rank's last-known-good load report stays usable
-    /// when fresh reports go missing. Beyond this age the rank is treated
-    /// as idle (load 0) rather than trusted with stale data.
-    pub max_report_age_epochs: u64,
 }
 
 impl Default for LunuleConfig {
@@ -60,13 +61,10 @@ impl Default for LunuleConfig {
             if_threshold: 0.10,
             roles: RoleConfig::default(),
             analyzer: AnalyzerConfig::default(),
-            history_window: 6,
             workload_aware: true,
-            heat_decay: 0.5,
             ablate_urgency: false,
             ablate_future_load: false,
             capacities: None,
-            max_report_age_epochs: 3,
         }
     }
 }
@@ -89,7 +87,6 @@ pub struct LunuleBalancer {
     analyzer: PatternAnalyzer,
     heat: HeatMap,
     history: LoadHistory,
-    selector_cfg: SelectorConfig,
     last_if: f64,
     telemetry: Telemetry,
     /// Last trusted `(requests, epoch)` report per rank, for report-loss
@@ -103,9 +100,8 @@ impl LunuleBalancer {
         LunuleBalancer {
             model: ImbalanceFactorModel::new(cfg.if_model),
             analyzer: PatternAnalyzer::new(cfg.analyzer),
-            heat: HeatMap::new(cfg.heat_decay),
-            history: LoadHistory::new(cfg.history_window.max(2)),
-            selector_cfg: SelectorConfig::default(),
+            heat: HeatMap::new(),
+            history: LoadHistory::new(HISTORY_WINDOW),
             last_if: 0.0,
             telemetry: Telemetry::disabled(),
             last_good: Vec::new(),
@@ -124,7 +120,7 @@ impl LunuleBalancer {
     }
 
     /// Replaces missing load reports with the rank's last-known-good value
-    /// (if young enough, per `max_report_age_epochs`) or zero, and records
+    /// (if young enough, per [`MAX_REPORT_AGE_EPOCHS`]) or zero, and records
     /// fresh reports for future fallback. Returns the patched snapshot the
     /// rest of the epoch runs on.
     fn patch_missing_reports(&mut self, stats: &EpochStats) -> EpochStats {
@@ -137,7 +133,7 @@ impl LunuleBalancer {
             if stats.is_missing(rank) {
                 patched.requests[rank] = match self.last_good[rank] {
                     Some((requests, seen))
-                        if stats.epoch.saturating_sub(seen) <= self.cfg.max_report_age_epochs =>
+                        if stats.epoch.saturating_sub(seen) <= MAX_REPORT_AGE_EPOCHS =>
                     {
                         fallbacks += 1;
                         requests
@@ -169,9 +165,8 @@ impl Balancer for LunuleBalancer {
         self.telemetry = telemetry;
     }
 
-    /// Runtime-tunable knobs: `if_threshold`, `if_smoothness` (rebuilds the
-    /// IF model), `max_report_age_epochs`, `deviation_threshold`, and
-    /// `heat_decay` (takes effect for subsequently recorded heat).
+    /// Runtime-tunable knobs: `if_threshold` and `if_smoothness` (rebuilds
+    /// the IF model).
     fn set_knob(&mut self, name: &str, value: f64) -> bool {
         match name {
             "if_threshold" => {
@@ -180,17 +175,6 @@ impl Balancer for LunuleBalancer {
             "if_smoothness" => {
                 self.cfg.if_model.smoothness = value.clamp(0.01, 0.99);
                 self.model = ImbalanceFactorModel::new(self.cfg.if_model);
-            }
-            "max_report_age_epochs" => {
-                // as-ok: clamped non-negative; saturation at u64::MAX is fine
-                self.cfg.max_report_age_epochs = value.max(0.0) as u64;
-            }
-            "deviation_threshold" => {
-                self.cfg.roles.deviation_threshold = value.max(0.0);
-            }
-            "heat_decay" => {
-                self.cfg.heat_decay = value.clamp(0.0, 0.999);
-                self.heat.set_decay(self.cfg.heat_decay);
             }
             _ => return false,
         }
@@ -324,7 +308,7 @@ impl Balancer for LunuleBalancer {
             let mut subtrees = if mine.is_empty() {
                 Vec::new()
             } else if self.cfg.workload_aware {
-                select_subtrees(ns, &mine, demand, &self.selector_cfg)
+                select_subtrees(ns, &mine, demand)
             } else {
                 select_hottest(ns, &mine, demand, pairing.exporter)
             };
@@ -339,7 +323,7 @@ impl Balancer for LunuleBalancer {
                     .copied()
                     .collect();
                 if !mine.is_empty() {
-                    subtrees = select_subtrees(ns, &mine, demand, &self.selector_cfg);
+                    subtrees = select_subtrees(ns, &mine, demand);
                 }
             }
             if subtrees.is_empty() {
@@ -366,15 +350,16 @@ impl Balancer for LunuleBalancer {
         plan
     }
 
-    fn save_state(&self, e: &mut lunule_util::codec::Encoder) {
+    fn save_state(&self, e: &mut Encoder) {
         // Knob-mutable configuration first: a restored balancer is built
         // from the *run* configuration, which does not reflect `setknob`
-        // commands applied mid-run.
+        // commands applied mid-run. The three constants after the knobs
+        // were knobs once; their slots keep the snapshot layout unchanged.
         e.put_f64(self.cfg.if_threshold);
         e.put_f64(self.cfg.if_model.smoothness);
-        e.put_u64(self.cfg.max_report_age_epochs);
-        e.put_f64(self.cfg.roles.deviation_threshold);
-        e.put_f64(self.cfg.heat_decay);
+        e.put_u64(MAX_REPORT_AGE_EPOCHS);
+        e.put_f64(DEVIATION_THRESHOLD);
+        e.put_f64(heat::DECAY);
         e.put_f64(self.last_if);
         self.history.encode(e);
         self.heat.encode(e);
@@ -387,16 +372,24 @@ impl Balancer for LunuleBalancer {
         });
     }
 
-    fn load_state(
-        &mut self,
-        d: &mut lunule_util::codec::Decoder<'_>,
-    ) -> Result<(), lunule_util::codec::CodecError> {
+    fn load_state(&mut self, d: &mut Decoder<'_>) -> Result<(), CodecError> {
         self.cfg.if_threshold = d.get_f64("lunule if_threshold")?;
         self.cfg.if_model.smoothness = d.get_f64("lunule if_smoothness")?;
         self.model = ImbalanceFactorModel::new(self.cfg.if_model);
-        self.cfg.max_report_age_epochs = d.get_u64("lunule max_report_age")?;
-        self.cfg.roles.deviation_threshold = d.get_f64("lunule deviation_threshold")?;
-        self.cfg.heat_decay = d.get_f64("lunule heat_decay")?;
+        // A snapshot holding another value for a constant slot asks for a
+        // behaviour this balancer no longer has: reject it.
+        let what = "lunule max_report_age";
+        if d.get_u64(what)? != MAX_REPORT_AGE_EPOCHS {
+            return Err(CodecError::Invalid { what });
+        }
+        for (what, want) in [
+            ("lunule deviation_threshold", DEVIATION_THRESHOLD),
+            ("lunule heat_decay", heat::DECAY),
+        ] {
+            if d.get_f64(what)?.to_bits() != want.to_bits() {
+                return Err(CodecError::Invalid { what });
+            }
+        }
         self.last_if = d.get_f64("lunule last_if")?;
         self.history = LoadHistory::decode(d)?;
         self.heat = HeatMap::decode(d)?;
@@ -425,7 +418,6 @@ mod tests {
             },
             if_threshold: 0.10,
             roles: RoleConfig {
-                deviation_threshold: 0.01,
                 migration_capacity: 1_000.0,
             },
             ..LunuleConfig::default()
@@ -453,20 +445,20 @@ mod tests {
         let stats = EpochStats::new(0, 10.0, vec![900, 10]);
         let _ = b.on_epoch(&ns, &map, &stats);
         assert!(b.set_knob("if_threshold", 0.42));
-        assert!(b.set_knob("heat_decay", 0.7));
+        assert!(b.set_knob("if_smoothness", 0.3));
 
-        let mut e = lunule_util::codec::Encoder::new();
+        let mut e = Encoder::new();
         b.save_state(&mut e);
         let bytes = e.into_bytes();
 
         // Restore into a *fresh* balancer built from the run config.
         let mut restored = LunuleBalancer::new(small_cfg());
-        let mut d = lunule_util::codec::Decoder::new(&bytes);
+        let mut d = Decoder::new(&bytes);
         restored.load_state(&mut d).unwrap();
         d.finish().unwrap();
 
         // The restored instance re-saves byte-identically…
-        let mut e2 = lunule_util::codec::Encoder::new();
+        let mut e2 = Encoder::new();
         restored.save_state(&mut e2);
         assert_eq!(e2.into_bytes(), bytes);
 
@@ -479,6 +471,39 @@ mod tests {
             b.last_imbalance_factor().to_bits(),
             restored.last_imbalance_factor().to_bits()
         );
+    }
+
+    /// Each slot that records a constant rejects any other value on
+    /// restore instead of silently honouring it.
+    #[test]
+    fn load_state_rejects_changed_constant_slots() {
+        let (ns, map, files) = fixture();
+        let mut b = LunuleBalancer::new(small_cfg());
+        feed(&mut b, &ns, &files);
+        let _ = b.on_epoch(&ns, &map, &EpochStats::new(0, 10.0, vec![900, 10]));
+        let mut e = Encoder::new();
+        b.save_state(&mut e);
+        let bytes = e.into_bytes();
+        // Layout: if_threshold, if_smoothness, then the three constants,
+        // eight bytes each.
+        let flips: [(usize, u64); 3] = [
+            (16, 7),                 // max report age
+            (24, 0.05f64.to_bits()), // deviation threshold
+            (32, 0.7f64.to_bits()),  // heat decay
+        ];
+        for (offset, value) in flips {
+            let mut tampered = bytes.clone();
+            assert_ne!(tampered[offset..offset + 8], value.to_le_bytes());
+            tampered[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+            let mut restored = LunuleBalancer::new(small_cfg());
+            let got = restored.load_state(&mut Decoder::new(&tampered));
+            assert!(
+                matches!(got, Err(CodecError::Invalid { .. })),
+                "slot at {offset} restored: {got:?}"
+            );
+        }
+        let mut restored = LunuleBalancer::new(small_cfg());
+        assert!(restored.load_state(&mut Decoder::new(&bytes)).is_ok());
     }
 
     fn feed(b: &mut LunuleBalancer, ns: &Namespace, files: &[InodeId]) {
@@ -501,10 +526,10 @@ mod tests {
         assert!((b.cfg.if_threshold - 0.42).abs() < 1e-12);
         assert!(b.set_knob("if_smoothness", 0.3));
         assert!((b.cfg.if_model.smoothness - 0.3).abs() < 1e-12);
-        assert!(b.set_knob("max_report_age_epochs", 7.0));
-        assert_eq!(b.cfg.max_report_age_epochs, 7);
-        assert!(b.set_knob("deviation_threshold", 0.05));
-        assert!(b.set_knob("heat_decay", 0.8));
+        // Former knobs are constants now and rejected like unknown names.
+        for removed in ["max_report_age_epochs", "deviation_threshold", "heat_decay"] {
+            assert!(!b.set_knob(removed, 0.5), "{removed} must be rejected");
+        }
         assert!(!b.set_knob("warp_factor", 9.0));
         // A raised threshold suppresses migration on a skew that would
         // otherwise trigger.

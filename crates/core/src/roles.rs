@@ -12,12 +12,13 @@ use crate::stats::LoadHistory;
 use lunule_namespace::MdsRank;
 use lunule_util::convert::usize_to_f64;
 
+/// `L`: squared relative deviation threshold. A rank participates only
+/// when `((|cld - mean|)/mean)^2 > L`.
+pub(crate) const DEVIATION_THRESHOLD: f64 = 0.02;
+
 /// Tunables for Algorithm 1.
 #[derive(Clone, Copy, Debug)]
 pub struct RoleConfig {
-    /// `L`: squared relative deviation threshold. A rank participates only
-    /// when `((|cld - mean|)/mean)^2 > L`.
-    pub deviation_threshold: f64,
     /// `Cap`: the maximal load one MDS can export or import during a single
     /// epoch (in the same unit as the loads — IOPS here). Bounds migration
     /// so a single decision cannot over-migrate (the paper's fix for the
@@ -28,7 +29,6 @@ pub struct RoleConfig {
 impl Default for RoleConfig {
     fn default() -> Self {
         RoleConfig {
-            deviation_threshold: 0.02,
             migration_capacity: 2_000.0,
         }
     }
@@ -126,7 +126,7 @@ pub fn decide_roles_weighted(
             continue;
         }
         let delta = (cld - target).abs();
-        if (delta / target).powi(2) <= cfg.deviation_threshold {
+        if (delta / target).powi(2) <= DEVIATION_THRESHOLD {
             continue;
         }
         if cld > target {
@@ -180,7 +180,6 @@ mod tests {
 
     fn cfg() -> RoleConfig {
         RoleConfig {
-            deviation_threshold: 0.01,
             migration_capacity: 1_000.0,
         }
     }
@@ -215,7 +214,6 @@ mod tests {
     #[test]
     fn capacity_clamps_exports() {
         let tight = RoleConfig {
-            deviation_threshold: 0.01,
             migration_capacity: 50.0,
         };
         let d = decide_roles(&[900.0, 10.0, 10.0], &no_history(), &tight);
@@ -243,7 +241,7 @@ mod tests {
 
     #[test]
     fn below_threshold_deviation_ignored() {
-        // 4% relative deviation, squared = 0.0016 < L = 0.01.
+        // 4% relative deviation, squared = 0.0016 < L = 0.02.
         let d = decide_roles(&[104.0, 100.0, 96.0], &no_history(), &cfg());
         assert!(d.pairings.is_empty());
     }

@@ -19,28 +19,16 @@ use crate::dirload::Candidate;
 use lunule_namespace::{FragKey, MdsRank, Namespace, HASH_BITS};
 use lunule_util::convert::{f64_to_u64, usize_to_f64, usize_to_u64};
 
-/// Selector tunables.
-#[derive(Clone, Copy, Debug)]
-pub struct SelectorConfig {
-    /// Relative tolerance for "approximately equal" matches (paper: 10 %).
-    pub tolerance: f64,
-    /// Load below which a subtree is never worth migrating on its own.
-    pub min_load: f64,
-    /// When a directory's *local* load share exceeds this fraction of its
-    /// subtree load, splitting happens at the fragment level rather than by
-    /// descending into child directories.
-    pub self_hot_fraction: f64,
-}
+/// Relative tolerance for "approximately equal" matches (paper: 10 %).
+const TOLERANCE: f64 = 0.10;
 
-impl Default for SelectorConfig {
-    fn default() -> Self {
-        SelectorConfig {
-            tolerance: 0.10,
-            min_load: 1e-6,
-            self_hot_fraction: 0.5,
-        }
-    }
-}
+/// Load below which a subtree is never worth migrating on its own.
+const MIN_LOAD: f64 = 1e-6;
+
+/// When a directory's *local* load share exceeds this fraction of its
+/// subtree load, splitting happens at the fragment level rather than by
+/// descending into child directories.
+const SELF_HOT_FRACTION: f64 = 0.5;
 
 /// Selects subtrees from `candidates` (all owned by one exporter, any
 /// order) to cover `amount` load units.
@@ -52,11 +40,10 @@ pub fn select_subtrees(
     ns: &Namespace,
     candidates: &[Candidate],
     amount: f64,
-    cfg: &SelectorConfig,
 ) -> Vec<SubtreeChoice> {
     let mut sorted: Vec<Candidate> = candidates
         .iter()
-        .filter(|c| c.load > cfg.min_load)
+        .filter(|c| c.load > MIN_LOAD)
         .copied()
         .collect();
     sorted.sort_by(|a, b| b.load.total_cmp(&a.load));
@@ -67,7 +54,7 @@ pub fn select_subtrees(
     // Path 1: a single close match.
     if let Some(hit) = sorted
         .iter()
-        .filter(|c| (c.load - amount).abs() <= cfg.tolerance * amount)
+        .filter(|c| (c.load - amount).abs() <= TOLERANCE * amount)
         .min_by(|a, b| (a.load - amount).abs().total_cmp(&(b.load - amount).abs()))
     {
         return vec![SubtreeChoice {
@@ -83,18 +70,18 @@ pub fn select_subtrees(
         .min_by(|a, b| a.load.total_cmp(&b.load))
     {
         let mut out = Vec::new();
-        split_candidate(ns, big, amount, cfg, 0, &mut out);
+        split_candidate(ns, big, amount, 0, &mut out);
         if !out.is_empty() {
             return out;
         }
     }
 
     // Path 3: greedy minimal set, largest-first.
-    let overshoot = 1.0 + cfg.tolerance;
+    let overshoot = 1.0 + TOLERANCE;
     let mut out: Vec<SubtreeChoice> = Vec::new();
     let mut remaining = amount;
     for c in &sorted {
-        if remaining <= cfg.tolerance * amount {
+        if remaining <= TOLERANCE * amount {
             break;
         }
         if c.load > remaining * overshoot {
@@ -118,7 +105,6 @@ fn split_candidate(
     ns: &Namespace,
     cand: &Candidate,
     amount: f64,
-    cfg: &SelectorConfig,
     depth: u32,
     out: &mut Vec<SubtreeChoice>,
 ) {
@@ -127,8 +113,8 @@ fn split_candidate(
     if depth > u32::from(HASH_BITS) + 16 {
         return;
     }
-    if cand.load <= amount * (1.0 + cfg.tolerance) {
-        if cand.load > cfg.min_load {
+    if cand.load <= amount * (1.0 + TOLERANCE) {
+        if cand.load > MIN_LOAD {
             out.push(SubtreeChoice {
                 subtree: cand.key,
                 estimated_load: cand.load,
@@ -137,7 +123,7 @@ fn split_candidate(
         return;
     }
 
-    let self_hot = cand.load > 0.0 && cand.local_load / cand.load >= cfg.self_hot_fraction;
+    let self_hot = cand.load > 0.0 && cand.local_load / cand.load >= SELF_HOT_FRACTION;
     if self_hot {
         // Case 1 of the paper: the accesses concentrate on the directory
         // itself — divide the fragment in two and keep the half closer to
@@ -171,7 +157,7 @@ fn split_candidate(
         // below, take the bigger one and continue greedily on the rest.
         let mut best: Option<Candidate> = None;
         for (frag, load, local, inodes) in halves {
-            if load <= cfg.min_load {
+            if load <= MIN_LOAD {
                 continue;
             }
             let c = Candidate {
@@ -193,7 +179,7 @@ fn split_candidate(
             }
         }
         if let Some(b) = best {
-            split_candidate(ns, &b, amount, cfg, depth + 1, out);
+            split_candidate(ns, &b, amount, depth + 1, out);
         }
         return;
     }
@@ -205,11 +191,11 @@ fn split_candidate(
     sorted.sort_by(|a, b| b.load.total_cmp(&a.load));
     let mut remaining = amount;
     for c in &sorted {
-        if remaining <= cfg.tolerance * amount {
+        if remaining <= TOLERANCE * amount {
             break;
         }
-        if c.load <= remaining * (1.0 + cfg.tolerance) {
-            if c.load > cfg.min_load {
+        if c.load <= remaining * (1.0 + TOLERANCE) {
+            if c.load > MIN_LOAD {
                 out.push(SubtreeChoice {
                     subtree: c.key,
                     estimated_load: c.load,
@@ -217,7 +203,7 @@ fn split_candidate(
                 remaining -= c.load;
             }
         } else {
-            split_candidate(ns, c, remaining, cfg, depth + 1, out);
+            split_candidate(ns, c, remaining, depth + 1, out);
             // Whatever the recursive call selected reduces the remainder.
             remaining = amount
                 - out
@@ -358,10 +344,6 @@ mod tests {
     use super::*;
     use lunule_namespace::{Frag, InodeId};
 
-    fn cfg() -> SelectorConfig {
-        SelectorConfig::default()
-    }
-
     /// Five sibling dirs with loads 50, 30, 12, 5, 3.
     fn flat_fixture() -> (Namespace, Vec<Candidate>) {
         let mut ns = Namespace::new();
@@ -386,7 +368,7 @@ mod tests {
     #[test]
     fn path1_exact_match_wins() {
         let (ns, cands) = flat_fixture();
-        let picks = select_subtrees(&ns, &cands, 29.0, &cfg()); // 30 within 10%
+        let picks = select_subtrees(&ns, &cands, 29.0); // 30 within 10%
         assert_eq!(picks.len(), 1);
         assert_eq!(picks[0].estimated_load, 30.0);
     }
@@ -399,7 +381,7 @@ mod tests {
         // split path fires first. Ask for 20: 12+5+3 = 20 exact via greedy
         // only if split path fails. With self-hot dirs, splitting works, so
         // verify total is close either way.
-        let picks = select_subtrees(&ns, &cands, 20.0, &cfg());
+        let picks = select_subtrees(&ns, &cands, 20.0);
         let total: f64 = picks.iter().map(|p| p.estimated_load).sum();
         assert!(
             (total - 20.0).abs() <= 0.15 * 20.0,
@@ -423,7 +405,7 @@ mod tests {
             local_load: 100.0,
             inodes: 200,
         };
-        let picks = select_subtrees(&ns, &[cand], 50.0, &cfg());
+        let picks = select_subtrees(&ns, &[cand], 50.0);
         assert!(!picks.is_empty());
         let total: f64 = picks.iter().map(|p| p.estimated_load).sum();
         assert!(
@@ -452,7 +434,7 @@ mod tests {
             local_load: 0.0, // all nested
             inodes: 8,
         };
-        let picks = select_subtrees(&ns, &[cand], 40.0, &cfg());
+        let picks = select_subtrees(&ns, &[cand], 40.0);
         let total: f64 = picks.iter().map(|p| p.estimated_load).sum();
         assert!((total - 40.0).abs() <= 4.0, "got {total}: {picks:?}");
         assert!(picks.iter().all(|p| p.subtree.dir != parent));
@@ -461,8 +443,8 @@ mod tests {
     #[test]
     fn empty_and_zero_amount() {
         let (ns, cands) = flat_fixture();
-        assert!(select_subtrees(&ns, &[], 10.0, &cfg()).is_empty());
-        assert!(select_subtrees(&ns, &cands, 0.0, &cfg()).is_empty());
+        assert!(select_subtrees(&ns, &[], 10.0).is_empty());
+        assert!(select_subtrees(&ns, &cands, 0.0).is_empty());
     }
 
     #[test]
@@ -489,7 +471,7 @@ mod tests {
                 inodes: 1,
             },
         ];
-        let picks = select_subtrees(&ns, &cands, 22.0, &cfg());
+        let picks = select_subtrees(&ns, &cands, 22.0);
         assert_eq!(picks.len(), 1, "nested pair must collapse: {picks:?}");
     }
 

@@ -1,5 +1,6 @@
 //! Property-based tests for the Pattern Analyzer and migration index.
 
+use lunule_core::analyzer::RECENT_WINDOWS;
 use lunule_core::{AnalyzerConfig, PatternAnalyzer};
 use lunule_namespace::{InodeId, Namespace};
 use lunule_util::propcheck::{self, vec_usize};
@@ -27,10 +28,7 @@ fn factors_stay_in_range() {
     propcheck::run(96, |rng| {
         let (ns, dirs, files) = fixture(20);
         let mut an = PatternAnalyzer::new(AnalyzerConfig {
-            recent_windows: 4,
-            recurrence_lookback: 8,
             sibling_probability: rng.gen_f64(),
-            seed: 7,
         });
         for _ in 0..rng.gen_range(1..300) {
             let sel = rng.gen_range(0..40);
@@ -60,12 +58,11 @@ fn idle_directories_decay() {
         let (ns, dirs, files) = fixture(30);
         let mut an = PatternAnalyzer::new(AnalyzerConfig {
             sibling_probability: 0.0,
-            ..AnalyzerConfig::default()
         });
         for i in 0..burst {
             an.record_access(&ns, files[i % files.len()], false);
         }
-        for _ in 0..AnalyzerConfig::default().recent_windows + 1 {
+        for _ in 0..RECENT_WINDOWS + 1 {
             an.advance_window();
         }
         let idx = an.index_of(dirs[0]).expect("dir was observed");
@@ -85,7 +82,6 @@ fn create_remove_cycles_balance() {
         let dir = ns.mkdir(InodeId::ROOT, "out").unwrap();
         let mut an = PatternAnalyzer::new(AnalyzerConfig {
             sibling_probability: 0.0,
-            ..AnalyzerConfig::default()
         });
         let mut created = Vec::new();
         for i in 0..count {

@@ -2,7 +2,7 @@
 
 use lunule_core::{
     decide_roles, select_subtrees, Candidate, EpochStats, IfModelConfig, ImbalanceFactorModel,
-    LoadHistory, RoleConfig, SelectorConfig,
+    LoadHistory, RoleConfig,
 };
 use lunule_namespace::{FragKey, InodeId, MdsRank, Namespace};
 use lunule_util::propcheck::{self, vec_f64};
@@ -59,7 +59,6 @@ fn roles_respect_caps() {
     propcheck::run(192, |rng| {
         let loads = vec_f64(rng, 2..10, 0.0, 10_000.0);
         let cfg = RoleConfig {
-            deviation_threshold: rng.gen_f64_in(0.001, 0.2),
             migration_capacity: rng.gen_f64_in(1.0, 5_000.0),
         };
         let cap = cfg.migration_capacity;
@@ -113,7 +112,7 @@ fn selector_is_sane() {
         }
         let total: f64 = loads.iter().sum();
         let amount = total * frac;
-        let picks = select_subtrees(&ns, &cands, amount, &SelectorConfig::default());
+        let picks = select_subtrees(&ns, &cands, amount);
         // No duplicate subtrees.
         for (i, a) in picks.iter().enumerate() {
             for b in &picks[i + 1..] {

@@ -2,7 +2,8 @@
 //!
 //! The `Balancer` trait is the seam the paper's Mantle framework exposes in
 //! CephFS; here we implement a deliberately simple "round-robin spill"
-//! policy in ~40 lines and race it against Lunule on the MDtest workload.
+//! policy in ~40 lines and race it against the built-in GreedySpill and
+//! Lunule on the MDtest workload.
 //!
 //! ```sh
 //! cargo run --release --example custom_balancer
@@ -26,7 +27,7 @@ struct RoundRobinSpill {
 impl RoundRobinSpill {
     fn new(quantum: f64) -> Self {
         RoundRobinSpill {
-            heat: HeatMap::new(0.5),
+            heat: HeatMap::new(),
             quantum,
         }
     }
@@ -87,16 +88,14 @@ fn main() {
         ..SimConfig::default()
     };
 
-    println!("custom policies vs Lunule, MDtest create\n");
+    println!("custom policy vs built-ins, MDtest create\n");
     println!(
         "{:<20} {:>9} {:>10} {:>10}",
         "balancer", "mean IF", "mean IOPS", "migrated"
     );
     for balancer in [
         Box::new(RoundRobinSpill::new(2_000.0)) as Box<dyn Balancer>,
-        // The same idea expressed through the Mantle-style framework the
-        // paper's Section 3.4 envisions: three policy hooks, no struct.
-        Box::new(lunule::core::ProgrammableBalancer::greedy_spill_policy()),
+        make_balancer(BalancerKind::GreedySpill, cfg.mds_capacity),
         make_balancer(BalancerKind::Lunule, cfg.mds_capacity),
     ] {
         let (ns, streams) = spec.build();
