@@ -506,6 +506,25 @@ fn path_chain(p: Protocol) -> BenchResult {
     })
 }
 
+/// Dirfrag containment over the `path_chain` fixture's files: each file
+/// against the whole dataset root (inside, two steps up) and against the
+/// left half of the first directory (outside for most files, a walk to
+/// `/`). ops = containment checks.
+fn in_dirfrag(p: Protocol) -> BenchResult {
+    let (ns, dirs, files) = flat_fixture(100, 100);
+    let root = ns.inode(dirs[0]).parent().unwrap_or(InodeId::ROOT);
+    let (left, _) = Frag::root().split_in_two();
+    let keys = [(root, Frag::root()), (dirs[0], left)];
+    run_bench("in_dirfrag", p, || {
+        for f in &files {
+            for (dir, frag) in &keys {
+                black_box(ns.in_dirfrag(*dir, frag, black_box(*f)));
+            }
+        }
+        (files.len() * keys.len()) as u64
+    })
+}
+
 /// File creation: each round fills a fresh directory with 10,000 files
 /// whose names are formatted before timing starts.
 fn create_file(p: Protocol) -> BenchResult {
@@ -545,6 +564,7 @@ fn main() -> ExitCode {
         decide_roles_16(protocol),
         select_subtrees_cell(protocol),
         path_chain(protocol),
+        in_dirfrag(protocol),
         create_file(protocol),
     ];
 
@@ -600,6 +620,22 @@ mod tests {
             !chosen.is_empty(),
             "{} candidates, none selected",
             candidates.len()
+        );
+    }
+
+    #[test]
+    fn in_dirfrag_fixture_hits_and_misses() {
+        let (ns, dirs, files) = flat_fixture(100, 100);
+        let root = ns.inode(dirs[0]).parent().unwrap_or(InodeId::ROOT);
+        assert!(files.iter().all(|f| ns.in_dirfrag(root, &Frag::root(), *f)));
+        let (left, _) = Frag::root().split_in_two();
+        let hits = files
+            .iter()
+            .filter(|f| ns.in_dirfrag(dirs[0], &left, **f))
+            .count();
+        assert!(
+            hits > 0 && hits < 100,
+            "{hits} of the first directory's 100 files"
         );
     }
 

@@ -21,10 +21,12 @@
 //!
 //! [`build_candidates`] visits directories only, through the namespace's
 //! directory index ([`Namespace::dir_ids`], [`Namespace::subdir_slots`]), so
-//! an epoch close costs O(directories + fragments) plus one dentry hash per
-//! child of a fragmented directory — not O(inodes). Files enter only through
-//! `children().len()` and per-fragment child counts. Directories are visited
-//! in descending id order and each one sums its subdirectories in
+//! an epoch close costs O(directories + fragments) — not O(inodes), and no
+//! dentry hash per child. Files enter only through `children().len()` and
+//! the per-fragment child counts the namespace keeps
+//! ([`lunule_namespace::FragSet::child_counts`]); only a subdirectory of a
+//! fragmented directory is hashed, to find its fragment. Directories are
+//! visited in descending id order and each one sums its subdirectories in
 //! `children` order, exactly as a reverse walk over the whole arena would,
 //! so every f64 sum, and therefore every candidate, is bit-identical to
 //! that walk (a test keeps it as the oracle).
@@ -50,15 +52,15 @@ pub struct Candidate {
 }
 
 /// One live fragment's running totals while its directory is visited.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy)]
 struct FragAgg {
-    /// Children of the directory whose dentry hash falls in the fragment.
-    children: usize,
-    /// The directory's local load apportioned by `children`.
+    /// The directory's local load apportioned by the fragment's share of
+    /// its children.
     local: f64,
     /// `local` plus the aggregates of subdirectories in the frag.
     load: f64,
-    /// `children` plus the inode counts of subdirectories in the frag.
+    /// The fragment's children plus the inode counts of subdirectories in
+    /// the frag.
     inodes: usize,
 }
 
@@ -127,32 +129,32 @@ pub fn build_candidates(
         };
 
         // Fragmented directory: one candidate per live fragment, local load
-        // apportioned by the share of children hashing into the fragment.
-        // One pass counts the children of every fragment; subdirectory
-        // aggregates then join their fragment in `children` order.
+        // apportioned by the share of children hashing into the fragment,
+        // which the namespace counts. Subdirectory aggregates then join
+        // their fragment in `children` order; the fragments are sorted
+        // and partition the hash space, so a binary search finds it.
         let frags = set.frags();
         per_frag.clear();
-        per_frag.resize(frags.len(), FragAgg::default());
-        for &c in ino.children() {
-            if let Some(i) = set.index_for_hash(ns.dentry_hash_of(c)) {
-                per_frag[i].children += 1;
-            }
-        }
-        for agg in &mut per_frag {
+        per_frag.extend(set.child_counts().iter().map(|&children| {
             let frac = if n_children == 0 {
                 0.0
             } else {
-                usize_to_f64(agg.children) / usize_to_f64(n_children)
+                usize_to_f64(children) / usize_to_f64(n_children)
             };
-            agg.local = local_load * frac;
-            agg.load = agg.local;
-            agg.inodes = agg.children;
-        }
+            let local = local_load * frac;
+            FragAgg {
+                local,
+                load: local,
+                inodes: children,
+            }
+        }));
         for &s in subdirs {
             let s = u32_to_usize(s);
-            if let Some(i) = set.index_for_hash(ns.dentry_hash_of(dirs[s])) {
-                per_frag[i].load += agg_whole[s];
-                per_frag[i].inodes += inodes_whole[s];
+            let hash = ns.dentry_hash_of(dirs[s]);
+            let i = frags.partition_point(|f| f.range_end() <= hash);
+            if let Some(agg) = per_frag.get_mut(i) {
+                agg.load += agg_whole[s];
+                agg.inodes += inodes_whole[s];
             }
         }
         let mut up_load = 0.0;

@@ -263,19 +263,7 @@ fn keys_overlap(ns: &Namespace, a: &FragKey, b: &FragKey) -> bool {
     if a.dir == b.dir {
         return !a.frag.disjoint(&b.frag);
     }
-    is_ancestor_of(ns, a, b.dir) || is_ancestor_of(ns, b, a.dir)
-}
-
-/// True if `descendant` lies inside the subtree `(anc.dir, anc.frag)`.
-fn is_ancestor_of(ns: &Namespace, anc: &FragKey, descendant: lunule_namespace::InodeId) -> bool {
-    let chain = ns.path_chain(descendant);
-    for pair in chain.windows(2) {
-        if pair[0] == anc.dir {
-            let hash = ns.dentry_hash_of(pair[1]);
-            return anc.frag.contains_hash(hash);
-        }
-    }
-    false
+    ns.in_dirfrag(a.dir, &a.frag, b.dir) || ns.in_dirfrag(b.dir, &b.frag, a.dir)
 }
 
 /// Reusable helper for heat-based policies (Vanilla, GreedySpill,

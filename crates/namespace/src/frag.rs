@@ -213,22 +213,69 @@ pub fn dentry_hash(raw_id: u64) -> u32 {
 /// Directories start with `[Frag::root()]`; splits replace one member by its
 /// children; merges do the reverse. The partition invariant is checked in
 /// debug builds after every mutation.
+///
+/// Beside each live fragment sits its child count: how many of the
+/// directory's children have a dentry hash inside it. Only
+/// [`crate::Namespace`] keeps the counts (a child joining or leaving, a
+/// split, a snapshot decode), and they are not serialised; a set used on
+/// its own reads zero for every fragment a split creates.
 #[derive(Clone, Debug, Default)]
 pub struct FragSet {
     frags: Vec<Frag>,
+    /// Per fragment, in the order of `frags`: children hashing into it.
+    counts: Vec<usize>,
 }
 
 impl FragSet {
     /// A fresh, undivided directory: the single root fragment.
     pub fn new_root() -> Self {
+        Self::new_root_counting(0)
+    }
+
+    /// The single root fragment of a directory with `children` children.
+    pub(crate) fn new_root_counting(children: usize) -> Self {
         FragSet {
             frags: vec![Frag::root()],
+            counts: vec![children],
         }
     }
 
     /// The current fragments, in ascending hash order.
     pub fn frags(&self) -> &[Frag] {
         &self.frags
+    }
+
+    /// Per fragment of [`FragSet::frags`], in the same order: the number
+    /// of the directory's children whose dentry hash it contains.
+    pub fn child_counts(&self) -> &[usize] {
+        &self.counts
+    }
+
+    /// Moves the child count of the fragment containing `hash` one up
+    /// (`joined`) or one down: a child with that dentry hash joined or
+    /// left the directory.
+    pub(crate) fn count_child(&mut self, hash: u32, joined: bool) {
+        if let Some(n) = self
+            .index_for_hash(hash)
+            .and_then(|i| self.counts.get_mut(i))
+        {
+            *n = if joined { *n + 1 } else { n.saturating_sub(1) };
+        }
+    }
+
+    /// The child counts, for tests that make them stale.
+    #[cfg(test)]
+    pub(crate) fn counts_mut(&mut self) -> &mut [usize] {
+        &mut self.counts
+    }
+
+    /// Sets every fragment's child count from the dentry hashes of the
+    /// directory's children (snapshot decoding).
+    pub(crate) fn recount(&mut self, hashes: impl Iterator<Item = u32>) {
+        self.counts = vec![0; self.frags.len()];
+        for h in hashes {
+            self.count_child(h, true);
+        }
     }
 
     /// Number of fragments.
@@ -270,15 +317,34 @@ impl FragSet {
     /// Splits `frag` into `2^by` children and returns them, or `None` when
     /// `frag` is not a live fragment of this set (e.g. it was already split
     /// by a concurrent actor — callers treat that as a stale request).
+    /// The children's counts start at zero.
     pub fn split(&mut self, frag: &Frag, by: u8) -> Option<Vec<Frag>> {
+        self.split_counting(frag, by, std::iter::empty())
+    }
+
+    /// [`FragSet::split`], counting into the new fragments those of the
+    /// directory's child dentry `hashes` that fall inside `frag`.
+    pub(crate) fn split_counting(
+        &mut self,
+        frag: &Frag,
+        by: u8,
+        hashes: impl Iterator<Item = u32>,
+    ) -> Option<Vec<Frag>> {
         let idx = self.frags.iter().position(|f| f == frag)?;
         let children = frag.split(by);
         self.frags.splice(idx..=idx, children.iter().copied());
+        self.counts.splice(idx..=idx, children.iter().map(|_| 0));
+        for h in hashes {
+            if let Some(i) = children.iter().position(|c| c.contains_hash(h)) {
+                self.counts[idx + i] += 1;
+            }
+        }
         self.debug_check();
         Some(children)
     }
 
-    /// Merges the children of `parent` back into `parent`.
+    /// Merges the children of `parent` back into `parent`, whose count is
+    /// the sum of the counts it folds together.
     ///
     /// Returns `true` if the merge happened (i.e. all children were live).
     pub fn merge(&mut self, parent: &Frag) -> bool {
@@ -287,13 +353,26 @@ impl FragSet {
             return false;
         }
         // Remove every live frag under `parent`, then reinsert `parent`.
-        self.frags.retain(|f| !parent.contains_frag(f));
+        let mut folded = 0;
+        let mut kept = 0;
+        for i in 0..self.frags.len() {
+            if parent.contains_frag(&self.frags[i]) {
+                folded += self.counts[i];
+            } else {
+                self.frags[kept] = self.frags[i];
+                self.counts[kept] = self.counts[i];
+                kept += 1;
+            }
+        }
+        self.frags.truncate(kept);
+        self.counts.truncate(kept);
         let pos = self
             .frags
             .iter()
             .position(|f| f.range_start() > parent.range_start())
             .unwrap_or(self.frags.len());
         self.frags.insert(pos, *parent);
+        self.counts.insert(pos, folded);
         self.debug_check();
         true
     }
@@ -312,6 +391,7 @@ impl FragSet {
 
     fn debug_check(&self) {
         debug_assert!(self.partition_holds(), "FragSet no longer partitions");
+        debug_assert_eq!(self.counts.len(), self.frags.len());
     }
 
     /// Writes the fragment set to a snapshot section.
@@ -321,12 +401,14 @@ impl FragSet {
 
     /// Reads a fragment set back, rejecting one that no longer partitions
     /// the hash space (corruption surfaced as a typed error, not a
-    /// debug-assert later).
+    /// debug-assert later). Every child count reads zero until
+    /// [`crate::Namespace`] recounts it.
     pub fn decode(
         d: &mut lunule_util::codec::Decoder<'_>,
     ) -> Result<FragSet, lunule_util::codec::CodecError> {
         let frags = d.get_seq("fragset", Frag::decode)?;
-        let set = FragSet { frags };
+        let counts = vec![0; frags.len()];
+        let set = FragSet { frags, counts };
         if !set.partition_holds() {
             return Err(lunule_util::codec::CodecError::Invalid { what: "fragset" });
         }
@@ -455,6 +537,7 @@ mod tests {
         // A set that no longer partitions has gaps, which find nothing.
         let gappy = FragSet {
             frags: vec![Frag::new(1, 1)],
+            counts: vec![0],
         };
         assert_eq!(gappy.index_for_hash(0), None);
         assert_eq!(gappy.index_for_hash(HASH_MASK), Some(0));
@@ -472,6 +555,27 @@ mod tests {
         assert!(set.merge(&Frag::root()));
         assert_eq!(set.len(), 1);
         assert!(set.partition_holds());
+    }
+
+    #[test]
+    fn fragset_counts_follow_split_and_merge() {
+        let hashes: Vec<u32> = (0..500u64).map(dentry_hash).collect();
+        let mut set = FragSet::new_root_counting(hashes.len());
+        set.split_counting(&Frag::root(), 1, hashes.iter().copied())
+            .unwrap();
+        let (left, right) = Frag::root().split_in_two();
+        set.split_counting(&right, 2, hashes.iter().copied())
+            .unwrap();
+        let counted = |f: &Frag| hashes.iter().filter(|h| f.contains_hash(**h)).count();
+        let want: Vec<usize> = set.frags().iter().map(counted).collect();
+        assert_eq!(set.child_counts(), want.as_slice());
+        assert!(set.merge(&right));
+        assert_eq!(set.child_counts(), &[counted(&left), counted(&right)]);
+        assert!(set.merge(&Frag::root()));
+        assert_eq!(set.child_counts(), &[hashes.len()]);
+        // A set used on its own counts nothing into a split's fragments.
+        set.split(&Frag::root(), 1).unwrap();
+        assert_eq!(set.child_counts(), &[0, 0]);
     }
 
     #[test]

@@ -298,31 +298,41 @@ impl SubtreeMap {
     /// fragmentation (extra boundary crossings on traversals). CephFS's
     /// subtree map performs the same coalescing when bounds collapse.
     /// Returns the number of entries removed.
+    ///
+    /// One pass removes every redundant entry. A hash inside an entry's
+    /// fragment resolves to a deeper entry containing it, or to the entry
+    /// itself, or, once the entry is gone, to its inherited rank; so
+    /// removing an entry whose rank equals its inherited rank changes no
+    /// inode's effective authority. Another entry's inherited rank is
+    /// either an effective authority (unchanged) or the rank of its
+    /// deepest enclosing entry on the same directory; if that was the
+    /// removed entry, the next enclosing one, or the directory's
+    /// authority, now answers with the same rank. So no entry's
+    /// redundancy changes, and a second pass would remove nothing.
     pub fn simplify(&mut self, ns: &Namespace) -> usize {
-        let mut removed_total = 0;
-        loop {
-            let mut removed = 0;
-            for (key, rank) in self.all_entries() {
-                let inherited = self
-                    .entries
-                    .get(&key.dir)
-                    .and_then(|v| {
-                        v.iter()
-                            .filter(|(f, _)| *f != key.frag && f.contains_frag(&key.frag))
-                            .max_by_key(|(f, _)| f.bits())
-                            .map(|(_, r)| *r)
-                    })
-                    .unwrap_or_else(|| self.authority(ns, key.dir));
-                if inherited == rank {
-                    self.clear_authority(key);
-                    removed += 1;
-                }
-            }
-            removed_total += removed;
-            if removed == 0 {
-                return removed_total;
+        let mut removed = 0;
+        for (key, rank) in self.all_entries() {
+            if self.inherited_rank(ns, &key) == rank {
+                self.clear_authority(key);
+                removed += 1;
             }
         }
+        removed
+    }
+
+    /// The rank the region of entry `key` resolves to without it: the
+    /// deepest other entry on `key.dir` enclosing its fragment, else the
+    /// authority of the directory inode.
+    fn inherited_rank(&self, ns: &Namespace, key: &FragKey) -> MdsRank {
+        self.entries
+            .get(&key.dir)
+            .and_then(|v| {
+                v.iter()
+                    .filter(|(f, _)| *f != key.frag && f.contains_frag(&key.frag))
+                    .max_by_key(|(f, _)| f.bits())
+                    .map(|(_, r)| *r)
+            })
+            .unwrap_or_else(|| self.authority(ns, key.dir))
     }
 
     /// Inserts a raw `(frag, rank)` entry for `key.dir` bypassing the
@@ -600,6 +610,59 @@ mod tests {
         map.set_authority(FragKey::whole(a1), MdsRank(2));
         assert_eq!(map.simplify(&ns), 0);
         assert_eq!(map.authority(&ns, f), MdsRank(2));
+    }
+
+    /// The fixpoint loop `simplify` replaced, kept as its oracle: passes
+    /// until one removes nothing.
+    fn simplify_to_fixpoint(map: &mut SubtreeMap, ns: &Namespace) -> usize {
+        let mut removed_total = 0;
+        loop {
+            let mut removed = 0;
+            for (key, rank) in map.all_entries() {
+                if map.inherited_rank(ns, &key) == rank {
+                    map.clear_authority(key);
+                    removed += 1;
+                }
+            }
+            removed_total += removed;
+            if removed == 0 {
+                return removed_total;
+            }
+        }
+    }
+
+    #[test]
+    fn one_simplify_pass_reaches_the_fixpoint() {
+        lunule_util::propcheck::run(256, |rng| {
+            let mut ns = Namespace::new();
+            let mut dirs = vec![InodeId::ROOT];
+            for i in 0..rng.gen_range(1..12) {
+                let parent = dirs[rng.gen_range(0..dirs.len())];
+                dirs.push(ns.mkdir_total(parent, &format!("d{i}")));
+            }
+            let mut map = SubtreeMap::new(MdsRank(0));
+            for _ in 0..rng.gen_range(0..24) {
+                let rank = MdsRank::from_index(rng.gen_range(0..3));
+                if rng.gen_ratio(0.1) {
+                    map.set_root_rank(rank);
+                    continue;
+                }
+                let dir = dirs[rng.gen_range(0..dirs.len())];
+                // Up to three bits deep, so one directory's entries nest.
+                let mut frag = Frag::root();
+                for _ in 0..rng.gen_range(0..4) {
+                    let (l, r) = frag.split_in_two();
+                    frag = if rng.gen_bool() { l } else { r };
+                }
+                map.set_authority(FragKey { dir, frag }, rank);
+            }
+            let mut looped = map.clone();
+            let looped_removed = simplify_to_fixpoint(&mut looped, &ns);
+            assert_eq!(map.simplify(&ns), looped_removed);
+            assert_eq!(map.all_entries(), looped.all_entries());
+            assert_eq!(map.generation(), looped.generation());
+            assert_eq!(map.simplify(&ns), 0);
+        });
     }
 
     #[test]

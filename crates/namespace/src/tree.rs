@@ -26,7 +26,8 @@ pub struct Namespace {
     /// leaves the old bytes in place.
     names: String,
     /// Fragment sets for fragmented directories only; an absent entry means
-    /// the directory is undivided (implicit `[Frag::root()]`).
+    /// the directory is undivided (implicit `[Frag::root()]`). Each set's
+    /// child counts are kept here, where children join and leave.
     frags: BTreeMap<InodeId, FragSet>,
     /// Every directory ever created, ascending, tombstones included. Ids
     /// only append, so `mkdir` keeps it sorted by pushing. A directory's
@@ -242,17 +243,22 @@ impl Namespace {
         Ok(())
     }
 
-    /// Appends `id` to `parent`'s child list, and to its subdirectory list
-    /// when `id` is a directory.
+    /// Appends `id` to `parent`'s child list, to its subdirectory list
+    /// when `id` is a directory, and to the child count of its fragment
+    /// when `parent` is fragmented.
     fn add_child(&mut self, parent: InodeId, id: InodeId) {
         self.arena[parent.index()].children.push(id);
         if let Some((parent_slot, slot)) = self.subdir_link(parent, id) {
             self.subdirs[parent_slot].push(slot);
         }
+        if let Some(set) = self.frags.get_mut(&parent) {
+            set.count_child(dentry_hash(id.raw()), true);
+        }
     }
 
-    /// Drops `id` from `parent`'s child list, and from its subdirectory
-    /// list when `id` is a directory. A child is listed once, so the first
+    /// Drops `id` from `parent`'s child list, from its subdirectory list
+    /// when `id` is a directory, and from the child count of its fragment
+    /// when `parent` is fragmented. A child is listed once, so the first
     /// match is the only one; `Vec::remove` shifts the tail in one memmove
     /// and keeps the creation order that iteration and snapshots follow.
     fn remove_child(&mut self, parent: InodeId, id: InodeId) {
@@ -265,6 +271,9 @@ impl Namespace {
             if let Some(pos) = subdirs.iter().position(|s| *s == slot) {
                 subdirs.remove(pos);
             }
+        }
+        if let Some(set) = self.frags.get_mut(&parent) {
+            set.count_child(dentry_hash(id.raw()), false);
         }
     }
 
@@ -381,6 +390,22 @@ impl Namespace {
         chain
     }
 
+    /// True when `ino` lies inside the dirfrag subtree `(dir, frag)`: one
+    /// of its ancestors-or-self is a child of `dir` whose dentry hash
+    /// falls in `frag`. `dir` itself is not inside. Walks parent links
+    /// upward and allocates nothing; the commit, freeze and overlap checks
+    /// of the migration path all ask this question.
+    pub fn in_dirfrag(&self, dir: InodeId, frag: &Frag, ino: InodeId) -> bool {
+        let mut cur = ino;
+        while let Some(parent) = self.inode(cur).parent {
+            if parent == dir {
+                return frag.contains_hash(dentry_hash(cur.raw()));
+            }
+            cur = parent;
+        }
+        false
+    }
+
     /// Human-readable absolute path, for display/debugging.
     pub fn path_string(&self, id: InodeId) -> String {
         let chain = self.path_chain(id);
@@ -453,13 +478,20 @@ impl Namespace {
     }
 
     /// Splits fragment `frag` of directory `dir` into `2^by` children and
-    /// returns them. Creates the fragment set on first split.
+    /// returns them. Creates the fragment set on first split, counting
+    /// every child into its root fragment, so a split that fails leaves
+    /// the count right; a split recounts the children of `frag` only.
     pub fn split_frag(&mut self, dir: InodeId, frag: &Frag, by: u8) -> NsResult<Vec<Frag>> {
         if !self.get(dir)?.is_dir() {
             return Err(NsError::NotADirectory(dir));
         }
-        let set = self.frags.entry(dir).or_insert_with(FragSet::new_root);
-        set.split(frag, by)
+        let children = &self.arena[dir.index()].children;
+        let set = self
+            .frags
+            .entry(dir)
+            .or_insert_with(|| FragSet::new_root_counting(children.len()));
+        let hashes = children.iter().map(|c| dentry_hash(c.raw()));
+        set.split_counting(frag, by, hashes)
             .ok_or(NsError::NoSuchFrag { dir, frag: *frag })
     }
 
@@ -520,7 +552,7 @@ impl Namespace {
     /// every child's parent link points back at the directory listing it,
     /// depths are consistent, counters match, every name range lies inside
     /// the name arena, the directory index mirrors the arena, and every
-    /// subtree size count is exact.
+    /// subtree size and fragment child count is exact.
     pub fn invariants_hold(&self) -> bool {
         let mut files = 0;
         let mut dirs = 0;
@@ -557,7 +589,25 @@ impl Namespace {
                 return false;
             }
         }
-        files == self.n_files && dirs == self.n_dirs && self.dir_index_holds() && self.below_holds()
+        files == self.n_files
+            && dirs == self.n_dirs
+            && self.dir_index_holds()
+            && self.below_holds()
+            && self.frag_counts_hold()
+    }
+
+    /// Every fragment set belongs to an inode, and each live fragment's
+    /// child count is the number of that inode's children whose dentry
+    /// hash it contains.
+    fn frag_counts_hold(&self) -> bool {
+        self.frags.iter().all(|(dir, set)| {
+            let Some(ino) = self.arena.get(dir.index()) else {
+                return false;
+            };
+            let mut fresh = set.clone();
+            fresh.recount(ino.children.iter().map(|c| dentry_hash(c.raw())));
+            fresh.child_counts() == set.child_counts()
+        })
     }
 
     /// The directory index check behind [`Namespace::invariants_hold`]:
@@ -626,6 +676,16 @@ impl Namespace {
             let parent = &mut self.arena[p.index()];
             if parent.depth.checked_add(1) == Some(depth) {
                 parent.below = parent.below.saturating_add(below.saturating_add(1));
+            }
+        }
+    }
+
+    /// Recounts every fragment set's child counts from its directory's
+    /// children (snapshot decoding; the counts are not serialised).
+    fn recount_frags(&mut self) {
+        for (dir, set) in &mut self.frags {
+            if let Some(ino) = self.arena.get(dir.index()) {
+                set.recount(ino.children.iter().map(|c| dentry_hash(c.raw())));
             }
         }
     }
@@ -749,10 +809,18 @@ impl Namespace {
         }
         ns.rebuild_dir_index();
         ns.recount_below();
-        if !ns.invariants_hold() {
-            return Err(invalid());
+        ns.recount_frags();
+        ns.checked()
+    }
+
+    /// The last step of [`Namespace::decode`]: the namespace itself when
+    /// [`Namespace::invariants_hold`], a typed error otherwise.
+    fn checked(self) -> Result<Namespace, lunule_util::codec::CodecError> {
+        if self.invariants_hold() {
+            Ok(self)
+        } else {
+            Err(lunule_util::codec::CodecError::Invalid { what: "namespace" })
         }
-        Ok(ns)
     }
 }
 
@@ -1070,42 +1138,79 @@ mod tests {
             .sum()
     }
 
+    /// Asserts that each live fragment of every fragmented directory
+    /// counts exactly the children whose dentry hash it contains.
+    fn assert_frag_counts(ns: &Namespace) {
+        for (dir, set) in &ns.frags {
+            let children = ns.inode(*dir).children();
+            for (frag, n) in set.frags().iter().zip(set.child_counts()) {
+                let hashed = children
+                    .iter()
+                    .filter(|c| frag.contains_hash(ns.dentry_hash_of(**c)))
+                    .count();
+                assert_eq!(*n, hashed, "dir {dir:?} frag {frag:?}");
+            }
+            assert_eq!(set.child_counts().len(), set.len());
+        }
+    }
+
+    /// Builds a random namespace by 20–60 random mkdir, create, unlink,
+    /// rename (of files and directories, across parents), rmdir and split
+    /// steps, calling `after_step` after each one. Returns it with every
+    /// directory it created that is still live.
+    fn random_namespace(
+        rng: &mut lunule_util::rng::DetRng,
+        mut after_step: impl FnMut(&Namespace),
+    ) -> (Namespace, Vec<InodeId>) {
+        let mut ns = Namespace::new();
+        let mut dirs = vec![InodeId::ROOT];
+        let mut files = Vec::new();
+        for step in 0..(20 + rng.gen_range(0..40)) {
+            let at = dirs[rng.gen_range(0..dirs.len())];
+            match rng.gen_range(0..9) {
+                0 | 1 => dirs.push(ns.mkdir_total(at, &format!("d{step}"))),
+                2..=4 => files.push(ns.create_file_total(at, &format!("f{step}"), 0)),
+                5 if !files.is_empty() => {
+                    let f = files.swap_remove(rng.gen_range(0..files.len()));
+                    ns.unlink(f).unwrap();
+                }
+                6 => {
+                    // Across parents; a move into its own subtree is
+                    // refused and changes nothing.
+                    let moved = dirs[rng.gen_range(0..dirs.len())];
+                    let _ = ns.rename(moved, at, &format!("r{step}"));
+                }
+                7 if !files.is_empty() => {
+                    let moved = files[rng.gen_range(0..files.len())];
+                    ns.rename(moved, at, &format!("r{step}")).unwrap();
+                }
+                8 if at != InodeId::ROOT && ns.inode(at).children().is_empty() => {
+                    ns.rmdir(at).unwrap();
+                    dirs.retain(|d| *d != at);
+                }
+                _ => {
+                    let frags = ns.frags_of(at);
+                    let frag = frags[rng.gen_range(0..frags.len())];
+                    let by = u8::try_from(1 + rng.gen_range(0..2)).unwrap();
+                    let _ = ns.split_frag(at, &frag, by);
+                }
+            }
+            after_step(&ns);
+        }
+        (ns, dirs)
+    }
+
     #[test]
     fn subtree_counts_follow_every_mutation() {
         propcheck::run(64, |rng| {
-            let mut ns = Namespace::new();
-            let mut dirs = vec![InodeId::ROOT];
-            let mut files = Vec::new();
-            for step in 0..(20 + rng.gen_range(0..40)) {
-                let at = dirs[rng.gen_range(0..dirs.len())];
-                match rng.gen_range(0..8) {
-                    0 | 1 => dirs.push(ns.mkdir_total(at, &format!("d{step}"))),
-                    2..=4 => files.push(ns.create_file_total(at, &format!("f{step}"), 0)),
-                    5 if !files.is_empty() => {
-                        let f = files.swap_remove(rng.gen_range(0..files.len()));
-                        ns.unlink(f).unwrap();
-                    }
-                    6 => {
-                        // Across parents; a move into its own subtree is
-                        // refused and changes nothing.
-                        let moved = dirs[rng.gen_range(0..dirs.len())];
-                        let _ = ns.rename(moved, at, &format!("r{step}"));
-                    }
-                    7 if at != InodeId::ROOT && ns.inode(at).children().is_empty() => {
-                        ns.rmdir(at).unwrap();
-                        dirs.retain(|d| *d != at);
-                    }
-                    _ => {
-                        let _ = ns.split_frag(at, &Frag::root(), 1);
-                    }
-                }
-            }
+            let (ns, dirs) = random_namespace(rng, assert_frag_counts);
             let mut e = lunule_util::codec::Encoder::new();
             ns.encode(&mut e);
             let bytes = e.into_bytes();
             let back = Namespace::decode(&mut lunule_util::codec::Decoder::new(&bytes)).unwrap();
             for ns in [&ns, &back] {
                 assert!(ns.invariants_hold());
+                assert_frag_counts(ns);
                 for &d in &dirs {
                     assert_eq!(ns.subtree_size(d), ns.walk_subtree(d).count());
                     for frag in ns.frags_of(d).iter().chain([&Frag::root()]) {
@@ -1116,6 +1221,85 @@ mod tests {
                     }
                 }
             }
+        });
+    }
+
+    #[test]
+    fn invariants_catch_stale_frag_counts() {
+        // Files leave a split directory by unlink and by rename, and join
+        // it by create and by rename.
+        let mut ns = renamed_and_split();
+        let a = ns.child_by_name(InodeId::ROOT, "alpha").unwrap();
+        let big = ns
+            .child_by_name(ns.child_by_name(a, "beta2").unwrap(), "big")
+            .unwrap();
+        let g3 = ns.child_by_name(big, "g3").unwrap();
+        ns.rename(g3, a, "g3").unwrap();
+        let late = ns.child_by_name(InodeId::ROOT, "late").unwrap();
+        ns.rename(late, big, "late").unwrap();
+        ns.unlink(ns.child_by_name(big, "g9").unwrap()).unwrap();
+        ns.create_file(big, "new", 1).unwrap();
+        assert_frag_counts(&ns);
+        assert!(ns.clone().checked().is_ok());
+        let set = ns.frag_set(big).unwrap();
+        assert_eq!(set.len(), 5);
+        assert_eq!(
+            set.child_counts().iter().sum::<usize>(),
+            ns.inode(big).children().len()
+        );
+        for i in 0..set.len() {
+            for up in [true, false] {
+                let mut stale = ns.clone();
+                let n = &mut stale.frags.get_mut(&big).unwrap().counts_mut()[i];
+                *n = if up { *n + 1 } else { n.wrapping_sub(1) };
+                assert!(!stale.invariants_hold(), "frag {i}, up {up}");
+                assert_eq!(
+                    stale.checked().unwrap_err(),
+                    lunule_util::codec::CodecError::Invalid { what: "namespace" }
+                );
+            }
+        }
+    }
+
+    /// The containment walk `in_dirfrag` replaced, kept as its oracle:
+    /// materialise the root-to-`ino` chain and look for the step out of
+    /// `dir`.
+    fn in_dirfrag_by_path_chain(ns: &Namespace, dir: InodeId, frag: &Frag, ino: InodeId) -> bool {
+        let chain = ns.path_chain(ino);
+        for w in chain.windows(2) {
+            if w[0] == dir {
+                return frag.contains_hash(dentry_hash(w[1].raw()));
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn in_dirfrag_matches_the_path_chain_walk() {
+        propcheck::run(48, |rng| {
+            let (ns, _) = random_namespace(rng, |_| {});
+            let mut inside = 0;
+            // Every inode, tombstones included, against every live
+            // fragment, the root fragment and a half of every directory.
+            for d in 0..ns.len() {
+                let dir = InodeId::from_index(d);
+                let (left, right) = Frag::root().split_in_two();
+                let mut frags = ns.frags_of(dir);
+                frags.extend([Frag::root(), left, right]);
+                for frag in &frags {
+                    for i in 0..ns.len() {
+                        let ino = InodeId::from_index(i);
+                        let want = in_dirfrag_by_path_chain(&ns, dir, frag, ino);
+                        assert_eq!(
+                            ns.in_dirfrag(dir, frag, ino),
+                            want,
+                            "{dir:?} {frag:?} {ino:?}"
+                        );
+                        inside += usize::from(want);
+                    }
+                }
+            }
+            assert!(inside > 0);
         });
     }
 

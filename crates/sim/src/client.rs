@@ -340,7 +340,7 @@ impl Client {
                         *r = new_rank;
                     }
                 }
-            } else if dir_inside_subtree(ns, *dir, subtree) {
+            } else if ns.in_dirfrag(subtree.dir, &subtree.frag, *dir) {
                 for (_, r) in entries.iter_mut() {
                     *r = new_rank;
                 }
@@ -529,19 +529,6 @@ impl Client {
             cache_evictions,
         })
     }
-}
-
-/// True when directory `dir` lies strictly inside the subtree rooted at
-/// `subtree` (i.e. one of `dir`'s ancestors-or-self is a child of
-/// `subtree.dir` whose dentry hash falls in `subtree.frag`).
-fn dir_inside_subtree(ns: &Namespace, dir: InodeId, subtree: &FragKey) -> bool {
-    let chain = ns.path_chain(dir);
-    for w in chain.windows(2) {
-        if w[0] == subtree.dir {
-            return subtree.frag.contains_hash(dentry_hash(w[1].raw()));
-        }
-    }
-    false
 }
 
 /// Authority of the would-be child of `dir` with dentry hash `hash`, given

@@ -540,22 +540,9 @@ impl Migrator {
     /// True when `(dir of ino's path) ∩ (a committing subtree)` is
     /// non-empty — i.e. the op must stall because its metadata is frozen.
     pub fn is_frozen(&self, ns: &Namespace, ino: lunule_namespace::InodeId) -> bool {
-        let committing: Vec<&MigrationJob> =
-            self.jobs.iter().filter(|j| j.is_committing()).collect();
-        if committing.is_empty() {
-            return false;
-        }
-        let chain = ns.path_chain(ino);
-        for w in chain.windows(2) {
-            let (dir, child) = (w[0], w[1]);
-            let hash = ns.dentry_hash_of(child);
-            for job in &committing {
-                if job.subtree.dir == dir && job.subtree.frag.contains_hash(hash) {
-                    return true;
-                }
-            }
-        }
-        false
+        self.jobs
+            .iter()
+            .any(|j| j.is_committing() && ns.in_dirfrag(j.subtree.dir, &j.subtree.frag, ino))
     }
 }
 
