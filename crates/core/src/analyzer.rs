@@ -590,18 +590,13 @@ impl PatternAnalyzer {
 /// The next sibling directory of `dir` under its parent (wrapping), if any.
 fn next_sibling_dir(ns: &Namespace, dir: InodeId) -> Option<InodeId> {
     let parent = ns.inode(dir).parent()?;
-    let siblings: Vec<InodeId> = ns
-        .inode(parent)
-        .children()
+    let children = ns.inode(parent).children();
+    let pos = children.iter().position(|c| *c == dir)?;
+    children[pos + 1..]
         .iter()
+        .chain(&children[..pos])
         .copied()
-        .filter(|c| ns.inode(*c).is_dir())
-        .collect();
-    if siblings.len() < 2 {
-        return None;
-    }
-    let pos = siblings.iter().position(|s| *s == dir)?;
-    Some(siblings[(pos + 1) % siblings.len()])
+        .find(|c| ns.inode(*c).is_dir())
 }
 
 #[cfg(test)]
@@ -612,6 +607,24 @@ mod tests {
         PatternAnalyzer::new(AnalyzerConfig {
             sibling_probability,
         })
+    }
+
+    #[test]
+    fn next_sibling_dir_skips_files_and_wraps() {
+        let mut ns = Namespace::new();
+        let d0 = ns.mkdir(InodeId::ROOT, "d0").unwrap();
+        ns.create_file(InodeId::ROOT, "f", 1).unwrap();
+        let d1 = ns.mkdir(InodeId::ROOT, "d1").unwrap();
+        let lone = ns.mkdir(d1, "lone").unwrap();
+        ns.create_file(d1, "g", 1).unwrap();
+        assert_eq!(next_sibling_dir(&ns, d0), Some(d1));
+        assert_eq!(next_sibling_dir(&ns, d1), Some(d0), "wraps past the end");
+        assert_eq!(next_sibling_dir(&ns, lone), None, "no other directory");
+        assert_eq!(
+            next_sibling_dir(&ns, InodeId::ROOT),
+            None,
+            "root has no parent"
+        );
     }
 
     /// Builds /d0, /d1 each with `files` files; returns (ns, dirs, files).

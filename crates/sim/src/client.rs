@@ -24,11 +24,25 @@ pub struct Route {
     pub forwards: Vec<MdsRank>,
 }
 
+/// A route to rank 0 with no forwards: a blank buffer for the cohort
+/// engine to resolve routes into.
+impl Default for Route {
+    fn default() -> Self {
+        Route {
+            target: MdsRank(0),
+            forwards: Vec::new(),
+        }
+    }
+}
+
 /// Default maximum dirfrag→rank entries a client caches. CephFS clients
 /// hold a bounded view of the subtree map; an unbounded cache would make
 /// static pinning (Dir-Hash) artificially forward-free after warm-up,
 /// hiding the traversal cost the paper measures in Fig. 14.
 pub const CLIENT_CACHE_CAP: usize = 256;
+
+/// Bytes of the id that opens [`Client::encode`]'s output.
+pub(crate) const ENCODED_ID_LEN: usize = 8;
 
 /// One simulated client.
 pub struct Client {
@@ -165,7 +179,9 @@ impl Client {
         dir: InodeId,
         hash: u32,
     ) -> (Route, bool) {
-        resolve_route_cached(&self.cache, ns, map, auth, dir, hash)
+        let mut route = Route::default();
+        let hit = resolve_route_cached(&self.cache, ns, map, auth, dir, hash, &mut route);
+        (route, hit)
     }
 }
 
@@ -233,10 +249,12 @@ pub(crate) fn resolve_route(
     )
 }
 
-/// [`resolve_route`] with authority lookups memoized in `auth`. Produces
-/// the identical `(Route, hit)` — the memo replays the exact
-/// [`SubtreeMap::authority`] recurrence and invalidates on every map
-/// generation bump — without the per-op root-to-dir walk.
+/// [`resolve_route`] with authority lookups memoized in `auth`, written
+/// into `out` so a caller that keeps its routes reuses their `forwards`
+/// capacity. Produces the identical route and returns the identical hit
+/// flag — the memo replays the exact [`SubtreeMap::authority`]
+/// recurrence and invalidates on every map generation bump — without the
+/// per-op root-to-dir walk.
 pub(crate) fn resolve_route_cached(
     cache: &BTreeMap<InodeId, Vec<(Frag, MdsRank)>>,
     ns: &Namespace,
@@ -244,7 +262,9 @@ pub(crate) fn resolve_route_cached(
     auth: &mut AuthorityCache,
     dir: InodeId,
     hash: u32,
-) -> (Route, bool) {
+    out: &mut Route,
+) -> bool {
+    out.forwards.clear();
     let cached = cache.get(&dir).and_then(|entries| {
         entries
             .iter()
@@ -255,42 +275,26 @@ pub(crate) fn resolve_route_cached(
     if let Some(cached_rank) = cached {
         let dir_auth = auth.authority(map, ns, dir);
         let true_auth = resolve_child(map, ns, dir, hash, dir_auth);
+        out.target = true_auth;
         if true_auth == cached_rank {
-            return (
-                Route {
-                    target: cached_rank,
-                    forwards: Vec::new(),
-                },
-                true,
-            );
+            return true;
         }
-        return (
-            Route {
-                target: true_auth,
-                forwards: vec![cached_rank],
-            },
-            false,
-        );
+        out.forwards.push(cached_rank);
+        return false;
     }
     let auths = auth.chain(map, ns, dir);
     let dir_auth = auths.last().copied().unwrap_or_else(|| map.root_rank());
     let final_auth = resolve_child(map, ns, dir, hash, dir_auth);
-    let mut forwards = Vec::new();
     for w in auths.windows(2) {
         if w[0] != w[1] {
-            forwards.push(w[0]);
+            out.forwards.push(w[0]);
         }
     }
     if dir_auth != final_auth {
-        forwards.push(dir_auth);
+        out.forwards.push(dir_auth);
     }
-    (
-        Route {
-            target: final_auth,
-            forwards,
-        },
-        false,
-    )
+    out.target = final_auth;
+    false
 }
 
 impl Client {
@@ -392,26 +396,14 @@ impl Client {
         })
     }
 
-    /// The client's complete dynamic state as snapshot bytes, *excluding*
-    /// the id prefix. Two cohorts whose members have re-converged compare
-    /// equal here even though their canonical ids differ.
-    pub(crate) fn state_bytes_sans_id(&self) -> Vec<u8> {
-        let mut e = lunule_util::codec::Encoder::new();
-        self.encode(&mut e);
-        let bytes = e.into_bytes();
-        // `encode` writes the id first as a fixed-width u64.
-        bytes[8..].to_vec()
-    }
-
     /// Serialises the client's complete dynamic state — buffered retry op,
     /// authority cache (with its FIFO eviction order), lifecycle flags and
     /// counters — plus the wrapped op stream's own state, for a snapshot
-    /// section.
+    /// section. The id comes first, as a fixed-width u64
+    /// ([`ENCODED_ID_LEN`] bytes): cohort merge compares what follows it.
     pub(crate) fn encode(&self, e: &mut lunule_util::codec::Encoder) {
         e.put_usize(self.id);
-        let mut se = lunule_util::codec::Encoder::new();
-        self.stream.save_state(&mut se);
-        e.put_bytes(&se.into_bytes());
+        e.put_nested(|e| self.stream.save_state(e));
         e.put_option(&self.pending, |e, (op, first_attempt)| {
             op.encode(e);
             e.put_u64(*first_attempt);
@@ -617,8 +609,13 @@ mod tests {
             for cache in [&empty, &fresh, &stale] {
                 let live = resolve_route(cache, &ns, &map, dir, hash);
                 let mut auth = AuthorityCache::new();
-                let cached = resolve_route_cached(cache, &ns, &map, &mut auth, dir, hash);
-                assert_eq!(live, cached, "cached variant diverged");
+                // A reused route with stale forwards must be overwritten.
+                let mut route = Route {
+                    target: MdsRank(7),
+                    forwards: vec![MdsRank(5), MdsRank(6)],
+                };
+                let hit = resolve_route_cached(cache, &ns, &map, &mut auth, dir, hash, &mut route);
+                assert_eq!(live, (route, hit), "cached variant diverged");
             }
         }
     }

@@ -69,6 +69,10 @@ pub struct Simulation {
     /// Per-rank route-cost buffer of the create serve path, reused across
     /// ops so a served create allocates nothing.
     pub(crate) costs_scratch: Vec<(usize, f64)>,
+    /// The issue rounds' buffers, kept from tick to tick so plain ticks
+    /// reuse their capacity. Transient like `costs_scratch`: never
+    /// serialized, empty after a restore.
+    pub(crate) round_scratch: crate::cohort_engine::RoundScratch,
     /// Memoized subtree-map authority lookups, shared by every resolve
     /// site. Self-invalidating on subtree-map generation bumps, so it is
     /// pure transient state: never serialized, rebuilt on demand after a
@@ -196,6 +200,7 @@ impl Simulation {
             report_loss_until: vec![0; cfg.n_mds],
             journal_base: (0, 0, 0),
             costs_scratch: Vec::new(),
+            round_scratch: Default::default(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
             op_ledger: crate::tick_ledger::TickOpLedger::default(),
             #[cfg(feature = "strict-invariants")]
@@ -749,8 +754,8 @@ impl Simulation {
         // Cap/session transfer: clients working in a migrated subtree are
         // handed to the importer at commit (no per-client redirect storm).
         // Resident accounting moves with the subtree.
-        for job in self.migrator.completed_last_step().to_vec() {
-            let ns = &self.ns;
+        let ns = &self.ns;
+        for job in self.migrator.completed_last_step() {
             self.cohorts
                 .for_each_state_mut(|st, _| st.apply_migration(ns, &job.subtree, job.to));
             if let Some(r) = self.resident.get_mut(job.from.index()) {

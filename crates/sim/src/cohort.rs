@@ -23,7 +23,8 @@
 //!   id — what a create op's file name derives from);
 //! - the per-origin member totals never change (clients are conserved).
 
-use crate::client::Client;
+use crate::client::{Client, ENCODED_ID_LEN};
+use lunule_util::codec::{fnv1a64, Encoder};
 use lunule_util::convert::{u32_to_usize, u64_to_usize, usize_to_u32, usize_to_u64};
 
 /// One contiguous run of client ids belonging to a single cohort.
@@ -67,6 +68,29 @@ pub struct CohortSet {
     pub(crate) n_clients: usize,
     /// Origin groups ever created (grows with `append_group`).
     pub(crate) n_groups: usize,
+    /// Buffers [`CohortSet::merge_equal_states`] reuses from one epoch
+    /// close to the next. Transient: never snapshotted, empty after a
+    /// restore.
+    pub(crate) merge: MergeScratch,
+}
+
+/// The reused buffers of [`CohortSet::merge_equal_states`] and
+/// [`CohortSet::compact`].
+#[derive(Default)]
+pub(crate) struct MergeScratch {
+    /// Live cohorts per origin.
+    live_per_origin: Vec<u32>,
+    /// The [`Client::encode`] bytes of every examined cohort, back to back.
+    enc: Encoder,
+    /// Per cohort index: the range of `enc` holding its state bytes after
+    /// the id (empty for cohorts not examined).
+    spans: Vec<(usize, usize)>,
+    /// `(origin, state hash, canonical id, cohort index)` per examined
+    /// cohort; sorting it groups equal candidates in id order.
+    keys: Vec<(u32, u64, usize, usize)>,
+    /// Per cohort index: the cohort it merges into (itself if it stays).
+    /// `compact` reuses it as the old-to-new index map.
+    target: Vec<usize>,
 }
 
 impl CohortSet {
@@ -100,6 +124,7 @@ impl CohortSet {
             intervals,
             n_clients: at,
             n_groups,
+            merge: MergeScratch::default(),
         }
     }
 
@@ -186,28 +211,31 @@ impl CohortSet {
         }
         self.cohorts[from].count -= usize_to_u64(n);
         self.cohorts[to].count += usize_to_u64(n);
-        // Replace interval i with up to three pieces, in id order.
-        let mut pieces = Vec::with_capacity(3);
-        if at > iv.start {
-            pieces.push(Interval {
-                start: iv.start,
-                len: at - iv.start,
-                cohort: from,
-            });
-        }
-        pieces.push(Interval {
+        // Interval i becomes the head piece (or the moved piece when there
+        // is no head); the rest follow it in id order.
+        let moved = Interval {
             start: at,
             len: n,
             cohort: to,
-        });
-        if at + n < iv.end() {
-            pieces.push(Interval {
-                start: at + n,
-                len: iv.end() - (at + n),
-                cohort: from,
-            });
+        };
+        let tail = Interval {
+            start: at + n,
+            len: iv.end() - (at + n),
+            cohort: from,
+        };
+        let after = [moved, tail];
+        let after = match (at > iv.start, tail.len > 0) {
+            (true, true) => &after[..],
+            (true, false) => &after[..1],
+            (false, true) => &after[1..],
+            (false, false) => &[],
+        };
+        if at > iv.start {
+            self.intervals[i].len = at - iv.start;
+        } else {
+            self.intervals[i] = moved;
         }
-        self.intervals.splice(i..=i, pieces);
+        self.intervals.splice(i + 1..i + 1, after.iter().copied());
     }
 
     /// Recomputes `state.id` for cohort `idx` as its lowest member id.
@@ -286,47 +314,65 @@ impl CohortSet {
     /// history: the merged structure depends only on the member states,
     /// not on the order in which the splits happened.
     pub fn merge_equal_states(&mut self) {
-        use std::collections::BTreeMap;
-        // Origin → live cohort indices, in canonical-id order (intervals
-        // are sorted, so first-seen order by scanning them is id order).
-        let mut by_origin: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        let mut seen = vec![false; self.cohorts.len()];
-        for iv in &self.intervals {
-            if !seen[iv.cohort] {
-                seen[iv.cohort] = true;
-                by_origin
-                    .entry(self.cohorts[iv.cohort].origin)
-                    .or_default()
-                    .push(iv.cohort);
-            }
+        self.merge_equal_states_by(fnv1a64);
+    }
+
+    /// [`CohortSet::merge_equal_states`] with the state hash as a
+    /// parameter. Only origins with at least two live cohorts are
+    /// examined: each such cohort's [`Client::encode`] bytes after the id
+    /// go into one reused encoder and are hashed, the `(origin, hash, id)`
+    /// keys are sorted, and within a run of equal `(origin, hash)` a
+    /// cohort merges into the lowest-id earlier survivor whose bytes are
+    /// equal to its own. A colliding hash therefore costs a byte
+    /// comparison, never a wrong merge.
+    fn merge_equal_states_by(&mut self, hash: fn(&[u8]) -> u64) {
+        let mut m = std::mem::take(&mut self.merge);
+        m.live_per_origin.clear();
+        m.live_per_origin.resize(self.n_groups, 0);
+        for c in self.cohorts.iter().filter(|c| c.count > 0) {
+            m.live_per_origin[u32_to_usize(c.origin)] += 1;
         }
-        for (_, members) in by_origin {
-            if members.len() < 2 {
+        m.enc.clear();
+        m.keys.clear();
+        m.spans.clear();
+        m.spans.resize(self.cohorts.len(), (0, 0));
+        for (idx, c) in self.cohorts.iter().enumerate() {
+            if c.count == 0 || m.live_per_origin[u32_to_usize(c.origin)] < 2 {
                 continue;
             }
-            let mut by_state: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
-            for idx in members {
-                let key = self.cohorts[idx].state.state_bytes_sans_id();
-                match by_state.get(&key) {
-                    None => {
-                        by_state.insert(key, idx);
-                    }
-                    Some(&survivor) => {
-                        // Move every member of `idx` into `survivor`.
-                        let ranges: Vec<(usize, usize)> = self
-                            .intervals
-                            .iter()
-                            .filter(|iv| iv.cohort == idx)
-                            .map(|iv| (iv.start, iv.len))
-                            .collect();
-                        for (start, len) in ranges {
-                            self.carve(start, len, survivor);
-                        }
-                        self.refresh_canonical_id(survivor);
-                    }
+            let start = m.enc.len() + ENCODED_ID_LEN;
+            c.state.encode(&mut m.enc);
+            let span = (start, m.enc.len());
+            m.spans[idx] = span;
+            let h = hash(&m.enc.bytes()[span.0..span.1]);
+            m.keys.push((c.origin, h, c.state.id, idx));
+        }
+        m.keys.sort_unstable();
+        m.target.clear();
+        m.target.extend(0..self.cohorts.len());
+        let bytes_of = |c: usize| &m.enc.bytes()[m.spans[c].0..m.spans[c].1];
+        for run in m.keys.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            for (j, &(_, _, _, idx)) in run.iter().enumerate().skip(1) {
+                let survivor = run[..j]
+                    .iter()
+                    .map(|k| k.3)
+                    .find(|&s| m.target[s] == s && bytes_of(s) == bytes_of(idx));
+                if let Some(s) = survivor {
+                    m.target[idx] = s;
                 }
             }
         }
+        // Survivors are the lowest-id cohort of their class, so their
+        // canonical ids stay as they are.
+        for iv in &mut self.intervals {
+            let to = m.target[iv.cohort];
+            if to != iv.cohort {
+                self.cohorts[iv.cohort].count -= usize_to_u64(iv.len);
+                self.cohorts[to].count += usize_to_u64(iv.len);
+                iv.cohort = to;
+            }
+        }
+        self.merge = m;
         self.compact();
     }
 
@@ -334,31 +380,30 @@ impl CohortSet {
     /// intervals of the same cohort. Cohort indices change; callers must
     /// not hold indices across this call.
     pub(crate) fn compact(&mut self) {
-        let mut remap = vec![usize::MAX; self.cohorts.len()];
+        let remap = &mut self.merge.target;
+        remap.clear();
         let mut alive = 0usize;
-        for (i, c) in self.cohorts.iter().enumerate() {
+        for c in &self.cohorts {
             if c.count > 0 {
-                remap[i] = alive;
+                remap.push(alive);
                 alive += 1;
+            } else {
+                remap.push(usize::MAX);
             }
         }
-        let mut i = 0;
         self.cohorts.retain(|c| c.count > 0);
         for iv in &mut self.intervals {
             iv.cohort = remap[iv.cohort];
             debug_assert_ne!(iv.cohort, usize::MAX, "interval points at dead cohort");
         }
         // Coalesce adjacent same-cohort intervals.
-        while i + 1 < self.intervals.len() {
-            if self.intervals[i].cohort == self.intervals[i + 1].cohort
-                && self.intervals[i].end() == self.intervals[i + 1].start
-            {
-                self.intervals[i].len += self.intervals[i + 1].len;
-                self.intervals.remove(i + 1);
-            } else {
-                i += 1;
+        self.intervals.dedup_by(|next, prev| {
+            let joins = prev.cohort == next.cohort && prev.end() == next.start;
+            if joins {
+                prev.len += next.len;
             }
-        }
+            joins
+        });
     }
 
     /// Clients still active: not finished, or still owing data transfer.
@@ -720,16 +765,135 @@ mod tests {
         }
     }
 
+    /// A client's encoded state after the id: what merge compares.
+    fn state_key(state: &Client) -> Vec<u8> {
+        let mut e = Encoder::new();
+        state.encode(&mut e);
+        e.bytes()[ENCODED_ID_LEN..].to_vec()
+    }
+
     /// Live `(origin, state-bytes)` equivalence classes — exactly the
     /// cohorts that must remain after a merge pass.
     fn state_classes(s: &CohortSet) -> usize {
         let mut classes = std::collections::BTreeSet::new();
         for c in &s.cohorts {
             if c.count > 0 {
-                classes.insert((c.origin, c.state.state_bytes_sans_id()));
+                classes.insert((c.origin, state_key(&c.state)));
             }
         }
         classes.len()
+    }
+
+    /// The merge as first written, kept as the oracle of the hashed one:
+    /// per origin with two or more live cohorts, key a map by each
+    /// cohort's state bytes in canonical-id order; a cohort whose bytes
+    /// are already keyed moves its members into that first cohort.
+    fn merge_oracle(s: &mut CohortSet) {
+        use std::collections::BTreeMap;
+        let mut by_origin: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        let mut seen = vec![false; s.cohorts.len()];
+        for iv in &s.intervals {
+            if !seen[iv.cohort] {
+                seen[iv.cohort] = true;
+                by_origin
+                    .entry(s.cohorts[iv.cohort].origin)
+                    .or_default()
+                    .push(iv.cohort);
+            }
+        }
+        for (_, members) in by_origin {
+            if members.len() < 2 {
+                continue;
+            }
+            let mut by_state: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
+            for idx in members {
+                let key = state_key(&s.cohorts[idx].state);
+                match by_state.get(&key) {
+                    None => {
+                        by_state.insert(key, idx);
+                    }
+                    Some(&survivor) => {
+                        let ranges: Vec<(usize, usize)> = s
+                            .intervals
+                            .iter()
+                            .filter(|iv| iv.cohort == idx)
+                            .map(|iv| (iv.start, iv.len))
+                            .collect();
+                        for (start, len) in ranges {
+                            s.carve(start, len, survivor);
+                        }
+                        s.refresh_canonical_id(survivor);
+                    }
+                }
+            }
+        }
+        s.compact();
+    }
+
+    /// One random step of the split/merge batteries, drawn against a set
+    /// and replayable on any set with the same structure.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// Carve `[at, at + n)` of `cohort` into a fresh clone.
+        Carve {
+            cohort: usize,
+            at: usize,
+            n: usize,
+        },
+        Explode(usize),
+        /// Advance one cohort's `ops_done` so its state diverges.
+        Diverge(usize, u64),
+        Merge,
+    }
+
+    fn draw_step(s: &CohortSet, rng: &mut lunule_util::DetRng) -> Step {
+        let live: Vec<usize> = (0..s.cohorts.len())
+            .filter(|&i| s.cohorts[i].count > 0)
+            .collect();
+        match rng.gen_range(0..5) {
+            0 | 1 => {
+                let iv = s.intervals[rng.gen_range(0..s.intervals.len())];
+                let n = 1 + rng.gen_range(0..iv.len);
+                let at = iv.start + rng.gen_range(0..iv.len - n + 1);
+                Step::Carve {
+                    cohort: iv.cohort,
+                    at,
+                    n,
+                }
+            }
+            2 => Step::Explode(live[rng.gen_range(0..live.len())]),
+            3 => Step::Diverge(
+                live[rng.gen_range(0..live.len())],
+                1 + rng.gen_range(0..3) as u64,
+            ),
+            _ => Step::Merge,
+        }
+    }
+
+    fn apply_step(s: &mut CohortSet, step: Step, merge: impl FnOnce(&mut CohortSet)) {
+        match step {
+            Step::Carve { cohort, at, n } => {
+                let state = s.cohorts[cohort].state.try_clone().unwrap();
+                let origin = s.cohorts[cohort].origin;
+                let slot = s.cohorts.len();
+                s.cohorts.push(Cohort {
+                    state,
+                    origin,
+                    count: 0,
+                });
+                s.carve(at, n, slot);
+                s.refresh_canonical_id(cohort);
+                s.refresh_canonical_id(slot);
+                if s.cohorts[cohort].count == 0 {
+                    s.compact();
+                }
+            }
+            Step::Explode(idx) => {
+                s.explode(idx);
+            }
+            Step::Diverge(idx, by) => s.cohorts[idx].state.ops_done += by,
+            Step::Merge => merge(s),
+        }
     }
 
     /// Propcheck battery with *divergence*: random carve/explode/merge
@@ -747,52 +911,15 @@ mod tests {
             let mut s = set_of(&counts);
             let totals = s.origin_totals();
             for _ in 0..rng.gen_range(1..16) {
-                match rng.gen_range(0..5) {
-                    0 | 1 => {
-                        // Carve a random sub-range into a fresh clone.
-                        let ivs: Vec<Interval> = s.intervals().to_vec();
-                        let iv = ivs[rng.gen_range(0..ivs.len())];
-                        let n = 1 + rng.gen_range(0..iv.len);
-                        let at = iv.start + rng.gen_range(0..iv.len - n + 1);
-                        let state = s.cohorts[iv.cohort].state.try_clone().unwrap();
-                        let origin = s.cohorts[iv.cohort].origin;
-                        let slot = s.cohorts.len();
-                        s.cohorts.push(Cohort {
-                            state,
-                            origin,
-                            count: 0,
-                        });
-                        s.carve(at, n, slot);
-                        s.refresh_canonical_id(iv.cohort);
-                        s.refresh_canonical_id(slot);
-                        if s.cohorts[iv.cohort].count == 0 {
-                            s.compact();
-                        }
-                    }
-                    2 => {
-                        let live: Vec<usize> = (0..s.cohorts.len())
-                            .filter(|&i| s.cohorts[i].count > 0)
-                            .collect();
-                        s.explode(live[rng.gen_range(0..live.len())]);
-                    }
-                    3 => {
-                        // Diverge one live cohort's state so it becomes
-                        // its own equivalence class.
-                        let live: Vec<usize> = (0..s.cohorts.len())
-                            .filter(|&i| s.cohorts[i].count > 0)
-                            .collect();
-                        let idx = live[rng.gen_range(0..live.len())];
-                        s.cohorts[idx].state.ops_done += 1 + rng.gen_range(0..3) as u64;
-                    }
-                    _ => {
-                        let classes = state_classes(&s);
-                        s.merge_equal_states();
-                        assert_eq!(
-                            s.n_cohorts(),
-                            classes,
-                            "merge must unify exactly the byte-equal same-origin classes"
-                        );
-                    }
+                let step = draw_step(&s, rng);
+                let classes = state_classes(&s);
+                apply_step(&mut s, step, CohortSet::merge_equal_states);
+                if let Step::Merge = step {
+                    assert_eq!(
+                        s.n_cohorts(),
+                        classes,
+                        "merge must unify exactly the byte-equal same-origin classes"
+                    );
                 }
                 s.check_invariants().unwrap();
                 assert_eq!(s.origin_totals(), totals, "members leaked");
@@ -805,5 +932,69 @@ mod tests {
             assert_eq!(s.n_cohorts(), classes, "merge must be idempotent");
             s.check_invariants().unwrap();
         });
+    }
+
+    /// One cohort slot's origin, count and full encoded state (canonical
+    /// id included).
+    type Slot = (u32, u64, Vec<u8>);
+
+    /// Everything a merge decides: the intervals and every cohort slot.
+    fn structure(s: &CohortSet) -> (Vec<Interval>, Vec<Slot>) {
+        let cohorts = s
+            .cohorts
+            .iter()
+            .map(|c| {
+                let mut e = Encoder::new();
+                c.state.encode(&mut e);
+                (c.origin, c.count, e.into_bytes())
+            })
+            .collect();
+        (s.intervals.clone(), cohorts)
+    }
+
+    /// The hashed merge against the map-keyed oracle: the same random
+    /// carve/explode/diverge/merge sequence on two copies of a set must
+    /// leave them identical after every step. With the constant hash every
+    /// cohort of an origin collides, so only the byte comparison separates
+    /// classes.
+    #[test]
+    fn propcheck_hashed_merge_matches_oracle() {
+        let hashes: [fn(&[u8]) -> u64; 2] = [fnv1a64, |_| 0];
+        for hash in hashes {
+            lunule_util::propcheck::run(64, |rng| {
+                let counts: Vec<u64> = (0..rng.gen_range(1..5))
+                    .map(|_| 1 + rng.gen_range(0..9) as u64)
+                    .collect();
+                let mut hashed = set_of(&counts);
+                let mut oracle = set_of(&counts);
+                for _ in 0..rng.gen_range(1..24) {
+                    let step = draw_step(&hashed, rng);
+                    apply_step(&mut hashed, step, |s| s.merge_equal_states_by(hash));
+                    apply_step(&mut oracle, step, merge_oracle);
+                    assert_eq!(structure(&hashed), structure(&oracle), "after {step:?}");
+                    hashed.check_invariants().unwrap();
+                }
+            });
+        }
+    }
+
+    /// A collision run holding two interleaved classes: each cohort merges
+    /// into the lowest-id member of its own class, not into the run's
+    /// first cohort.
+    #[test]
+    fn colliding_hashes_still_merge_by_bytes() {
+        let mut s = set_of(&[4]);
+        s.explode(0);
+        s.cohorts[1].state.ops_done = 1;
+        s.cohorts[3].state.ops_done = 1;
+        s.merge_equal_states_by(|_| 7);
+        s.check_invariants().unwrap();
+        assert_eq!(s.n_cohorts(), 2);
+        let owners: Vec<(usize, usize)> = s
+            .intervals()
+            .iter()
+            .map(|iv| (iv.start, s.cohorts[iv.cohort].state.id))
+            .collect();
+        assert_eq!(owners, vec![(0, 0), (1, 1), (2, 0), (3, 1)]);
     }
 }

@@ -63,19 +63,24 @@ enum Class {
     CreateInline,
 }
 
-/// Transient per-round buffers, reused across the rounds of one tick. The
-/// round loop runs once per served op per client at small populations, so
-/// fresh allocations every round dominate small-run profiles; none of this
-/// is simulation state and none of it is ever snapshotted.
+/// Transient per-round buffers, reused across the rounds of a tick and
+/// across ticks: a plain tick with nothing to split allocates nothing.
+/// None of this is simulation state and none of it is ever snapshotted;
+/// a restored simulation starts with it empty.
 #[derive(Default)]
-struct RoundScratch {
+pub(crate) struct RoundScratch {
+    /// Per-tick stall flags, indexed by cohort.
+    stalled: Vec<bool>,
     runs: Vec<(usize, usize, usize)>,
     seen: Vec<bool>,
     worklist: Vec<usize>,
     class: Vec<Option<Class>>,
     anchor_of: Vec<Option<(InodeId, u32)>>,
     resolve_reqs: Vec<(usize, InodeId, u32)>,
-    routes: Vec<Option<(Route, bool)>>,
+    /// Per cohort: its route, valid in a round where the cohort is
+    /// classified [`Class::Resolve`]. Kept across rounds and ticks so each
+    /// route's `forwards` reuses its capacity.
+    routes: Vec<Route>,
     served_count: Vec<u64>,
     budget_stalled: Vec<bool>,
     runs_of: Vec<Vec<(usize, usize, usize)>>,
@@ -92,12 +97,14 @@ impl Simulation {
             return;
         }
         let mut set = std::mem::take(&mut self.cohorts);
+        let mut scratch = std::mem::take(&mut self.round_scratch);
         let offset = u64_to_usize(tick) % n;
-        // Per-tick stall flags, indexed by cohort. Transient scratch —
-        // ticks never snapshot mid-round, so these are never persisted.
-        let mut tick_stalled = vec![false; set.cohorts.len()];
-        let mut scratch = RoundScratch::default();
-        while self.cohort_round(&mut set, &mut tick_stalled, offset, tick, &mut scratch) {}
+        let mut stalled = std::mem::take(&mut scratch.stalled);
+        stalled.clear();
+        stalled.resize(set.cohorts.len(), false);
+        while self.cohort_round(&mut set, &mut stalled, offset, tick, &mut scratch) {}
+        scratch.stalled = stalled;
+        self.round_scratch = scratch;
         self.cohorts = set;
     }
 
@@ -200,17 +207,19 @@ impl Simulation {
         // map and client caches are all frozen for the round), so resolving
         // every route before serving any is exact.
         let mut routes = std::mem::take(&mut scratch.routes);
-        routes.clear();
-        routes.resize(set.cohorts.len(), None);
+        if routes.len() < set.cohorts.len() {
+            routes.resize_with(set.cohorts.len(), Route::default);
+        }
         for &(c, dir, hash) in &resolve_reqs {
-            routes[c] = Some(resolve_route_cached(
+            resolve_route_cached(
                 &set.cohorts[c].state.cache,
                 &self.ns,
                 &self.map,
                 &mut self.auth_cache,
                 dir,
                 hash,
-            ));
+                &mut routes[c],
+            );
         }
 
         // Phase 3: serve runs in rotation order, effects in member order.
@@ -277,11 +286,7 @@ impl Simulation {
                         runs_of[c].push((start, 0, len));
                         continue;
                     }
-                    let Some((route, _hit)) = routes[c].as_ref() else {
-                        debug_assert!(false, "resolve-classified cohort has a route");
-                        stalled[c] = true;
-                        continue;
-                    };
+                    let route = &routes[c];
                     // A valid route costs at least its target, so an empty
                     // buffer means this is the cohort's first run of the
                     // round. The per-cohort buffer keeps its capacity round
@@ -399,11 +404,11 @@ impl Simulation {
                 stalled.push(true);
                 debug_assert_eq!(stalled.len(), set.cohorts.len());
             }
-            let (Some((route, _)), Some((dir, hash))) = (routes[c].as_ref(), anchor_of[c]) else {
-                debug_assert!(false, "served cohort has a route and an anchor");
+            let Some((dir, hash)) = anchor_of[c] else {
+                debug_assert!(false, "served cohort has an anchor");
                 continue;
             };
-            let target = route.target;
+            let target = routes[c].target;
             let st = &mut set.cohorts[c].state;
             st.consume_op(tick);
             st.learn_route(&self.ns, dir, hash, target);

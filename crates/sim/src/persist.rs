@@ -6,7 +6,7 @@
 
 use crate::client::Client;
 use crate::cluster::Simulation;
-use crate::cohort::{Cohort, CohortSet, Interval};
+use crate::cohort::{Cohort, CohortSet, Interval, MergeScratch};
 use crate::config::SimConfig;
 use crate::latency::LatencyHistogram;
 use crate::mds::MdsState;
@@ -292,6 +292,7 @@ impl Simulation {
             report_loss_until,
             journal_base,
             costs_scratch: Vec::new(),
+            round_scratch: Default::default(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
             op_ledger: crate::tick_ledger::TickOpLedger::default(),
             #[cfg(feature = "strict-invariants")]
@@ -430,6 +431,7 @@ fn decode_cohorts(
         intervals,
         n_clients,
         n_groups,
+        merge: MergeScratch::default(),
     };
     set.check_invariants()
         .map_err(|_| CodecError::Invalid { what: "cohorts" })?;

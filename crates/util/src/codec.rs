@@ -64,6 +64,16 @@ impl Encoder {
         self.buf
     }
 
+    /// The bytes written so far.
+    pub fn bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Discards everything written, keeping the buffer's capacity.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -119,6 +129,17 @@ impl Encoder {
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_usize(v.len());
         self.buf.extend_from_slice(v);
+    }
+
+    /// Writes whatever `put` writes as a length-prefixed byte section, in
+    /// place: the same bytes as `put_bytes` of a second encoder's output,
+    /// without the second buffer.
+    pub fn put_nested(&mut self, put: impl FnOnce(&mut Self)) {
+        let at = self.buf.len();
+        self.put_u64(0);
+        put(self);
+        let len = crate::convert::usize_to_u64(self.buf.len() - at - 8);
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Writes an `Option` as a presence byte followed by the value.
@@ -327,6 +348,35 @@ mod tests {
         assert_eq!(d.get_str("i").unwrap(), "héllo");
         assert_eq!(d.get_bytes("j").unwrap(), vec![1, 2, 3]);
         d.finish().unwrap();
+    }
+
+    #[test]
+    fn nested_section_matches_put_bytes_of_a_second_encoder() {
+        let write = |e: &mut Encoder| {
+            e.put_u32(70_000);
+            e.put_str("inner");
+            e.put_seq(&[1u64, 2], |e, v| e.put_u64(*v));
+        };
+        let mut inner = Encoder::new();
+        write(&mut inner);
+        let mut copied = Encoder::new();
+        copied.put_u8(9);
+        copied.put_bytes(&inner.into_bytes());
+        copied.put_u8(7);
+        let mut nested = Encoder::new();
+        nested.put_u8(9);
+        nested.put_nested(write);
+        nested.put_u8(7);
+        assert_eq!(nested.bytes(), copied.bytes());
+        // An empty section is a bare zero length.
+        let mut empty = Encoder::new();
+        empty.put_nested(|_| {});
+        assert_eq!(empty.bytes(), &[0u8; 8]);
+        // `clear` forgets the bytes but the encoder stays usable.
+        nested.clear();
+        assert!(nested.is_empty());
+        nested.put_u8(1);
+        assert_eq!(nested.into_bytes(), vec![1]);
     }
 
     #[test]
