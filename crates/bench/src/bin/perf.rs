@@ -539,6 +539,48 @@ fn create_file(p: Protocol) -> BenchResult {
     })
 }
 
+/// Files in the directory each unlink cell empties.
+const UNLINK_FILES: usize = 10_000;
+
+/// Unlinking: each round empties its own directory of 10,000 files, built
+/// before timing starts, in creation order (`fifo`, mdtest's remove
+/// phase) or in reverse. ops = unlinks.
+fn unlink(name: &str, fifo: bool, p: Protocol) -> BenchResult {
+    let mut dirs: Vec<(Namespace, Vec<InodeId>)> = (0..p.warmup + p.rounds)
+        .map(|_| {
+            let (ns, _, mut files) = flat_fixture(1, UNLINK_FILES);
+            if !fifo {
+                files.reverse();
+            }
+            (ns, files)
+        })
+        .collect();
+    let mut next = dirs.iter_mut();
+    run_bench(name, p, || {
+        let Some((ns, files)) = next.next() else {
+            return 0;
+        };
+        for f in files.iter() {
+            black_box(ns.unlink(*f).is_ok());
+        }
+        files.len() as u64
+    })
+}
+
+/// Snapshot decoding of a namespace section: a flat 20 × 5,000 dataset
+/// encoded once, decoded (and so checked) every round. ops = inodes, so
+/// `ns_per_op` is the restore cost per inode.
+fn namespace_decode(p: Protocol) -> BenchResult {
+    let (ns, _, _) = flat_fixture(20, 5_000);
+    let mut e = lunule_util::codec::Encoder::new();
+    ns.encode(&mut e);
+    let bytes = e.into_bytes();
+    run_bench("namespace_decode", p, || {
+        let mut d = lunule_util::codec::Decoder::new(&bytes);
+        Namespace::decode(&mut d).map_or(0, |back| back.len() as u64)
+    })
+}
+
 fn main() -> ExitCode {
     let args = CommonArgs::parse();
     let protocol = if args.quick {
@@ -566,6 +608,9 @@ fn main() -> ExitCode {
         path_chain(protocol),
         in_dirfrag(protocol),
         create_file(protocol),
+        unlink("unlink_fifo", true, protocol),
+        unlink("unlink_lifo", false, protocol),
+        namespace_decode(protocol),
     ];
 
     println!(
@@ -637,6 +682,18 @@ mod tests {
             hits > 0 && hits < 100,
             "{hits} of the first directory's 100 files"
         );
+    }
+
+    #[test]
+    fn unlink_and_decode_fixtures_do_their_work() {
+        let p = Protocol {
+            warmup: 0,
+            rounds: 1,
+        };
+        for fifo in [true, false] {
+            assert_eq!(unlink("unlink", fifo, p).iters, UNLINK_FILES as u64);
+        }
+        assert_eq!(namespace_decode(p).iters, 1 + 1 + 20 + 20 * 5_000);
     }
 
     #[test]

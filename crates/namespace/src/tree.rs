@@ -2,7 +2,7 @@
 
 use crate::error::{NsError, NsResult};
 use crate::frag::{dentry_hash, Frag, FragSet};
-use crate::inode::{FileType, Inode, InodeId};
+use crate::inode::{ChildList, FileType, Inode, InodeId};
 use lunule_util::convert::{u32_to_usize, usize_to_u32};
 use std::collections::BTreeMap;
 
@@ -68,7 +68,7 @@ impl Namespace {
                 name_len: 1,
                 ftype: FileType::Dir,
                 size: 0,
-                children: Vec::new(),
+                children: ChildList::default(),
                 depth: 0,
                 alive: true,
                 below: 0,
@@ -205,7 +205,7 @@ impl Namespace {
             name_len,
             ftype,
             size,
-            children: Vec::new(),
+            children: ChildList::default(),
             depth: pdepth + 1,
             alive: true,
             below: 0,
@@ -258,14 +258,11 @@ impl Namespace {
 
     /// Drops `id` from `parent`'s child list, from its subdirectory list
     /// when `id` is a directory, and from the child count of its fragment
-    /// when `parent` is fragmented. A child is listed once, so the first
-    /// match is the only one; `Vec::remove` shifts the tail in one memmove
-    /// and keeps the creation order that iteration and snapshots follow.
+    /// when `parent` is fragmented. The child list keeps the creation order
+    /// that iteration and snapshots follow, at a cost of `id`'s distance to
+    /// the nearer end of the list (see [`ChildList::remove`]).
     fn remove_child(&mut self, parent: InodeId, id: InodeId) {
-        let children = &mut self.arena[parent.index()].children;
-        if let Some(pos) = children.iter().position(|c| *c == id) {
-            children.remove(pos);
-        }
+        self.arena[parent.index()].children.remove(id);
         if let Some((parent_slot, slot)) = self.subdir_link(parent, id) {
             let subdirs = &mut self.subdirs[parent_slot];
             if let Some(pos) = subdirs.iter().position(|s| *s == slot) {
@@ -553,7 +550,33 @@ impl Namespace {
     /// depths are consistent, counters match, every name range lies inside
     /// the name arena, the directory index mirrors the arena, and every
     /// subtree size and fragment child count is exact.
+    ///
+    /// Linear in the size of the namespace: which inodes their parent
+    /// lists comes from one pass over every child list.
     pub fn invariants_hold(&self) -> bool {
+        let listed = self.listed_by_parent();
+        self.invariants_given(|id| listed[id.index()])
+    }
+
+    /// Per arena slot: whether the inode's parent lists it among its
+    /// children. One pass over every child list marks each child whose
+    /// parent link points back at the listing inode.
+    fn listed_by_parent(&self) -> Vec<bool> {
+        let mut listed = vec![false; self.arena.len()];
+        for (i, ino) in self.arena.iter().enumerate() {
+            let dir = Some(InodeId::from_index(i));
+            for c in ino.children.iter() {
+                if self.arena.get(c.index()).is_some_and(|ch| ch.parent == dir) {
+                    listed[c.index()] = true;
+                }
+            }
+        }
+        listed
+    }
+
+    /// [`Namespace::invariants_hold`] with `in_parent(id)` answering
+    /// whether `id`'s parent lists it.
+    fn invariants_given(&self, in_parent: impl Fn(InodeId) -> bool) -> bool {
         let mut files = 0;
         let mut dirs = 0;
         for (i, ino) in self.arena.iter().enumerate() {
@@ -563,10 +586,8 @@ impl Namespace {
             }
             if !ino.alive {
                 // Tombstones must be fully detached.
-                if let Some(p) = ino.parent {
-                    if self.arena[p.index()].children.contains(&id) {
-                        return false;
-                    }
+                if ino.parent.is_some() && in_parent(id) {
+                    return false;
                 }
                 continue;
             }
@@ -576,7 +597,7 @@ impl Namespace {
             }
             if let Some(p) = ino.parent {
                 let parent = &self.arena[p.index()];
-                if !parent.is_dir() || !parent.children.contains(&id) {
+                if !parent.is_dir() || !in_parent(id) {
                     return false;
                 }
                 if ino.depth != parent.depth + 1 {
@@ -770,7 +791,7 @@ impl Namespace {
                 name_len,
                 ftype,
                 size,
-                children,
+                children: children.into(),
                 depth,
                 alive,
                 below: 0,
@@ -1158,6 +1179,10 @@ mod tests {
     /// rename (of files and directories, across parents), rmdir and split
     /// steps, calling `after_step` after each one. Returns it with every
     /// directory it created that is still live.
+    ///
+    /// A test-side model of every live directory's children follows the
+    /// same steps, and each directory's [`Inode::children`] must equal it
+    /// after every step.
     fn random_namespace(
         rng: &mut lunule_util::rng::DetRng,
         mut after_step: impl FnMut(&Namespace),
@@ -1165,26 +1190,52 @@ mod tests {
         let mut ns = Namespace::new();
         let mut dirs = vec![InodeId::ROOT];
         let mut files = Vec::new();
+        let mut model: BTreeMap<InodeId, Vec<InodeId>> = BTreeMap::from([(InodeId::ROOT, vec![])]);
+        let detach = |model: &mut BTreeMap<InodeId, Vec<InodeId>>, ns: &Namespace, id| {
+            let siblings = model.get_mut(&ns.inode(id).parent().unwrap()).unwrap();
+            siblings.retain(|c| *c != id);
+        };
         for step in 0..(20 + rng.gen_range(0..40)) {
             let at = dirs[rng.gen_range(0..dirs.len())];
             match rng.gen_range(0..9) {
-                0 | 1 => dirs.push(ns.mkdir_total(at, &format!("d{step}"))),
-                2..=4 => files.push(ns.create_file_total(at, &format!("f{step}"), 0)),
+                0 | 1 => {
+                    let d = ns.mkdir_total(at, &format!("d{step}"));
+                    dirs.push(d);
+                    model.insert(d, Vec::new());
+                    model.get_mut(&at).unwrap().push(d);
+                }
+                2..=4 => {
+                    let f = ns.create_file_total(at, &format!("f{step}"), 0);
+                    files.push(f);
+                    model.get_mut(&at).unwrap().push(f);
+                }
                 5 if !files.is_empty() => {
                     let f = files.swap_remove(rng.gen_range(0..files.len()));
+                    detach(&mut model, &ns, f);
                     ns.unlink(f).unwrap();
                 }
                 6 => {
                     // Across parents; a move into its own subtree is
                     // refused and changes nothing.
                     let moved = dirs[rng.gen_range(0..dirs.len())];
-                    let _ = ns.rename(moved, at, &format!("r{step}"));
+                    let mut after = model.clone();
+                    if moved != InodeId::ROOT {
+                        detach(&mut after, &ns, moved);
+                        after.get_mut(&at).unwrap().push(moved);
+                    }
+                    if ns.rename(moved, at, &format!("r{step}")).is_ok() {
+                        model = after;
+                    }
                 }
                 7 if !files.is_empty() => {
                     let moved = files[rng.gen_range(0..files.len())];
+                    detach(&mut model, &ns, moved);
+                    model.get_mut(&at).unwrap().push(moved);
                     ns.rename(moved, at, &format!("r{step}")).unwrap();
                 }
                 8 if at != InodeId::ROOT && ns.inode(at).children().is_empty() => {
+                    detach(&mut model, &ns, at);
+                    model.remove(&at);
                     ns.rmdir(at).unwrap();
                     dirs.retain(|d| *d != at);
                 }
@@ -1194,6 +1245,13 @@ mod tests {
                     let by = u8::try_from(1 + rng.gen_range(0..2)).unwrap();
                     let _ = ns.split_frag(at, &frag, by);
                 }
+            }
+            for (dir, children) in &model {
+                assert_eq!(
+                    ns.inode(*dir).children(),
+                    children.as_slice(),
+                    "step {step}"
+                );
             }
             after_step(&ns);
         }
@@ -1222,6 +1280,122 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// The check `invariants_hold` replaced, kept as its oracle: each
+    /// inode's parent scans its whole child list for it, which is
+    /// quadratic in the size of a directory.
+    fn invariants_hold_by_contains(ns: &Namespace) -> bool {
+        ns.invariants_given(|id| {
+            ns.inode(id)
+                .parent
+                .is_some_and(|p| ns.arena[p.index()].children.contains(&id))
+        })
+    }
+
+    /// Every inode of `ns` that `keep` accepts.
+    fn inodes_where(ns: &Namespace, keep: impl Fn(&Inode) -> bool) -> Vec<InodeId> {
+        (0..ns.len())
+            .map(InodeId::from_index)
+            .filter(|id| keep(ns.inode(*id)))
+            .collect()
+    }
+
+    #[test]
+    fn linear_namespace_check_matches_the_contains_check() {
+        let mut corrupted = 0;
+        propcheck::run(96, |rng| {
+            let (ns, _) = random_namespace(rng, |ns| {
+                assert!(ns.invariants_hold());
+                assert!(invariants_hold_by_contains(ns));
+            });
+            let tombstones = inodes_where(&ns, |ino| !ino.alive);
+            let live = inodes_where(&ns, |ino| ino.alive && ino.parent.is_some());
+            if live.is_empty() {
+                return;
+            }
+            let mut bad = ns.clone();
+            let pick =
+                |v: &[InodeId], rng: &mut lunule_util::rng::DetRng| v[rng.gen_range(0..v.len())];
+            let child = pick(&live, rng);
+            let parent = ns.inode(child).parent.unwrap();
+            match rng.gen_range(0..5) {
+                0 if !tombstones.is_empty() => {
+                    // A tombstone still listed by its parent.
+                    let t = pick(&tombstones, rng);
+                    let p = ns.inode(t).parent.unwrap();
+                    bad.arena[p.index()].children.push(t);
+                }
+                1 => {
+                    // A live child its parent no longer lists.
+                    assert!(bad.arena[parent.index()].children.remove(child));
+                }
+                2 => {
+                    // A child listed under an inode that is not its parent.
+                    let others = inodes_where(&ns, |ino| ino.alive);
+                    let other = pick(&others, rng);
+                    if other == parent {
+                        return;
+                    }
+                    bad.arena[other.index()].children.push(child);
+                }
+                3 => {
+                    // Two live files of different parents swap listings:
+                    // every subtree count still adds up, only the parent
+                    // links tell.
+                    let files = inodes_where(&ns, |ino| ino.alive && !ino.is_dir());
+                    if files.is_empty() {
+                        return;
+                    }
+                    let (a, b) = (pick(&files, rng), pick(&files, rng));
+                    let (pa, pb) = (ns.inode(a).parent.unwrap(), ns.inode(b).parent.unwrap());
+                    if pa == pb {
+                        return;
+                    }
+                    assert!(bad.arena[pa.index()].children.remove(a));
+                    assert!(bad.arena[pb.index()].children.remove(b));
+                    bad.arena[pa.index()].children.push(b);
+                    bad.arena[pb.index()].children.push(a);
+                }
+                _ => {
+                    // A child listed twice.
+                    bad.arena[parent.index()].children.push(child);
+                }
+            }
+            assert!(!invariants_hold_by_contains(&bad));
+            assert!(!bad.invariants_hold());
+            corrupted += 1;
+        });
+        assert!(corrupted > 48, "only {corrupted} corrupted cases");
+    }
+
+    #[test]
+    fn unlinks_from_either_end_encode_like_the_creation_order() {
+        for fifo in [true, false] {
+            let mut ns = Namespace::new();
+            let d = ns.mkdir(InodeId::ROOT, "d").unwrap();
+            let files: Vec<InodeId> = (0..50)
+                .map(|i| ns.create_file(d, &format!("f{i}"), 1).unwrap())
+                .collect();
+            let gone: Vec<InodeId> = if fifo {
+                files[..20].to_vec()
+            } else {
+                files[30..].iter().rev().copied().collect()
+            };
+            for f in &gone {
+                ns.unlink(*f).unwrap();
+            }
+            ns.create_file(d, "late", 1).unwrap();
+            let mut e = lunule_util::codec::Encoder::new();
+            ns.encode(&mut e);
+            let bytes = e.into_bytes();
+            let back = Namespace::decode(&mut lunule_util::codec::Decoder::new(&bytes)).unwrap();
+            assert_eq!(back.inode(d).children(), ns.inode(d).children());
+            assert_eq!(ns.inode(d).children().len(), 31);
+            let mut again = lunule_util::codec::Encoder::new();
+            back.encode(&mut again);
+            assert_eq!(again.into_bytes(), bytes, "fifo {fifo}");
+        }
     }
 
     #[test]

@@ -67,8 +67,12 @@ pub struct Simulation {
     /// migrator's cumulative counters. `(0, 0, 0)` for an uninterrupted run.
     pub(crate) journal_base: (u64, u64, u64),
     /// Per-rank route-cost buffer of the create serve path, reused across
-    /// ops so a served create allocates nothing.
+    /// ops so pricing a create's route allocates nothing.
     pub(crate) costs_scratch: Vec<(usize, f64)>,
+    /// The name a served create gives its file, written into this reused
+    /// buffer instead of a fresh `String` per create. Transient like
+    /// `costs_scratch`: never serialized, empty after a restore.
+    pub(crate) name_scratch: String,
     /// The issue rounds' buffers, kept from tick to tick so plain ticks
     /// reuse their capacity. Transient like `costs_scratch`: never
     /// serialized, empty after a restore.
@@ -200,6 +204,7 @@ impl Simulation {
             report_loss_until: vec![0; cfg.n_mds],
             journal_base: (0, 0, 0),
             costs_scratch: Vec::new(),
+            name_scratch: String::new(),
             round_scratch: Default::default(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
             op_ledger: crate::tick_ledger::TickOpLedger::default(),

@@ -52,6 +52,7 @@ use crate::request::MetaOp;
 use lunule_core::{Access, OpKind};
 use lunule_namespace::InodeId;
 use lunule_util::convert::{u64_to_usize, usize_to_u64};
+use std::fmt::Write as _;
 
 /// What a classified cohort does this round.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -464,8 +465,10 @@ impl Simulation {
         let MetaOp::Create { parent, size } = op else {
             unreachable!("serve_singleton_create takes creates only")
         };
-        let name = format!("c{}_{}", st.id, st.ops_done);
-        let (ino, kind, data_bytes) = match self.ns.create_file(parent, &name, size) {
+        self.name_scratch.clear();
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.name_scratch, "c{}_{}", st.id, st.ops_done);
+        let (ino, kind, data_bytes) = match self.ns.create_file(parent, &self.name_scratch, size) {
             Ok(id) => {
                 st.notify_created(id);
                 (id, OpKind::Create, size)

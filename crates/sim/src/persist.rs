@@ -292,6 +292,7 @@ impl Simulation {
             report_loss_until,
             journal_base,
             costs_scratch: Vec::new(),
+            name_scratch: String::new(),
             round_scratch: Default::default(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
             op_ledger: crate::tick_ledger::TickOpLedger::default(),

@@ -10,7 +10,9 @@
 //! Two properties are asserted on a cohort fixture where nothing splits
 //! (rank capacity far above demand, every route cached after warm-up):
 //! a plain tick allocates nothing, and the calls of an epoch tick do not
-//! grow when the same namespace carries 8x more cohort groups. The
+//! grow when the same namespace carries 8x more cohort groups. A third
+//! fixture serves creates: once warm, its calls are the geometric growth
+//! of a few buffers, not one or more per create. The
 //! ignored `tick_loop_shapes` test prints the counts of the `perf`
 //! tick-loop cells' shapes; run it with
 //! `cargo test --release --test alloc_count -- --ignored --nocapture`.
@@ -22,8 +24,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use lunule::core::{make_balancer, BalancerKind};
+use lunule::namespace::{build_private_dirs, Namespace};
 use lunule::sim::{FixedStream, OpStream, SimConfig, Simulation};
 use lunule::telemetry::Telemetry;
+use lunule::workloads::MdtestFullStream;
 use lunule_bench::{build_namespace, build_sim, ScaleSpec};
 
 struct Counting;
@@ -195,6 +199,68 @@ fn epoch_close_calls_do_not_grow_with_cohort_groups() {
         "epoch ticks with 64 groups made {} allocator calls, with 8 groups {}",
         sum(&many.epoch),
         sum(&few.epoch)
+    );
+}
+
+/// Clients of the create fixture, each creating into a private directory.
+const CREATE_CLIENTS: usize = 10;
+/// Creates each client issues per tick (`client_rate`, 1-second ticks).
+const CREATES_PER_TICK: u64 = 10;
+
+/// The create phase of an mdtest cycle: `CREATE_CLIENTS` singleton
+/// clients, each with 100,000 files to create into its own directory, on
+/// 4 ranks whose capacity no tick exhausts. No epoch closes during the
+/// run, so every tick only serves creates.
+fn create_sim() -> Simulation {
+    let mut ns = Namespace::new();
+    let dirs = build_private_dirs(&mut ns, "mdtest", CREATE_CLIENTS, 0, 0);
+    let cfg = SimConfig {
+        n_mds: 4,
+        mds_capacity: 1e9,
+        epoch_secs: 1_000,
+        duration_secs: 500,
+        stop_when_done: false,
+        client_rate: CREATES_PER_TICK as f64,
+        seed: 42,
+        ..SimConfig::default()
+    };
+    let streams: Vec<Box<dyn OpStream>> = dirs
+        .dirs
+        .iter()
+        .map(|(dir, _)| Box::new(MdtestFullStream::new(*dir, 100_000)) as Box<dyn OpStream>)
+        .collect();
+    let balancer = make_balancer(BalancerKind::Lunule, cfg.mds_capacity);
+    Simulation::new(cfg, ns, balancer, streams)
+}
+
+/// Served creates, after warm-up, that the create test counts across.
+const MEASURED_CREATES: u64 = 1_000;
+
+#[test]
+#[cfg_attr(
+    feature = "strict-invariants",
+    ignore = "the strict-invariants audit allocates every tick"
+)]
+fn served_creates_only_grow_buffers() {
+    let mut sim = create_sim();
+    for _ in 0..WARMUP_TICKS {
+        assert!(sim.step());
+    }
+    let ticks = MEASURED_CREATES / (CREATE_CLIENTS as u64 * CREATES_PER_TICK);
+    let ops_before = sim.total_ops();
+    let calls = calls_during(|| {
+        for _ in 0..ticks {
+            assert!(sim.step());
+        }
+    });
+    assert_eq!(sim.total_ops() - ops_before, MEASURED_CREATES);
+    println!("{MEASURED_CREATES} served creates: {calls} allocator calls");
+    // The namespace arena, the name arena, each client's child list, the
+    // analyzer's visit records and each stream's created list grow
+    // geometrically; a per-create `String` alone would be 1,000 calls.
+    assert!(
+        calls <= 64,
+        "{MEASURED_CREATES} served creates made {calls} allocator calls"
     );
 }
 
