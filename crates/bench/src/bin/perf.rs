@@ -276,6 +276,36 @@ fn authority_resolve(p: Protocol) -> BenchResult {
     })
 }
 
+/// Per-op routing as the simulator performs it: the fragment a dentry
+/// hashes into and the rank serving it, through a fresh
+/// [`AuthorityCache`] per round. The fixture's bottom directory is split
+/// into four fragments, one of them pinned to its own rank, so every
+/// lookup scans a four-entry route table.
+fn child_route(p: Protocol) -> BenchResult {
+    let (mut ns, mut map, files) = authority_fixture();
+    let dir = files
+        .first()
+        .and_then(|f| ns.inode(*f).parent())
+        .unwrap_or(InodeId::ROOT);
+    let frags = ns.split_frag(dir, &Frag::root(), 2).unwrap_or_default();
+    if let Some(frag) = frags.get(1) {
+        map.set_authority(FragKey { dir, frag: *frag }, MdsRank(4));
+    }
+    let hashes: Vec<u32> = files.iter().map(|f| dentry_hash(f.raw())).collect();
+    const REPS: u64 = 2_000;
+    run_bench("child_route", p, || {
+        let mut auth = AuthorityCache::new();
+        let mut ops = 0u64;
+        for _ in 0..REPS {
+            for &hash in &hashes {
+                black_box(auth.child_route(&map, &ns, dir, hash));
+                ops += 1;
+            }
+        }
+        ops
+    })
+}
+
 /// The uncached walk the cache replaced — kept as the reference cell so
 /// the memoization win stays visible (and honest) in BENCH.json.
 fn authority_walk(p: Protocol) -> BenchResult {
@@ -374,6 +404,45 @@ fn tick_loop(name: &str, clients: u64, p: Protocol) -> BenchResult {
         .collect();
     let mut next = sims.iter_mut();
     run_bench(name, p, || next.next().map_or(0, step_to_end))
+}
+
+/// Ticks each sparse-round simulation runs.
+const SPARSE_TICKS: u64 = 40;
+
+/// A tick loop whose rounds are mostly sparse: 200 singleton Zipf readers
+/// on 8 ranks of capacity 500, each allowed the default 500 ops per tick.
+/// Ranks run out of budget long before the clients run out of rate, and
+/// once a rank is drained every client routed to it sits out the tick,
+/// so most rounds serve a handful of the 200 cohorts (about 12 on
+/// average, over ~225 rounds per tick).
+fn sparse_sim() -> Simulation {
+    let spec = WorkloadSpec {
+        kind: WorkloadKind::ZipfRead,
+        clients: 200,
+        scale: 0.05,
+        seed: 42,
+    };
+    let cfg = SimConfig {
+        n_mds: 8,
+        mds_capacity: 500.0,
+        duration_secs: SPARSE_TICKS,
+        stop_when_done: false,
+        seed: 42,
+        ..SimConfig::default()
+    };
+    let (ns, streams) = spec.build();
+    let b = make_balancer(BalancerKind::Lunule, cfg.mds_capacity);
+    Simulation::new(cfg, ns, b, streams)
+}
+
+/// The sparse-round tick loop alone, simulations built before timing as
+/// in [`tick_loop`]; `ns_per_op` is the cost of one tick.
+fn tick_loop_sparse(p: Protocol) -> BenchResult {
+    let mut sims: Vec<Simulation> = (0..p.warmup + p.rounds).map(|_| sparse_sim()).collect();
+    let mut next = sims.iter_mut();
+    run_bench("tick_loop_sparse_c200_m8", p, || {
+        next.next().map_or(0, step_to_end)
+    })
 }
 
 /// A flat dataset of `dirs` directories of `files_per_dir` files, with its
@@ -581,6 +650,34 @@ fn namespace_decode(p: Protocol) -> BenchResult {
     })
 }
 
+/// Writing a whole-simulation snapshot, capture and byte layout with its
+/// checksums, of a flat 20 × 5,000 namespace after 20 ticks of Zipf-like
+/// reads from 64 clients. ops = inodes, so `ns_per_op` is the encode cost
+/// per inode.
+fn snapshot_encode(p: Protocol) -> BenchResult {
+    let (ns, _, files) = flat_fixture(20, 5_000);
+    let inodes = ns.len() as u64;
+    let streams: Vec<Box<dyn lunule_sim::OpStream>> = (0..64)
+        .map(|c| {
+            let reads = files.iter().skip(c * 7).step_by(997).copied().collect();
+            Box::new(lunule_sim::FixedStream::new(reads)) as Box<dyn lunule_sim::OpStream>
+        })
+        .collect();
+    let cfg = SimConfig {
+        n_mds: 8,
+        duration_secs: 20,
+        stop_when_done: false,
+        ..default_sim()
+    };
+    let b = make_balancer(BalancerKind::Lunule, cfg.mds_capacity);
+    let mut sim = Simulation::new(cfg, ns, b, streams);
+    step_to_end(&mut sim);
+    run_bench("snapshot_encode_ns_per_inode", p, || {
+        black_box(sim.snapshot().to_bytes());
+        inodes
+    })
+}
+
 fn main() -> ExitCode {
     let args = CommonArgs::parse();
     let protocol = if args.quick {
@@ -597,9 +694,11 @@ fn main() -> ExitCode {
         telemetry_on(protocol),
         authority_resolve(protocol),
         authority_walk(protocol),
+        child_route(protocol),
         build_candidates_1m(protocol),
         tick_loop("tick_loop_c1k_m128", 1_000, protocol),
         tick_loop("tick_loop_c100k_m128", 100_000, protocol),
+        tick_loop_sparse(protocol),
         record_access(protocol),
         mindex_of(protocol),
         imbalance_factor_16(protocol),
@@ -611,8 +710,19 @@ fn main() -> ExitCode {
         unlink("unlink_fifo", true, protocol),
         unlink("unlink_lifo", false, protocol),
         namespace_decode(protocol),
+        snapshot_encode(protocol),
     ];
 
+    // A strict-invariants build audits every tick; `bench-diff` refuses
+    // to compare its timings with a plain build's.
+    println!(
+        "features: strict-invariants {}",
+        if lunule_sim::STRICT_INVARIANTS {
+            "on"
+        } else {
+            "off"
+        }
+    );
     println!(
         "{:<20} {:>12} {:>14} {:>14}",
         "bench", "iters", "ns/op", "ops/sec"
@@ -694,6 +804,29 @@ mod tests {
             assert_eq!(unlink("unlink", fifo, p).iters, UNLINK_FILES as u64);
         }
         assert_eq!(namespace_decode(p).iters, 1 + 1 + 20 + 20 * 5_000);
+    }
+
+    #[test]
+    fn child_route_and_snapshot_cells_do_their_work() {
+        let p = Protocol {
+            warmup: 0,
+            rounds: 1,
+        };
+        assert_eq!(child_route(p).iters, 2_000 * 64);
+        assert_eq!(snapshot_encode(p).iters, 1 + 1 + 20 + 20 * 5_000);
+    }
+
+    #[test]
+    fn sparse_sim_runs_many_rounds_per_tick() {
+        let mut sim = sparse_sim();
+        assert_eq!(step_to_end(&mut sim), SPARSE_TICKS);
+        // Each round serves a client at most once, so more than four ops
+        // per client per tick means the ticks run several rounds.
+        assert!(
+            sim.total_ops() > 4 * 200 * SPARSE_TICKS,
+            "{} ops in {SPARSE_TICKS} ticks",
+            sim.total_ops()
+        );
     }
 
     #[test]

@@ -1,29 +1,49 @@
-//! Tick-scoped memoization of subtree-map authority walks.
+//! Memoization of subtree-map authority walks and per-directory routes.
 //!
 //! [`SubtreeMap::authority`] recurses from the inode to the root on every
 //! call; the simulator calls it (directly or through the chain variant)
 //! once per metadata op, and with deep paths and millions of ops per tick
 //! the repeated ancestor walks dominate the resolve phase. Between two
 //! subtree-map mutations the answers cannot change, so [`AuthorityCache`]
-//! memoizes them in a dense [`PagedMap`] keyed by inode index and
-//! invalidates the whole memo in O(1) whenever
-//! [`SubtreeMap::generation`] moves — the map bumps it on every mutation.
+//! memoizes them in a dense [`PagedMap`] keyed by inode index.
 //!
-//! Namespace mutations never invalidate the memo: inode ids are
-//! never reused (unlink tombstones the arena slot), parent links are
-//! immutable once created, and a freshly created inode occupies a fresh
-//! index whose memo entry cannot exist yet. Only the subtree map decides
-//! authority, and every mutation of it bumps the generation.
+//! Beside it sits a *route table* per directory: each live fragment of the
+//! directory with the rank that serves the children hashing into it. An
+//! op's route ([`AuthorityCache::child_route`]) is then one memo probe and
+//! a scan of a few entries instead of a fragment lookup in the namespace
+//! plus an entry lookup in the subtree map. The directory's memo entry
+//! holds the table's number beside its authority, so the tables add no
+//! index of their own.
 //!
-//! The fill is path-compressing: resolving an inode memoizes every
-//! ancestor along the way, so sibling lookups (the common case — ops
+//! Both memos are keyed on the pair of [`SubtreeMap::generation`] and
+//! [`Namespace::generation`], and are dropped in O(1) whenever either
+//! moves. The map bumps its generation on every mutation. The namespace
+//! bumps its own on the mutations that can move a memoized answer: a
+//! fragment split changes a directory's fragments, and a rename (or a
+//! directory removal) changes parent links, so every authority below the
+//! moved inode. Creates and unlinks do not bump it: inode ids are never
+//! reused (unlink tombstones the arena slot), and a freshly created inode
+//! occupies a fresh index whose memo entries cannot exist yet.
+//!
+//! The authority fill is path-compressing: resolving an inode memoizes
+//! every ancestor along the way, so sibling lookups (the common case — ops
 //! cluster in directories) are O(1) after the first.
+//!
+//! One cache serves one namespace and map pair: the generations identify
+//! states of that pair, not of any other.
 
-use crate::frag::dentry_hash;
+use crate::frag::{dentry_hash, Frag};
 use crate::inode::InodeId;
 use crate::subtree::{MdsRank, SubtreeMap};
 use crate::tree::Namespace;
+use lunule_util::convert::{u32_to_usize, usize_to_u32};
 use lunule_util::intern::PagedMap;
+
+/// Most route tables one generation holds. A directory's memo entry
+/// carries its authority rank in the low 16 bits and its table number
+/// (position in `spans` plus one, 0 for none) in the high 16, so one
+/// probe finds both; past this many tables both memos start over.
+const MAX_TABLES: usize = 0xFFFF;
 
 #[inline]
 fn encode_rank(r: MdsRank) -> u32 {
@@ -32,23 +52,33 @@ fn encode_rank(r: MdsRank) -> u32 {
 
 #[inline]
 fn decode_rank(v: u32) -> MdsRank {
-    MdsRank(u16::try_from(v).unwrap_or(u16::MAX))
+    MdsRank(u16::try_from(v & 0xFFFF).unwrap_or(u16::MAX))
 }
 
-/// A memoized view of [`SubtreeMap::authority`], valid for one subtree-map
-/// generation and refreshed automatically when the generation moves.
+/// A memoized view of [`SubtreeMap::authority`] and of the per-fragment
+/// authority of each directory's children, valid for one `(map,
+/// namespace)` generation pair and refreshed automatically when either
+/// moves.
 ///
-/// Both entry points ([`AuthorityCache::authority`],
-/// [`AuthorityCache::chain`]) fill the memo as they go.
+/// Every entry point ([`AuthorityCache::authority`],
+/// [`AuthorityCache::chain`], [`AuthorityCache::child_route`]) fills the
+/// memos as it goes.
 #[derive(Clone, Default)]
 pub struct AuthorityCache {
-    /// Subtree-map generation the memo was built against.
-    map_generation: u64,
+    /// `(subtree-map generation, namespace generation)` the memos were
+    /// built against.
+    generations: (u64, u64),
     /// False until the first sync; distinguishes "never primed" from
     /// "primed at generation 0".
     synced: bool,
-    /// inode index → memoized authority rank.
+    /// inode index → memoized authority rank, plus the route table number
+    /// of a directory that has one (see [`MAX_TABLES`]).
     memo: PagedMap,
+    /// Per route table: `(start, len)` of its entries in `routes`.
+    spans: Vec<(u32, u32)>,
+    /// Route tables back to back: each live fragment of a directory, in
+    /// the directory's fragment order, with the rank serving it.
+    routes: Vec<(Frag, MdsRank)>,
     /// Walk-up scratch, reused across calls.
     stack: Vec<InodeId>,
     /// Chain scratch backing [`AuthorityCache::chain`].
@@ -62,18 +92,26 @@ impl AuthorityCache {
         AuthorityCache::default()
     }
 
-    /// Drops the memo if `map` has mutated since it was built.
-    fn sync(&mut self, map: &SubtreeMap) {
-        if !self.synced || self.map_generation != map.generation() {
-            self.memo.clear();
-            self.map_generation = map.generation();
+    /// Drops both memos if `map` or `ns` has mutated since they were built.
+    fn sync(&mut self, map: &SubtreeMap, ns: &Namespace) {
+        let now = (map.generation(), ns.generation());
+        if !self.synced || self.generations != now {
+            self.clear();
+            self.generations = now;
             self.synced = true;
         }
     }
 
+    /// Drops both memos.
+    fn clear(&mut self) {
+        self.memo.clear();
+        self.spans.clear();
+        self.routes.clear();
+    }
+
     /// Memoized [`SubtreeMap::authority`]: same answer, amortized O(1).
     pub fn authority(&mut self, map: &SubtreeMap, ns: &Namespace, ino: InodeId) -> MdsRank {
-        self.sync(map);
+        self.sync(map, ns);
         if let Some(v) = self.memo.get(ino.index()) {
             return decode_rank(v);
         }
@@ -133,6 +171,64 @@ impl AuthorityCache {
         buf.reverse();
         self.chain_buf = buf;
         &self.chain_buf
+    }
+
+    /// The live fragment of `dir` that dentry hash `hash` falls in, and the
+    /// rank serving it: the deepest subtree-map entry on `dir` covering
+    /// that fragment, else the directory's own authority. This is where
+    /// an op on the child of `dir` with hash `hash` is served. The first
+    /// call for a directory in a generation builds its route table; later
+    /// calls scan it.
+    pub fn child_route(
+        &mut self,
+        map: &SubtreeMap,
+        ns: &Namespace,
+        dir: InodeId,
+        hash: u32,
+    ) -> (Frag, MdsRank) {
+        self.sync(map, ns);
+        let (start, len) = match self.memo.get(dir.index()).map(|v| v >> 16) {
+            Some(table) if table > 0 => self.spans[u32_to_usize(table - 1)],
+            _ => self.fill_table(map, ns, dir),
+        };
+        let start = u32_to_usize(start);
+        let table = &self.routes[start..start + u32_to_usize(len)];
+        match table.iter().find(|(f, _)| f.contains_hash(hash)) {
+            Some(&hit) => hit,
+            None => {
+                // The fragments of a directory partition the hash space, so
+                // only a corrupted fragment set misses; answer as a lookup
+                // that fell back to the root fragment would.
+                debug_assert!(false, "fragments of {dir:?} miss hash {hash:#x}");
+                let dir_auth = self.authority(map, ns, dir);
+                let root = Frag::root();
+                (
+                    root,
+                    map.covering_entry_rank(dir, &root).unwrap_or(dir_auth),
+                )
+            }
+        }
+    }
+
+    /// Builds and memoizes the route table of `dir`; returns its span.
+    fn fill_table(&mut self, map: &SubtreeMap, ns: &Namespace, dir: InodeId) -> (u32, u32) {
+        if self.spans.len() >= MAX_TABLES {
+            self.clear();
+        }
+        let dir_auth = self.authority(map, ns, dir);
+        let start = self.routes.len();
+        let root = [Frag::root()];
+        let frags = ns.frag_set(dir).map_or(&root[..], |set| set.frags());
+        self.routes.extend(frags.iter().map(|f| {
+            // An exactly matching entry covers its own fragment, so the
+            // covering lookup also answers the exact-entry case.
+            (*f, map.covering_entry_rank(dir, f).unwrap_or(dir_auth))
+        }));
+        let span = (usize_to_u32(start), usize_to_u32(self.routes.len() - start));
+        self.spans.push(span);
+        let table = usize_to_u32(self.spans.len()) << 16;
+        self.memo.set(dir.index(), encode_rank(dir_auth) | table);
+        span
     }
 }
 
@@ -210,6 +306,84 @@ mod tests {
             live,
             "stale memo must not serve the new generation"
         );
+    }
+
+    #[test]
+    fn rename_under_another_authority_invalidates_the_memo() {
+        let (mut ns, map, all) = setup();
+        // `all[1]` is d0/sub (d0 on rank 1); `all[8]` is d1 (rank 0), whose
+        // `sub` is pinned to rank 2. Prime every inode, then move d0/sub
+        // under d1: its files must follow their new parent's authority.
+        let mut cache = AuthorityCache::new();
+        for &ino in &all {
+            cache.authority(&map, &ns, ino);
+        }
+        let (moved, file, new_parent) = (all[1], all[2], all[8]);
+        let before = cache.authority(&map, &ns, file);
+        ns.rename(moved, new_parent, "moved").unwrap();
+        let live = map.authority(&ns, file);
+        assert_ne!(before, live, "the rename must change the answer");
+        for &ino in &all {
+            assert_eq!(cache.authority(&map, &ns, ino), map.authority(&ns, ino));
+        }
+        let hash = dentry_hash(file.raw());
+        assert_eq!(
+            cache.child_route(&map, &ns, moved, hash),
+            (Frag::root(), live)
+        );
+    }
+
+    #[test]
+    fn child_route_follows_fragment_entries_and_splits() {
+        let (mut ns, mut map, all) = setup();
+        let sub = all[1];
+        let mut cache = AuthorityCache::new();
+        let hashes: Vec<u32> = (0..64u64).map(dentry_hash).collect();
+        let dir_auth = map.authority(&ns, sub);
+        for &h in &hashes {
+            assert_eq!(
+                cache.child_route(&map, &ns, sub, h),
+                (Frag::root(), dir_auth)
+            );
+        }
+        // Split and pin one half: the memo must see both changes.
+        let halves = ns.split_frag(sub, &Frag::root(), 1).unwrap();
+        map.set_authority(
+            FragKey {
+                dir: sub,
+                frag: halves[1],
+            },
+            MdsRank(4),
+        );
+        for &h in &hashes {
+            let want = if halves[1].contains_hash(h) {
+                (halves[1], MdsRank(4))
+            } else {
+                (halves[0], dir_auth)
+            };
+            assert_eq!(cache.child_route(&map, &ns, sub, h), want);
+        }
+    }
+
+    #[test]
+    fn route_tables_start_over_past_the_table_limit() {
+        let mut ns = Namespace::new();
+        let mut map = SubtreeMap::new(MdsRank(0));
+        let dirs: Vec<InodeId> = (0..MAX_TABLES + 10)
+            .map(|d| ns.mkdir_total(InodeId::ROOT, &format!("d{d}")))
+            .collect();
+        for &d in dirs.iter().step_by(7) {
+            map.set_authority(FragKey::whole(d), MdsRank(3));
+        }
+        let mut cache = AuthorityCache::new();
+        // Twice over: the second pass hits tables built after the reset.
+        for _ in 0..2 {
+            for &d in &dirs {
+                let (_, rank) = cache.child_route(&map, &ns, d, 7);
+                assert_eq!(rank, map.frag_authority(&ns, d, &Frag::root()), "{d:?}");
+                assert_eq!(cache.authority(&map, &ns, d), map.authority(&ns, d));
+            }
+        }
     }
 
     #[test]

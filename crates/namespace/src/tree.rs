@@ -38,6 +38,11 @@ pub struct Namespace {
     subdirs: Vec<Vec<u32>>,
     n_files: usize,
     n_dirs: usize,
+    /// Bumps whenever a directory's fragments or an inode's parent link
+    /// change (`split_frag`, `rmdir`, `rename`): the mutations that can
+    /// move a memoized route (see [`crate::AuthorityCache`]). Not
+    /// serialised; a decoded namespace starts at 0.
+    generation: u64,
 }
 
 /// Appends `name` to a name arena and returns its `(offset, len)` range,
@@ -79,7 +84,16 @@ impl Namespace {
             subdirs: vec![Vec::new()],
             n_files: 0,
             n_dirs: 1,
+            generation: 0,
         }
+    }
+
+    /// Change counter for the routing-relevant structure: bumps on every
+    /// fragment split, directory removal and rename, never on creates or
+    /// unlinks (a fresh inode takes a fresh id; an unlinked one is never
+    /// routed again).
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Total number of inodes (files + directories, including the root).
@@ -316,6 +330,7 @@ impl Namespace {
         self.arena[id.index()].alive = false;
         self.frags.remove(&id);
         self.n_dirs -= 1;
+        self.generation += 1;
         Ok(())
     }
 
@@ -345,6 +360,7 @@ impl Namespace {
         let (name_off, name_len) =
             push_name(&mut self.names, new_name).ok_or(NsError::NameArenaFull)?;
         let moved = self.arena[id.index()].below + 1;
+        self.generation += 1;
         self.remove_child(old_parent, id);
         self.update_below(old_parent, |b| b - moved);
         self.add_child(new_parent, id);
@@ -482,6 +498,7 @@ impl Namespace {
         if !self.get(dir)?.is_dir() {
             return Err(NsError::NotADirectory(dir));
         }
+        self.generation += 1;
         let children = &self.arena[dir.index()].children;
         let set = self
             .frags
@@ -818,6 +835,7 @@ impl Namespace {
             subdirs: Vec::new(),
             n_files,
             n_dirs,
+            generation: 0,
         };
         if ns.arena.is_empty()
             || ns

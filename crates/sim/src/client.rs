@@ -22,6 +22,9 @@ pub struct Route {
     /// Ranks that forward the request on a traversal (may repeat the
     /// target's predecessors; empty on a cache hit).
     pub forwards: Vec<MdsRank>,
+    /// The live fragment of the op's directory the op hashed into: what
+    /// the client caches once the op is served.
+    pub frag: Frag,
 }
 
 /// A route to rank 0 with no forwards: a blank buffer for the cohort
@@ -31,6 +34,7 @@ impl Default for Route {
         Route {
             target: MdsRank(0),
             forwards: Vec::new(),
+            frag: Frag::root(),
         }
     }
 }
@@ -155,22 +159,10 @@ impl Client {
     /// is used optimistically; if it has gone stale (the subtree migrated),
     /// the stale MDS *redirects* the request — one forward charged at the
     /// stale rank. Only genuinely unknown dirfrags pay a full path
-    /// traversal from the root.
+    /// traversal from the root. Authority lookups go through `auth`, the
+    /// simulation's shared [`AuthorityCache`].
     ///
     /// Returns the route and whether it was a (fresh) cache hit.
-    pub fn resolve(
-        &self,
-        ns: &Namespace,
-        map: &SubtreeMap,
-        dir: InodeId,
-        hash: u32,
-    ) -> (Route, bool) {
-        resolve_route(&self.cache, ns, map, dir, hash)
-    }
-
-    /// [`Client::resolve`] through a tick-scoped [`AuthorityCache`]: same
-    /// route, amortized-O(1) authority lookups. The serial issue paths
-    /// thread the simulation's shared cache through here.
     pub(crate) fn resolve_with(
         &self,
         ns: &Namespace,
@@ -185,9 +177,9 @@ impl Client {
     }
 }
 
-/// [`Client::resolve`] as a free function over the bare route cache:
-/// the uncached live-walk reference the memoized
+/// The uncached live-walk route: the reference the memoized
 /// [`resolve_route_cached`] must agree with.
+#[cfg(test)]
 pub(crate) fn resolve_route(
     cache: &BTreeMap<InodeId, Vec<(Frag, MdsRank)>>,
     ns: &Namespace,
@@ -195,6 +187,7 @@ pub(crate) fn resolve_route(
     dir: InodeId,
     hash: u32,
 ) -> (Route, bool) {
+    let frag = ns.frag_for_hash(dir, hash);
     let cached = cache.get(&dir).and_then(|entries| {
         entries
             .iter()
@@ -207,22 +200,17 @@ pub(crate) fn resolve_route(
         // round-trip, collapsed to one forward).
         let dir_auth = map.authority(ns, dir);
         let true_auth = resolve_child(map, ns, dir, hash, dir_auth);
-        if true_auth == cached_rank {
-            return (
-                Route {
-                    target: cached_rank,
-                    forwards: Vec::new(),
-                },
-                true,
-            );
-        }
-        return (
-            Route {
-                target: true_auth,
-                forwards: vec![cached_rank],
-            },
-            false,
-        );
+        let forwards = if true_auth == cached_rank {
+            Vec::new()
+        } else {
+            vec![cached_rank]
+        };
+        let route = Route {
+            target: true_auth,
+            forwards,
+            frag,
+        };
+        return (route, true_auth == cached_rank);
     }
     // Cache miss: full traversal from the root. The authority chain of
     // the *directory* plus the final hop for the dentry hash.
@@ -240,21 +228,20 @@ pub(crate) fn resolve_route(
             forwards.push(w[0]);
         }
     }
-    (
-        Route {
-            target: final_auth,
-            forwards,
-        },
-        false,
-    )
+    let route = Route {
+        target: final_auth,
+        forwards,
+        frag,
+    };
+    (route, false)
 }
 
-/// [`resolve_route`] with authority lookups memoized in `auth`, written
-/// into `out` so a caller that keeps its routes reuses their `forwards`
-/// capacity. Produces the identical route and returns the identical hit
-/// flag — the memo replays the exact [`SubtreeMap::authority`]
-/// recurrence and invalidates on every map generation bump — without the
-/// per-op root-to-dir walk.
+/// The route of an op on the child of `dir` with dentry hash `hash`, given
+/// the client's route cache, written into `out` so a caller that keeps its
+/// routes reuses their `forwards` capacity. Returns whether the route was
+/// a fresh cache hit. The op's fragment and serving rank come from one
+/// [`AuthorityCache::child_route`] lookup; only a cache miss walks the
+/// directory's (memoized) authority chain for the traversal's forwards.
 pub(crate) fn resolve_route_cached(
     cache: &BTreeMap<InodeId, Vec<(Frag, MdsRank)>>,
     ns: &Namespace,
@@ -265,6 +252,9 @@ pub(crate) fn resolve_route_cached(
     out: &mut Route,
 ) -> bool {
     out.forwards.clear();
+    let (frag, true_auth) = auth.child_route(map, ns, dir, hash);
+    out.frag = frag;
+    out.target = true_auth;
     let cached = cache.get(&dir).and_then(|entries| {
         entries
             .iter()
@@ -273,9 +263,6 @@ pub(crate) fn resolve_route_cached(
             .map(|(_, r)| *r)
     });
     if let Some(cached_rank) = cached {
-        let dir_auth = auth.authority(map, ns, dir);
-        let true_auth = resolve_child(map, ns, dir, hash, dir_auth);
-        out.target = true_auth;
         if true_auth == cached_rank {
             return true;
         }
@@ -284,25 +271,32 @@ pub(crate) fn resolve_route_cached(
     }
     let auths = auth.chain(map, ns, dir);
     let dir_auth = auths.last().copied().unwrap_or_else(|| map.root_rank());
-    let final_auth = resolve_child(map, ns, dir, hash, dir_auth);
     for w in auths.windows(2) {
         if w[0] != w[1] {
             out.forwards.push(w[0]);
         }
     }
-    if dir_auth != final_auth {
+    if dir_auth != true_auth {
         out.forwards.push(dir_auth);
     }
-    out.target = final_auth;
     false
 }
 
 impl Client {
-    /// Records the resolved authority for `(dir, hash)` once the op was
-    /// served (the reply carries the authoritative rank).
-    pub fn learn_route(&mut self, ns: &Namespace, dir: InodeId, hash: u32, rank: MdsRank) {
-        let frag = ns.frag_for_hash(dir, hash);
-        self.update_cache(dir, frag, rank);
+    /// Records a served op's route for its directory `dir`: the reply
+    /// carries the authoritative rank of the fragment the op hashed into.
+    ///
+    /// Entries of one directory are pairwise disjoint, so re-learning the
+    /// directory's newest entry unchanged would drop it and push it back:
+    /// below the cap, where nothing is evicted first, that is skipped.
+    pub fn learn_route(&mut self, dir: InodeId, route: &Route) {
+        let entry = (route.frag, route.target);
+        if self.cache_count < self.cache_cap
+            && self.cache.get(&dir).and_then(|e| e.last()) == Some(&entry)
+        {
+            return;
+        }
+        self.update_cache(dir, route.frag, route.target);
     }
 
     /// Replaces the cached rank for `(dir, frag)`, discarding entries the
@@ -460,7 +454,13 @@ impl Client {
                 let r = MdsRank(d.get_u16("client.cache_rank")?);
                 Ok((f, r))
             })?;
-            if entries.is_empty() {
+            // Learning keeps one directory's entries pairwise disjoint,
+            // which `learn_route`'s early return relies on.
+            let overlapping = entries
+                .iter()
+                .enumerate()
+                .any(|(i, (f, _))| entries[..i].iter().any(|(g, _)| !g.disjoint(f)));
+            if entries.is_empty() || overlapping {
                 return Err(CodecError::Invalid {
                     what: "client.cache_entries",
                 });
@@ -524,7 +524,9 @@ impl Client {
 }
 
 /// Authority of the would-be child of `dir` with dentry hash `hash`, given
-/// the directory's own resolved authority.
+/// the directory's own resolved authority: the live walk that
+/// [`AuthorityCache::child_route`] memoizes.
+#[cfg(test)]
 fn resolve_child(
     map: &SubtreeMap,
     ns: &Namespace,
@@ -563,6 +565,17 @@ mod tests {
     use super::*;
     use crate::request::FixedStream;
     use lunule_namespace::FragKey;
+
+    /// [`Client::resolve_with`] through a fresh [`AuthorityCache`].
+    fn resolve(
+        c: &Client,
+        ns: &Namespace,
+        map: &SubtreeMap,
+        dir: InodeId,
+        hash: u32,
+    ) -> (Route, bool) {
+        c.resolve_with(ns, map, &mut AuthorityCache::new(), dir, hash)
+    }
 
     fn setup() -> (Namespace, SubtreeMap, InodeId, InodeId) {
         let mut ns = Namespace::new();
@@ -613,6 +626,7 @@ mod tests {
                 let mut route = Route {
                     target: MdsRank(7),
                     forwards: vec![MdsRank(5), MdsRank(6)],
+                    frag: Frag::new(1, 1),
                 };
                 let hit = resolve_route_cached(cache, &ns, &map, &mut auth, dir, hash, &mut route);
                 assert_eq!(live, (route, hit), "cached variant diverged");
@@ -625,22 +639,23 @@ mod tests {
         let (ns, map, d, f) = setup();
         let mut c = Client::new(0, Box::new(FixedStream::new(vec![])), 0);
         let hash = dentry_hash(f.raw());
-        let (r1, hit1) = c.resolve(&ns, &map, d, hash);
+        let (r1, hit1) = resolve(&c, &ns, &map, d, hash);
         assert!(!hit1);
         assert_eq!(r1.target, MdsRank(0));
         assert!(r1.forwards.is_empty(), "single-authority path: no forwards");
         // A retry before the op was served is still a miss (stalled ops must
         // keep paying their traversal when eventually served).
-        let (_, hit_retry) = c.resolve(&ns, &map, d, hash);
+        let (_, hit_retry) = resolve(&c, &ns, &map, d, hash);
         assert!(!hit_retry);
-        c.learn_route(&ns, d, hash, r1.target);
-        let (r2, hit2) = c.resolve(&ns, &map, d, hash);
+        c.learn_route(d, &r1);
+        let (r2, hit2) = resolve(&c, &ns, &map, d, hash);
         assert!(hit2);
         assert_eq!(
             r2,
             Route {
                 target: MdsRank(0),
-                forwards: vec![]
+                forwards: vec![],
+                frag: Frag::root(),
             }
         );
     }
@@ -650,11 +665,11 @@ mod tests {
         let (ns, mut map, d, f) = setup();
         let mut c = Client::new(0, Box::new(FixedStream::new(vec![])), 0);
         let hash = dentry_hash(f.raw());
-        let (r0, _) = c.resolve(&ns, &map, d, hash);
-        c.learn_route(&ns, d, hash, r0.target);
+        let (r0, _) = resolve(&c, &ns, &map, d, hash);
+        c.learn_route(d, &r0);
         assert!(c.cache_len() > 0);
         map.set_authority(FragKey::whole(d), MdsRank(1));
-        let (r, hit) = c.resolve(&ns, &map, d, hash);
+        let (r, hit) = resolve(&c, &ns, &map, d, hash);
         assert!(!hit, "stale entry is not a hit");
         assert_eq!(r.target, MdsRank(1));
         // The stale rank 0 redirects the request: one forward.
@@ -666,11 +681,11 @@ mod tests {
         let (ns, mut map, d, f) = setup();
         let mut c = Client::new(0, Box::new(FixedStream::new(vec![])), 0);
         let hash = dentry_hash(f.raw());
-        let (r0, _) = c.resolve(&ns, &map, d, hash);
-        c.learn_route(&ns, d, hash, r0.target);
+        let (r0, _) = resolve(&c, &ns, &map, d, hash);
+        c.learn_route(d, &r0);
         map.set_authority(FragKey::whole(d), MdsRank(1));
         c.apply_migration(&ns, &FragKey::whole(d), MdsRank(1));
-        let (r, hit) = c.resolve(&ns, &map, d, hash);
+        let (r, hit) = resolve(&c, &ns, &map, d, hash);
         assert!(hit, "cap transfer keeps the cache fresh");
         assert_eq!(r.target, MdsRank(1));
         assert!(r.forwards.is_empty());
@@ -689,7 +704,11 @@ mod tests {
         let mut c = Client::new(0, Box::new(FixedStream::new(vec![])), 0);
         c.cache_cap = 4;
         for (d, h) in &dirs {
-            c.learn_route(&ns, *d, *h, MdsRank(0));
+            let route = Route {
+                frag: ns.frag_for_hash(*d, *h),
+                ..Route::default()
+            };
+            c.learn_route(*d, &route);
         }
         assert!(
             c.cache_len() <= 4,
@@ -698,10 +717,10 @@ mod tests {
         );
         assert!(c.cache_evictions > 0, "evictions must be counted");
         // The oldest entry was evicted: resolving it is a miss again.
-        let (_, hit) = c.resolve(&ns, &map, dirs[0].0, dirs[0].1);
+        let (_, hit) = resolve(&c, &ns, &map, dirs[0].0, dirs[0].1);
         assert!(!hit);
         // The newest entry is still cached.
-        let (_, hit) = c.resolve(&ns, &map, dirs[5].0, dirs[5].1);
+        let (_, hit) = resolve(&c, &ns, &map, dirs[5].0, dirs[5].1);
         assert!(hit);
     }
 
@@ -740,9 +759,9 @@ mod tests {
         let mut c = Client::new(0, Box::new(FixedStream::new(vec![f])), 0);
         let hash = dentry_hash(f.raw());
         map.set_authority(FragKey::whole(d), MdsRank(1));
-        let (r0, _) = c.resolve(&ns, &map, d, hash);
+        let (r0, _) = resolve(&c, &ns, &map, d, hash);
         assert_eq!(r0.target, MdsRank(1));
-        c.learn_route(&ns, d, hash, r0.target);
+        c.learn_route(d, &r0);
         // The op is buffered (stalled against rank 1, which is out of
         // budget), then rank 1 dies: the failover re-homes the subtree and
         // the simulation evicts the dead rank from every client cache.
@@ -752,7 +771,7 @@ mod tests {
         // The buffered op is still pending, and its retry resolves to the
         // survivor with a fresh traversal — no forward via the dead rank.
         assert_eq!(c.peek_op(&ns, 4), Some(MetaOp::Read(f)));
-        let (r, hit) = c.resolve(&ns, &map, d, hash);
+        let (r, hit) = resolve(&c, &ns, &map, d, hash);
         assert!(!hit, "dead-rank entries were evicted, this is a miss");
         assert_eq!(r.target, MdsRank(2));
         assert!(
@@ -779,8 +798,8 @@ mod tests {
         c.cache_cap = 7;
         c.data_window = 1024;
         let hash = dentry_hash(f.raw());
-        let (r0, _) = c.resolve(&ns, &map, d, hash);
-        c.learn_route(&ns, d, hash, r0.target);
+        let (r0, _) = resolve(&c, &ns, &map, d, hash);
+        c.learn_route(d, &r0);
         assert_eq!(c.peek_op(&ns, 5), Some(MetaOp::Read(f)));
         assert_eq!(c.consume_op(6), 1);
         assert_eq!(c.peek_op(&ns, 7), Some(MetaOp::Read(f)));
@@ -804,7 +823,7 @@ mod tests {
         assert_eq!(back.peek_op(&ns, 9), Some(MetaOp::Read(f)));
         assert_eq!(back.consume_op(9), 2, "stamped at tick 7, served at 9");
         // The cache still answers and the stream resumes where it left off.
-        let (_, hit) = back.resolve(&ns, &map, d, hash);
+        let (_, hit) = resolve(&back, &ns, &map, d, hash);
         assert!(hit, "restored cache must answer");
         assert_eq!(back.peek_op(&ns, 9), Some(MetaOp::Read(f)), "third op");
         // Re-encoding the restored client is byte-identical.
@@ -819,9 +838,9 @@ mod tests {
     #[test]
     fn codec_rejects_inconsistent_fifo_order() {
         use lunule_util::codec::{CodecError, Decoder, Encoder};
-        let (ns, _map, d, f) = setup();
+        let (_, _, d, _) = setup();
         let mut c = Client::new(0, Box::new(FixedStream::new(vec![])), 0);
-        c.learn_route(&ns, d, dentry_hash(f.raw()), MdsRank(0));
+        c.learn_route(d, &Route::default());
         let mut e = Encoder::new();
         c.encode(&mut e);
         let mut bytes = e.into_bytes();
@@ -849,5 +868,180 @@ mod tests {
         assert!(!c.can_issue(0, 10.0));
         c.data_pending = 0;
         assert!(c.can_issue(0, 10.0));
+    }
+
+    /// A random namespace of nested directories with files, a few of them
+    /// empty (so `rmdir` has targets): `(namespace, directories)`.
+    fn random_tree(rng: &mut lunule_util::DetRng) -> (Namespace, Vec<InodeId>) {
+        let mut ns = Namespace::new();
+        let mut dirs = vec![InodeId::ROOT];
+        for d in 0..3 + rng.next_u64() % 10 {
+            let parent = dirs[rng.gen_range(0..dirs.len())];
+            let dir = ns.mkdir(parent, &format!("d{d}")).unwrap();
+            for f in 0..rng.next_u64() % 6 {
+                ns.create_file(dir, &format!("f{f}"), 1).unwrap();
+            }
+            dirs.push(dir);
+        }
+        (ns, dirs)
+    }
+
+    /// One random mutation of the namespace or the subtree map.
+    fn mutate(
+        rng: &mut lunule_util::DetRng,
+        ns: &mut Namespace,
+        map: &mut SubtreeMap,
+        dirs: &[InodeId],
+    ) {
+        let live: Vec<InodeId> = dirs
+            .iter()
+            .copied()
+            .filter(|d| ns.inode(*d).is_alive())
+            .collect();
+        let dir = live[rng.gen_range(0..live.len())];
+        let frags = ns.frags_of(dir);
+        let frag = frags[rng.gen_range(0..frags.len())];
+        let rank = MdsRank(u16::try_from(rng.next_u64() % 4).unwrap());
+        match rng.next_u64() % 6 {
+            0 => {
+                let by = 1 + u8::try_from(rng.next_u64() % 2).unwrap();
+                let _ = ns.split_frag(dir, &frag, by);
+            }
+            1 => {
+                let _ = ns.rmdir(dir);
+            }
+            2 => {
+                let to = live[rng.gen_range(0..live.len())];
+                let _ = ns.rename(dir, to, "moved");
+            }
+            3 => {
+                // A live fragment, or a coarser one, so entries nest.
+                let key_frag = if rng.next_u64().is_multiple_of(2) {
+                    frag
+                } else {
+                    frag.parent().unwrap_or(frag)
+                };
+                map.set_authority(
+                    FragKey {
+                        dir,
+                        frag: key_frag,
+                    },
+                    rank,
+                );
+            }
+            4 => {
+                let entries = map.all_entries();
+                if !entries.is_empty() {
+                    map.clear_authority(entries[rng.gen_range(0..entries.len())].0);
+                }
+            }
+            _ => {
+                map.simplify(ns);
+            }
+        }
+    }
+
+    /// [`AuthorityCache::child_route`] against the live `resolve_child`
+    /// walk, and the memoized route against the live route, with the memo
+    /// primed before every mutation so a missed invalidation would show.
+    #[test]
+    fn child_route_matches_the_live_walk_across_mutations() {
+        lunule_util::propcheck::run(48, |rng| {
+            let (mut ns, dirs) = random_tree(rng);
+            let mut map = SubtreeMap::new(MdsRank(0));
+            let mut auth = AuthorityCache::new();
+            let hashes: Vec<u32> = (0..24u64).map(dentry_hash).collect();
+            let empty = BTreeMap::new();
+            for _ in 0..24 {
+                for &dir in dirs.iter().filter(|d| ns.inode(**d).is_alive()) {
+                    for &hash in &hashes {
+                        let dir_auth = map.authority(&ns, dir);
+                        let live = (
+                            ns.frag_for_hash(dir, hash),
+                            resolve_child(&map, &ns, dir, hash, dir_auth),
+                        );
+                        assert_eq!(auth.child_route(&map, &ns, dir, hash), live);
+                        let mut route = Route::default();
+                        let hit = resolve_route_cached(
+                            &empty, &ns, &map, &mut auth, dir, hash, &mut route,
+                        );
+                        assert_eq!((route, hit), resolve_route(&empty, &ns, &map, dir, hash));
+                    }
+                }
+                mutate(rng, &mut ns, &mut map, &dirs);
+            }
+        });
+    }
+
+    /// `learn_route`'s early return leaves the client exactly as always
+    /// calling `update_cache` would, byte for byte, below and at the cap.
+    #[test]
+    fn learn_fast_path_matches_update_cache() {
+        use lunule_util::codec::Encoder;
+        let encode = |c: &Client| {
+            let mut e = Encoder::new();
+            c.encode(&mut e);
+            e.into_bytes()
+        };
+        let frags = [
+            Frag::root(),
+            Frag::new(0, 1),
+            Frag::new(1, 1),
+            Frag::new(2, 2),
+            Frag::new(3, 2),
+        ];
+        for cap in [1, 3, 256] {
+            lunule_util::propcheck::run(16, |rng| {
+                let mut fast = Client::new(0, Box::new(FixedStream::new(vec![])), 0);
+                let mut slow = Client::new(0, Box::new(FixedStream::new(vec![])), 0);
+                fast.cache_cap = cap;
+                slow.cache_cap = cap;
+                let mut last = (InodeId::ROOT, Route::default());
+                for _ in 0..200 {
+                    // Half the time re-learn the previous route unchanged.
+                    if rng.next_u64().is_multiple_of(2) {
+                        last = (
+                            InodeId::from_index(rng.gen_range(1..6)),
+                            Route {
+                                frag: frags[rng.gen_range(0..frags.len())],
+                                target: MdsRank(u16::try_from(rng.next_u64() % 3).unwrap()),
+                                ..Route::default()
+                            },
+                        );
+                    }
+                    let (dir, route) = &last;
+                    fast.learn_route(*dir, route);
+                    slow.update_cache(*dir, route.frag, route.target);
+                    assert_eq!(encode(&fast), encode(&slow), "cap {cap}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn codec_rejects_overlapping_cache_entries() {
+        use lunule_util::codec::{CodecError, Decoder, Encoder};
+        let (_, _, d, _) = setup();
+        let mut c = Client::new(0, Box::new(FixedStream::new(vec![])), 0);
+        c.learn_route(d, &Route::default());
+        // Bypass learning to plant a root entry beside a half it contains.
+        c.cache.insert(
+            d,
+            vec![(Frag::root(), MdsRank(0)), (Frag::new(1, 1), MdsRank(1))],
+        );
+        c.cache_count = 2;
+        let mut e = Encoder::new();
+        c.encode(&mut e);
+        let bytes = e.into_bytes();
+        let got = Client::decode(
+            &mut Decoder::new(&bytes),
+            Box::new(FixedStream::new(vec![])),
+        );
+        assert!(matches!(
+            got,
+            Err(CodecError::Invalid {
+                what: "client.cache_entries"
+            })
+        ));
     }
 }

@@ -11,7 +11,10 @@
 //!
 //! **Runs.** Consecutive members of one cohort form a *run* of the rotated
 //! walk (an interval that straddles the rotation point yields two), and a
-//! run advances as one batch. Each round has three phases:
+//! run advances as one batch. The tick computes the rotated run list once
+//! and each round drops the runs of cohorts that stalled, so a round
+//! costs its live cohorts, not the whole population. Each round has three
+//! phases:
 //!
 //! 1. **Classify** (sequential, cohort-local): each live cohort is
 //!    inactive, frozen, a batchable read, or a mutating op. Multi-member
@@ -68,15 +71,25 @@ enum Class {
 /// across ticks: a plain tick with nothing to split allocates nothing.
 /// None of this is simulation state and none of it is ever snapshotted;
 /// a restored simulation starts with it empty.
+///
+/// Per-cohort buffers are indexed by cohort and only ever grow; a round
+/// resets the entries of the cohorts it classifies, which are the only
+/// ones it reads.
 #[derive(Default)]
 pub(crate) struct RoundScratch {
     /// Per-tick stall flags, indexed by cohort.
     stalled: Vec<bool>,
+    /// The rotated run list of the tick, minus the runs of cohorts that
+    /// stalled in an earlier round.
     runs: Vec<(usize, usize, usize)>,
-    seen: Vec<bool>,
+    /// Rounds run so far; stamps `seen`.
+    round: u64,
+    /// Per cohort: the last round whose classify walk met it.
+    seen: Vec<u64>,
     worklist: Vec<usize>,
     class: Vec<Option<Class>>,
-    anchor_of: Vec<Option<(InodeId, u32)>>,
+    /// Per cohort: the directory its resolved op routes by.
+    dir_of: Vec<Option<InodeId>>,
     resolve_reqs: Vec<(usize, InodeId, u32)>,
     /// Per cohort: its route, valid in a round where the cohort is
     /// classified [`Class::Resolve`]. Kept across rounds and ticks so each
@@ -84,10 +97,69 @@ pub(crate) struct RoundScratch {
     routes: Vec<Route>,
     served_count: Vec<u64>,
     budget_stalled: Vec<bool>,
+    /// Per cohort: (run start, members served, run length) per run, in
+    /// rotation order — the split bookkeeping.
     runs_of: Vec<Vec<(usize, usize, usize)>>,
     costs_of: Vec<Vec<(usize, f64)>>,
     bytes_of: Vec<u64>,
     touched: Vec<usize>,
+    /// Test-only audit: rounds checked against a full rotated walk, and
+    /// how many of them exploded or split a cohort.
+    #[cfg(test)]
+    audit: RunListAudit,
+}
+
+/// What the kept-run-list audit saw (see [`RoundScratch::audit`]).
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct RunListAudit {
+    rounds: u64,
+    explodes: u64,
+    splits: u64,
+}
+
+impl RoundScratch {
+    /// Grows the per-cohort buffers to cover `n` cohorts. New `stalled`
+    /// entries start unstalled; other new entries are reset when their
+    /// cohort is classified.
+    fn fit(&mut self, n: usize) {
+        if self.stalled.len() < n {
+            self.stalled.resize(n, false);
+        }
+        if self.seen.len() < n {
+            self.seen.resize(n, 0);
+            self.class.resize(n, None);
+            self.dir_of.resize(n, None);
+            self.routes.resize_with(n, Route::default);
+            self.served_count.resize(n, 0);
+            self.budget_stalled.resize(n, false);
+            self.runs_of.resize_with(n, Vec::new);
+            self.costs_of.resize_with(n, Vec::new);
+            self.bytes_of.resize(n, 0);
+        }
+    }
+
+    /// Clears cohort `c`'s round state before it is classified.
+    fn reset(&mut self, c: usize) {
+        self.class[c] = None;
+        self.dir_of[c] = None;
+        self.served_count[c] = 0;
+        self.budget_stalled[c] = false;
+        self.runs_of[c].clear();
+        self.costs_of[c].clear();
+        self.bytes_of[c] = 0;
+    }
+
+    /// Test-only: checks that the kept run list is exactly the full
+    /// rotated walk minus the runs of stalled cohorts.
+    #[cfg(test)]
+    fn audit_runs(&mut self, set: &CohortSet, offset: usize) {
+        let mut full = Vec::new();
+        rotated_runs_into(set, offset, &mut full);
+        full.retain(|&(_, _, c)| !self.stalled[c]);
+        assert_eq!(self.runs, full, "kept run list drifted from the full walk");
+        self.audit.rounds += 1;
+    }
 }
 
 impl Simulation {
@@ -100,68 +172,58 @@ impl Simulation {
         let mut set = std::mem::take(&mut self.cohorts);
         let mut scratch = std::mem::take(&mut self.round_scratch);
         let offset = u64_to_usize(tick) % n;
-        let mut stalled = std::mem::take(&mut scratch.stalled);
-        stalled.clear();
-        stalled.resize(set.cohorts.len(), false);
-        while self.cohort_round(&mut set, &mut stalled, offset, tick, &mut scratch) {}
-        scratch.stalled = stalled;
+        scratch.stalled.clear();
+        scratch.fit(set.cohorts.len());
+        rotated_runs_into(&set, offset, &mut scratch.runs);
+        while self.cohort_round(&mut set, offset, tick, &mut scratch) {}
         self.round_scratch = scratch;
         self.cohorts = set;
     }
 
-    /// One issue round. Returns whether any member was served.
+    /// One issue round. Returns whether any member was served. Costs
+    /// O(live cohorts): it walks the kept run list, which holds only the
+    /// runs of cohorts that have not stalled this tick, and rebuilds it
+    /// from the intervals only after an explode or a split.
     fn cohort_round(
         &mut self,
         set: &mut CohortSet,
-        stalled: &mut Vec<bool>,
         offset: usize,
         tick: u64,
         scratch: &mut RoundScratch,
     ) -> bool {
         let rate = self.cfg.client_rate;
+        #[cfg(test)]
+        scratch.audit_runs(set, offset);
 
         // Phase 1: classify cohorts in rotation (first-encounter) order.
         // Classification only touches cohort-local state, so handling each
         // cohort once at its first member's position matches per-member
         // checks exactly.
+        scratch.round += 1;
+        let stamp = scratch.round;
         let mut worklist = std::mem::take(&mut scratch.worklist);
         worklist.clear();
-        {
-            let mut seen = std::mem::take(&mut scratch.seen);
-            seen.clear();
-            seen.resize(set.cohorts.len(), false);
-            let mut runs = std::mem::take(&mut scratch.runs);
-            rotated_runs_into(set, offset, &mut runs);
-            for &(_, _, c) in &runs {
-                if !seen[c] {
-                    seen[c] = true;
-                    if !stalled[c] {
-                        worklist.push(c);
-                    }
+        for &(_, _, c) in &scratch.runs {
+            if scratch.seen[c] != stamp {
+                scratch.seen[c] = stamp;
+                if !scratch.stalled[c] {
+                    worklist.push(c);
                 }
             }
-            scratch.seen = seen;
-            scratch.runs = runs;
         }
-        let mut class = std::mem::take(&mut scratch.class);
-        class.clear();
-        class.resize(set.cohorts.len(), None);
-        let mut anchor_of = std::mem::take(&mut scratch.anchor_of);
-        anchor_of.clear();
-        anchor_of.resize(set.cohorts.len(), None);
-        let mut resolve_reqs = std::mem::take(&mut scratch.resolve_reqs);
-        resolve_reqs.clear();
+        scratch.resolve_reqs.clear();
         let mut exploded = false;
         let mut wi = 0;
         while wi < worklist.len() {
             let c = worklist[wi];
             wi += 1;
+            scratch.reset(c);
             let st = &mut set.cohorts[c].state;
             if !st.can_issue(tick, rate) {
                 if st.finished && st.data_pending == 0 && st.finished_at.is_none() {
                     st.finished_at = Some(tick);
                 }
-                stalled[c] = true;
+                scratch.stalled[c] = true;
                 continue;
             }
             let Some(op) = st.peek_op(&self.ns, tick) else {
@@ -169,7 +231,7 @@ impl Simulation {
                 if st.data_pending == 0 && st.finished_at.is_none() {
                     st.finished_at = Some(tick);
                 }
-                stalled[c] = true;
+                scratch.stalled[c] = true;
                 continue;
             };
             if set.cohorts[c].count > 1 && !matches!(op, MetaOp::Read(_)) {
@@ -181,37 +243,32 @@ impl Simulation {
                 // construction-time property.
                 let parts = set.explode(c);
                 exploded = true;
-                stalled.resize(set.cohorts.len(), false);
-                class.resize(set.cohorts.len(), None);
-                anchor_of.resize(set.cohorts.len(), None);
+                scratch.fit(set.cohorts.len());
                 worklist.extend(parts);
                 continue;
             }
             if self.migrator.is_frozen(&self.ns, op.anchor()) {
-                stalled[c] = true;
+                scratch.stalled[c] = true;
                 continue;
             }
             match op {
                 MetaOp::Read(_) | MetaOp::Remove(_) => {
                     let (dir, hash) = routing_anchor(&self.ns, &op);
-                    class[c] = Some(Class::Resolve);
-                    anchor_of[c] = Some((dir, hash));
-                    resolve_reqs.push((c, dir, hash));
+                    scratch.class[c] = Some(Class::Resolve);
+                    scratch.dir_of[c] = Some(dir);
+                    scratch.resolve_reqs.push((c, dir, hash));
                 }
                 MetaOp::Create { .. } => {
-                    class[c] = Some(Class::CreateInline);
+                    scratch.class[c] = Some(Class::CreateInline);
                 }
             }
         }
+        scratch.worklist = worklist;
 
         // Phase 2: resolve routes. Resolution is pure (namespace, subtree
         // map and client caches are all frozen for the round), so resolving
         // every route before serving any is exact.
-        let mut routes = std::mem::take(&mut scratch.routes);
-        if routes.len() < set.cohorts.len() {
-            routes.resize_with(set.cohorts.len(), Route::default);
-        }
-        for &(c, dir, hash) in &resolve_reqs {
+        for &(c, dir, hash) in &scratch.resolve_reqs {
             resolve_route_cached(
                 &set.cohorts[c].state.cache,
                 &self.ns,
@@ -219,53 +276,27 @@ impl Simulation {
                 &mut self.auth_cache,
                 dir,
                 hash,
-                &mut routes[c],
+                &mut scratch.routes[c],
             );
         }
 
         // Phase 3: serve runs in rotation order, effects in member order.
-        let n_cohorts = set.cohorts.len();
-        let mut served_count = std::mem::take(&mut scratch.served_count);
-        served_count.clear();
-        served_count.resize(n_cohorts, 0);
-        let mut budget_stalled = std::mem::take(&mut scratch.budget_stalled);
-        budget_stalled.clear();
-        budget_stalled.resize(n_cohorts, false);
-        // Per cohort: (run start, members served, run length) per run, in
-        // rotation order — the split bookkeeping. Inner vectors keep their
-        // capacity across rounds; entries past this round's cohort count
-        // are simply never indexed.
-        let mut runs_of = std::mem::take(&mut scratch.runs_of);
-        for v in runs_of.iter_mut() {
-            v.clear();
-        }
-        if runs_of.len() < n_cohorts {
-            runs_of.resize_with(n_cohorts, Vec::new);
-        }
-        let mut costs_of = std::mem::take(&mut scratch.costs_of);
-        for v in costs_of.iter_mut() {
-            v.clear();
-        }
-        if costs_of.len() < n_cohorts {
-            costs_of.resize_with(n_cohorts, Vec::new);
-        }
-        let mut bytes_of = std::mem::take(&mut scratch.bytes_of);
-        bytes_of.clear();
-        bytes_of.resize(n_cohorts, 0);
-        let mut touched = std::mem::take(&mut scratch.touched);
-        touched.clear();
-        let mut progressed = false;
-        // Phase 1 already computed the rotation; it only goes stale when an
-        // explode re-tiled the intervals mid-classify.
-        let mut serve_runs = std::mem::take(&mut scratch.runs);
+        // An explode re-tiled the intervals mid-classify, so the kept list
+        // is rebuilt; the runs of stalled cohorts it then holds are skipped.
         if exploded {
-            rotated_runs_into(set, offset, &mut serve_runs);
+            rotated_runs_into(set, offset, &mut scratch.runs);
+            #[cfg(test)]
+            {
+                scratch.audit.explodes += 1;
+            }
         }
-        for &(start, len, c) in &serve_runs {
-            if stalled[c] {
+        scratch.touched.clear();
+        let mut progressed = false;
+        for &(start, len, c) in &scratch.runs {
+            if scratch.stalled[c] {
                 continue;
             }
-            match class[c] {
+            match scratch.class[c] {
                 None => {}
                 Some(Class::CreateInline) => {
                     debug_assert_eq!(len, 1, "creates serve as singletons");
@@ -273,33 +304,33 @@ impl Simulation {
                     if self.serve_singleton_create(st, tick) {
                         progressed = true;
                     } else {
-                        stalled[c] = true;
+                        scratch.stalled[c] = true;
                     }
                 }
                 Some(Class::Resolve) => {
-                    if runs_of[c].is_empty() {
-                        touched.push(c);
+                    if scratch.runs_of[c].is_empty() {
+                        scratch.touched.push(c);
                     }
-                    if budget_stalled[c] {
+                    if scratch.budget_stalled[c] {
                         // Budgets only decrease within a tick: once one
                         // member failed the check, every later member of
                         // the cohort fails it identically.
-                        runs_of[c].push((start, 0, len));
+                        scratch.runs_of[c].push((start, 0, len));
                         continue;
                     }
-                    let route = &routes[c];
+                    let route = &scratch.routes[c];
                     // A valid route costs at least its target, so an empty
                     // buffer means this is the cohort's first run of the
                     // round. The per-cohort buffer keeps its capacity round
                     // over round.
-                    if costs_of[c].is_empty()
-                        && !route_costs(route, self.mds.len(), &mut costs_of[c])
+                    if scratch.costs_of[c].is_empty()
+                        && !route_costs(route, self.mds.len(), &mut scratch.costs_of[c])
                     {
-                        stalled[c] = true;
+                        scratch.stalled[c] = true;
                         continue;
                     }
                     let target_idx = route.target.index();
-                    let costs = &costs_of[c];
+                    let costs = &scratch.costs_of[c];
                     // Member-by-member budget drain: the f64 operations of
                     // serving the run's members one at a time.
                     let mut s = 0usize;
@@ -313,15 +344,15 @@ impl Simulation {
                         }
                         s += 1;
                     }
-                    runs_of[c].push((start, s, len));
+                    scratch.runs_of[c].push((start, s, len));
                     if s < len {
-                        budget_stalled[c] = true;
+                        scratch.budget_stalled[c] = true;
                     }
                     if s == 0 {
                         continue;
                     }
                     progressed = true;
-                    served_count[c] += usize_to_u64(s);
+                    scratch.served_count[c] += usize_to_u64(s);
                     let m = usize_to_u64(s);
                     for r in &route.forwards {
                         self.mds[r.index()].record_forward_n(m);
@@ -337,7 +368,7 @@ impl Simulation {
                         MetaOp::Create { .. } => unreachable!("creates serve inline"),
                     };
                     if kind == OpKind::Read {
-                        bytes_of[c] = self.ns.inode(ino).size();
+                        scratch.bytes_of[c] = self.ns.inode(ino).size();
                     }
                     let stall_ticks = tick.saturating_sub(first_attempt);
                     self.latency.record_n(stall_ticks, m);
@@ -373,13 +404,14 @@ impl Simulation {
         // served cohort's shared state exactly once (stream cursor, route
         // cache, data debt — all member-private, so deferring them past
         // the round's world effects changes nothing observable).
-        for &c in &touched {
-            if served_count[c] == 0 {
-                stalled[c] = true;
+        let mut split = false;
+        for &c in &scratch.touched {
+            if scratch.served_count[c] == 0 {
+                scratch.stalled[c] = true;
                 continue;
             }
             let total = set.cohorts[c].count;
-            if served_count[c] < total {
+            if scratch.served_count[c] < total {
                 // Stalled members keep the pre-advance state in a fresh
                 // cohort that sits out the rest of the tick.
                 let origin = set.cohorts[c].origin;
@@ -395,40 +427,40 @@ impl Simulation {
                     origin,
                     count: 0,
                 });
-                for &(run_start, srv, run_len) in &runs_of[c] {
+                for &(run_start, srv, run_len) in &scratch.runs_of[c] {
                     if srv < run_len {
                         set.carve(run_start + srv, run_len - srv, slot);
                     }
                 }
                 set.refresh_canonical_id(c);
                 set.refresh_canonical_id(slot);
-                stalled.push(true);
-                debug_assert_eq!(stalled.len(), set.cohorts.len());
+                scratch.stalled.push(true);
+                debug_assert_eq!(scratch.stalled.len(), set.cohorts.len());
+                split = true;
             }
-            let Some((dir, hash)) = anchor_of[c] else {
+            let Some(dir) = scratch.dir_of[c] else {
                 debug_assert!(false, "served cohort has an anchor");
                 continue;
             };
-            let target = routes[c].target;
             let st = &mut set.cohorts[c].state;
             st.consume_op(tick);
-            st.learn_route(&self.ns, dir, hash, target);
-            if self.cfg.data_path.is_some() && bytes_of[c] > 0 {
-                st.data_pending += bytes_of[c];
+            st.learn_route(dir, &scratch.routes[c]);
+            if self.cfg.data_path.is_some() && scratch.bytes_of[c] > 0 {
+                st.data_pending += scratch.bytes_of[c];
             }
         }
-        scratch.runs = serve_runs;
-        scratch.worklist = worklist;
-        scratch.class = class;
-        scratch.anchor_of = anchor_of;
-        scratch.resolve_reqs = resolve_reqs;
-        scratch.routes = routes;
-        scratch.served_count = served_count;
-        scratch.budget_stalled = budget_stalled;
-        scratch.runs_of = runs_of;
-        scratch.costs_of = costs_of;
-        scratch.bytes_of = bytes_of;
-        scratch.touched = touched;
+        // Keep only the runs of cohorts still live for the next round; a
+        // split re-tiled the intervals, so the list is rebuilt first.
+        if split {
+            scratch.fit(set.cohorts.len());
+            rotated_runs_into(set, offset, &mut scratch.runs);
+            #[cfg(test)]
+            {
+                scratch.audit.splits += 1;
+            }
+        }
+        let stalled = &scratch.stalled;
+        scratch.runs.retain(|&(_, _, c)| !stalled[c]);
         progressed
     }
 
@@ -486,7 +518,7 @@ impl Simulation {
         if self.telemetry.is_enabled() {
             self.op_ledger.record(route.target.index(), stall_ticks, 1);
         }
-        st.learn_route(&self.ns, dir, hash, route.target);
+        st.learn_route(dir, &route);
         if self.cfg.data_path.is_some() && data_bytes > 0 {
             st.data_pending += data_bytes;
         }
@@ -789,6 +821,7 @@ mod tests {
         let route = Route {
             forwards: vec![MdsRank(0), MdsRank(1), MdsRank(0)],
             target: MdsRank(2),
+            ..Route::default()
         };
         let mut out = vec![(7, 9.0)];
         assert!(route_costs(&route, 3, &mut out));
@@ -822,5 +855,82 @@ mod tests {
         let set = set_of(&[4, 6]);
         let runs = rotated_runs(&set, 4);
         assert_eq!(runs, vec![(4, 6, 1), (0, 4, 0)]);
+    }
+
+    /// A cloneable stream cycling through `ops` for `left` more ops.
+    #[derive(Clone)]
+    struct Cycle {
+        ops: Vec<MetaOp>,
+        pos: usize,
+        left: usize,
+    }
+
+    impl crate::request::OpStream for Cycle {
+        fn next_op(&mut self, _ns: &lunule_namespace::Namespace) -> Option<MetaOp> {
+            self.left = self.left.checked_sub(1)?;
+            let op = self.ops[self.pos % self.ops.len()];
+            self.pos += 1;
+            Some(op)
+        }
+
+        fn save_state(&self, e: &mut lunule_util::codec::Encoder) {
+            e.put_usize(self.pos);
+            e.put_usize(self.left);
+        }
+
+        fn try_clone_box(&self) -> Option<Box<dyn crate::request::OpStream>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    /// Multi-member groups that create (so they explode) on two ranks
+    /// too small for them (so runs stall part-way and cohorts split): the
+    /// kept run list must equal the full rotated walk minus stalled
+    /// cohorts at the start of every round, which `audit_runs` asserts.
+    #[test]
+    fn kept_run_list_matches_the_full_walk_through_explodes_and_splits() {
+        let mut ns = lunule_namespace::Namespace::new();
+        let dir = ns.mkdir_total(InodeId::ROOT, "d");
+        let files: Vec<InodeId> = (0..8)
+            .map(|f| ns.create_file_total(dir, &format!("f{f}"), 1))
+            .collect();
+        let groups: Vec<(Box<dyn crate::request::OpStream>, u64)> = [7u64, 5, 9]
+            .iter()
+            .enumerate()
+            .map(|(g, &count)| {
+                let ops = vec![
+                    MetaOp::Read(files[g]),
+                    MetaOp::Read(files[g + 3]),
+                    MetaOp::Create {
+                        parent: dir,
+                        size: 1,
+                    },
+                    MetaOp::Read(files[7]),
+                ];
+                let stream = Cycle {
+                    ops,
+                    pos: 0,
+                    left: 40,
+                };
+                (Box::new(stream) as Box<dyn crate::request::OpStream>, count)
+            })
+            .collect();
+        let cfg = crate::SimConfig {
+            n_mds: 2,
+            mds_capacity: 30.0,
+            client_rate: 5.0,
+            epoch_secs: 2,
+            duration_secs: 16,
+            stop_when_done: false,
+            ..crate::SimConfig::default()
+        };
+        let balancer = lunule_core::make_balancer(lunule_core::BalancerKind::Lunule, 30.0);
+        let mut sim = Simulation::new_grouped(cfg, ns, balancer, groups);
+        while sim.step() {}
+        let audit = sim.round_scratch.audit;
+        assert!(sim.total_ops() > 0);
+        assert!(audit.rounds > 16, "{audit:?}");
+        assert!(audit.explodes > 0, "the fixture must explode: {audit:?}");
+        assert!(audit.splits > 0, "the fixture must split: {audit:?}");
     }
 }

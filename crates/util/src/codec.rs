@@ -294,15 +294,76 @@ impl<'a> Decoder<'a> {
     }
 }
 
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables: `CRC_TABLES[0][b]` is the CRC step of byte
+/// `b` alone, and `CRC_TABLES[k][b]` the same byte followed by `k` zero
+/// bytes, so eight input bytes fold into the CRC with eight lookups.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    let mut byte = 0u32;
+    while i < 256 {
+        let mut crc = byte;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+        byte += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize]; // as-ok: masked to 8 bits
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes` — the per-section
-/// checksum of the snapshot container.
+/// checksum of the snapshot container. Folds eight bytes per step through
+/// [`CRC_TABLES`] and the tail one byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc: u32 = !0;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let [a, b, d, e] = (crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]])).to_le_bytes();
+        crc = t[7][usize::from(a)]
+            ^ t[6][usize::from(b)]
+            ^ t[5][usize::from(d)]
+            ^ t[4][usize::from(e)]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc.to_le_bytes()[0] ^ b)];
+    }
+    !crc
+}
+
+/// The bit-at-a-time CRC-32 the tables are derived from: the reference
+/// [`crc32`] is checked against.
+#[cfg(test)]
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in bytes {
         crc ^= u32::from(b);
         for _ in 0..8 {
             let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            crc = (crc >> 1) ^ (CRC_POLY & mask);
         }
     }
     !crc
@@ -433,6 +494,29 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         // A single flipped bit changes the checksum.
         assert_ne!(crc32(&[0b0000_0001]), crc32(&[0b0000_0011]));
+    }
+
+    #[test]
+    fn table_crc32_matches_the_bitwise_loop() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..100_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.to_le_bytes()[0]
+            })
+            .collect();
+        // Every tail length around one and two 8-byte steps, at every
+        // alignment of the slice start.
+        for offset in 0..8 {
+            for len in 0..=17 {
+                let s = &buf[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "offset {offset}, len {len}");
+            }
+        }
+        assert_eq!(crc32(&buf), crc32_bitwise(&buf));
+        assert_eq!(crc32(&buf[3..]), crc32_bitwise(&buf[3..]));
     }
 
     #[test]
