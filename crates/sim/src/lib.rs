@@ -19,6 +19,7 @@ pub mod cluster;
 pub mod cohort;
 mod cohort_engine;
 pub mod config;
+mod fault_handling;
 pub mod latency;
 pub mod mds;
 pub mod migration;
