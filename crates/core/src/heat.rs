@@ -8,18 +8,13 @@
 //!
 //! # Layout
 //!
-//! Counters live in a struct-of-arrays slab: parallel `ids`/`heat` vectors
-//! indexed by a stable dense slot, with a paged direct map from inode
-//! index to slot ([`PagedMap`]) — the hot `record` path is two O(1) array
-//! probes instead of a `BTreeMap` walk. Slots are stable between epoch
-//! boundaries; `decay_epoch` compacts evicted entries and rebuilds the
-//! index (once per epoch, O(n)).
-//!
-//! Float addition is not associative, so everything order-sensitive —
-//! [`HeatMap::total`], [`HeatMap::encode`] — iterates via `sorted`, the
-//! slot permutation in `InodeId` order, which is maintained incrementally
-//! on insert. Totals and snapshot bytes are therefore bit-identical across
-//! insertion orders, exactly as with the old ordered-map layout.
+//! Counters live in one `(id, heat)` vector indexed by a stable dense
+//! slot, with a paged direct map from inode index to slot ([`PagedMap`]):
+//! the hot `record` path is two O(1) array probes instead of a `BTreeMap`
+//! walk. Slots are stable between epoch boundaries; `decay_epoch` drops
+//! evicted entries and rebuilds the index (once per epoch, O(n)).
+//! [`HeatMap::encode`] writes the entries in `InodeId` order, so snapshot
+//! bytes are identical across insertion orders.
 
 use lunule_namespace::{InodeId, Namespace};
 use lunule_util::convert::{u32_to_usize, usize_to_u32};
@@ -33,15 +28,10 @@ pub(crate) const DECAY: f64 = 0.5;
 /// Per-directory decaying heat counters.
 #[derive(Clone, Debug, Default)]
 pub struct HeatMap {
-    /// Slot → directory id.
-    ids: Vec<InodeId>,
-    /// Slot → counter. Parallel to `ids`.
-    heat: Vec<f64>,
+    /// Slot → (directory id, counter).
+    entries: Vec<(InodeId, f64)>,
     /// Inode index → slot.
     index: PagedMap,
-    /// Slots in `InodeId` order — the canonical iteration order for all
-    /// float summation and serialization.
-    sorted: Vec<u32>,
 }
 
 impl HeatMap {
@@ -56,13 +46,9 @@ impl HeatMap {
         if let Some(s) = self.index.get(dir.index()) {
             return u32_to_usize(s);
         }
-        let slot = self.ids.len();
-        self.ids.push(dir);
-        self.heat.push(0.0);
+        let slot = self.entries.len();
+        self.entries.push((dir, 0.0));
         self.index.set(dir.index(), usize_to_u32(slot));
-        let ids = &self.ids;
-        let pos = self.sorted.partition_point(|&s| ids[u32_to_usize(s)] < dir);
-        self.sorted.insert(pos, usize_to_u32(slot));
         slot
     }
 
@@ -73,7 +59,7 @@ impl HeatMap {
             None => ino, // the root charges itself
         };
         let slot = self.slot_or_insert(dir);
-        self.heat[slot] += 1.0;
+        self.entries[slot].1 += 1.0;
     }
 
     /// Charges `n` identical requests against the directory containing
@@ -93,7 +79,7 @@ impl HeatMap {
             None => ino,
         };
         let slot = self.slot_or_insert(dir);
-        let h = &mut self.heat[slot];
+        let h = &mut self.entries[slot].1;
         const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
         let n_f = lunule_util::convert::u64_to_f64(n);
         // Bit-exact integrality test (heat is never negative, so +0.0 is
@@ -108,55 +94,35 @@ impl HeatMap {
     }
 
     /// Applies one epoch of decay, dropping counters that have become
-    /// negligible so the map does not grow without bound. Compacts the
-    /// slab and rebuilds the index — the one O(n) moment per epoch.
+    /// negligible so the map does not grow without bound, then rebuilds
+    /// the index — the one O(n) moment per epoch.
     pub fn decay_epoch(&mut self) {
-        let mut w = 0usize;
-        for r in 0..self.heat.len() {
-            let h = self.heat[r] * DECAY;
-            if h > 1e-3 {
-                self.heat[w] = h;
-                self.ids[w] = self.ids[r];
-                w += 1;
-            }
-        }
-        self.heat.truncate(w);
-        self.ids.truncate(w);
+        self.entries.retain_mut(|(_, h)| {
+            *h *= DECAY;
+            *h > 1e-3
+        });
         self.index.clear();
-        self.sorted.clear();
-        for (slot, id) in self.ids.iter().enumerate() {
+        for (slot, (id, _)) in self.entries.iter().enumerate() {
             self.index.set(id.index(), usize_to_u32(slot));
-            self.sorted.push(usize_to_u32(slot));
         }
-        let ids = &self.ids;
-        self.sorted.sort_by_key(|&s| ids[u32_to_usize(s)]);
     }
 
     /// Current heat of a directory.
     pub fn heat_of(&self, dir: InodeId) -> f64 {
         match self.index.get(dir.index()) {
-            Some(s) => self.heat[u32_to_usize(s)],
+            Some(s) => self.entries[u32_to_usize(s)].1,
             None => 0.0,
         }
     }
 
-    /// Total heat across all directories. Sums in `InodeId` order, so the
-    /// result is bit-identical regardless of insertion order.
-    pub fn total(&self) -> f64 {
-        self.sorted
-            .iter()
-            .map(|&s| self.heat[u32_to_usize(s)])
-            .sum()
-    }
-
     /// Number of directories with live counters.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.entries.len()
     }
 
     /// True when no directory carries heat.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.entries.is_empty()
     }
 
     /// Writes the decay factor and every counter (bit-exact, in `InodeId`
@@ -164,11 +130,8 @@ impl HeatMap {
     /// snapshot section.
     pub fn encode(&self, e: &mut lunule_util::codec::Encoder) {
         e.put_f64(DECAY);
-        let entries: Vec<(InodeId, f64)> = self
-            .sorted
-            .iter()
-            .map(|&s| (self.ids[u32_to_usize(s)], self.heat[u32_to_usize(s)]))
-            .collect();
+        let mut entries = self.entries.clone();
+        entries.sort_unstable_by_key(|&(id, _)| id);
         e.put_seq(&entries, |e, (id, h)| {
             e.put_u64(id.raw());
             e.put_f64(*h);
@@ -204,7 +167,7 @@ impl HeatMap {
                 });
             }
             let slot = hm.slot_or_insert(id);
-            hm.heat[slot] = h;
+            hm.entries[slot].1 = h;
         }
         Ok(hm)
     }
@@ -230,7 +193,6 @@ mod tests {
         hm.record(&ns, d); // dir access charges the dir's parent (root)
         assert_eq!(hm.heat_of(d), 2.0);
         assert_eq!(hm.heat_of(InodeId::ROOT), 1.0);
-        assert_eq!(hm.total(), 3.0);
     }
 
     #[test]
@@ -306,13 +268,11 @@ mod tests {
         assert_eq!(hm.len(), 4);
     }
 
-    /// `total()` sums floats, and float addition is not associative, so the
-    /// sum is only reproducible if the iteration order is. The slab keeps a
-    /// sorted slot permutation precisely so that the summation order is the
-    /// id order, independent of the order requests arrived in; this pins
-    /// that down to the bit.
+    /// Snapshot bytes must not depend on the order requests arrived in.
+    /// The fixture makes that order matter to the counters' slots: summed
+    /// in slot order, the heat differs between insertion orders.
     #[test]
-    fn total_is_bit_identical_across_insertion_orders() {
+    fn encode_is_bit_identical_across_insertion_orders() {
         let mut ns = Namespace::new();
         let mut files = Vec::new();
         for d in 0..8 {
@@ -322,8 +282,8 @@ mod tests {
         // Directory 0 carries 2^53 requests, the others one each; after a
         // decay that is 2^52 against 0.5, half a unit in the last place.
         // Each 0.5 added after the big counter rounds away, while halves
-        // summed first survive, so the total genuinely depends on the
-        // addition order.
+        // summed first survive, so a slot-order sum genuinely depends on
+        // the insertion order.
         let run = |order: &[usize]| {
             let mut hm = HeatMap::new();
             for &i in order {
@@ -342,15 +302,12 @@ mod tests {
         let a = run(&forward);
         let b = run(&reverse);
         let c = run(&interleaved);
-        let slot_order_sum = |hm: &HeatMap| hm.heat.iter().sum::<f64>();
+        let slot_order_sum = |hm: &HeatMap| hm.entries.iter().map(|&(_, h)| h).sum::<f64>();
         assert_ne!(
             slot_order_sum(&a).to_bits(),
             slot_order_sum(&b).to_bits(),
-            "fixture must make the summation order matter"
+            "fixture must make the insertion order matter"
         );
-        assert_eq!(a.total().to_bits(), b.total().to_bits());
-        assert_eq!(a.total().to_bits(), c.total().to_bits());
-        // The snapshot bytes are equally order-independent.
         let bytes = |hm: &HeatMap| {
             let mut e = lunule_util::codec::Encoder::new();
             hm.encode(&mut e);

@@ -148,33 +148,6 @@ impl Client {
     pub fn notify_created(&mut self, id: InodeId) {
         self.stream.on_created(id);
     }
-
-    /// Plans the route for an op targeting the child of `dir` with dentry
-    /// hash `hash` — read-only: the cache learns nothing until the op is
-    /// actually served and [`Client::learn_route`] is called. (Learning on a
-    /// stalled attempt would let the retry masquerade as a cache hit and
-    /// hide the traversal's forwarding work from the accounting.)
-    ///
-    /// Cache semantics mirror CephFS clients: a cached dirfrag→rank mapping
-    /// is used optimistically; if it has gone stale (the subtree migrated),
-    /// the stale MDS *redirects* the request — one forward charged at the
-    /// stale rank. Only genuinely unknown dirfrags pay a full path
-    /// traversal from the root. Authority lookups go through `auth`, the
-    /// simulation's shared [`AuthorityCache`].
-    ///
-    /// Returns the route and whether it was a (fresh) cache hit.
-    pub(crate) fn resolve_with(
-        &self,
-        ns: &Namespace,
-        map: &SubtreeMap,
-        auth: &mut AuthorityCache,
-        dir: InodeId,
-        hash: u32,
-    ) -> (Route, bool) {
-        let mut route = Route::default();
-        let hit = resolve_route_cached(&self.cache, ns, map, auth, dir, hash, &mut route);
-        (route, hit)
-    }
 }
 
 /// The uncached live-walk route: the reference the memoized
@@ -242,6 +215,15 @@ pub(crate) fn resolve_route(
 /// a fresh cache hit. The op's fragment and serving rank come from one
 /// [`AuthorityCache::child_route`] lookup; only a cache miss walks the
 /// directory's (memoized) authority chain for the traversal's forwards.
+///
+/// Cache semantics mirror CephFS clients: a cached dirfrag→rank mapping
+/// is used optimistically; if it has gone stale (the subtree migrated),
+/// the stale MDS *redirects* the request — one forward charged at the
+/// stale rank. Only genuinely unknown dirfrags pay a full path traversal
+/// from the root. Resolving is read-only: the cache learns nothing until
+/// the op is served and [`Client::learn_route`] is called, because
+/// learning on a stalled attempt would let the retry masquerade as a
+/// cache hit and hide the traversal's forwarding work.
 pub(crate) fn resolve_route_cached(
     cache: &BTreeMap<InodeId, Vec<(Frag, MdsRank)>>,
     ns: &Namespace,
@@ -566,7 +548,8 @@ mod tests {
     use crate::request::FixedStream;
     use lunule_namespace::FragKey;
 
-    /// [`Client::resolve_with`] through a fresh [`AuthorityCache`].
+    /// [`resolve_route_cached`] on `c`'s cache through a fresh
+    /// [`AuthorityCache`].
     fn resolve(
         c: &Client,
         ns: &Namespace,
@@ -574,7 +557,17 @@ mod tests {
         dir: InodeId,
         hash: u32,
     ) -> (Route, bool) {
-        c.resolve_with(ns, map, &mut AuthorityCache::new(), dir, hash)
+        let mut route = Route::default();
+        let hit = resolve_route_cached(
+            &c.cache,
+            ns,
+            map,
+            &mut AuthorityCache::new(),
+            dir,
+            hash,
+            &mut route,
+        );
+        (route, hit)
     }
 
     fn setup() -> (Namespace, SubtreeMap, InodeId, InodeId) {

@@ -26,11 +26,13 @@
 //!    round ends, with authority walks memoized in the simulation's
 //!    [`AuthorityCache`](lunule_namespace::AuthorityCache).
 //! 3. **Serve** (sequential, effect-ordered): runs are walked in rotation
-//!    order. Each run drains MDS budgets member by member, charging the
-//!    per-rank costs of [`route_costs`]. It then applies the world
-//!    effects at the run's position, in this order: forward and
-//!    served counters, latency, the telemetry op ledger, the balancer
-//!    access, and finally the unlink of a remove.
+//!    order, every op kind through the same code. A create first resolves
+//!    its route at its run position, because its anchor is the inode id
+//!    the arena hands out next. Each run then drains MDS budgets member by
+//!    member, charging the per-rank costs of [`route_costs`], and applies
+//!    the world effects at the run's position, in this order: forward and
+//!    served counters, the file a create makes, latency, the telemetry op
+//!    ledger, the balancer access, and finally the unlink of a remove.
 //!
 //! After a round, each cohort that served advances its shared state once:
 //! stream cursor, route cache, data debt. A cohort that only partially
@@ -48,7 +50,7 @@
 //! result digests recorded from an engine that stepped every client
 //! individually, and every case must still reproduce them.
 
-use crate::client::{resolve_route_cached, routing_anchor, Client, Route};
+use crate::client::{resolve_route_cached, routing_anchor, Route};
 use crate::cluster::Simulation;
 use crate::cohort::{Cohort, CohortSet};
 use crate::request::MetaOp;
@@ -57,13 +59,15 @@ use lunule_namespace::InodeId;
 use lunule_util::convert::{u64_to_usize, usize_to_u64};
 use std::fmt::Write as _;
 
-/// What a classified cohort does this round.
+/// Where a classified cohort's route comes from this round. Either way
+/// the cohort then serves through the same run loop.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Class {
-    /// Read/remove with a route precomputed in the resolve phase.
+    /// Read/remove: routed in the resolve phase.
     Resolve,
-    /// Singleton create: resolved and served inline at its run position
-    /// (its routing anchor depends on the live arena length).
+    /// Singleton create: routed at its run position in the serve phase,
+    /// because its anchor depends on the live arena length, which the
+    /// creates served before it in the round change.
     CreateInline,
 }
 
@@ -92,8 +96,8 @@ pub(crate) struct RoundScratch {
     dir_of: Vec<Option<InodeId>>,
     resolve_reqs: Vec<(usize, InodeId, u32)>,
     /// Per cohort: its route, valid in a round where the cohort is
-    /// classified [`Class::Resolve`]. Kept across rounds and ticks so each
-    /// route's `forwards` reuses its capacity.
+    /// classified and, for a create, has reached its run. Kept across
+    /// rounds and ticks so each route's `forwards` reuses its capacity.
     routes: Vec<Route>,
     served_count: Vec<u64>,
     budget_stalled: Vec<bool>,
@@ -296,105 +300,133 @@ impl Simulation {
             if scratch.stalled[c] {
                 continue;
             }
-            match scratch.class[c] {
-                None => {}
-                Some(Class::CreateInline) => {
-                    debug_assert_eq!(len, 1, "creates serve as singletons");
+            let Some(class) = scratch.class[c] else {
+                continue;
+            };
+            let Some((op, first_attempt)) = set.cohorts[c].state.pending else {
+                debug_assert!(false, "classified cohort has a pending op");
+                continue;
+            };
+            if class == Class::CreateInline {
+                // A create's anchor is the id the arena hands out next, so
+                // it resolves here, after the creates served before it.
+                debug_assert_eq!(len, 1, "creates serve as singletons");
+                let (dir, hash) = routing_anchor(&self.ns, &op);
+                scratch.dir_of[c] = Some(dir);
+                resolve_route_cached(
+                    &set.cohorts[c].state.cache,
+                    &self.ns,
+                    &self.map,
+                    &mut self.auth_cache,
+                    dir,
+                    hash,
+                    &mut scratch.routes[c],
+                );
+            }
+            if scratch.runs_of[c].is_empty() {
+                scratch.touched.push(c);
+            }
+            if scratch.budget_stalled[c] {
+                // Budgets only decrease within a tick: once one member
+                // failed the check, every later member of the cohort fails
+                // it identically.
+                scratch.runs_of[c].push((start, 0, len));
+                continue;
+            }
+            let route = &scratch.routes[c];
+            // A valid route costs at least its target, so an empty buffer
+            // means this is the cohort's first run of the round. The
+            // per-cohort buffer keeps its capacity round over round.
+            if scratch.costs_of[c].is_empty()
+                && !route_costs(route, self.mds.len(), &mut scratch.costs_of[c])
+            {
+                scratch.stalled[c] = true;
+                continue;
+            }
+            let target_idx = route.target.index();
+            let costs = &scratch.costs_of[c];
+            // Member-by-member budget drain: the f64 operations of serving
+            // the run's members one at a time.
+            let mut s = 0usize;
+            for _ in 0..len {
+                if costs.iter().any(|&(i, cost)| self.mds[i].budget < cost) {
+                    break;
+                }
+                for &(i, cost) in costs {
+                    let ok = self.mds[i].try_consume(cost);
+                    debug_assert!(ok, "budget pre-checked per rank");
+                }
+                s += 1;
+            }
+            scratch.runs_of[c].push((start, s, len));
+            if s < len {
+                scratch.budget_stalled[c] = true;
+            }
+            if s == 0 {
+                continue;
+            }
+            progressed = true;
+            scratch.served_count[c] += usize_to_u64(s);
+            let m = usize_to_u64(s);
+            for r in &route.forwards {
+                self.mds[r.index()].record_forward_n(m);
+            }
+            self.mds[target_idx].record_served_n(m);
+            // The namespace effect of the op. A create takes effect before
+            // its access is recorded, so the access sees the new inode; a
+            // remove takes effect after, while the inode still resolves.
+            let (ino, kind) = match op {
+                MetaOp::Read(ino) => {
+                    scratch.bytes_of[c] = self.ns.inode(ino).size();
+                    (ino, OpKind::Read)
+                }
+                MetaOp::Remove(ino) => (ino, OpKind::Remove),
+                MetaOp::Create { parent, size } => {
                     let st = &mut set.cohorts[c].state;
-                    if self.serve_singleton_create(st, tick) {
-                        progressed = true;
-                    } else {
-                        scratch.stalled[c] = true;
+                    self.name_scratch.clear();
+                    // Writing into a `String` cannot fail.
+                    let _ = write!(self.name_scratch, "c{}_{}", st.id, st.ops_done);
+                    match self.ns.create_file(parent, &self.name_scratch, size) {
+                        Ok(id) => {
+                            st.notify_created(id);
+                            scratch.bytes_of[c] = size;
+                            if let Some(r) = self.resident.get_mut(target_idx) {
+                                *r += 1;
+                            }
+                            (id, OpKind::Create)
+                        }
+                        // Streams only create under live directories; a
+                        // failure means the op went stale. Account it
+                        // against the parent as a plain read so the stream
+                        // still advances.
+                        Err(e) => {
+                            debug_assert!(false, "stale create under {parent:?}: {e}");
+                            (parent, OpKind::Read)
+                        }
                     }
                 }
-                Some(Class::Resolve) => {
-                    if scratch.runs_of[c].is_empty() {
-                        scratch.touched.push(c);
-                    }
-                    if scratch.budget_stalled[c] {
-                        // Budgets only decrease within a tick: once one
-                        // member failed the check, every later member of
-                        // the cohort fails it identically.
-                        scratch.runs_of[c].push((start, 0, len));
-                        continue;
-                    }
-                    let route = &scratch.routes[c];
-                    // A valid route costs at least its target, so an empty
-                    // buffer means this is the cohort's first run of the
-                    // round. The per-cohort buffer keeps its capacity round
-                    // over round.
-                    if scratch.costs_of[c].is_empty()
-                        && !route_costs(route, self.mds.len(), &mut scratch.costs_of[c])
-                    {
-                        scratch.stalled[c] = true;
-                        continue;
-                    }
-                    let target_idx = route.target.index();
-                    let costs = &scratch.costs_of[c];
-                    // Member-by-member budget drain: the f64 operations of
-                    // serving the run's members one at a time.
-                    let mut s = 0usize;
-                    for _ in 0..len {
-                        if costs.iter().any(|&(i, cost)| self.mds[i].budget < cost) {
-                            break;
-                        }
-                        for &(i, cost) in costs {
-                            let ok = self.mds[i].try_consume(cost);
-                            debug_assert!(ok, "budget pre-checked per rank");
-                        }
-                        s += 1;
-                    }
-                    scratch.runs_of[c].push((start, s, len));
-                    if s < len {
-                        scratch.budget_stalled[c] = true;
-                    }
-                    if s == 0 {
-                        continue;
-                    }
-                    progressed = true;
-                    scratch.served_count[c] += usize_to_u64(s);
-                    let m = usize_to_u64(s);
-                    for r in &route.forwards {
-                        self.mds[r.index()].record_forward_n(m);
-                    }
-                    self.mds[target_idx].record_served_n(m);
-                    let Some((op, first_attempt)) = set.cohorts[c].state.pending else {
-                        debug_assert!(false, "resolve-classified cohort has a pending op");
-                        continue;
-                    };
-                    let (ino, kind) = match op {
-                        MetaOp::Read(ino) => (ino, OpKind::Read),
-                        MetaOp::Remove(ino) => (ino, OpKind::Remove),
-                        MetaOp::Create { .. } => unreachable!("creates serve inline"),
-                    };
-                    if kind == OpKind::Read {
-                        scratch.bytes_of[c] = self.ns.inode(ino).size();
-                    }
-                    let stall_ticks = tick.saturating_sub(first_attempt);
-                    self.latency.record_n(stall_ticks, m);
-                    if self.telemetry.is_enabled() {
-                        self.op_ledger.record(target_idx, stall_ticks, m);
-                    }
-                    // Record the access while the inode is still
-                    // resolvable, then apply the unlink for removes.
-                    self.balancer.record_access_n(
-                        &self.ns,
-                        Access {
-                            ino,
-                            served_by: route.target,
-                            kind,
-                        },
-                        m,
-                    );
-                    if kind == OpKind::Remove {
-                        debug_assert_eq!(s, 1, "removes serve as singletons");
-                        let removed = self.ns.unlink(ino);
-                        debug_assert!(removed.is_ok(), "stale remove of {ino:?}");
-                        if removed.is_ok() {
-                            if let Some(r) = self.resident.get_mut(target_idx) {
-                                *r = r.saturating_sub(1);
-                            }
-                        }
+            };
+            let stall_ticks = tick.saturating_sub(first_attempt);
+            self.latency.record_n(stall_ticks, m);
+            if self.telemetry.is_enabled() {
+                self.op_ledger.record(target_idx, stall_ticks, m);
+            }
+            self.balancer.record_access_n(
+                &self.ns,
+                Access {
+                    ino,
+                    served_by: route.target,
+                    kind,
+                },
+                m,
+            );
+            if kind == OpKind::Remove {
+                debug_assert_eq!(s, 1, "removes serve as singletons");
+                let removed = self.ns.unlink(ino);
+                debug_assert!(removed.is_ok(), "stale remove of {ino:?}");
+                if removed.is_ok() {
+                    if let Some(r) = self.resident.get_mut(target_idx) {
+                        *r = r.saturating_sub(1);
                     }
                 }
             }
@@ -462,80 +494,6 @@ impl Simulation {
         let stalled = &scratch.stalled;
         scratch.runs.retain(|&(_, _, c)| !stalled[c]);
         progressed
-    }
-
-    /// Serves one create for a singleton cohort: resolve, budget check and
-    /// effects of one member, minus the checks phase 1 already ran this
-    /// round. Returns whether the op was served.
-    fn serve_singleton_create(&mut self, st: &mut Client, tick: u64) -> bool {
-        let Some((op, _)) = st.pending else {
-            debug_assert!(false, "create-classified cohort lost its pending op");
-            return false;
-        };
-        let (dir, hash) = routing_anchor(&self.ns, &op);
-        let (route, _hit) = st.resolve_with(&self.ns, &self.map, &mut self.auth_cache, dir, hash);
-        if !route_costs(&route, self.mds.len(), &mut self.costs_scratch) {
-            return false;
-        }
-        let target_idx = route.target.index();
-        if self
-            .costs_scratch
-            .iter()
-            .any(|(idx, cost)| self.mds[*idx].budget < *cost)
-        {
-            return false;
-        }
-        for (idx, cost) in &self.costs_scratch {
-            let ok = self.mds[*idx].try_consume(*cost);
-            debug_assert!(ok, "budget pre-checked per rank");
-        }
-        for r in &route.forwards {
-            self.mds[r.index()].record_forward();
-        }
-        self.mds[target_idx].record_served();
-
-        let MetaOp::Create { parent, size } = op else {
-            unreachable!("serve_singleton_create takes creates only")
-        };
-        self.name_scratch.clear();
-        // Writing into a `String` cannot fail.
-        let _ = write!(self.name_scratch, "c{}_{}", st.id, st.ops_done);
-        let (ino, kind, data_bytes) = match self.ns.create_file(parent, &self.name_scratch, size) {
-            Ok(id) => {
-                st.notify_created(id);
-                (id, OpKind::Create, size)
-            }
-            // Streams only create under live directories; a failure means
-            // the op went stale. Account it against the parent as a plain
-            // read so the stream still advances.
-            Err(e) => {
-                debug_assert!(false, "stale create under {parent:?}: {e}");
-                (parent, OpKind::Read, 0)
-            }
-        };
-        let stall_ticks = st.consume_op(tick);
-        self.latency.record(stall_ticks);
-        if self.telemetry.is_enabled() {
-            self.op_ledger.record(route.target.index(), stall_ticks, 1);
-        }
-        st.learn_route(dir, &route);
-        if self.cfg.data_path.is_some() && data_bytes > 0 {
-            st.data_pending += data_bytes;
-        }
-        self.balancer.record_access(
-            &self.ns,
-            Access {
-                ino,
-                served_by: route.target,
-                kind,
-            },
-        );
-        if kind == OpKind::Create {
-            if let Some(r) = self.resident.get_mut(route.target.index()) {
-                *r += 1;
-            }
-        }
-        true
     }
 
     /// Per-tick client reset: clears each cohort's per-tick issue count
@@ -741,6 +699,7 @@ fn rotated_runs(set: &CohortSet, offset: usize) -> Vec<(usize, usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
     use crate::request::FixedStream;
     use lunule_namespace::MdsRank;
 

@@ -62,26 +62,13 @@ impl MdsState {
         self.budget = (self.budget - cost).max(0.0);
     }
 
-    /// Records one served request.
-    pub fn record_served(&mut self) {
-        self.served_epoch += 1;
-        self.served_total += 1;
-    }
-
-    /// Records one forwarded request.
-    pub fn record_forward(&mut self) {
-        self.forwards_epoch += 1;
-        self.forwards_total += 1;
-    }
-
-    /// Records `n` served requests (cohort batch; integer counters add
-    /// associatively, so this equals `n` [`MdsState::record_served`] calls).
+    /// Records `n` served requests.
     pub fn record_served_n(&mut self, n: u64) {
         self.served_epoch += n;
         self.served_total += n;
     }
 
-    /// Records `n` forwarded requests (cohort batch).
+    /// Records `n` forwarded requests.
     pub fn record_forward_n(&mut self, n: u64) {
         self.forwards_epoch += n;
         self.forwards_total += n;
@@ -148,9 +135,8 @@ mod tests {
     #[test]
     fn epoch_counters_roll() {
         let mut m = MdsState::new(10.0);
-        m.record_served();
-        m.record_served();
-        m.record_forward();
+        m.record_served_n(2);
+        m.record_forward_n(1);
         assert_eq!(m.epoch_requests(), 3);
         m.reset_epoch();
         assert_eq!(m.epoch_requests(), 0);

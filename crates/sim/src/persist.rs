@@ -291,7 +291,6 @@ impl Simulation {
             limp,
             report_loss_until,
             journal_base,
-            costs_scratch: Vec::new(),
             name_scratch: String::new(),
             round_scratch: Default::default(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
