@@ -332,7 +332,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes` — the per-section
 /// checksum of the snapshot container. Folds eight bytes per step through
-/// [`CRC_TABLES`] and the tail one byte at a time.
+/// `CRC_TABLES` and the tail one byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc: u32 = !0;
