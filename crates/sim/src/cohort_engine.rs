@@ -892,4 +892,83 @@ mod tests {
         assert!(audit.explodes > 0, "the fixture must explode: {audit:?}");
         assert!(audit.splits > 0, "the fixture must split: {audit:?}");
     }
+
+    /// The first tick's first round explodes a four-member creating cohort
+    /// while a reader's op targets a directory frozen in a commit window
+    /// and a singleton create is pending. The end-of-run snapshot digest
+    /// was recorded from the engine that classified and routed each cohort
+    /// in one pass, before drawing, warming and routing became separate
+    /// passes.
+    #[test]
+    fn explode_beside_a_frozen_op_and_a_pending_create_keeps_its_digest() {
+        use lunule_core::{ExportTask, MigrationPlan, SubtreeChoice};
+        use lunule_namespace::FragKey;
+
+        let mut ns = lunule_namespace::Namespace::new();
+        let frozen = ns.mkdir_total(InodeId::ROOT, "frozen");
+        let open = ns.mkdir_total(InodeId::ROOT, "open");
+        let fz: Vec<InodeId> = (0..2)
+            .map(|f| ns.create_file_total(frozen, &format!("f{f}"), 3))
+            .collect();
+        let op: Vec<InodeId> = (0..3)
+            .map(|f| ns.create_file_total(open, &format!("f{f}"), 5))
+            .collect();
+        let stream = |ops: Vec<MetaOp>| {
+            Box::new(Cycle {
+                ops,
+                pos: 0,
+                left: 12,
+            }) as Box<dyn crate::request::OpStream>
+        };
+        let create = |size| MetaOp::Create { parent: open, size };
+        let groups = vec![
+            (
+                stream(vec![create(4), MetaOp::Read(op[0]), MetaOp::Read(op[1])]),
+                4,
+            ),
+            (stream(vec![MetaOp::Read(fz[0]), MetaOp::Read(op[2])]), 1),
+            (stream(vec![create(8), MetaOp::Read(op[2])]), 1),
+            (stream(vec![MetaOp::Read(op[1]), MetaOp::Read(fz[1])]), 3),
+        ];
+        let cfg = crate::SimConfig {
+            n_mds: 2,
+            mds_capacity: 40.0,
+            client_rate: 3.0,
+            epoch_secs: 2,
+            duration_secs: 8,
+            stop_when_done: false,
+            migration_bw: 1e6,
+            migration_freeze_secs: 4,
+            ..crate::SimConfig::default()
+        };
+        let balancer = lunule_core::make_balancer(lunule_core::BalancerKind::Lunule, 40.0);
+        let mut sim = Simulation::new_grouped(cfg, ns, balancer, groups);
+        // The first tick's migration step moves the whole frozen directory
+        // to rank 1 and opens a commit window over ticks 0..4.
+        let plan = MigrationPlan {
+            exports: vec![ExportTask {
+                from: MdsRank(0),
+                to: MdsRank(1),
+                target_amount: 1.0,
+                subtrees: vec![SubtreeChoice {
+                    subtree: FragKey::whole(frozen),
+                    estimated_load: 1.0,
+                }],
+            }],
+        };
+        sim.migrator.enqueue_plan(&mut sim.ns, &sim.map, &plan, 0);
+        let arena = sim.ns.len();
+        assert!(sim.step());
+        assert!(sim.migrator.is_frozen(&sim.ns, fz[0]));
+        assert!(sim.round_scratch.audit.explodes > 0, "cohort 0 explodes");
+        assert_eq!(sim.cohorts.cohorts[1].state.ops_done, 0, "reader is frozen");
+        assert!(sim.ns.len() >= arena + 5, "both groups' creates served");
+        while sim.step() {}
+        assert!(sim.total_ops() > 0);
+        let digest = lunule_util::codec::fnv1a64(&sim.snapshot().to_bytes());
+        assert_eq!(
+            digest, 0x6c5a_f860_af2f_af74,
+            "end-of-run snapshot drifted: {digest:#018x}"
+        );
+    }
 }
