@@ -445,6 +445,56 @@ fn tick_loop_sparse(p: Protocol) -> BenchResult {
     })
 }
 
+/// Ticks each cold-arena simulation runs before timing starts, and then
+/// while timed.
+const COLD_WARMUP_TICKS: u64 = 200;
+const COLD_TICKS: u64 = 40;
+
+/// A tick loop whose per-op records do not fit in cache: 200 singleton
+/// Zipf readers over 300,000 files on 16 ranks, configured like the
+/// benchmark's zipf_read. The inode arena (56 B a record, ~16 MiB) and the
+/// analyzer's per-inode table (~7 MiB) are several times a 4 MiB L2, so
+/// each op's inode and visit record are cache misses, which
+/// `tick_loop_sparse_c200_m8`'s ~100,000 inodes mostly are not. The first
+/// ticks serve everything from rank 0 until the balancer spreads the
+/// load, so each simulation runs [`COLD_WARMUP_TICKS`] before timing.
+fn cold_sim() -> Simulation {
+    let spec = WorkloadSpec {
+        kind: WorkloadKind::ZipfRead,
+        clients: 200,
+        scale: 0.15,
+        seed: 42,
+    };
+    let cfg = SimConfig {
+        n_mds: 16,
+        mds_capacity: 500.0,
+        epoch_secs: 10,
+        duration_secs: COLD_WARMUP_TICKS + COLD_TICKS,
+        stop_when_done: false,
+        migration_bw: 5_000.0,
+        migration_op_cost: 0.02,
+        client_rate: 50.0,
+        client_cache_cap: 256,
+        seed: 42,
+        ..SimConfig::default()
+    };
+    let (ns, streams) = spec.build();
+    let b = make_balancer(BalancerKind::Lunule, cfg.mds_capacity);
+    let mut sim = Simulation::new(cfg, ns, b, streams);
+    sim.run_until(COLD_WARMUP_TICKS);
+    sim
+}
+
+/// The cold-arena tick loop alone, simulations built before timing as in
+/// [`tick_loop`]; `ns_per_op` is the cost of one tick.
+fn tick_loop_cold(p: Protocol) -> BenchResult {
+    let mut sims: Vec<Simulation> = (0..p.warmup + p.rounds).map(|_| cold_sim()).collect();
+    let mut next = sims.iter_mut();
+    run_bench("tick_loop_cold_c200_m16", p, || {
+        next.next().map_or(0, step_to_end)
+    })
+}
+
 /// A flat dataset of `dirs` directories of `files_per_dir` files, with its
 /// directories and its files in scan order.
 fn flat_fixture(dirs: usize, files_per_dir: usize) -> (Namespace, Vec<InodeId>, Vec<InodeId>) {
@@ -699,6 +749,7 @@ fn main() -> ExitCode {
         tick_loop("tick_loop_c1k_m128", 1_000, protocol),
         tick_loop("tick_loop_c100k_m128", 100_000, protocol),
         tick_loop_sparse(protocol),
+        tick_loop_cold(protocol),
         record_access(protocol),
         mindex_of(protocol),
         imbalance_factor_16(protocol),
@@ -827,6 +878,18 @@ mod tests {
             "{} ops in {SPARSE_TICKS} ticks",
             sim.total_ops()
         );
+    }
+
+    #[test]
+    fn cold_sim_spans_a_large_arena_and_serves_every_tick() {
+        let mut sim = cold_sim();
+        assert!(
+            sim.namespace().len() >= 250_000,
+            "{} inodes",
+            sim.namespace().len()
+        );
+        assert_eq!(step_to_end(&mut sim), COLD_TICKS);
+        assert!(sim.total_ops() > 200 * COLD_TICKS, "{}", sim.total_ops());
     }
 
     #[test]

@@ -315,6 +315,20 @@ impl PatternAnalyzer {
         }
     }
 
+    /// Loads the visit record of each of `inos` without changing it, so
+    /// that a caller about to record accesses to many inodes can overlap
+    /// their cache misses in one loop. Ids beyond the table are skipped:
+    /// the table never grows here.
+    pub fn prefetch(&self, inos: &[InodeId]) {
+        let mut loaded = 0u64;
+        for ino in inos {
+            if let Some(st) = self.inodes.get(ino.index()) {
+                loaded ^= st.mask;
+            }
+        }
+        std::hint::black_box(loaded);
+    }
+
     /// Shared body of the single- and batched-access recorders; returns
     /// whether this access counted as recurrent (repeats within the same
     /// window share the verdict).
@@ -749,6 +763,32 @@ mod tests {
                 "{case}: {got:?}"
             );
         }
+    }
+
+    #[test]
+    fn prefetch_changes_nothing_and_never_grows_the_table() {
+        use lunule_util::codec::Encoder;
+        let saved = |an: &PatternAnalyzer| {
+            let mut e = Encoder::new();
+            an.save_state(&mut e);
+            e.into_bytes()
+        };
+        let (ns, _, files) = two_dirs(10);
+        let mut an = analyzer(0.5);
+        for f in &files[0] {
+            an.record_access(&ns, *f, false);
+        }
+        let table = an.inodes.len();
+        let before = saved(&an);
+        let inside = files[0][3];
+        let beyond_table = files[1][5];
+        let beyond_arena = InodeId::from_index(ns.len() + 1_000);
+        assert!(inside.index() < table);
+        assert!(beyond_table.index() >= table && beyond_table.index() < ns.len());
+        an.prefetch(&[inside, beyond_table, beyond_arena]);
+        an.prefetch(&[]);
+        assert_eq!(an.inodes.len(), table, "the table never grows");
+        assert_eq!(saved(&an), before, "saved state unchanged");
     }
 
     #[test]

@@ -123,6 +123,12 @@ pub trait Balancer: Send {
         }
     }
 
+    /// Hint that accesses to `inos` are about to be recorded. A policy
+    /// may load its per-inode state for them, so the caller's batch of
+    /// cache misses overlaps; it must not change any state, and ids it
+    /// has never seen are fine. The default does nothing.
+    fn prefetch(&self, _inos: &[InodeId]) {}
+
     /// Epoch boundary: decide whether and what to migrate.
     fn on_epoch(&mut self, ns: &Namespace, map: &SubtreeMap, stats: &EpochStats) -> MigrationPlan;
 

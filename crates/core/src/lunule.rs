@@ -15,7 +15,7 @@ use crate::if_model::{IfModelConfig, ImbalanceFactorModel};
 use crate::roles::{decide_roles_weighted, RoleConfig, DEVIATION_THRESHOLD};
 use crate::selector::{select_hottest, select_subtrees, subtrees_overlap};
 use crate::stats::{EpochStats, LoadHistory};
-use lunule_namespace::{Namespace, SubtreeMap};
+use lunule_namespace::{InodeId, Namespace, SubtreeMap};
 use lunule_telemetry::{Event, Telemetry};
 use lunule_util::codec::{CodecError, Decoder, Encoder};
 use lunule_util::convert::usize_to_u64;
@@ -207,6 +207,12 @@ impl Balancer for LunuleBalancer {
             }
         } else {
             self.heat.record_n(ns, access.ino, n);
+        }
+    }
+
+    fn prefetch(&self, inos: &[InodeId]) {
+        if self.cfg.workload_aware {
+            self.analyzer.prefetch(inos);
         }
     }
 
@@ -516,6 +522,30 @@ mod tests {
                     kind: OpKind::Read,
                 },
             );
+        }
+    }
+
+    /// Both variants: Lunule forwards to its analyzer, Lunule-Light (no
+    /// analyzer records) ignores the hint. The saved state carries the
+    /// analyzer's per-inode table, length included, so equal bytes also
+    /// mean the table did not grow.
+    #[test]
+    fn prefetch_leaves_saved_state_unchanged() {
+        let (ns, _, files) = fixture();
+        for cfg in [small_cfg(), LunuleConfig::light()] {
+            let mut b = LunuleBalancer::new(cfg);
+            feed(&mut b, &ns, &files[..10]);
+            let saved = |b: &LunuleBalancer| {
+                let mut e = Encoder::new();
+                b.save_state(&mut e);
+                e.into_bytes()
+            };
+            let before = saved(&b);
+            let inside = files[4];
+            let beyond_table = files[60];
+            let beyond_arena = InodeId::from_index(ns.len() + 1_000);
+            b.prefetch(&[inside, beyond_table, beyond_arena]);
+            assert_eq!(saved(&b), before, "{}", b.name());
         }
     }
 

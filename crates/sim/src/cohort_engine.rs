@@ -16,15 +16,28 @@
 //! costs its live cohorts, not the whole population. Each round has three
 //! phases:
 //!
-//! 1. **Classify** (sequential, cohort-local): each live cohort is
-//!    inactive, frozen, a batchable read, or a mutating op. Multi-member
-//!    cohorts holding a create/remove explode into singletons first —
-//!    mutations change the namespace mid-round, so they serve one member
-//!    at a time.
+//! 1. **Classify**, in three passes over the round's live cohorts:
+//!    - *draw* (cohort-local): each cohort checks that it can issue and
+//!      peeks its op. Multi-member cohorts holding a create/remove explode
+//!      into singletons, which are drawn in turn — mutations change the
+//!      namespace mid-round, so they serve one member at a time.
+//!    - *warm* (read-only): one loop loads both cache lines of the inode
+//!      of every drawn read and remove, so their cache misses overlap
+//!      rather than stall one op at a time.
+//!    - *route* (read-only, in drawn order): an op whose subtree is frozen
+//!      in a commit window stalls its cohort; the rest become a batchable
+//!      read, a remove or a create, and reads and removes take their
+//!      routing anchor.
+//!
+//!    Draw writes only cohort-local state and route reads only the
+//!    namespace and the migrator, so splitting the passes is exact.
 //! 2. **Resolve** (sequential, pure): read/remove routes are looked up
 //!    against the namespace + subtree map, which cannot change until the
 //!    round ends, with authority walks memoized in the simulation's
-//!    [`AuthorityCache`](lunule_namespace::AuthorityCache).
+//!    [`AuthorityCache`](lunule_namespace::AuthorityCache). Then the ops
+//!    whose target rank still has budget for them go to
+//!    [`Balancer::prefetch`](lunule_core::Balancer::prefetch), so the
+//!    balancer can load its per-inode state in one loop too.
 //! 3. **Serve** (sequential, effect-ordered): runs are walked in rotation
 //!    order, every op kind through the same code. A create first resolves
 //!    its route at its run position, because its anchor is the inode id
@@ -56,7 +69,7 @@ use crate::cohort::{Cohort, CohortSet};
 use crate::request::MetaOp;
 use lunule_core::{Access, OpKind};
 use lunule_namespace::InodeId;
-use lunule_util::convert::{u64_to_usize, usize_to_u64};
+use lunule_util::convert::{u64_to_f64, u64_to_usize, usize_to_u64};
 use std::fmt::Write as _;
 
 /// Where a classified cohort's route comes from this round. Either way
@@ -77,8 +90,8 @@ enum Class {
 /// a restored simulation starts with it empty.
 ///
 /// Per-cohort buffers are indexed by cohort and only ever grow; a round
-/// resets the entries of the cohorts it classifies, which are the only
-/// ones it reads.
+/// resets the entries of the cohorts it draws, which are the only ones
+/// it reads.
 #[derive(Default)]
 pub(crate) struct RoundScratch {
     /// Per-tick stall flags, indexed by cohort.
@@ -88,9 +101,17 @@ pub(crate) struct RoundScratch {
     runs: Vec<(usize, usize, usize)>,
     /// Rounds run so far; stamps `seen`.
     round: u64,
-    /// Per cohort: the last round whose classify walk met it.
+    /// Per cohort: the last round whose draw walk met it.
     seen: Vec<u64>,
     worklist: Vec<usize>,
+    /// The round's drawn `(cohort, op)` pairs, in draw order.
+    drawn: Vec<(usize, MetaOp)>,
+    /// The inode ids of the routed reads and removes expected to serve,
+    /// for [`Balancer::prefetch`](lunule_core::Balancer::prefetch).
+    warm: Vec<InodeId>,
+    /// Per rank: the members routed to it so far by the loop that fills
+    /// `warm`.
+    demand: Vec<f64>,
     class: Vec<Option<Class>>,
     /// Per cohort: the directory its resolved op routes by.
     dir_of: Vec<Option<InodeId>>,
@@ -125,7 +146,7 @@ pub(crate) struct RunListAudit {
 impl RoundScratch {
     /// Grows the per-cohort buffers to cover `n` cohorts. New `stalled`
     /// entries start unstalled; other new entries are reset when their
-    /// cohort is classified.
+    /// cohort is drawn.
     fn fit(&mut self, n: usize) {
         if self.stalled.len() < n {
             self.stalled.resize(n, false);
@@ -143,7 +164,7 @@ impl RoundScratch {
         }
     }
 
-    /// Clears cohort `c`'s round state before it is classified.
+    /// Clears cohort `c`'s round state before it is drawn.
     fn reset(&mut self, c: usize) {
         self.class[c] = None;
         self.dir_of[c] = None;
@@ -199,10 +220,10 @@ impl Simulation {
         #[cfg(test)]
         scratch.audit_runs(set, offset);
 
-        // Phase 1: classify cohorts in rotation (first-encounter) order.
-        // Classification only touches cohort-local state, so handling each
-        // cohort once at its first member's position matches per-member
-        // checks exactly.
+        // Phase 1, draw: each live cohort in rotation (first-encounter)
+        // order checks that it can issue and peeks its op. Drawing only
+        // touches cohort-local state, so handling each cohort once at its
+        // first member's position matches per-member checks exactly.
         scratch.round += 1;
         let stamp = scratch.round;
         let mut worklist = std::mem::take(&mut scratch.worklist);
@@ -215,7 +236,7 @@ impl Simulation {
                 }
             }
         }
-        scratch.resolve_reqs.clear();
+        scratch.drawn.clear();
         let mut exploded = false;
         let mut wi = 0;
         while wi < worklist.len() {
@@ -241,16 +262,41 @@ impl Simulation {
             if set.cohorts[c].count > 1 && !matches!(op, MetaOp::Read(_)) {
                 // Creates and removes mutate the namespace as they serve,
                 // so members must go one at a time: explode to singletons
-                // and re-classify each (the checks above re-run cheaply
-                // and identically). The op type can change every round,
-                // which is why this is a per-round check, not a
-                // construction-time property.
+                // and re-draw each (the checks above re-run cheaply and
+                // identically). The op type can change every round, which
+                // is why this is a per-round check, not a construction-time
+                // property.
                 let parts = set.explode(c);
                 exploded = true;
                 scratch.fit(set.cohorts.len());
                 worklist.extend(parts);
                 continue;
             }
+            scratch.drawn.push((c, op));
+        }
+        scratch.worklist = worklist;
+
+        // Phase 1, warm: load both cache lines of the inode of each drawn
+        // read and remove (its parent, which the route pass reads, and its
+        // file size, which serve reads) in one loop of independent loads,
+        // so their cache misses overlap instead of arriving one op at a
+        // time. Nothing is written, so this changes no outcome.
+        let mut loaded = 0u64;
+        for &(_, op) in &scratch.drawn {
+            if let MetaOp::Read(ino) | MetaOp::Remove(ino) = op {
+                if let Ok(inode) = self.ns.get(ino) {
+                    loaded ^= inode.size() ^ inode.parent().map_or(0, InodeId::raw);
+                }
+            }
+        }
+        std::hint::black_box(loaded);
+
+        // Phase 1, route: in drawn order, an op whose subtree is frozen in
+        // a commit window stalls its cohort, and the rest take their class
+        // and anchor. Drawing left the namespace and the migrator alone,
+        // so each op sees what it would have seen routed as it was drawn.
+        scratch.resolve_reqs.clear();
+        for &(c, op) in &scratch.drawn {
             if self.migrator.is_frozen(&self.ns, op.anchor()) {
                 scratch.stalled[c] = true;
                 continue;
@@ -267,7 +313,6 @@ impl Simulation {
                 }
             }
         }
-        scratch.worklist = worklist;
 
         // Phase 2: resolve routes. Resolution is pure (namespace, subtree
         // map and client caches are all frozen for the round), so resolving
@@ -284,8 +329,37 @@ impl Simulation {
             );
         }
 
+        // Likewise hand the balancer the ids of the routed reads and removes
+        // that can expect to serve, so it can load its per-inode state in
+        // one loop. An op that reaches a spent target rank stalls without
+        // recording an access, and loading its state would cost misses the
+        // serve loop never pays, so the loop sums, in drawn order, the
+        // members routed to each rank and skips an op once that sum has
+        // reached the rank's budget. With cohorts of thousands of members,
+        // the first run to reach a rank drains it. Forwards are not
+        // counted, so the filter errs towards loading too much.
+        scratch.warm.clear();
+        scratch.demand.clear();
+        scratch.demand.resize(self.mds.len(), 0.0);
+        for &(c, op) in &scratch.drawn {
+            let (MetaOp::Read(ino) | MetaOp::Remove(ino)) = op else {
+                continue;
+            };
+            let target = scratch.routes[c].target.index();
+            let (Some(mds), Some(demand)) = (self.mds.get(target), scratch.demand.get_mut(target))
+            else {
+                continue;
+            };
+            if scratch.stalled[c] || *demand >= mds.budget {
+                continue;
+            }
+            *demand += u64_to_f64(set.cohorts[c].count);
+            scratch.warm.push(ino);
+        }
+        self.balancer.prefetch(&scratch.warm);
+
         // Phase 3: serve runs in rotation order, effects in member order.
-        // An explode re-tiled the intervals mid-classify, so the kept list
+        // An explode re-tiled the intervals mid-draw, so the kept list
         // is rebuilt; the runs of stalled cohorts it then holds are skipped.
         if exploded {
             rotated_runs_into(set, offset, &mut scratch.runs);

@@ -106,29 +106,56 @@ impl Outcome {
         fnv1a64(self.metrics.as_bytes())
     }
 
-    /// Asserts this outcome reproduces the golden entry for `case`.
-    fn assert_golden(&self, case: &str) {
+    /// Compares this outcome with the golden entry for `case`: `Err`
+    /// names every field that drifted, or the entry this run would need.
+    fn golden_verdict(&self, case: &str) -> Result<(), String> {
         let digest = self.digest();
         let metrics_digest = self.metrics_digest();
         let Some(&(_, want_digest, want_metrics, want_ops)) = GOLDEN.iter().find(|g| g.0 == case)
         else {
-            panic!(
+            return Err(format!(
                 "no golden entry; this run gives ({case:?}, {digest:#018x}, \
                  {metrics_digest:#018x}, {})",
                 self.total_ops
-            );
+            ));
         };
-        assert_eq!(self.total_ops, want_ops, "{case}: total ops");
-        assert_eq!(
-            digest, want_digest,
-            "{case}: journal or results drifted (per-rank requests {:?})",
-            self.per_mds
-        );
-        assert_eq!(
-            metrics_digest, want_metrics,
-            "{case}: metrics export drifted"
-        );
+        let mut drift = Vec::new();
+        if self.total_ops != want_ops {
+            drift.push(format!("total ops {} != {want_ops}", self.total_ops));
+        }
+        if digest != want_digest {
+            drift.push(format!(
+                "journal or results drifted (per-rank requests {:?})",
+                self.per_mds
+            ));
+        }
+        if metrics_digest != want_metrics {
+            drift.push("metrics export drifted".to_string());
+        }
+        if drift.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("{case}: {}", drift.join("; ")))
+        }
     }
+
+    /// Asserts this outcome reproduces the golden entry for `case`.
+    fn assert_golden(&self, case: &str) {
+        if let Err(e) = self.golden_verdict(case) {
+            panic!("{e}");
+        }
+    }
+}
+
+/// Fails once with every drifting row of a table of `rows` rows, so a
+/// fault shows how far it reaches instead of stopping at its first row.
+fn assert_no_drift(rows: usize, drifted: &[String]) {
+    assert!(
+        drifted.is_empty(),
+        "{} of {rows} golden rows drifted:\n{}",
+        drifted.len(),
+        drifted.join("\n")
+    );
 }
 
 /// An op stream replaying an explicit script of mixed metadata ops —
@@ -336,6 +363,8 @@ fn matrix_matches_golden_digests() {
         ("quiet", FaultPlan::new().build()),
         ("chaotic", chaotic_schedule()),
     ];
+    let mut rows = 0;
+    let mut drifted = Vec::new();
     for seed in [7u64, 42] {
         for (sched_label, schedule) in &schedules {
             for (knob_label, knob) in &knobs {
@@ -343,11 +372,15 @@ fn matrix_matches_golden_digests() {
                     faults: schedule.clone(),
                     ..base_cfg(seed)
                 });
-                run_once(cfg, streams_for(10, seed))
-                    .assert_golden(&format!("seed{seed}/{sched_label}/{knob_label}"));
+                let case = format!("seed{seed}/{sched_label}/{knob_label}");
+                rows += 1;
+                if let Err(e) = run_once(cfg, streams_for(10, seed)).golden_verdict(&case) {
+                    drifted.push(e);
+                }
             }
         }
     }
+    assert_no_drift(rows, &drifted);
 }
 
 fn chaotic_schedule() -> FaultSchedule {
@@ -372,6 +405,7 @@ fn every_balancer_kind_matches_golden() {
     ];
     let seed = 7u64;
     let mut missing = Vec::new();
+    let mut drifted = Vec::new();
     for kind in kinds {
         let cfg = SimConfig {
             faults: chaotic_schedule(),
@@ -385,7 +419,9 @@ fn every_balancer_kind_matches_golden() {
             Some((SNAPSHOT_TICK, &mut snapshot)),
         );
         if kind == BalancerKind::Lunule {
-            out.assert_golden("seed7/chaotic/plain");
+            if let Err(e) = out.golden_verdict("seed7/chaotic/plain") {
+                drifted.push(format!("{kind} (matrix row) {e}"));
+            }
         }
         let (digest, metrics) = (out.digest(), out.metrics_digest());
         let Some(&(_, want_digest, want_metrics, want_snapshot, want_ops)) =
@@ -398,16 +434,29 @@ fn every_balancer_kind_matches_golden() {
             ));
             continue;
         };
-        assert_eq!(out.total_ops, want_ops, "{kind}: total ops");
-        assert_eq!(digest, want_digest, "{kind}: journal or results drifted");
-        assert_eq!(metrics, want_metrics, "{kind}: metrics export drifted");
-        assert_eq!(snapshot, want_snapshot, "{kind}: mid-run snapshot drifted");
+        let mut drift = Vec::new();
+        if out.total_ops != want_ops {
+            drift.push(format!("total ops {} != {want_ops}", out.total_ops));
+        }
+        if digest != want_digest {
+            drift.push("journal or results drifted".to_string());
+        }
+        if metrics != want_metrics {
+            drift.push("metrics export drifted".to_string());
+        }
+        if snapshot != want_snapshot {
+            drift.push("mid-run snapshot drifted".to_string());
+        }
+        if !drift.is_empty() {
+            drifted.push(format!("{kind}: {}", drift.join("; ")));
+        }
     }
     assert!(
         missing.is_empty(),
         "no golden entry; these runs give\n{}",
         missing.join("\n")
     );
+    assert_no_drift(kinds.len(), &drifted);
 }
 
 /// A wide population of read-only clients, every script distinct so no two
