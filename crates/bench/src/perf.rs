@@ -122,25 +122,9 @@ fn median(values: &mut [f64]) -> f64 {
     }
 }
 
-/// Serializes a result set as the top-level `BENCH.json` array. Each
-/// entry records [`lunule_sim::STRICT_INVARIANTS`], so `xtask bench-diff`
-/// can refuse to compare timings of differently built binaries.
+/// Serializes a result set as the top-level `BENCH.json` array.
 pub fn to_bench_json(results: &[BenchResult]) -> Json {
-    Json::Arr(
-        results
-            .iter()
-            .map(|r| match r.to_json() {
-                Json::Obj(mut fields) => {
-                    fields.push((
-                        "strict_invariants".into(),
-                        Json::Bool(lunule_sim::STRICT_INVARIANTS),
-                    ));
-                    Json::Obj(fields)
-                }
-                other => other,
-            })
-            .collect(),
-    )
+    Json::Arr(results.iter().map(ToJson::to_json).collect())
 }
 
 #[cfg(test)]
@@ -201,9 +185,5 @@ mod tests {
         let back = BenchResult::from_json(&arr[0]).unwrap();
         assert_eq!(back.bench, "sim_tick_loop");
         assert_eq!(back.iters, 1234);
-        assert_eq!(
-            arr[0].get("strict_invariants"),
-            Some(&Json::Bool(lunule_sim::STRICT_INVARIANTS))
-        );
     }
 }

@@ -6,8 +6,7 @@ use crate::cohort_engine::cohort_datapath_step;
 use crate::config::SimConfig;
 use crate::latency::LatencyHistogram;
 use crate::mds::MdsState;
-use crate::migration::MigrationCounters;
-use crate::migration::Migrator;
+use crate::migration::{MigrationCounters, MigrationJob, Migrator};
 use crate::request::OpStream;
 use crate::results::{EpochRecord, RunResult};
 use lunule_core::{Balancer, EpochStats};
@@ -15,8 +14,6 @@ use lunule_faults::FaultKind;
 use lunule_namespace::{MdsRank, Namespace, SubtreeMap};
 use lunule_telemetry::{Event, Telemetry};
 use lunule_util::convert::{u64_to_f64, u64_to_usize, usize_to_f64, usize_to_u32, usize_to_u64};
-#[cfg(feature = "strict-invariants")]
-use lunule_verify::InvariantChecker;
 
 /// A running MDS-cluster simulation.
 ///
@@ -85,12 +82,6 @@ pub struct Simulation {
     /// ticks, so it is transient state like the scratch buffers above
     /// and never appears in snapshots.
     pub(crate) op_ledger: crate::tick_ledger::TickOpLedger,
-    /// Cross-layer invariant auditor (strict builds only): the cheap map
-    /// checks run after every tick, the full battery — conservation, frag
-    /// partitions, IF-model laws — at every epoch close. Any violation
-    /// panics with a readable report.
-    #[cfg(feature = "strict-invariants")]
-    pub(crate) checker: InvariantChecker,
 }
 
 impl Simulation {
@@ -108,7 +99,7 @@ impl Simulation {
         // arbitrary per-client streams, cloneable or not. Aggregation wins
         // come from [`Simulation::new_grouped`].
         let groups = streams.into_iter().map(|s| (s, 1)).collect();
-        Self::build(cfg, ns, balancer, groups)
+        Self::new_grouped(cfg, ns, balancer, groups)
     }
 
     /// Builds a simulation whose clients arrive as *groups*: `count`
@@ -118,15 +109,6 @@ impl Simulation {
     /// not the member count. Group streams with `count > 1` must be
     /// cloneable ([`OpStream::try_clone_box`]) so cohorts can split.
     pub fn new_grouped(
-        cfg: SimConfig,
-        ns: Namespace,
-        balancer: Box<dyn Balancer>,
-        groups: Vec<(Box<dyn OpStream>, u64)>,
-    ) -> Self {
-        Self::build(cfg, ns, balancer, groups)
-    }
-
-    fn build(
         cfg: SimConfig,
         ns: Namespace,
         mut balancer: Box<dyn Balancer>,
@@ -161,17 +143,6 @@ impl Simulation {
                 (c, count)
             })
             .collect();
-        let mut migrator = Migrator::new(
-            cfg.migration_bw,
-            cfg.migration_freeze_secs,
-            cfg.migration_op_cost,
-        );
-        migrator.configure_retry(
-            cfg.migration_timeout_ticks,
-            cfg.migration_max_retries,
-            cfg.migration_backoff_ticks,
-        );
-        migrator.set_telemetry(telemetry.clone());
         Simulation {
             mds: (0..cfg.n_mds)
                 .map(|r| {
@@ -183,7 +154,7 @@ impl Simulation {
                     )
                 })
                 .collect(),
-            migrator,
+            migrator: Migrator::from_config(&cfg, &telemetry),
             latency: LatencyHistogram::new(),
             resident,
             cohorts: CohortSet::new(groups),
@@ -204,85 +175,8 @@ impl Simulation {
             round_scratch: Default::default(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
             op_ledger: crate::tick_ledger::TickOpLedger::default(),
-            #[cfg(feature = "strict-invariants")]
-            checker: InvariantChecker::new(lunule_core::IfModelConfig {
-                mds_capacity: cfg.mds_capacity,
-                ..lunule_core::IfModelConfig::default()
-            }),
             cfg,
         }
-    }
-
-    /// Subtrees currently inside their commit window, paired with the
-    /// exporter their authority must keep resolving to until the flip.
-    #[cfg(feature = "strict-invariants")]
-    fn frozen_subtrees(&self) -> Vec<(lunule_namespace::FragKey, MdsRank)> {
-        self.migrator
-            .jobs()
-            .iter()
-            .filter(|j| j.is_committing())
-            .map(|j| (j.subtree, j.from))
-            .collect()
-    }
-
-    /// Cheap per-tick audit: subtree-map well-formedness plus frozen-subtree
-    /// stability. O(map entries), so safe to run every simulated second.
-    #[cfg(feature = "strict-invariants")]
-    fn audit_tick(&mut self) {
-        let frozen = self.frozen_subtrees();
-        self.checker.check_subtree_map(&self.ns, &self.map);
-        self.checker
-            .check_frozen_subtrees(&self.ns, &self.map, &frozen);
-        let down: Vec<bool> = self.down_until.iter().map(Option::is_some).collect();
-        self.checker.check_down_ranks(&self.map, &down);
-        self.checker.assert_clean();
-    }
-
-    /// Full per-epoch audit: everything in [`Simulation::audit_tick`] plus
-    /// fragment-partition coverage, migration conservation, and the
-    /// IF-model laws on the epoch's load vector.
-    #[cfg(feature = "strict-invariants")]
-    fn audit_epoch(&mut self, iops: &[f64]) {
-        let frozen = self.frozen_subtrees();
-        self.checker
-            .audit(&self.ns, &self.map, self.mds.len(), &frozen);
-        self.checker.check_if_model(iops, &self.cfg.mds_capacities);
-        // Migration lifecycle ledger: started == committed + abandoned +
-        // in-flight, and — when a telemetry journal is kept — its event
-        // counts must agree with the engine's counters.
-        let c = self.migrator.counters();
-        let journal = self.telemetry.is_enabled().then(|| {
-            (
-                self.journal_base.0 + self.telemetry.count_kind("migration_start"),
-                self.journal_base.1 + self.telemetry.count_kind("migration_commit"),
-                self.journal_base.2 + self.telemetry.count_kind("migration_abandon"),
-            )
-        });
-        self.checker.check_migration_ledger(
-            c.started_jobs,
-            c.completed_jobs,
-            c.abandoned_jobs,
-            self.migrator.in_flight(),
-            journal,
-        );
-        // Cohort model: member conservation against the configured client
-        // total and the id-interval partition's integrity. The checker
-        // re-derives these from plain data rather than trusting
-        // `CohortSet::check_invariants` — an independent implementation is
-        // the point of the audit.
-        let set = &self.cohorts;
-        let counts: Vec<u64> = set.cohorts.iter().map(|c| c.count).collect();
-        let ids: Vec<usize> = set.cohorts.iter().map(|c| c.state.id).collect();
-        let intervals: Vec<(usize, usize, usize)> = set
-            .intervals
-            .iter()
-            .map(|iv| (iv.start, iv.len, iv.cohort))
-            .collect();
-        self.checker
-            .check_cohort_conservation(&counts, None, usize_to_u64(set.n_clients()));
-        self.checker
-            .check_cohort_partition(&intervals, &counts, &ids, set.n_clients());
-        self.checker.assert_clean();
     }
 
     /// Current simulated time, seconds.
@@ -350,6 +244,33 @@ impl Simulation {
     /// committing, or parked awaiting a retry.
     pub fn inflight_migrations(&self) -> u64 {
         self.migrator.in_flight()
+    }
+
+    /// The migrator's active jobs (transferring or committing; jobs parked
+    /// for a retry are not listed).
+    pub fn migration_jobs(&self) -> &[MigrationJob] {
+        self.migrator.jobs()
+    }
+
+    /// Migration journal-event counts (`start`, `commit`, `abandon`) over
+    /// the whole run, including the runs before the last restore. All
+    /// zero when telemetry is disabled and the run was never restored.
+    pub fn migration_journal_counts(&self) -> (u64, u64, u64) {
+        (
+            self.journal_base.0 + self.telemetry.count_kind("migration_start"),
+            self.journal_base.1 + self.telemetry.count_kind("migration_commit"),
+            self.journal_base.2 + self.telemetry.count_kind("migration_abandon"),
+        )
+    }
+
+    /// Every closed epoch's record, oldest first.
+    pub fn epochs(&self) -> &[EpochRecord] {
+        &self.epochs
+    }
+
+    /// The client population as cohorts and their id-interval partition.
+    pub fn cohorts(&self) -> &CohortSet {
+        &self.cohorts
     }
 
     /// Adds clients mid-run; they start issuing on the next tick (Fig. 12b's
@@ -487,7 +408,8 @@ impl Simulation {
         let tick = self.tick;
         // Telemetry timestamps derive from the simulated clock, never wall
         // time, so journals from same-seed runs are byte-identical.
-        self.telemetry.begin_tick(tick, || Event::TickStart);
+        self.telemetry.set_clock(tick);
+        self.telemetry.emit(|| Event::TickStart);
 
         // 0. Faults due this tick, then recoveries.
         self.apply_fault_events(tick);
@@ -514,8 +436,6 @@ impl Simulation {
         if self.tick.is_multiple_of(self.cfg.epoch_secs) {
             self.close_epoch();
         }
-        #[cfg(feature = "strict-invariants")]
-        self.audit_tick();
     }
 
     /// Refills every rank's per-tick request budget. A rank whose resident
@@ -644,15 +564,6 @@ impl Simulation {
         // it bounds within-tick divergence growth without scanning every
         // tick, and runs at a point where no issue round is in flight.
         self.cohorts.merge_equal_states();
-        #[cfg(feature = "strict-invariants")]
-        {
-            let iops = self
-                .epochs
-                .last()
-                .map(|e| e.per_mds_iops.clone())
-                .unwrap_or_default();
-            self.audit_epoch(&iops);
-        }
     }
 }
 

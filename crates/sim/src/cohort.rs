@@ -16,7 +16,7 @@
 //! the effect order although its cohort is stepped once (see
 //! `cohort_engine`, whose golden-digest battery pins that order).
 //!
-//! Invariants (audited under `strict-invariants`):
+//! Invariants (audited by `lunule-verify`'s `InvariantChecker`):
 //! - intervals are sorted, disjoint, non-empty, and cover `0..n_clients`;
 //! - every cohort's `count` equals the total length of its intervals;
 //! - every live cohort's `state.id` is its lowest member id (the canonical
@@ -459,8 +459,7 @@ impl CohortSet {
     }
 
     /// Checks every structural invariant, returning a readable description
-    /// of the first violation. Used by tests and the strict-invariants
-    /// auditor.
+    /// of the first violation. Used by tests and by snapshot restore.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut at = 0usize;
         let mut counted = vec![0u64; self.cohorts.len()];
@@ -519,6 +518,12 @@ impl CohortSet {
     /// The id-interval partition (sorted, disjoint, covering).
     pub fn intervals(&self) -> &[Interval] {
         &self.intervals
+    }
+
+    /// Every cohort slot, indexed like [`Interval::cohort`]; a slot whose
+    /// `count` is 0 is dead, awaiting compaction.
+    pub fn slots(&self) -> &[Cohort] {
+        &self.cohorts
     }
 
     /// Per-origin member totals, indexed by origin.

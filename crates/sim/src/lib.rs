@@ -38,12 +38,6 @@ pub use latency::LatencyHistogram;
 pub use lunule_faults::{seeded, ChaosProfile, FaultEvent, FaultKind, FaultPlan, FaultSchedule};
 pub use mds::MdsState;
 pub use migration::{MigrationCounters, MigrationJob, Migrator};
-pub use persist::{snapshot_client_count, snapshot_stream_count};
+pub use persist::snapshot_stream_count;
 pub use request::{FixedStream, MetaOp, OpStream};
 pub use results::{EpochRecord, RunResult};
-
-/// Whether this build audits the simulator after every tick and epoch
-/// (the `strict-invariants` feature). The audit allocates and walks the
-/// whole state, so timings from such a build are not comparable with a
-/// plain build's.
-pub const STRICT_INVARIANTS: bool = cfg!(feature = "strict-invariants");

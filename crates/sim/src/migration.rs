@@ -9,6 +9,7 @@
 //! foreground requests then cannot use. Both are modelled here; the final
 //! commit window additionally freezes the subtree (ops targeting it stall).
 
+use crate::config::SimConfig;
 use lunule_core::{subtrees_overlap, MigrationPlan};
 use lunule_namespace::{FragKey, MdsRank, Namespace, SubtreeMap};
 use lunule_telemetry::{Event, Telemetry};
@@ -66,7 +67,7 @@ pub struct MigrationCounters {
     pub rejected_choices: u64,
     /// Jobs accepted into the transfer pipeline, cumulative. The ledger law
     /// `started == completed + abandoned + in-flight` holds at all times
-    /// and is audited by the invariant checker under `strict-invariants`.
+    /// and is audited by the invariant checker.
     pub started_jobs: u64,
     /// Jobs dropped mid-flight (endpoint drained/failed), cumulative.
     pub abandoned_jobs: u64,
@@ -135,6 +136,24 @@ impl Migrator {
         }
     }
 
+    /// Builds the engine a simulation configured with `cfg` runs: its
+    /// bandwidth, freeze window and per-inode cost, its retry policy, and
+    /// `telemetry` as the lifecycle journal.
+    pub(crate) fn from_config(cfg: &SimConfig, telemetry: &Telemetry) -> Self {
+        let mut migrator = Migrator::new(
+            cfg.migration_bw,
+            cfg.migration_freeze_secs,
+            cfg.migration_op_cost,
+        );
+        migrator.configure_retry(
+            cfg.migration_timeout_ticks,
+            cfg.migration_max_retries,
+            cfg.migration_backoff_ticks,
+        );
+        migrator.set_telemetry(telemetry.clone());
+        migrator
+    }
+
     /// Enables transfer deadlines: a job still transferring `timeout_ticks`
     /// after its (re)start times out; it restarts after an exponential
     /// backoff (`backoff_ticks << attempt`, capped) up to `max_retries`
@@ -191,34 +210,44 @@ impl Migrator {
     /// used when a rank is drained/fails. Abandoned transfers count as
     /// rejected choices, not migrations.
     pub fn abandon_jobs_touching(&mut self, rank: MdsRank) {
-        let before = self.jobs.len() + self.retry_queue.len();
+        let touches = |j: &MigrationJob| j.from == rank || j.to == rank;
         let mut dropped = Vec::new();
         self.jobs.retain(|j| {
-            let keep = j.from != rank && j.to != rank;
-            if !keep {
-                dropped.push((j.from, j.to, j.subtree.dir, j.moved));
+            let drop = touches(j);
+            if drop {
+                dropped.push(j.clone());
             }
-            keep
+            !drop
         });
         self.retry_queue.retain(|e| {
-            let keep = e.job.from != rank && e.job.to != rank;
-            if !keep {
-                dropped.push((e.job.from, e.job.to, e.job.subtree.dir, e.job.moved));
+            let drop = touches(&e.job);
+            if drop {
+                dropped.push(e.job.clone());
             }
-            keep
+            !drop
         });
-        let n_dropped = usize_to_u64(before - self.jobs.len() - self.retry_queue.len());
-        self.counters.rejected_choices += n_dropped;
-        self.counters.abandoned_jobs += n_dropped;
-        if n_dropped > 0 {
-            self.telemetry.counter_add("migration.abandoned", n_dropped);
+        self.abandon(&dropped);
+    }
+
+    /// Books `jobs` as abandoned for good: each counts as an abandoned job
+    /// and a rejected choice, the `migration.abandoned` counter grows by
+    /// their number, and each journals one `MigrationAbandon`, in order.
+    /// An empty slice records nothing (a zero `counter_add` would still
+    /// create the counter's entry).
+    fn abandon(&mut self, jobs: &[MigrationJob]) {
+        if jobs.is_empty() {
+            return;
         }
-        for (from, to, dir, moved) in dropped {
+        let n = usize_to_u64(jobs.len());
+        self.counters.abandoned_jobs += n;
+        self.counters.rejected_choices += n;
+        self.telemetry.counter_add("migration.abandoned", n);
+        for job in jobs {
             self.telemetry.emit(|| Event::MigrationAbandon {
-                from: u32::from(from.0),
-                to: u32::from(to.0),
-                dir: dir.raw(),
-                moved,
+                from: u32::from(job.from.0),
+                to: u32::from(job.to.0),
+                dir: job.subtree.dir.raw(),
+                moved: job.moved,
             });
         }
     }
@@ -399,15 +428,7 @@ impl Migrator {
             let total_inodes =
                 usize_to_u64(ns.subtree_inode_count(job.subtree.dir, &job.subtree.frag));
             if !still_owned || total_inodes == 0 {
-                self.counters.abandoned_jobs += 1;
-                self.counters.rejected_choices += 1;
-                self.telemetry.counter_add("migration.abandoned", 1);
-                self.telemetry.emit(|| Event::MigrationAbandon {
-                    from: u32::from(job.from.0),
-                    to: u32::from(job.to.0),
-                    dir: job.subtree.dir.raw(),
-                    moved: job.moved,
-                });
+                self.abandon(std::slice::from_ref(&job));
                 continue;
             }
             job.total_inodes = total_inodes;
@@ -436,7 +457,7 @@ impl Migrator {
         let max_retries = self.max_retries;
         let backoff_base = self.backoff_ticks;
         let mut kept = Vec::with_capacity(self.jobs.len());
-        for mut job in self.jobs.drain(..) {
+        for mut job in std::mem::take(&mut self.jobs) {
             let timed_out = matches!(job.phase, Phase::Transferring) && tick >= job.deadline;
             if !timed_out {
                 kept.push(job);
@@ -461,15 +482,7 @@ impl Migrator {
                     job,
                 });
             } else {
-                self.counters.abandoned_jobs += 1;
-                self.counters.rejected_choices += 1;
-                self.telemetry.counter_add("migration.abandoned", 1);
-                self.telemetry.emit(|| Event::MigrationAbandon {
-                    from: u32::from(job.from.0),
-                    to: u32::from(job.to.0),
-                    dir: job.subtree.dir.raw(),
-                    moved: job.moved,
-                });
+                self.abandon(std::slice::from_ref(&job));
             }
         }
         self.jobs = kept;

@@ -19,8 +19,6 @@ use lunule_namespace::{Namespace, SubtreeMap};
 use lunule_snapshot::{Snapshot, SnapshotError};
 use lunule_util::codec::{CodecError, Decoder, Encoder};
 use lunule_util::convert::{u32_to_usize, usize_to_u64};
-#[cfg(feature = "strict-invariants")]
-use lunule_verify::InvariantChecker;
 
 impl Simulation {
     /// Captures the complete simulation state into a snapshot container.
@@ -103,12 +101,13 @@ impl Simulation {
         // restored run's fresh journal continues from this position and the
         // ledger audit offsets its counts by these totals.
         let (clock, seq) = self.telemetry.clock_position();
+        let (starts, commits, abandons) = self.migration_journal_counts();
         let mut e = Encoder::new();
         e.put_u64(clock);
         e.put_u64(seq);
-        e.put_u64(self.journal_base.0 + self.telemetry.count_kind("migration_start"));
-        e.put_u64(self.journal_base.1 + self.telemetry.count_kind("migration_commit"));
-        e.put_u64(self.journal_base.2 + self.telemetry.count_kind("migration_abandon"));
+        e.put_u64(starts);
+        e.put_u64(commits);
+        e.put_u64(abandons);
         snap.push_section("telemetry", e.into_bytes());
 
         snap
@@ -189,17 +188,7 @@ impl Simulation {
         // not per member.
         let cohorts = decode_section(snap, "cohorts", |d| decode_cohorts(d, streams))?;
 
-        let mut migrator = Migrator::new(
-            cfg.migration_bw,
-            cfg.migration_freeze_secs,
-            cfg.migration_op_cost,
-        );
-        migrator.configure_retry(
-            cfg.migration_timeout_ticks,
-            cfg.migration_max_retries,
-            cfg.migration_backoff_ticks,
-        );
-        migrator.set_telemetry(telemetry.clone());
+        let mut migrator = Migrator::from_config(&cfg, &telemetry);
         decode_section(snap, "migrator", |d| migrator.load_state(d))?;
 
         balancer.attach_telemetry(telemetry.clone());
@@ -295,11 +284,6 @@ impl Simulation {
             round_scratch: Default::default(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
             op_ledger: crate::tick_ledger::TickOpLedger::default(),
-            #[cfg(feature = "strict-invariants")]
-            checker: InvariantChecker::new(lunule_core::IfModelConfig {
-                mds_capacity: cfg.mds_capacity,
-                ..lunule_core::IfModelConfig::default()
-            }),
             cfg,
         })
     }
@@ -436,22 +420,6 @@ fn decode_cohorts(
     set.check_invariants()
         .map_err(|_| CodecError::Invalid { what: "cohorts" })?;
     Ok(set)
-}
-
-/// Reads the number of client *members* recorded in a snapshot's
-/// `cohorts` header. A session that attached clients mid-run snapshots
-/// more than it started with, so restoring callers size their stream
-/// split from here rather than from their initial-client configuration.
-pub fn snapshot_client_count(snap: &Snapshot) -> Result<usize, SnapshotError> {
-    let mut d = Decoder::new(snap.require_section("cohorts")?);
-    (|| {
-        let _groups = d.get_usize("cohorts.groups")?;
-        d.get_usize("cohorts.members")
-    })()
-    .map_err(|source| SnapshotError::Decode {
-        section: "cohorts",
-        source,
-    })
 }
 
 /// Reads the number of op streams [`Simulation::restore`] expects for a

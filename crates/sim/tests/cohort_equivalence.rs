@@ -18,6 +18,7 @@
 //! wide population with hundreds of routes per resolve batch and two
 //! grouped populations (read-only, and create-heavy). [`KIND_GOLDEN`]
 //! pins one case under every balancer kind, with a mid-run snapshot.
+//! Every case is audited by `lunule-verify` after every tick.
 
 use lunule_core::{make_balancer, BalancerKind};
 use lunule_faults::{FaultPlan, FaultSchedule};
@@ -26,6 +27,7 @@ use lunule_sim::{DataPathConfig, FixedStream, MetaOp, OpStream, SimConfig, Simul
 use lunule_telemetry::{events_jsonl, metrics_csv, Telemetry};
 use lunule_util::codec::fnv1a64;
 use lunule_util::ToJson;
+use lunule_verify::InvariantChecker;
 
 const DIRS: usize = 6;
 const FILES: usize = 12;
@@ -269,9 +271,17 @@ fn streams_for(n: usize, seed: u64) -> Vec<Box<dyn OpStream>> {
         .collect()
 }
 
+/// Steps `sim` to `deadline` (or its configured end), auditing it with
+/// `checker` after every tick.
+fn advance(sim: &mut Simulation, checker: &mut InvariantChecker, deadline: u64) {
+    while sim.now() < deadline && sim.step() {
+        checker.audit_simulation(sim);
+    }
+}
+
 /// Runs a built simulation to its configured duration.
-fn drive(mut sim: Simulation, tel: &Telemetry) -> Outcome {
-    sim.run_until(u64::MAX);
+fn drive(mut sim: Simulation, checker: &mut InvariantChecker, tel: &Telemetry) -> Outcome {
+    advance(&mut sim, checker, u64::MAX);
     let snap = tel.snapshot().unwrap();
     let r = sim.finish();
     Outcome {
@@ -305,12 +315,13 @@ fn run_kind(
     let tel = cfg.telemetry.clone();
     let balancer = make_balancer(kind, cfg.mds_capacity);
     let mut sim = Simulation::new(cfg, ns, balancer, streams);
+    let mut checker = InvariantChecker::default();
     if let Some((tick, digest)) = snapshot_at {
-        sim.run_until(tick);
+        advance(&mut sim, &mut checker, tick);
         assert_eq!(sim.now(), tick, "run ended before the snapshot tick");
         *digest = fnv1a64(&sim.snapshot().to_bytes());
     }
-    drive(sim, &tel)
+    drive(sim, &mut checker, &tel)
 }
 
 /// Builds and runs one simulation from `(stream, member count)` groups.
@@ -322,7 +333,8 @@ fn run_grouped(cfg: SimConfig, groups: Vec<(Box<dyn OpStream>, u64)>) -> Outcome
     };
     let tel = cfg.telemetry.clone();
     let balancer = make_balancer(BalancerKind::Lunule, cfg.mds_capacity);
-    drive(Simulation::new_grouped(cfg, ns, balancer, groups), &tel)
+    let sim = Simulation::new_grouped(cfg, ns, balancer, groups);
+    drive(sim, &mut InvariantChecker::default(), &tel)
 }
 
 /// The headline matrix: seeds × fault schedules × knobs, each case checked

@@ -2,7 +2,8 @@
 //! a restore-determinism matrix (fault schedules × snapshot ticks), a
 //! randomized snapshot→restore→snapshot byte-stability property, and a
 //! section-tampering battery proving corrupted state is refused with typed
-//! errors rather than panics or silent drift.
+//! errors rather than panics or silent drift. Every run is audited by
+//! `lunule-verify` after every tick, restored runs included.
 
 use lunule_core::{make_balancer, BalancerKind};
 use lunule_faults::FaultPlan;
@@ -11,6 +12,7 @@ use lunule_sim::{FixedStream, OpStream, SimConfig, Simulation};
 use lunule_snapshot::SnapshotError;
 use lunule_telemetry::{events_jsonl, Telemetry};
 use lunule_util::propcheck;
+use lunule_verify::InvariantChecker;
 
 fn base_cfg() -> SimConfig {
     SimConfig {
@@ -44,6 +46,14 @@ fn streams(files: usize, n: usize) -> Vec<Box<dyn OpStream>> {
         .collect()
 }
 
+/// Steps `sim` to `deadline`, auditing it after every tick.
+fn run_audited(sim: &mut Simulation, deadline: u64) {
+    let mut checker = InvariantChecker::default();
+    while sim.now() < deadline && sim.step() {
+        checker.audit_simulation(sim);
+    }
+}
+
 fn build(cfg: SimConfig, files: usize, n_clients: usize) -> Simulation {
     let (ns, _) = fixture(files);
     Simulation::new(
@@ -72,13 +82,13 @@ fn restore_matrix_is_byte_identical_across_faults_and_ticks() {
     let schedules = [("quiet", quiet), ("chaotic", chaotic)];
     for (label, cfg) in schedules {
         let mut reference = build(cfg(), 240, 2);
-        reference.run_until(24);
+        run_audited(&mut reference, 24);
         let full = events_jsonl(&reference.telemetry().snapshot().unwrap());
         let ref_result = reference.finish();
 
         for snap_tick in [1u64, 6, 13, 23] {
             let mut first = build(cfg(), 240, 2);
-            first.run_until(snap_tick);
+            run_audited(&mut first, snap_tick);
             let snap = first.snapshot();
             assert_eq!(snap.tick, snap_tick);
             let pre = events_jsonl(&first.telemetry().snapshot().unwrap());
@@ -92,7 +102,7 @@ fn restore_matrix_is_byte_identical_across_faults_and_ticks() {
             )
             .unwrap();
             assert_eq!(resumed.now(), snap_tick);
-            resumed.run_until(24);
+            run_audited(&mut resumed, 24);
             let post = events_jsonl(&resumed.telemetry().snapshot().unwrap());
             assert_eq!(
                 format!("{pre}{post}"),
@@ -122,11 +132,11 @@ fn snapshot_restore_snapshot_is_byte_stable_for_random_cut_points() {
         let snap_tick = rng.gen_range(1..24) as u64;
 
         let mut reference = build(cfg(), files, 2);
-        reference.run_until(24);
+        run_audited(&mut reference, 24);
         let full = events_jsonl(&reference.telemetry().snapshot().unwrap());
 
         let mut first = build(cfg(), files, 2);
-        first.run_until(snap_tick);
+        run_audited(&mut first, snap_tick);
         let s1 = first.snapshot();
         let pre = events_jsonl(&first.telemetry().snapshot().unwrap());
         drop(first);
@@ -153,7 +163,7 @@ fn snapshot_restore_snapshot_is_byte_stable_for_random_cut_points() {
             &s2,
         )
         .unwrap();
-        resumed.run_until(24);
+        run_audited(&mut resumed, 24);
         let post = events_jsonl(&resumed.telemetry().snapshot().unwrap());
         assert_eq!(
             format!("{pre}{post}"),
@@ -173,7 +183,7 @@ fn snapshot_restore_snapshot_is_byte_stable_for_random_cut_points() {
 #[test]
 fn tampered_sections_are_refused_with_typed_errors() {
     let mut sim = build(base_cfg(), 120, 2);
-    sim.run_until(9);
+    run_audited(&mut sim, 9);
     let snap = sim.snapshot();
     let restore = |snap: &lunule_snapshot::Snapshot| {
         Simulation::restore(
@@ -268,12 +278,12 @@ fn grouped_restore_streams(files: usize) -> Vec<Box<dyn OpStream>> {
 }
 
 /// A grouped population's snapshot carries the "cohorts" section (and no
-/// per-client "clients" section), and its member/stream counts read back
-/// through the sizing accessors the daemon restores with.
+/// per-client "clients" section), and its stream count reads back through
+/// the sizing accessor the daemon restores with.
 #[test]
 fn grouped_snapshot_carries_the_cohort_section() {
     let mut sim = grouped_build(base_cfg(), 120);
-    sim.run_until(9);
+    run_audited(&mut sim, 9);
     let snap = sim.snapshot();
     let names: Vec<&str> = snap.sections.iter().map(|s| s.name.as_str()).collect();
     assert!(names.contains(&"cohorts"), "roster: {names:?}");
@@ -281,7 +291,6 @@ fn grouped_snapshot_carries_the_cohort_section() {
         !names.contains(&"clients"),
         "cohort snapshots must not also carry a per-client clients section"
     );
-    assert_eq!(lunule_sim::snapshot_client_count(&snap).unwrap(), 8);
     assert_eq!(lunule_sim::snapshot_stream_count(&snap).unwrap(), 2);
 }
 
@@ -297,11 +306,11 @@ fn grouped_cohort_restore_is_byte_stable_for_random_cut_points() {
         let snap_tick = rng.gen_range(1..24) as u64;
 
         let mut reference = grouped_build(cfg(), files);
-        reference.run_until(24);
+        run_audited(&mut reference, 24);
         let full = events_jsonl(&reference.telemetry().snapshot().unwrap());
 
         let mut first = grouped_build(cfg(), files);
-        first.run_until(snap_tick);
+        run_audited(&mut first, snap_tick);
         let s1 = first.snapshot();
         let pre = events_jsonl(&first.telemetry().snapshot().unwrap());
         drop(first);
@@ -328,7 +337,7 @@ fn grouped_cohort_restore_is_byte_stable_for_random_cut_points() {
             &s2,
         )
         .unwrap();
-        resumed.run_until(24);
+        run_audited(&mut resumed, 24);
         let post = events_jsonl(&resumed.telemetry().snapshot().unwrap());
         assert_eq!(
             format!("{pre}{post}"),
@@ -345,7 +354,7 @@ fn grouped_cohort_restore_is_byte_stable_for_random_cut_points() {
 #[test]
 fn grouped_cohort_section_tampering_is_refused() {
     let mut sim = grouped_build(base_cfg(), 120);
-    sim.run_until(9);
+    run_audited(&mut sim, 9);
     let snap = sim.snapshot();
     let restore = |snap: &lunule_snapshot::Snapshot, n_streams: usize| {
         Simulation::restore(

@@ -138,26 +138,6 @@ impl Telemetry {
         f(&mut Self::lock(inner));
     }
 
-    /// Advances the clock and journals one event under a single lock —
-    /// the per-tick fast path, byte-identical to [`Telemetry::set_clock`]
-    /// followed by [`Telemetry::emit`] but with one acquisition instead
-    /// of two.
-    pub fn begin_tick(&self, tick: u64, make: impl FnOnce() -> Event) {
-        let Some(inner) = &self.inner else { return };
-        let mut c = Self::lock(inner);
-        if tick != c.clock {
-            c.clock = tick;
-            c.seq = 0;
-        }
-        let record = EventRecord {
-            t: c.clock,
-            seq: c.seq,
-            event: make(),
-        };
-        c.seq += 1;
-        c.events.push(record);
-    }
-
     /// Applies a pre-coalesced batch of metric records under a single
     /// lock. This is the tick-boundary flush path: a caller that
     /// aggregated a tick's worth of hot records locally (see the

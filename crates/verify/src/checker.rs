@@ -5,6 +5,7 @@ use lunule_core::{IfModelConfig, ImbalanceFactorModel};
 use lunule_namespace::{
     Frag, FragKey, InodeId, MdsRank, Namespace, SubtreeMap, HASH_BITS, HASH_MASK,
 };
+use lunule_sim::Simulation;
 use lunule_util::convert::usize_to_u64;
 
 /// Audits the cross-layer invariants of the balancing stack.
@@ -217,8 +218,19 @@ impl InvariantChecker {
     /// capacity equals the configured `C` — the heterogeneous variant agrees
     /// with the homogeneous one.
     pub fn check_if_model(&mut self, loads: &[f64], capacities: &[f64]) -> usize {
+        let model = self.model;
+        self.check_if_laws(&model, loads, capacities)
+    }
+
+    /// [`InvariantChecker::check_if_model`] under an explicit model.
+    fn check_if_laws(
+        &mut self,
+        model: &ImbalanceFactorModel,
+        loads: &[f64],
+        capacities: &[f64],
+    ) -> usize {
         let before = self.violations.len();
-        let base = self.model.imbalance_factor(loads);
+        let base = model.imbalance_factor(loads);
         if !base.is_finite() || !(0.0..=1.0).contains(&base) {
             self.record(
                 InvariantKind::IfModel,
@@ -231,7 +243,7 @@ impl InvariantChecker {
         let mut rotated: Vec<f64> = loads.to_vec();
         rotated.rotate_left(loads.len().min(1));
         for (label, perm) in [("reversed", reversed), ("rotated", rotated)] {
-            let v = self.model.imbalance_factor(&perm);
+            let v = model.imbalance_factor(&perm);
             if (v - base).abs() > 1e-9 {
                 self.record(
                     InvariantKind::IfModel,
@@ -239,14 +251,14 @@ impl InvariantChecker {
                 );
             }
         }
-        let hetero = self.model.imbalance_factor_hetero(loads, capacities);
+        let hetero = model.imbalance_factor_hetero(loads, capacities);
         if !hetero.is_finite() || !(0.0..=1.0).contains(&hetero) {
             self.record(
                 InvariantKind::IfModel,
                 format!("hetero IF({loads:?}, {capacities:?}) = {hetero} escapes [0, 1]"),
             );
         }
-        let c = self.model.config().mds_capacity;
+        let c = model.config().mds_capacity;
         let homogeneous = capacities.len() >= loads.len()
             && capacities.iter().all(|cap| cap.to_bits() == c.to_bits());
         if homogeneous && (hetero - base).abs() > 1e-9 {
@@ -265,7 +277,7 @@ impl InvariantChecker {
     /// in_flight`. When an event journal is kept, its per-kind counts
     /// (`start`, `commit`, `abandon`) must agree with the counters, so the
     /// telemetry stream cannot silently drift from the engine it narrates.
-    /// Run per epoch under `strict-invariants`.
+    /// Run per epoch by [`InvariantChecker::audit_simulation`].
     pub fn check_migration_ledger(
         &mut self,
         started: u64,
@@ -458,6 +470,66 @@ impl InvariantChecker {
             + self.check_frag_partitions(ns)
             + self.check_conservation(ns, map, n_mds)
             + self.check_frozen_subtrees(ns, map, frozen)
+    }
+
+    /// Audits a simulation through its public state; call it after every
+    /// [`Simulation::step`]. Each call checks the subtree map's
+    /// well-formedness, that subtrees in their commit window still resolve
+    /// to their exporters, and that no authority sits on a crashed rank.
+    /// When the last step closed an epoch, it also checks fragment
+    /// partitions, inode conservation, the IF-model laws on the epoch's
+    /// per-rank IOPS (with the simulation's capacity as `C`), the
+    /// migration ledger (against the event journal when telemetry is on),
+    /// and cohort member conservation and id partition. Panics with a
+    /// readable report on any violation.
+    pub fn audit_simulation(&mut self, sim: &Simulation) {
+        let (ns, map) = (sim.namespace(), sim.subtree_map());
+        let frozen: Vec<(FragKey, MdsRank)> = sim
+            .migration_jobs()
+            .iter()
+            .filter(|j| j.is_committing())
+            .map(|j| (j.subtree, j.from))
+            .collect();
+        self.check_subtree_map(ns, map);
+        self.check_frozen_subtrees(ns, map, &frozen);
+        self.check_down_ranks(map, &sim.down_ranks());
+        let closed = sim.epochs().last().filter(|e| e.time_secs == sim.now());
+        if let Some(epoch) = closed {
+            let cfg = sim.config();
+            self.check_frag_partitions(ns);
+            self.check_conservation(ns, map, sim.n_mds());
+            let model = ImbalanceFactorModel::new(IfModelConfig {
+                mds_capacity: cfg.mds_capacity,
+                ..IfModelConfig::default()
+            });
+            self.check_if_laws(&model, &epoch.per_mds_iops, &cfg.mds_capacities);
+            let c = sim.migration_counters();
+            let journal = sim
+                .telemetry()
+                .is_enabled()
+                .then(|| sim.migration_journal_counts());
+            self.check_migration_ledger(
+                c.started_jobs,
+                c.completed_jobs,
+                c.abandoned_jobs,
+                sim.inflight_migrations(),
+                journal,
+            );
+            // Re-derived from plain data rather than trusting
+            // `CohortSet::check_invariants`: an independent implementation
+            // is the point of the audit.
+            let set = sim.cohorts();
+            let counts: Vec<u64> = set.slots().iter().map(|c| c.count).collect();
+            let ids: Vec<usize> = set.slots().iter().map(|c| c.state.id).collect();
+            let intervals: Vec<(usize, usize, usize)> = set
+                .intervals()
+                .iter()
+                .map(|iv| (iv.start, iv.len, iv.cohort))
+                .collect();
+            self.check_cohort_conservation(&counts, None, usize_to_u64(set.n_clients()));
+            self.check_cohort_partition(&intervals, &counts, &ids, set.n_clients());
+        }
+        self.assert_clean();
     }
 }
 

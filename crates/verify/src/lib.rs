@@ -22,9 +22,12 @@
 //!   permutation invariance of the load vector, and agreement between the
 //!   heterogeneous and homogeneous variants when all capacities equal `C`.
 //!
-//! [`InvariantChecker`] audits all of these on demand. `lunule-sim` runs it
-//! after every tick and epoch when built with the `strict-invariants`
-//! feature; tests call it directly.
+//! [`InvariantChecker`] audits all of these on demand, on plain namespaces
+//! and maps or on a whole running simulation:
+//! [`InvariantChecker::audit_simulation`] reads a
+//! [`lunule_sim::Simulation`]'s public state after a step, so the
+//! simulator carries no audit code of its own and tests audit every tick
+//! with `while sim.step() { checker.audit_simulation(&sim) }`.
 //!
 //! ```
 //! use lunule_namespace::{FragKey, InodeId, MdsRank, Namespace, SubtreeMap};

@@ -77,9 +77,10 @@ pub struct CrateLayer {
 /// reviewed layering decision.
 ///
 /// ```text
-/// util ─┬─ namespace ─┬─ faults ──────────┐
-///       ├─ telemetry ─┴─ core ─ verify ── sim ── workloads ─┬─ bench
-///       └─ snapshot ───────────────────────┘ (facade atop all) └─ daemon
+/// util ─┬─ namespace ─┬─ faults ─────┐
+///       ├─ telemetry ─┴─ core ─────── sim ─┬─ verify ────┬─ bench
+///       └─ snapshot ──────────────────┘    └─ workloads ─┴─ daemon
+///                                       (facade atop all)
 /// ```
 pub const LAYERING: &[CrateLayer] = &[
     CrateLayer {
@@ -113,11 +114,6 @@ pub const LAYERING: &[CrateLayer] = &[
         deps: &["lunule-namespace", "lunule-telemetry", "lunule-util"],
     },
     CrateLayer {
-        name: "lunule-verify",
-        dir: "crates/verify",
-        deps: &["lunule-core", "lunule-namespace", "lunule-util"],
-    },
-    CrateLayer {
         name: "lunule-sim",
         dir: "crates/sim",
         deps: &[
@@ -127,7 +123,16 @@ pub const LAYERING: &[CrateLayer] = &[
             "lunule-snapshot",
             "lunule-telemetry",
             "lunule-util",
-            "lunule-verify",
+        ],
+    },
+    CrateLayer {
+        name: "lunule-verify",
+        dir: "crates/verify",
+        deps: &[
+            "lunule-core",
+            "lunule-namespace",
+            "lunule-sim",
+            "lunule-util",
         ],
     },
     CrateLayer {

@@ -16,13 +16,6 @@
 //! run) rather than a generic failure: a missing bench still fails the
 //! gate — a silently dropped benchmark must not shrink it — while extra
 //! benches pass and start gating once the baseline is refreshed.
-//!
-//! Each entry records the build's feature set (`strict_invariants`, absent
-//! in files from before the field existed, which came from plain builds).
-//! A `strict-invariants` build audits the whole simulator every tick, so
-//! its timings say nothing about a plain build's: two files measured
-//! under different feature sets are refused with [`FeatureMismatch`]
-//! instead of compared.
 
 use std::fs;
 use std::process::ExitCode;
@@ -42,67 +35,6 @@ pub struct BenchEntry {
     /// only): `40.0` allows up to +40% before failing, overriding the
     /// gate's default threshold for this one benchmark.
     pub max_regress_pct: Option<f64>,
-}
-
-/// The build features a `BENCH.json` was measured under.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FeatureSet {
-    /// Built with `strict-invariants`, which audits every tick.
-    pub strict_invariants: bool,
-}
-
-impl std::fmt::Display for FeatureSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.strict_invariants {
-            "strict-invariants"
-        } else {
-            "plain"
-        })
-    }
-}
-
-/// A parsed `BENCH.json`: its feature set and its entries.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchFile {
-    /// The feature set every entry was measured under.
-    pub features: FeatureSet,
-    /// The entries, in file order.
-    pub entries: Vec<BenchEntry>,
-}
-
-/// The baseline and the current run were measured under different
-/// feature sets, so their timings cannot be compared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FeatureMismatch {
-    /// The baseline's feature set.
-    pub baseline: FeatureSet,
-    /// The current run's feature set.
-    pub current: FeatureSet,
-}
-
-impl std::fmt::Display for FeatureMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "baseline was measured on a {} build, the current run on a {} build; \
-             rebuild `perf` without changing features and rerun it",
-            self.baseline, self.current
-        )
-    }
-}
-
-impl std::error::Error for FeatureMismatch {}
-
-/// Refuses to compare files measured under different feature sets.
-pub fn check_features(baseline: &BenchFile, current: &BenchFile) -> Result<(), FeatureMismatch> {
-    if baseline.features == current.features {
-        Ok(())
-    } else {
-        Err(FeatureMismatch {
-            baseline: baseline.features,
-            current: current.features,
-        })
-    }
 }
 
 /// Outcome of comparing one baseline benchmark against the current run.
@@ -178,16 +110,13 @@ pub fn bench_set_delta(
 /// Parses a `BENCH.json` document: a top-level array of objects with at
 /// least a string `bench` and a numeric `ns_per_op` field, plus an
 /// optional numeric `max_regress_pct` (baseline files only; ignored but
-/// accepted on the current side) and an optional boolean
-/// `strict_invariants` (absent means `false`), which must agree across
-/// the file.
-pub fn parse_bench_file(text: &str) -> Result<BenchFile, String> {
+/// accepted on the current side).
+pub fn parse_bench_entries(text: &str) -> Result<Vec<BenchEntry>, String> {
     let json = Json::parse(text).map_err(|e| e.to_string())?;
     let arr = json
         .as_arr()
         .ok_or_else(|| "top-level value must be an array".to_string())?;
     let mut out = Vec::new();
-    let mut features: Option<FeatureSet> = None;
     for (i, item) in arr.iter().enumerate() {
         let bench = item
             .get("bench")
@@ -212,31 +141,13 @@ pub fn parse_bench_file(text: &str) -> Result<BenchFile, String> {
                 Some(pct)
             }
         };
-        let strict_invariants = match item.get("strict_invariants") {
-            None => false,
-            Some(Json::Bool(b)) => *b,
-            Some(_) => {
-                return Err(format!(
-                    "entry {i} ({bench}): `strict_invariants` must be a boolean"
-                ))
-            }
-        };
-        let entry_features = FeatureSet { strict_invariants };
-        if *features.get_or_insert(entry_features) != entry_features {
-            return Err(format!(
-                "entry {i} ({bench}): measured on a {entry_features} build, unlike the entries before it"
-            ));
-        }
         out.push(BenchEntry {
             bench,
             ns_per_op,
             max_regress_pct,
         });
     }
-    Ok(BenchFile {
-        features: features.unwrap_or_default(),
-        entries: out,
-    })
+    Ok(out)
 }
 
 /// Implements `bench-diff <baseline.json> <current.json> [--threshold F]`.
@@ -266,9 +177,9 @@ pub fn bench_diff_command(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let load = |path: &str| -> Result<BenchFile, String> {
+    let load = |path: &str| -> Result<Vec<BenchEntry>, String> {
         let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        parse_bench_file(&text).map_err(|e| format!("{path}: {e}"))
+        parse_bench_entries(&text).map_err(|e| format!("{path}: {e}"))
     };
     let (baseline, current) = match (load(baseline_path), load(current_path)) {
         (Ok(b), Ok(c)) => (b, c),
@@ -277,11 +188,6 @@ pub fn bench_diff_command(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Err(e) = check_features(&baseline, &current) {
-        eprintln!("bench-diff: {e}");
-        return ExitCode::from(2);
-    }
-    let (baseline, current) = (baseline.entries, current.entries);
 
     let verdicts = compare_benches(&baseline, &current, threshold);
     println!(
@@ -367,61 +273,24 @@ mod tests {
     #[test]
     fn bench_json_round_trip_parses() {
         let text = "[\n  {\"bench\": \"a\", \"iters\": 10, \"ns_per_op\": 100.0, \"ops_per_sec\": 1.0e7},\n  {\"bench\": \"b\", \"iters\": 5, \"ns_per_op\": 42.5, \"ops_per_sec\": 2.35e7}\n]\n";
-        let file = parse_bench_file(text).unwrap();
-        assert_eq!(
-            file.features,
-            FeatureSet::default(),
-            "no field: a plain build"
-        );
-        let entries = file.entries;
+        let entries = parse_bench_entries(text).unwrap();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].bench, "a");
         assert!((entries[1].ns_per_op - 42.5).abs() < 1e-9);
         assert_eq!(entries[0].max_regress_pct, None);
-        assert!(parse_bench_file("{\"not\": \"an array\"}").is_err());
-        assert!(parse_bench_file("[{\"iters\": 3}]").is_err());
+        assert!(parse_bench_entries("{\"not\": \"an array\"}").is_err());
+        assert!(parse_bench_entries("[{\"iters\": 3}]").is_err());
     }
 
     #[test]
     fn max_regress_pct_parses_and_validates() {
         let text = "[{\"bench\": \"noisy\", \"ns_per_op\": 100.0, \"max_regress_pct\": 40}]";
-        let entries = parse_bench_file(text).unwrap().entries;
+        let entries = parse_bench_entries(text).unwrap();
         assert_eq!(entries[0].max_regress_pct, Some(40.0));
         let bad = "[{\"bench\": \"x\", \"ns_per_op\": 1.0, \"max_regress_pct\": -5}]";
-        assert!(parse_bench_file(bad).is_err());
+        assert!(parse_bench_entries(bad).is_err());
         let not_num = "[{\"bench\": \"x\", \"ns_per_op\": 1.0, \"max_regress_pct\": \"40\"}]";
-        assert!(parse_bench_file(not_num).is_err());
-    }
-
-    #[test]
-    fn files_from_different_feature_sets_are_refused() {
-        let file = |strict: &str| {
-            let text = format!("[{{\"bench\": \"a\", \"ns_per_op\": 1.0{strict}}}]");
-            parse_bench_file(&text).unwrap()
-        };
-        let (absent, plain, strict) = (
-            file(""),
-            file(", \"strict_invariants\": false"),
-            file(", \"strict_invariants\": true"),
-        );
-        assert_eq!(absent.features, plain.features, "absent means plain");
-        assert!(check_features(&absent, &plain).is_ok());
-        assert!(check_features(&strict, &strict).is_ok());
-        assert_eq!(
-            check_features(&plain, &strict),
-            Err(FeatureMismatch {
-                baseline: FeatureSet::default(),
-                current: FeatureSet {
-                    strict_invariants: true
-                },
-            })
-        );
-        // One file must not mix builds, and the field must be a boolean.
-        let mixed = "[{\"bench\": \"a\", \"ns_per_op\": 1.0, \"strict_invariants\": true},\
-                     {\"bench\": \"b\", \"ns_per_op\": 1.0}]";
-        assert!(parse_bench_file(mixed).is_err());
-        let not_bool = "[{\"bench\": \"a\", \"ns_per_op\": 1.0, \"strict_invariants\": 1}]";
-        assert!(parse_bench_file(not_bool).is_err());
+        assert!(parse_bench_entries(not_num).is_err());
     }
 
     #[test]

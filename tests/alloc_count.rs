@@ -165,10 +165,6 @@ fn steady_counts(groups: usize) -> TickCalls {
 }
 
 #[test]
-#[cfg_attr(
-    feature = "strict-invariants",
-    ignore = "the strict-invariants audit allocates every tick"
-)]
 fn plain_ticks_do_not_allocate_once_warm() {
     let counts = steady_counts(8);
     assert_eq!(counts.plain.len(), 20);
@@ -180,10 +176,6 @@ fn plain_ticks_do_not_allocate_once_warm() {
 }
 
 #[test]
-#[cfg_attr(
-    feature = "strict-invariants",
-    ignore = "the strict-invariants audit allocates every tick"
-)]
 fn epoch_close_calls_do_not_grow_with_cohort_groups() {
     let few = steady_counts(8);
     let many = steady_counts(64);
@@ -237,10 +229,6 @@ fn create_sim() -> Simulation {
 const MEASURED_CREATES: u64 = 1_000;
 
 #[test]
-#[cfg_attr(
-    feature = "strict-invariants",
-    ignore = "the strict-invariants audit allocates every tick"
-)]
 fn served_creates_only_grow_buffers() {
     let mut sim = create_sim();
     for _ in 0..WARMUP_TICKS {

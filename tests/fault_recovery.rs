@@ -1,11 +1,13 @@
 //! Crash-recovery behaviour: a crashed rank rejoins empty and the
 //! balancer re-fills it, and same-seed same-schedule chaos runs are
-//! byte-identical at the telemetry level.
+//! byte-identical at the telemetry level. Every run is audited by
+//! `lunule-verify` after every tick.
 
 use lunule_core::{make_balancer, BalancerKind};
 use lunule_namespace::MdsRank;
 use lunule_sim::{seeded, ChaosProfile, FaultPlan, SimConfig, Simulation};
 use lunule_telemetry::{events_jsonl, Telemetry};
+use lunule_verify::InvariantChecker;
 use lunule_workloads::{WorkloadKind, WorkloadSpec};
 
 fn hot_workload(
@@ -22,6 +24,13 @@ fn hot_workload(
         seed,
     }
     .build()
+}
+
+/// Steps `sim` to `deadline`, auditing it with `checker` after every tick.
+fn run_audited(sim: &mut Simulation, checker: &mut InvariantChecker, deadline: u64) {
+    while sim.now() < deadline && sim.step() {
+        checker.audit_simulation(sim);
+    }
 }
 
 #[test]
@@ -49,19 +58,21 @@ fn recovered_rank_is_refilled_by_the_balancer() {
         streams,
     );
 
+    let mut checker = InvariantChecker::default();
+
     // Pre-crash: the balancer has moved something onto rank 1.
-    sim.run_until(100);
+    run_audited(&mut sim, &mut checker, 100);
     let before = sim.resident_inodes()[1];
     assert!(before > 0, "balancer never used rank 1 before the crash");
 
     // Mid-outage: rank 1 owns nothing.
-    sim.run_until(120);
+    run_audited(&mut sim, &mut checker, 120);
     assert!(sim.is_rank_down(MdsRank(1)));
     assert_eq!(sim.resident_inodes()[1], 0);
 
     // Post-recovery: within K epochs the balancer re-fills the rank.
     const K_EPOCHS: u64 = 20;
-    sim.run_until(140 + K_EPOCHS * 5);
+    run_audited(&mut sim, &mut checker, 140 + K_EPOCHS * 5);
     assert!(!sim.is_rank_down(MdsRank(1)));
     assert!(
         sim.resident_inodes()[1] > 0,
@@ -99,7 +110,7 @@ fn chaos_journal(seed: u64) -> String {
         make_balancer(BalancerKind::Lunule, cfg.mds_capacity),
         streams,
     );
-    sim.run_until(DURATION);
+    run_audited(&mut sim, &mut InvariantChecker::default(), DURATION);
     let snap = sim.telemetry().snapshot().expect("telemetry enabled");
     events_jsonl(&snap)
 }

@@ -1,17 +1,16 @@
 //! Full-workload invariant sweeps: runs real simulations across the bundled
-//! workloads and audits the whole stack with `lunule-verify` at every epoch
-//! boundary. With `--features strict-invariants` the simulator additionally
-//! audits itself after every tick and panics on the first violation, so a
-//! green run of this file under that feature is the "zero violations over a
-//! full simulation" acceptance check.
+//! workloads and audits the whole stack with `lunule-verify` after every
+//! tick, with the full battery at every epoch close. The audit panics on
+//! the first violation, so a green run of this file is the "zero
+//! violations over a full simulation" acceptance check.
 
 use lunule_core::{make_balancer, BalancerKind};
 use lunule_sim::{SimConfig, Simulation};
 use lunule_verify::InvariantChecker;
 use lunule_workloads::{WorkloadKind, WorkloadSpec};
 
-/// Runs `kind` under `balancer`, pausing every few simulated seconds to run
-/// the external audit battery against the simulation's public state.
+/// Runs `kind` under `balancer`, auditing the simulation's public state
+/// after every tick.
 fn run_audited(kind: WorkloadKind, balancer: BalancerKind) {
     let (ns, streams) = WorkloadSpec {
         kind,
@@ -39,15 +38,14 @@ fn run_audited(kind: WorkloadKind, balancer: BalancerKind) {
         streams,
     );
     let mut checker = InvariantChecker::default();
-    let mut t = 0;
-    while t < cfg.duration_secs {
-        t += cfg.epoch_secs;
-        sim.run_until(t);
-        checker.check_subtree_map(sim.namespace(), sim.subtree_map());
-        checker.check_frag_partitions(sim.namespace());
-        checker.check_conservation(sim.namespace(), sim.subtree_map(), sim.n_mds());
-        checker.assert_clean();
+    while sim.step() {
+        checker.audit_simulation(&sim);
     }
+    // The run stops once every client is done, which may fall between
+    // epoch closes: check the final state's partitions and conservation.
+    checker.check_frag_partitions(sim.namespace());
+    checker.check_conservation(sim.namespace(), sim.subtree_map(), sim.n_mds());
+    checker.assert_clean();
     let result = sim.finish();
     assert!(result.total_ops > 0, "{kind:?}/{balancer:?} served nothing");
 }
