@@ -128,15 +128,16 @@ fn balancer_epoch_if(p: Protocol) -> BenchResult {
     })
 }
 
-/// Dirfrag split/merge churn plus hash→frag resolution.
-fn frag_split_merge(p: Protocol) -> BenchResult {
+/// Dirfrag split churn plus hash→frag resolution, on a fresh set each
+/// round.
+fn frag_split(p: Protocol) -> BenchResult {
     const ROUNDS: u64 = 400;
     const LOOKUPS: u64 = 256;
-    run_bench("frag_split_merge", p, || {
+    run_bench("frag_split", p, || {
         let mut ops = 0u64;
         for round in 0..ROUNDS {
             let mut set = FragSet::new_root();
-            // Churn: root → 4 frags → 16 frags, resolve, merge all back.
+            // Churn: root → 4 frags → 16 frags, then resolve.
             set.split(&Frag::root(), 2);
             ops += 1;
             for f in Frag::root().split(2) {
@@ -148,16 +149,6 @@ fn frag_split_merge(p: Protocol) -> BenchResult {
                 black_box(set.frag_for_hash(h));
                 ops += 1;
             }
-            for f in Frag::root().split(2) {
-                set.merge(&f);
-                ops += 1;
-            }
-            for f in Frag::root().split(1) {
-                set.merge(&f);
-                ops += 1;
-            }
-            set.merge(&Frag::root());
-            ops += 1;
         }
         ops
     })
@@ -738,7 +729,7 @@ fn main() -> ExitCode {
     let results = vec![
         sim_tick_loop(protocol),
         balancer_epoch_if(protocol),
-        frag_split_merge(protocol),
+        frag_split(protocol),
         migration_pipeline(protocol),
         telemetry_off(protocol),
         telemetry_on(protocol),

@@ -38,7 +38,7 @@ impl Balancer for DirHashBalancer {
         // Pin every directory's contents to its hashed rank. Entries on
         // nested directories override the parent's, exactly like fine-
         // grained static subtree pinning in CephFS.
-        for dir in ns.all_dirs() {
+        for &dir in ns.dir_ids() {
             let rank = self.rank_of(dir.raw(), n_mds);
             map.set_authority(FragKey::whole(dir), rank);
         }

@@ -18,12 +18,12 @@
 //! Both memos are keyed on the pair of [`SubtreeMap::generation`] and
 //! [`Namespace::generation`], and are dropped in O(1) whenever either
 //! moves. The map bumps its generation on every mutation. The namespace
-//! bumps its own on the mutations that can move a memoized answer: a
-//! fragment split changes a directory's fragments, and a rename (or a
-//! directory removal) changes parent links, so every authority below the
-//! moved inode. Creates and unlinks do not bump it: inode ids are never
-//! reused (unlink tombstones the arena slot), and a freshly created inode
-//! occupies a fresh index whose memo entries cannot exist yet.
+//! bumps its own on the one mutation that can move a memoized answer: a
+//! fragment split changes a directory's fragments. Parent links never
+//! change (nothing renames or removes a directory), so creates and
+//! unlinks do not bump it: inode ids are never reused (unlink tombstones
+//! the arena slot), and a freshly created inode occupies a fresh index
+//! whose memo entries cannot exist yet.
 //!
 //! The authority fill is path-compressing: resolving an inode memoizes
 //! every ancestor along the way, so sibling lookups (the common case — ops
@@ -305,31 +305,6 @@ mod tests {
             cache.authority(&map, &ns, target),
             live,
             "stale memo must not serve the new generation"
-        );
-    }
-
-    #[test]
-    fn rename_under_another_authority_invalidates_the_memo() {
-        let (mut ns, map, all) = setup();
-        // `all[1]` is d0/sub (d0 on rank 1); `all[8]` is d1 (rank 0), whose
-        // `sub` is pinned to rank 2. Prime every inode, then move d0/sub
-        // under d1: its files must follow their new parent's authority.
-        let mut cache = AuthorityCache::new();
-        for &ino in &all {
-            cache.authority(&map, &ns, ino);
-        }
-        let (moved, file, new_parent) = (all[1], all[2], all[8]);
-        let before = cache.authority(&map, &ns, file);
-        ns.rename(moved, new_parent, "moved").unwrap();
-        let live = map.authority(&ns, file);
-        assert_ne!(before, live, "the rename must change the answer");
-        for &ino in &all {
-            assert_eq!(cache.authority(&map, &ns, ino), map.authority(&ns, ino));
-        }
-        let hash = dentry_hash(file.raw());
-        assert_eq!(
-            cache.child_route(&map, &ns, moved, hash),
-            (Frag::root(), live)
         );
     }
 

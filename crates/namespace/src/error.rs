@@ -12,24 +12,15 @@ pub enum NsError {
     NotADirectory(InodeId),
     /// A directory was used where a file is required.
     IsADirectory(InodeId),
-    /// Attempted to re-parent or delete the root.
+    /// Attempted to remove the root.
     RootIsImmovable,
-    /// `rmdir` on a directory that still has children.
-    DirectoryNotEmpty(InodeId),
     /// A fragment operation referenced a fragment that is not live in the
-    /// directory's current fragment set (stale split/merge request).
+    /// directory's current fragment set (stale split request).
     NoSuchFrag {
         /// The directory whose fragment set was addressed.
         dir: InodeId,
         /// The fragment that is no longer (or never was) live.
         frag: Frag,
-    },
-    /// `rename` would move a directory into its own subtree.
-    WouldCreateCycle {
-        /// The inode being moved.
-        moved: InodeId,
-        /// The destination directory (inside `moved`'s subtree).
-        into: InodeId,
     },
     /// The namespace's name arena would grow past `u32::MAX` bytes, the
     /// most an inode's `u32` name offset can address.
@@ -42,13 +33,9 @@ impl std::fmt::Display for NsError {
             NsError::NoSuchInode(id) => write!(f, "no such inode: {id:?}"),
             NsError::NotADirectory(id) => write!(f, "not a directory: {id:?}"),
             NsError::IsADirectory(id) => write!(f, "is a directory: {id:?}"),
-            NsError::RootIsImmovable => write!(f, "the root inode cannot be moved or removed"),
-            NsError::DirectoryNotEmpty(id) => write!(f, "directory not empty: {id:?}"),
+            NsError::RootIsImmovable => write!(f, "the root inode cannot be removed"),
             NsError::NoSuchFrag { dir, frag } => {
                 write!(f, "fragment {frag:?} is not live in directory {dir:?}")
-            }
-            NsError::WouldCreateCycle { moved, into } => {
-                write!(f, "moving {moved:?} into {into:?} would create a cycle")
             }
             NsError::NameArenaFull => write!(f, "the namespace name arena is full (4 GiB)"),
         }

@@ -61,12 +61,6 @@ impl Frag {
         self.bits == 0
     }
 
-    /// Fraction of the directory's hash space this fragment covers.
-    pub fn coverage(&self) -> f64 {
-        // as-ok: bits <= 24, so the shifted value is far below 2^53
-        1.0 / (1u64 << self.bits) as f64
-    }
-
     /// True if `hash` (a dentry hash, only the low [`HASH_BITS`] bits are
     /// used) falls inside this fragment.
     pub fn contains_hash(&self, hash: u32) -> bool {
@@ -116,18 +110,6 @@ impl Frag {
             Some(Frag {
                 value: self.value >> 1,
                 bits: self.bits - 1,
-            })
-        }
-    }
-
-    /// The sibling sharing this fragment's parent, or `None` for the root.
-    pub fn sibling(&self) -> Option<Frag> {
-        if self.bits == 0 {
-            None
-        } else {
-            Some(Frag {
-                value: self.value ^ 1,
-                bits: self.bits,
             })
         }
     }
@@ -210,9 +192,9 @@ pub fn dentry_hash(raw_id: u64) -> u32 {
 
 /// A set of fragments that must always partition a directory's hash space.
 ///
-/// Directories start with `[Frag::root()]`; splits replace one member by its
-/// children; merges do the reverse. The partition invariant is checked in
-/// debug builds after every mutation.
+/// Directories start with `[Frag::root()]`; a split replaces one member by
+/// its children, and fragments never merge back. The partition invariant is
+/// checked in debug builds after every split.
 ///
 /// Beside each live fragment sits its child count: how many of the
 /// directory's children have a dentry hash inside it. Only
@@ -343,52 +325,6 @@ impl FragSet {
         Some(children)
     }
 
-    /// Merges the children of `parent` back into `parent`, whose count is
-    /// the sum of the counts it folds together.
-    ///
-    /// Returns `true` if the merge happened (i.e. all children were live).
-    pub fn merge(&mut self, parent: &Frag) -> bool {
-        let children = parent.split(1);
-        if !children.iter().all(|c| self.expandable_into(c)) {
-            return false;
-        }
-        // Remove every live frag under `parent`, then reinsert `parent`.
-        let mut folded = 0;
-        let mut kept = 0;
-        for i in 0..self.frags.len() {
-            if parent.contains_frag(&self.frags[i]) {
-                folded += self.counts[i];
-            } else {
-                self.frags[kept] = self.frags[i];
-                self.counts[kept] = self.counts[i];
-                kept += 1;
-            }
-        }
-        self.frags.truncate(kept);
-        self.counts.truncate(kept);
-        let pos = self
-            .frags
-            .iter()
-            .position(|f| f.range_start() > parent.range_start())
-            .unwrap_or(self.frags.len());
-        self.frags.insert(pos, *parent);
-        self.counts.insert(pos, folded);
-        self.debug_check();
-        true
-    }
-
-    /// True if the live frags fully tile `target` (so a merge into `target`
-    /// is possible).
-    fn expandable_into(&self, target: &Frag) -> bool {
-        let covered: u64 = self
-            .frags
-            .iter()
-            .filter(|f| target.contains_frag(f))
-            .map(|f| u64::from(f.range_end() - f.range_start()))
-            .sum();
-        covered == u64::from(target.range_end() - target.range_start())
-    }
-
     fn debug_check(&self) {
         debug_assert!(self.partition_holds(), "FragSet no longer partitions");
         debug_assert_eq!(self.counts.len(), self.frags.len());
@@ -440,7 +376,6 @@ mod tests {
         let r = Frag::root();
         assert!(r.contains_hash(0));
         assert!(r.contains_hash(HASH_MASK));
-        assert_eq!(r.coverage(), 1.0);
         assert!(r.is_root());
     }
 
@@ -460,15 +395,12 @@ mod tests {
     }
 
     #[test]
-    fn parent_sibling_roundtrip() {
+    fn parent_of_both_halves() {
         let r = Frag::root();
         let (a, b) = r.split_in_two();
         assert_eq!(a.parent(), Some(r));
         assert_eq!(b.parent(), Some(r));
-        assert_eq!(a.sibling(), Some(b));
-        assert_eq!(b.sibling(), Some(a));
         assert_eq!(r.parent(), None);
-        assert_eq!(r.sibling(), None);
         assert!(a.disjoint(&b));
     }
 
@@ -544,49 +476,21 @@ mod tests {
     }
 
     #[test]
-    fn fragset_merge_restores_root() {
-        let mut set = FragSet::new_root();
-        set.split(&Frag::root(), 2).unwrap();
-        assert_eq!(set.len(), 4);
-        // Merge the left half first (needs its two children).
-        let (left, _right) = Frag::root().split_in_two();
-        assert!(set.merge(&left));
-        assert_eq!(set.len(), 3);
-        assert!(set.merge(&Frag::root()));
-        assert_eq!(set.len(), 1);
-        assert!(set.partition_holds());
-    }
-
-    #[test]
-    fn fragset_counts_follow_split_and_merge() {
+    fn fragset_counts_follow_splits() {
         let hashes: Vec<u32> = (0..500u64).map(dentry_hash).collect();
         let mut set = FragSet::new_root_counting(hashes.len());
         set.split_counting(&Frag::root(), 1, hashes.iter().copied())
             .unwrap();
-        let (left, right) = Frag::root().split_in_two();
+        let (_, right) = Frag::root().split_in_two();
         set.split_counting(&right, 2, hashes.iter().copied())
             .unwrap();
         let counted = |f: &Frag| hashes.iter().filter(|h| f.contains_hash(**h)).count();
         let want: Vec<usize> = set.frags().iter().map(counted).collect();
         assert_eq!(set.child_counts(), want.as_slice());
-        assert!(set.merge(&right));
-        assert_eq!(set.child_counts(), &[counted(&left), counted(&right)]);
-        assert!(set.merge(&Frag::root()));
-        assert_eq!(set.child_counts(), &[hashes.len()]);
         // A set used on its own counts nothing into a split's fragments.
-        set.split(&Frag::root(), 1).unwrap();
-        assert_eq!(set.child_counts(), &[0, 0]);
-    }
-
-    #[test]
-    fn fragset_merge_refuses_partial() {
-        let mut set = FragSet::new_root();
-        let kids = set.split(&Frag::root(), 1).unwrap();
-        set.split(&kids[0], 1).unwrap();
-        // kids[0] now absent; merging root still works because its subtree is
-        // fully tiled by grandchildren + kids[1].
-        assert!(set.merge(&Frag::root()));
-        assert_eq!(set.len(), 1);
+        let mut alone = FragSet::new_root();
+        alone.split(&Frag::root(), 1).unwrap();
+        assert_eq!(alone.child_counts(), &[0, 0]);
     }
 
     #[test]

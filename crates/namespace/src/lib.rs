@@ -44,4 +44,4 @@ pub use frag::{dentry_hash, Frag, FragSet, HASH_BITS, HASH_MASK};
 pub use inode::{FileType, Inode, InodeId};
 pub use stats::NamespaceStats;
 pub use subtree::{FragKey, MdsRank, SubtreeMap};
-pub use tree::{Namespace, SubtreeIter};
+pub use tree::Namespace;

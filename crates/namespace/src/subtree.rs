@@ -198,15 +198,6 @@ impl SubtreeMap {
         out
     }
 
-    /// Number of authority-boundary crossings a full path traversal from `/`
-    /// to `ino` encounters. Each crossing corresponds to a request forward
-    /// between MDSs (the metric in Fig. 14's Dir-Hash comparison).
-    pub fn forwards_on_path(&self, ns: &Namespace, ino: InodeId) -> u32 {
-        let auths = self.authority_chain(ns, ino);
-        let crossings = auths.windows(2).filter(|w| w[0] != w[1]).count();
-        u32::try_from(crossings).unwrap_or(u32::MAX)
-    }
-
     /// Rank of the entry keyed on exactly `(dir, frag)`, if any.
     pub fn explicit_entry_rank(&self, dir: InodeId, frag: &Frag) -> Option<MdsRank> {
         self.entries
@@ -455,7 +446,7 @@ mod tests {
         assert_eq!(map.authority(&ns, InodeId::ROOT), MdsRank(0));
         assert_eq!(map.authority(&ns, a), MdsRank(0));
         assert_eq!(map.authority(&ns, f), MdsRank(0));
-        assert_eq!(map.forwards_on_path(&ns, f), 0);
+        assert_eq!(map.authority_chain(&ns, f), vec![MdsRank(0); 4]);
     }
 
     #[test]
@@ -493,8 +484,9 @@ mod tests {
         map.set_authority(FragKey::whole(a1), MdsRank(2));
         assert_eq!(map.authority(&ns, a1), MdsRank(1));
         assert_eq!(map.authority(&ns, f), MdsRank(2));
-        // Path /a/a1/f crosses 0->1 (at a1) and 1->2 (at f): two forwards.
-        assert_eq!(map.forwards_on_path(&ns, f), 2);
+        // Path /a/a1/f crosses 0->1 (at a1) and 1->2 (at f).
+        let path = [MdsRank(0), MdsRank(0), MdsRank(1), MdsRank(2)];
+        assert_eq!(map.authority_chain(&ns, f), path);
     }
 
     #[test]

@@ -18,30 +18,32 @@ use std::collections::BTreeMap;
 /// serialised: a name arena holding every inode's name back to back, and a
 /// directory index ([`Namespace::dir_ids`], [`Namespace::subdir_slots`])
 /// that lets whole-namespace aggregations visit directories only.
+///
+/// The namespace only grows, except by file unlink: nothing renames or
+/// removes a directory and fragments never merge. So every directory stays
+/// live, and every inode's parent has a smaller id than the inode itself;
+/// [`Namespace::decode`] refuses an arena that breaks either.
 #[derive(Clone, Debug)]
 pub struct Namespace {
     arena: Vec<Inode>,
     /// Every name ever given, back to back; an inode's `(name_off,
-    /// name_len)` range selects its own. A rename appends the new name and
-    /// leaves the old bytes in place.
+    /// name_len)` range selects its own.
     names: String,
     /// Fragment sets for fragmented directories only; an absent entry means
     /// the directory is undivided (implicit `[Frag::root()]`). Each set's
     /// child counts are kept here, where children join and leave.
     frags: BTreeMap<InodeId, FragSet>,
-    /// Every directory ever created, ascending, tombstones included. Ids
-    /// only append, so `mkdir` keeps it sorted by pushing. A directory's
-    /// position here is its *slot*.
+    /// Every directory, ascending. Ids only append, so `mkdir` keeps it
+    /// sorted by pushing. A directory's position here is its *slot*.
     dir_ids: Vec<InodeId>,
     /// Per directory slot: the slots of its child directories, in the
     /// order they appear in its `children`.
     subdirs: Vec<Vec<u32>>,
     n_files: usize,
     n_dirs: usize,
-    /// Bumps whenever a directory's fragments or an inode's parent link
-    /// change (`split_frag`, `rmdir`, `rename`): the mutations that can
-    /// move a memoized route (see [`crate::AuthorityCache`]). Not
-    /// serialised; a decoded namespace starts at 0.
+    /// Bumps on every `split_frag`, the one mutation that can move a
+    /// memoized route (see [`crate::AuthorityCache`]). Not serialised; a
+    /// decoded namespace starts at 0.
     generation: u64,
 }
 
@@ -89,9 +91,8 @@ impl Namespace {
     }
 
     /// Change counter for the routing-relevant structure: bumps on every
-    /// fragment split, directory removal and rename, never on creates or
-    /// unlinks (a fresh inode takes a fresh id; an unlinked one is never
-    /// routed again).
+    /// fragment split, never on creates or unlinks (a fresh inode takes a
+    /// fresh id; an unlinked one is never routed again).
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -141,9 +142,9 @@ impl Namespace {
         self.names.get(start..start + u32_to_usize(ino.name_len))
     }
 
-    /// Every directory ever created, in ascending id order, tombstones
-    /// included. A directory's position in this slice is its *slot*, the
-    /// index [`Namespace::subdir_slots`] takes and returns.
+    /// Every directory, in ascending id order. A directory's position in
+    /// this slice is its *slot*, the index [`Namespace::subdir_slots`]
+    /// takes and returns.
     pub fn dir_ids(&self) -> &[InodeId] {
         &self.dir_ids
     }
@@ -228,17 +229,27 @@ impl Namespace {
             FileType::File => self.n_files += 1,
             FileType::Dir => {
                 self.n_dirs += 1;
+                if let Some(parent_slot) = self.dir_slot(parent) {
+                    self.subdirs[parent_slot].push(usize_to_u32(self.dir_ids.len()));
+                }
                 self.dir_ids.push(id);
                 self.subdirs.push(Vec::new());
             }
         }
-        self.add_child(parent, id);
+        self.arena[parent.index()].children.push(id);
+        if let Some(set) = self.frags.get_mut(&parent) {
+            set.count_child(dentry_hash(id.raw()), true);
+        }
         self.update_below(parent, |b| b + 1);
         Ok(id)
     }
 
-    /// Unlinks a regular file: detaches it from its parent and tombstones
-    /// the arena slot (ids are never reused).
+    /// Unlinks a regular file: detaches it from its parent (and from the
+    /// child count of its fragment when the parent is fragmented) and
+    /// tombstones the arena slot (ids are never reused). The parent's child
+    /// list keeps the creation order that iteration and snapshots follow,
+    /// at a cost of `id`'s distance to the nearer end of the list (see
+    /// `ChildList::remove`).
     pub fn unlink(&mut self, id: InodeId) -> NsResult<()> {
         let ino = self.get(id)?;
         if !ino.alive {
@@ -250,51 +261,14 @@ impl Namespace {
         // A parentless inode can only be the root, which is a directory and
         // was rejected above; route the impossible case as a typed error.
         let parent = ino.parent.ok_or(NsError::RootIsImmovable)?;
-        self.remove_child(parent, id);
+        self.arena[parent.index()].children.remove(id);
+        if let Some(set) = self.frags.get_mut(&parent) {
+            set.count_child(dentry_hash(id.raw()), false);
+        }
         self.update_below(parent, |b| b - 1);
         self.arena[id.index()].alive = false;
         self.n_files -= 1;
         Ok(())
-    }
-
-    /// Appends `id` to `parent`'s child list, to its subdirectory list
-    /// when `id` is a directory, and to the child count of its fragment
-    /// when `parent` is fragmented.
-    fn add_child(&mut self, parent: InodeId, id: InodeId) {
-        self.arena[parent.index()].children.push(id);
-        if let Some((parent_slot, slot)) = self.subdir_link(parent, id) {
-            self.subdirs[parent_slot].push(slot);
-        }
-        if let Some(set) = self.frags.get_mut(&parent) {
-            set.count_child(dentry_hash(id.raw()), true);
-        }
-    }
-
-    /// Drops `id` from `parent`'s child list, from its subdirectory list
-    /// when `id` is a directory, and from the child count of its fragment
-    /// when `parent` is fragmented. The child list keeps the creation order
-    /// that iteration and snapshots follow, at a cost of `id`'s distance to
-    /// the nearer end of the list (see [`ChildList::remove`]).
-    fn remove_child(&mut self, parent: InodeId, id: InodeId) {
-        self.arena[parent.index()].children.remove(id);
-        if let Some((parent_slot, slot)) = self.subdir_link(parent, id) {
-            let subdirs = &mut self.subdirs[parent_slot];
-            if let Some(pos) = subdirs.iter().position(|s| *s == slot) {
-                subdirs.remove(pos);
-            }
-        }
-        if let Some(set) = self.frags.get_mut(&parent) {
-            set.count_child(dentry_hash(id.raw()), false);
-        }
-    }
-
-    /// The `(parent slot, child slot)` pair linking directory `id` under
-    /// `parent` in the directory index; `None` when `id` is a file.
-    fn subdir_link(&self, parent: InodeId, id: InodeId) -> Option<(usize, u32)> {
-        if !self.inode(id).is_dir() {
-            return None;
-        }
-        Some((self.dir_slot(parent)?, usize_to_u32(self.dir_slot(id)?)))
     }
 
     /// Applies `f` to the `below` count of `dir` and of each of its
@@ -307,80 +281,6 @@ impl Namespace {
             ino.below = f(ino.below);
             at = ino.parent;
         }
-    }
-
-    /// Removes an *empty* directory. The root cannot be removed.
-    pub fn rmdir(&mut self, id: InodeId) -> NsResult<()> {
-        if id == InodeId::ROOT {
-            return Err(NsError::RootIsImmovable);
-        }
-        let ino = self.get(id)?;
-        if !ino.alive {
-            return Err(NsError::NoSuchInode(id));
-        }
-        if !ino.is_dir() {
-            return Err(NsError::NotADirectory(id));
-        }
-        if !ino.children.is_empty() {
-            return Err(NsError::DirectoryNotEmpty(id));
-        }
-        let parent = ino.parent.ok_or(NsError::RootIsImmovable)?;
-        self.remove_child(parent, id);
-        self.update_below(parent, |b| b - 1);
-        self.arena[id.index()].alive = false;
-        self.frags.remove(&id);
-        self.n_dirs -= 1;
-        self.generation += 1;
-        Ok(())
-    }
-
-    /// Moves `id` (file or directory subtree) under `new_parent` with a new
-    /// name. Rejects moving the root and moving a directory into its own
-    /// subtree. Depths of the moved subtree are recomputed.
-    pub fn rename(&mut self, id: InodeId, new_parent: InodeId, new_name: &str) -> NsResult<()> {
-        if id == InodeId::ROOT {
-            return Err(NsError::RootIsImmovable);
-        }
-        let np = self.get(new_parent)?;
-        if !np.is_dir() || !np.alive {
-            return Err(NsError::NotADirectory(new_parent));
-        }
-        let ino = self.get(id)?;
-        if !ino.alive {
-            return Err(NsError::NoSuchInode(id));
-        }
-        // Cycle check: new_parent must not be inside id's subtree.
-        if self.path_chain(new_parent).contains(&id) {
-            return Err(NsError::WouldCreateCycle {
-                moved: id,
-                into: new_parent,
-            });
-        }
-        let old_parent = ino.parent.ok_or(NsError::RootIsImmovable)?;
-        let (name_off, name_len) =
-            push_name(&mut self.names, new_name).ok_or(NsError::NameArenaFull)?;
-        let moved = self.arena[id.index()].below + 1;
-        self.generation += 1;
-        self.remove_child(old_parent, id);
-        self.update_below(old_parent, |b| b - moved);
-        self.add_child(new_parent, id);
-        self.update_below(new_parent, |b| b + moved);
-        let entry = &mut self.arena[id.index()];
-        entry.parent = Some(new_parent);
-        entry.name_off = name_off;
-        entry.name_len = name_len;
-        // Recompute cached depths across the moved subtree.
-        let base = self.arena[new_parent.index()].depth + 1;
-        let delta = i32::from(base) - i32::from(self.arena[id.index()].depth);
-        if delta != 0 {
-            let subtree: Vec<InodeId> = self.walk_subtree(id).collect();
-            for node in subtree {
-                let d = &mut self.arena[node.index()].depth;
-                let shifted = i32::from(*d) + delta;
-                *d = u16::try_from(shifted).unwrap_or(0);
-            }
-        }
-        Ok(())
     }
 
     /// Number of live inodes (files + directories), excluding tombstones.
@@ -441,19 +341,6 @@ impl Namespace {
             .iter()
             .copied()
             .find(|c| self.name(*c) == name)
-    }
-
-    /// The nearest ancestor of `id` that is a directory — `id` itself when it
-    /// is a directory, its parent otherwise.
-    pub fn containing_dir(&self, id: InodeId) -> InodeId {
-        let ino = self.inode(id);
-        if ino.is_dir() {
-            id
-        } else {
-            // Only the root lacks a parent, and the root is a directory, so
-            // falling back to the root keeps this total without a panic path.
-            ino.parent.unwrap_or(InodeId::ROOT)
-        }
     }
 
     /// The dentry-hash of `child` inside its parent directory.
@@ -519,8 +406,10 @@ impl Namespace {
             .collect()
     }
 
-    /// Iterative pre-order walk of the subtree rooted at `root` (inclusive).
-    pub fn walk_subtree(&self, root: InodeId) -> SubtreeIter<'_> {
+    /// Iterative pre-order walk of the subtree rooted at `root`
+    /// (inclusive): the oracle of [`Namespace::subtree_size`].
+    #[cfg(test)]
+    fn walk_subtree(&self, root: InodeId) -> SubtreeIter<'_> {
         SubtreeIter {
             ns: self,
             stack: vec![root],
@@ -547,26 +436,18 @@ impl Namespace {
             .sum()
     }
 
-    /// Number of inodes in the subtree rooted at `root`, `root` included:
-    /// what [`Namespace::walk_subtree`] would yield, without the walk.
+    /// Number of inodes in the subtree rooted at `root`, `root` included,
+    /// read from its `below` count.
     pub fn subtree_size(&self, root: InodeId) -> usize {
         u32_to_usize(self.inode(root).below) + 1
     }
 
-    /// All live directory ids, in arena order. Used by static pinning
-    /// (Dir-Hash).
-    pub fn all_dirs(&self) -> impl Iterator<Item = InodeId> + '_ {
-        self.dir_ids
-            .iter()
-            .copied()
-            .filter(|d| self.inode(*d).alive)
-    }
-
     /// Internal consistency check used by tests and snapshot decoding:
-    /// every child's parent link points back at the directory listing it,
-    /// depths are consistent, counters match, every name range lies inside
-    /// the name arena, the directory index mirrors the arena, and every
-    /// subtree size and fragment child count is exact.
+    /// every child's parent link points back at the directory listing it
+    /// and names a smaller id, depths are consistent, no directory is a
+    /// tombstone, counters match, every name range lies inside the name
+    /// arena, the directory index mirrors the arena, and every subtree
+    /// size and fragment child count is exact.
     ///
     /// Linear in the size of the namespace: which inodes their parent
     /// lists comes from one pass over every child list.
@@ -601,9 +482,12 @@ impl Namespace {
             if self.name_of(ino).is_none() {
                 return false;
             }
+            if ino.parent.is_some_and(|p| p >= id) {
+                return false;
+            }
             if !ino.alive {
-                // Tombstones must be fully detached.
-                if ino.parent.is_some() && in_parent(id) {
+                // Only files are unlinked, and they leave their parent.
+                if ino.is_dir() || (ino.parent.is_some() && in_parent(id)) {
                     return false;
                 }
                 continue;
@@ -694,27 +578,22 @@ impl Namespace {
     }
 
     /// Recounts every `below` from the parent links (snapshot decoding;
-    /// the counts are not serialised). Deepest inodes go first, so each
-    /// one's count is final before it joins its parent's. Links that do
-    /// not descend by one level are skipped; [`Namespace::invariants_hold`]
-    /// rejects such an arena anyway.
+    /// the counts are not serialised). Inodes go in descending id order,
+    /// so each one's count is final before it joins its parent's, which
+    /// has a smaller id; [`Namespace::invariants_hold`] rejects an arena
+    /// where it does not.
     fn recount_below(&mut self) {
-        let mut order: Vec<usize> = (0..self.arena.len())
-            .filter(|i| self.arena[*i].alive)
-            .collect();
-        order.sort_unstable_by_key(|i| std::cmp::Reverse(self.arena[*i].depth));
         for ino in &mut self.arena {
             ino.below = 0;
         }
-        for i in order {
-            let (depth, below) = (self.arena[i].depth, self.arena[i].below);
-            let Some(p) = self.arena[i].parent else {
+        for i in (0..self.arena.len()).rev() {
+            let ino = &self.arena[i];
+            let (Some(p), true) = (ino.parent, ino.alive) else {
                 continue;
             };
-            let parent = &mut self.arena[p.index()];
-            if parent.depth.checked_add(1) == Some(depth) {
-                parent.below = parent.below.saturating_add(below.saturating_add(1));
-            }
+            let joined = ino.below.saturating_add(1);
+            let parent = &mut self.arena[p.index()].below;
+            *parent = parent.saturating_add(joined);
         }
     }
 
@@ -776,8 +655,9 @@ impl Namespace {
     }
 
     /// Reads a namespace back. Structural corruption (dangling ids,
-    /// counter drift, broken parent/child links) is reported as a typed
-    /// error rather than trusted.
+    /// counter drift, broken parent/child links, a dead directory, a parent
+    /// id not below its child's) is reported as a typed error rather than
+    /// trusted.
     pub fn decode(
         d: &mut lunule_util::codec::Decoder<'_>,
     ) -> Result<Namespace, lunule_util::codec::CodecError> {
@@ -878,11 +758,13 @@ impl Default for Namespace {
 }
 
 /// Iterator over a subtree in pre-order. See [`Namespace::walk_subtree`].
-pub struct SubtreeIter<'a> {
+#[cfg(test)]
+struct SubtreeIter<'a> {
     ns: &'a Namespace,
     stack: Vec<InodeId>,
 }
 
+#[cfg(test)]
 impl Iterator for SubtreeIter<'_> {
     type Item = InodeId;
 
@@ -901,27 +783,23 @@ mod tests {
     use lunule_util::propcheck;
 
     /// A small namespace exercising everything the encoding carries:
-    /// nested directories, sized files, a fragmented directory split twice,
-    /// renames across parents (one under a parent with a larger id), a
-    /// removed directory and an unlinked file.
-    fn renamed_and_split() -> Namespace {
+    /// nested directories, sized files, a fragmented directory split twice
+    /// (with a subdirectory created after the splits), an unlinked file and
+    /// a create after the unlink.
+    fn nested_and_split() -> Namespace {
         let mut ns = Namespace::new();
         let a = ns.mkdir(InodeId::ROOT, "alpha").unwrap();
-        let b = ns.mkdir(InodeId::ROOT, "beta").unwrap();
-        let a1 = ns.mkdir(a, "a1").unwrap();
-        for i in 0..6 {
-            ns.create_file(a1, &format!("f{i}"), i * 100).unwrap();
-        }
+        let b = ns.mkdir(a, "beta2").unwrap();
         let big = ns.mkdir(b, "big").unwrap();
         let files: Vec<InodeId> = (0..40)
             .map(|i| ns.create_file(big, &format!("g{i}"), 0).unwrap())
             .collect();
         ns.split_frag(big, &Frag::root(), 1).unwrap();
         ns.split_frag(big, &Frag::new(0, 1), 2).unwrap();
-        ns.rename(a1, big, "moved").unwrap();
-        ns.rename(b, a, "beta2").unwrap();
-        let gone = ns.mkdir(a, "gone").unwrap();
-        ns.rmdir(gone).unwrap();
+        let moved = ns.mkdir(big, "moved").unwrap();
+        for i in 0..6 {
+            ns.create_file(moved, &format!("f{i}"), i * 100).unwrap();
+        }
         ns.unlink(files[7]).unwrap();
         ns.create_file(InodeId::ROOT, "late", 7).unwrap();
         ns
@@ -1011,13 +889,6 @@ mod tests {
     }
 
     #[test]
-    fn containing_dir_of_file_and_dir() {
-        let (ns, d, f, sub) = tiny();
-        assert_eq!(ns.containing_dir(f), d);
-        assert_eq!(ns.containing_dir(sub), sub);
-    }
-
-    #[test]
     fn unlink_detaches_and_tombstones() {
         let (mut ns, d, f, _) = tiny();
         assert!(ns.unlink(f).is_ok());
@@ -1049,61 +920,6 @@ mod tests {
     fn unlink_rejects_directories() {
         let (mut ns, d, _, _) = tiny();
         assert_eq!(ns.unlink(d).unwrap_err(), NsError::IsADirectory(d));
-    }
-
-    #[test]
-    fn rmdir_requires_empty() {
-        let (mut ns, d, f, sub) = tiny();
-        assert_eq!(ns.rmdir(d).unwrap_err(), NsError::DirectoryNotEmpty(d));
-        ns.unlink(f).unwrap();
-        ns.rmdir(sub).unwrap();
-        assert!(ns.rmdir(d).is_ok());
-        assert_eq!(ns.dir_count(), 1); // only the root remains
-        assert!(ns.invariants_hold());
-        assert_eq!(
-            ns.rmdir(InodeId::ROOT).unwrap_err(),
-            NsError::RootIsImmovable
-        );
-    }
-
-    #[test]
-    fn rename_moves_subtree_and_fixes_depths() {
-        let mut ns = Namespace::new();
-        let a = ns.mkdir(InodeId::ROOT, "a").unwrap();
-        let b = ns.mkdir(InodeId::ROOT, "b").unwrap();
-        let deep = ns.mkdir(a, "deep").unwrap();
-        let f = ns.create_file(deep, "f", 1).unwrap();
-        assert_eq!(ns.inode(f).depth(), 3);
-        ns.rename(deep, b, "moved").unwrap();
-        assert_eq!(ns.path_string(f), "/b/moved/f");
-        assert_eq!(ns.inode(deep).depth(), 2);
-        assert_eq!(ns.inode(f).depth(), 3);
-        assert!(ns.invariants_hold());
-        // Deepen: move b under a; everything below shifts by one.
-        ns.rename(b, a, "b2").unwrap();
-        assert_eq!(ns.inode(f).depth(), 4);
-        assert_eq!(ns.path_string(f), "/a/b2/moved/f");
-        assert!(ns.invariants_hold());
-    }
-
-    #[test]
-    fn rename_rejects_cycles_and_root() {
-        let mut ns = Namespace::new();
-        let a = ns.mkdir(InodeId::ROOT, "a").unwrap();
-        let inner = ns.mkdir(a, "inner").unwrap();
-        assert!(matches!(
-            ns.rename(a, inner, "x").unwrap_err(),
-            NsError::WouldCreateCycle { .. }
-        ));
-        assert!(matches!(
-            ns.rename(a, a, "self").unwrap_err(),
-            NsError::WouldCreateCycle { .. }
-        ));
-        assert_eq!(
-            ns.rename(InodeId::ROOT, a, "r").unwrap_err(),
-            NsError::RootIsImmovable
-        );
-        assert!(ns.invariants_hold());
     }
 
     #[test]
@@ -1144,15 +960,16 @@ mod tests {
 
     #[test]
     fn encoding_is_unchanged_by_the_name_arena() {
-        // FNV-1a of this fixture's encoding, recorded from the build that
-        // still stored each name as its own `Box<str>`: the name arena and
-        // the directory index must not change a single snapshot byte.
-        let ns = renamed_and_split();
+        // FNV-1a of this fixture's encoding, recorded from the last build
+        // with directory rename and removal: the name arena, the directory
+        // index and the narrower namespace contract must not change a
+        // single snapshot byte.
+        let ns = nested_and_split();
         let mut e = lunule_util::codec::Encoder::new();
         ns.encode(&mut e);
         let bytes = e.into_bytes();
-        assert_eq!(bytes.len(), 2575);
-        assert_eq!(lunule_util::codec::fnv1a64(&bytes), 0xed8f_3c07_5a60_4b03);
+        assert_eq!(bytes.len(), 2534);
+        assert_eq!(lunule_util::codec::fnv1a64(&bytes), 0x19a2_048e_0d18_7c0a);
         let back = Namespace::decode(&mut lunule_util::codec::Decoder::new(&bytes)).unwrap();
         assert_eq!(back.dir_ids(), ns.dir_ids());
         for slot in 0..ns.dir_ids().len() {
@@ -1193,10 +1010,9 @@ mod tests {
         }
     }
 
-    /// Builds a random namespace by 20–60 random mkdir, create, unlink,
-    /// rename (of files and directories, across parents), rmdir and split
-    /// steps, calling `after_step` after each one. Returns it with every
-    /// directory it created that is still live.
+    /// Builds a random namespace by 20–60 random mkdir, create, unlink and
+    /// split steps, calling `after_step` after each one. Returns it with
+    /// every directory it created.
     ///
     /// A test-side model of every live directory's children follows the
     /// same steps, and each directory's [`Inode::children`] must equal it
@@ -1209,13 +1025,9 @@ mod tests {
         let mut dirs = vec![InodeId::ROOT];
         let mut files = Vec::new();
         let mut model: BTreeMap<InodeId, Vec<InodeId>> = BTreeMap::from([(InodeId::ROOT, vec![])]);
-        let detach = |model: &mut BTreeMap<InodeId, Vec<InodeId>>, ns: &Namespace, id| {
-            let siblings = model.get_mut(&ns.inode(id).parent().unwrap()).unwrap();
-            siblings.retain(|c| *c != id);
-        };
         for step in 0..(20 + rng.gen_range(0..40)) {
             let at = dirs[rng.gen_range(0..dirs.len())];
-            match rng.gen_range(0..9) {
+            match rng.gen_range(0..6) {
                 0 | 1 => {
                     let d = ns.mkdir_total(at, &format!("d{step}"));
                     dirs.push(d);
@@ -1229,33 +1041,9 @@ mod tests {
                 }
                 5 if !files.is_empty() => {
                     let f = files.swap_remove(rng.gen_range(0..files.len()));
-                    detach(&mut model, &ns, f);
+                    let siblings = model.get_mut(&ns.inode(f).parent().unwrap()).unwrap();
+                    siblings.retain(|c| *c != f);
                     ns.unlink(f).unwrap();
-                }
-                6 => {
-                    // Across parents; a move into its own subtree is
-                    // refused and changes nothing.
-                    let moved = dirs[rng.gen_range(0..dirs.len())];
-                    let mut after = model.clone();
-                    if moved != InodeId::ROOT {
-                        detach(&mut after, &ns, moved);
-                        after.get_mut(&at).unwrap().push(moved);
-                    }
-                    if ns.rename(moved, at, &format!("r{step}")).is_ok() {
-                        model = after;
-                    }
-                }
-                7 if !files.is_empty() => {
-                    let moved = files[rng.gen_range(0..files.len())];
-                    detach(&mut model, &ns, moved);
-                    model.get_mut(&at).unwrap().push(moved);
-                    ns.rename(moved, at, &format!("r{step}")).unwrap();
-                }
-                8 if at != InodeId::ROOT && ns.inode(at).children().is_empty() => {
-                    detach(&mut model, &ns, at);
-                    model.remove(&at);
-                    ns.rmdir(at).unwrap();
-                    dirs.retain(|d| *d != at);
                 }
                 _ => {
                     let frags = ns.frags_of(at);
@@ -1418,17 +1206,13 @@ mod tests {
 
     #[test]
     fn invariants_catch_stale_frag_counts() {
-        // Files leave a split directory by unlink and by rename, and join
-        // it by create and by rename.
-        let mut ns = renamed_and_split();
+        // Files leave a split directory by unlink and join it by create.
+        let mut ns = nested_and_split();
         let a = ns.child_by_name(InodeId::ROOT, "alpha").unwrap();
         let big = ns
             .child_by_name(ns.child_by_name(a, "beta2").unwrap(), "big")
             .unwrap();
-        let g3 = ns.child_by_name(big, "g3").unwrap();
-        ns.rename(g3, a, "g3").unwrap();
-        let late = ns.child_by_name(InodeId::ROOT, "late").unwrap();
-        ns.rename(late, big, "late").unwrap();
+        ns.unlink(ns.child_by_name(big, "g3").unwrap()).unwrap();
         ns.unlink(ns.child_by_name(big, "g9").unwrap()).unwrap();
         ns.create_file(big, "new", 1).unwrap();
         assert_frag_counts(&ns);
@@ -1504,7 +1288,7 @@ mod tests {
     }
 
     #[test]
-    fn dir_index_follows_mkdir_rename_and_rmdir() {
+    fn dir_index_follows_mkdir() {
         let mut ns = Namespace::new();
         let a = ns.mkdir(InodeId::ROOT, "a").unwrap();
         ns.create_file(a, "f", 1).unwrap();
@@ -1512,51 +1296,22 @@ mod tests {
         let a1 = ns.mkdir(a, "a1").unwrap();
         let a2 = ns.mkdir(a, "a2").unwrap();
         assert_eq!(ns.dir_ids(), &[InodeId::ROOT, a, b, a1, a2]);
+        assert_eq!(subdirs_of(&ns, InodeId::ROOT), vec![a, b]);
         assert_eq!(subdirs_of(&ns, a), vec![a1, a2]);
-        // Moving `a` under `b` puts a directory under a parent with a
-        // larger id; the index keeps `children` order, not id order.
-        let c = ns.mkdir(b, "c").unwrap();
-        ns.rename(a, b, "a").unwrap();
-        assert_eq!(subdirs_of(&ns, b), vec![c, a]);
-        assert_eq!(subdirs_of(&ns, InodeId::ROOT), vec![b]);
-        ns.rename(a1, a, "again").unwrap();
-        assert_eq!(subdirs_of(&ns, a), vec![a2, a1]);
-        assert!(ns.invariants_hold());
-        // A removed directory keeps its slot but leaves its parent's list.
-        ns.rmdir(a2).unwrap();
-        assert_eq!(subdirs_of(&ns, a), vec![a1]);
-        assert_eq!(ns.dir_ids(), &[InodeId::ROOT, a, b, a1, a2, c]);
-        assert!(ns.all_dirs().all(|d| d != a2));
-        assert!(ns.invariants_hold());
-    }
-
-    #[test]
-    fn names_follow_a_rename() {
-        let ns = renamed_and_split();
-        let a = ns.child_by_name(InodeId::ROOT, "alpha").unwrap();
-        assert_eq!(ns.child_by_name(InodeId::ROOT, "beta"), None);
-        let b = ns.child_by_name(a, "beta2").unwrap();
-        let big = ns.child_by_name(b, "big").unwrap();
-        let moved = ns.child_by_name(big, "moved").unwrap();
-        assert_eq!(ns.child_by_name(a, "a1"), None);
-        assert_eq!(ns.name(moved), "moved");
-        assert_eq!(ns.name(InodeId::ROOT), "/");
-        let f3 = ns.child_by_name(moved, "f3").unwrap();
-        assert_eq!(ns.path_string(f3), "/alpha/beta2/big/moved/f3");
-        assert_eq!(ns.inode(f3).size(), 300);
+        assert!(subdirs_of(&ns, b).is_empty());
         assert!(ns.invariants_hold());
     }
 
     #[test]
     fn invariants_catch_a_stale_dir_index() {
-        let mut ns = renamed_and_split();
+        let mut ns = nested_and_split();
         ns.subdirs[0].reverse();
         ns.subdirs[0].push(0);
         assert!(!ns.invariants_hold());
-        let mut ns = renamed_and_split();
+        let mut ns = nested_and_split();
         ns.dir_ids.pop();
         assert!(!ns.invariants_hold());
-        let mut ns = renamed_and_split();
+        let mut ns = nested_and_split();
         ns.arena[1].name_off = u32::try_from(ns.names.len()).unwrap();
         assert!(!ns.invariants_hold());
     }
@@ -1573,12 +1328,52 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_are_excluded_from_walks_and_dirs() {
+    fn unlinked_files_are_excluded_from_walks() {
         let (mut ns, d, f, sub) = tiny();
         ns.unlink(f).unwrap();
-        ns.rmdir(sub).unwrap();
         let walked: Vec<_> = ns.walk_subtree(InodeId::ROOT).collect();
-        assert_eq!(walked, vec![InodeId::ROOT, d]);
-        assert!(ns.all_dirs().all(|x| x != sub));
+        assert_eq!(walked, vec![InodeId::ROOT, d, sub]);
+        assert_eq!(ns.subtree_size(InodeId::ROOT), 3);
+    }
+
+    /// Encodes `ns`, letting `corrupt` edit the arena first.
+    fn encoded_with(ns: &Namespace, corrupt: impl FnOnce(&mut Vec<Inode>)) -> Vec<u8> {
+        let mut bad = ns.clone();
+        corrupt(&mut bad.arena);
+        let mut e = lunule_util::codec::Encoder::new();
+        bad.encode(&mut e);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn decode_refuses_dead_directories_and_upward_parent_ids() {
+        let invalid = lunule_util::codec::CodecError::Invalid { what: "namespace" };
+        let decode = |bytes: &[u8]| {
+            Namespace::decode(&mut lunule_util::codec::Decoder::new(bytes)).map(|_| ())
+        };
+        // An empty directory, dead and detached from its parent, with the
+        // directory counter moved to match: every other check still holds.
+        let mut ns = Namespace::new();
+        let gone = ns.mkdir(InodeId::ROOT, "gone").unwrap();
+        assert_eq!(decode(&encoded_with(&ns, |_| {})), Ok(()));
+        ns.n_dirs -= 1;
+        let dead = encoded_with(&ns, |arena| {
+            arena[0].children.remove(gone);
+            arena[gone.index()].alive = false;
+        });
+        assert_eq!(decode(&dead), Err(invalid.clone()));
+        // A directory and its file swap slots, so the directory's id is
+        // above its child's while every link, depth and count still match.
+        let mut ns = Namespace::new();
+        let d = ns.mkdir(InodeId::ROOT, "d").unwrap();
+        ns.create_file(d, "g", 1).unwrap();
+        let swapped = encoded_with(&ns, |arena| {
+            arena.swap(1, 2);
+            let (file, dir) = (InodeId::from_index(1), InodeId::from_index(2));
+            arena[0].children = vec![dir].into();
+            arena[dir.index()].children = vec![file].into();
+            arena[file.index()].parent = Some(dir);
+        });
+        assert_eq!(decode(&swapped), Err(invalid));
     }
 }

@@ -60,7 +60,6 @@ fn parent_inverts_split() {
         let (l, r) = frag.split_in_two();
         assert_eq!(l.parent(), Some(frag));
         assert_eq!(r.parent(), Some(frag));
-        assert_eq!(l.sibling(), Some(r));
     });
 }
 

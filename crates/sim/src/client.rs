@@ -864,7 +864,7 @@ mod tests {
     }
 
     /// A random namespace of nested directories with files, a few of them
-    /// empty (so `rmdir` has targets): `(namespace, directories)`.
+    /// empty: `(namespace, directories)`.
     fn random_tree(rng: &mut lunule_util::DetRng) -> (Namespace, Vec<InodeId>) {
         let mut ns = Namespace::new();
         let mut dirs = vec![InodeId::ROOT];
@@ -886,28 +886,16 @@ mod tests {
         map: &mut SubtreeMap,
         dirs: &[InodeId],
     ) {
-        let live: Vec<InodeId> = dirs
-            .iter()
-            .copied()
-            .filter(|d| ns.inode(*d).is_alive())
-            .collect();
-        let dir = live[rng.gen_range(0..live.len())];
+        let dir = dirs[rng.gen_range(0..dirs.len())];
         let frags = ns.frags_of(dir);
         let frag = frags[rng.gen_range(0..frags.len())];
         let rank = MdsRank(u16::try_from(rng.next_u64() % 4).unwrap());
-        match rng.next_u64() % 6 {
+        match rng.next_u64() % 4 {
             0 => {
                 let by = 1 + u8::try_from(rng.next_u64() % 2).unwrap();
                 let _ = ns.split_frag(dir, &frag, by);
             }
             1 => {
-                let _ = ns.rmdir(dir);
-            }
-            2 => {
-                let to = live[rng.gen_range(0..live.len())];
-                let _ = ns.rename(dir, to, "moved");
-            }
-            3 => {
                 // A live fragment, or a coarser one, so entries nest.
                 let key_frag = if rng.next_u64().is_multiple_of(2) {
                     frag
@@ -922,7 +910,7 @@ mod tests {
                     rank,
                 );
             }
-            4 => {
+            2 => {
                 let entries = map.all_entries();
                 if !entries.is_empty() {
                     map.clear_authority(entries[rng.gen_range(0..entries.len())].0);
@@ -946,7 +934,7 @@ mod tests {
             let hashes: Vec<u32> = (0..24u64).map(dentry_hash).collect();
             let empty = BTreeMap::new();
             for _ in 0..24 {
-                for &dir in dirs.iter().filter(|d| ns.inode(**d).is_alive()) {
+                for &dir in &dirs {
                     for &hash in &hashes {
                         let dir_auth = map.authority(&ns, dir);
                         let live = (

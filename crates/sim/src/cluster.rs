@@ -71,11 +71,11 @@ pub struct Simulation {
     /// reuse their capacity. Transient like `name_scratch`: never
     /// serialized, empty after a restore.
     pub(crate) round_scratch: crate::cohort_engine::RoundScratch,
-    /// Memoized subtree-map authority lookups, shared by every resolve
-    /// site. Self-invalidating on subtree-map generation bumps, so it is
-    /// pure transient state: never serialized, rebuilt on demand after a
-    /// restore, and worker-count-independent (the parallel resolve phase
-    /// only reads a cache primed serially beforehand).
+    /// Memoized subtree-map authority lookups and per-directory routes,
+    /// shared by every resolve site and filled as the issue rounds go.
+    /// Self-invalidating when the subtree map's or the namespace's
+    /// generation moves, so it is pure transient state: never serialized,
+    /// rebuilt on demand after a restore.
     pub(crate) auth_cache: lunule_namespace::AuthorityCache,
     /// Per-tick served-op metric accumulator, flushed to telemetry once
     /// per tick (see [`crate::tick_ledger`]). Always empty between
@@ -295,20 +295,15 @@ impl Simulation {
     /// Runs until `deadline` (simulated seconds) or until all clients are
     /// done when `stop_when_done` is set.
     pub fn run_until(&mut self, deadline: u64) {
-        while self.tick < deadline.min(self.cfg.duration_secs) {
-            if self.cfg.stop_when_done && self.all_done() {
-                break;
-            }
-            self.step_tick();
-        }
+        while self.tick < deadline && self.step() {}
     }
 
-    /// Advances the simulation by exactly one tick, honoring the same stop
-    /// conditions as [`Simulation::run_until`]: returns `false` (without
-    /// stepping) once the configured duration is reached or, under
-    /// `stop_when_done`, once every client has drained. A loop of `step()`
-    /// calls is therefore tick-for-tick identical to one `run_until` over
-    /// the full duration — the daemon's pacing layer relies on this.
+    /// Advances the simulation by exactly one tick: returns `false`
+    /// (without stepping) once the configured duration is reached or,
+    /// under `stop_when_done`, once every client has drained.
+    /// [`Simulation::run_until`] is a loop of these calls, so a caller
+    /// stepping tick by tick (the daemon's pacing layer) runs exactly like
+    /// one `run_until` over the full duration.
     pub fn step(&mut self) -> bool {
         if self.tick >= self.cfg.duration_secs {
             return false;

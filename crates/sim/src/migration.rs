@@ -150,7 +150,7 @@ impl Migrator {
             cfg.migration_max_retries,
             cfg.migration_backoff_ticks,
         );
-        migrator.set_telemetry(telemetry.clone());
+        migrator.telemetry = telemetry.clone();
         migrator
     }
 
@@ -183,11 +183,6 @@ impl Migrator {
     /// Timed-out jobs currently waiting to restart.
     pub fn retry_queue_len(&self) -> usize {
         self.retry_queue.len()
-    }
-
-    /// Attaches the telemetry handle migration lifecycle events flow into.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 
     /// Jobs whose authority flipped during the most recent

@@ -15,8 +15,9 @@
 //!
 //! The matrix runs seeds × fault schedules × simulator knobs (memory
 //! pressure, data path) over a mixed read/create/remove workload, plus a
-//! wide population with hundreds of routes per resolve batch and two
-//! grouped populations (read-only, and create-heavy). [`KIND_GOLDEN`]
+//! wide population with hundreds of routes per resolve batch and three
+//! grouped populations (read-only, create-heavy, and one that a rank's
+//! budget splits mid-round). [`KIND_GOLDEN`]
 //! pins one case under every balancer kind, with a mid-run snapshot.
 //! Every case is audited by `lunule-verify` after every tick.
 
@@ -65,6 +66,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     ("wide320", 0x18f8_a685_584a_ef7a, 0xbe7c_a2c0_00dc_a06a, 1680),
     ("expanded8", 0x4f84_cd82_226f_d5d9, 0x6c34_e138_87ae_e209, 54),
     ("creates6", 0x24fa_dad4_8192_3a35, 0xacf3_f989_c7a8_c773, 30),
+    ("contended12", 0x28da_a08c_ef4f_fa8b, 0x718e_e528_3374_02e5, 170),
 ];
 
 /// The `seed7/chaotic/plain` case under every balancer kind: `(kind,
@@ -573,4 +575,39 @@ fn grouped_creates_match_golden() {
     let e = run_once(base_cfg(11), singletons);
     assert_eq!(g, e, "create-heavy group must journal like its singletons");
     g.assert_golden("creates6");
+}
+
+/// A group whose rank runs out of budget partway through it: the served
+/// members advance, and the stalled rest split off mid-round into a cohort
+/// whose canonical id moves up to its own lowest member. That cohort is
+/// still apart at an epoch close, where the audit checks its canonical id.
+/// The grouped run must match its expanded form and the golden digest.
+#[test]
+fn mid_round_split_matches_golden() {
+    let (_, dirs, files) = fixture();
+    let mut script: Vec<MetaOp> = files[0][REMOVE_POOL..]
+        .iter()
+        .map(|f| MetaOp::Read(*f))
+        .collect();
+    script.push(MetaOp::Create {
+        parent: dirs[1],
+        size: 16,
+    });
+    script.extend(files[2][REMOVE_POOL..].iter().map(|f| MetaOp::Read(*f)));
+    let cfg = || SimConfig {
+        mds_capacity: 8.0,
+        ..base_cfg(5)
+    };
+    let group: Vec<(Box<dyn OpStream>, u64)> =
+        vec![(Box::new(ScriptStream::new(script.clone())), 12)];
+    let singletons: Vec<Box<dyn OpStream>> = (0..12)
+        .map(|_| Box::new(ScriptStream::new(script.clone())) as Box<dyn OpStream>)
+        .collect();
+    let g = run_grouped(cfg(), group);
+    let e = run_once(cfg(), singletons);
+    assert_eq!(
+        g, e,
+        "a group split mid-round must journal like its singletons"
+    );
+    g.assert_golden("contended12");
 }

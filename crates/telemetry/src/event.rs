@@ -108,12 +108,6 @@ pub enum Event {
         /// Fragment id bit count before the split.
         bits: u32,
     },
-    /// A directory's fragments were merged (reserved: the simulator does
-    /// not merge yet, but the taxonomy covers it for forward compatibility).
-    FragMerge {
-        /// Directory inode whose fragments merged.
-        dir: u64,
-    },
     /// A new MDS rank joined the cluster.
     MdsAdd {
         /// The rank that was added.
@@ -207,7 +201,6 @@ impl Event {
             Event::MigrationCommit { .. } => "migration_commit",
             Event::MigrationAbandon { .. } => "migration_abandon",
             Event::FragSplit { .. } => "frag_split",
-            Event::FragMerge { .. } => "frag_merge",
             Event::MdsAdd { .. } => "mds_add",
             Event::MdsDrain { .. } => "mds_drain",
             Event::ClientsAdd { .. } => "clients_add",
@@ -301,7 +294,6 @@ impl Event {
                 field("value", value),
                 field("bits", bits),
             ],
-            Event::FragMerge { dir } => vec![field("dir", dir)],
             Event::MdsAdd { rank } => vec![field("rank", rank)],
             Event::MdsDrain {
                 rank,
@@ -423,9 +415,6 @@ impl FromJson for Event {
                 dir: req(v, "dir")?,
                 value: req(v, "value")?,
                 bits: req(v, "bits")?,
-            }),
-            "frag_merge" => Ok(Event::FragMerge {
-                dir: req(v, "dir")?,
             }),
             "mds_add" => Ok(Event::MdsAdd {
                 rank: req(v, "rank")?,
@@ -561,7 +550,6 @@ mod tests {
                 value: 0,
                 bits: 1,
             },
-            Event::FragMerge { dir: 99 },
             Event::MdsAdd { rank: 4 },
             Event::MdsDrain {
                 rank: 1,
