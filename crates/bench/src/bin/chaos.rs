@@ -6,7 +6,9 @@
 //! without the flag a default seeded profile derived from `--seed` is used,
 //! so `cargo run -p lunule-bench --bin chaos` is a one-command chaos soak.
 
-use lunule_bench::{default_sim, print_series, write_json, CommonArgs, Series, TelemetrySink};
+use lunule_bench::{
+    default_sim, epoch_series, per_mds_iops, print_series, write_json, CommonArgs, TelemetrySink,
+};
 use lunule_core::{make_balancer, BalancerKind};
 use lunule_sim::{seeded, ChaosProfile, SimConfig, Simulation};
 use lunule_workloads::{WorkloadKind, WorkloadSpec};
@@ -78,29 +80,8 @@ fn main() {
     );
 
     let r = sim.finish();
-    let mut series: Vec<Series> = (0..N_MDS)
-        .map(|rank| {
-            Series::new(
-                format!("mds.{rank}"),
-                r.epochs
-                    .iter()
-                    .map(|e| {
-                        (
-                            e.time_secs as f64 / 60.0,
-                            e.per_mds_iops.get(rank).copied().unwrap_or(0.0),
-                        )
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    series.push(Series::new(
-        "total",
-        r.epochs
-            .iter()
-            .map(|e| (e.time_secs as f64 / 60.0, e.total_iops))
-            .collect(),
-    ));
+    let mut series = per_mds_iops(&r, N_MDS);
+    series.push(epoch_series("total", &r, |e| e.total_iops));
     print_series(
         "Chaos — per-MDS IOPS under a fault schedule, Lunule, Zipf",
         "min",

@@ -7,7 +7,7 @@
 //!   per-MDS load rises in even steps, and the early benign imbalance does
 //!   not trigger needless re-balances.
 
-use lunule_bench::{default_sim, print_series, write_json, CommonArgs, Series};
+use lunule_bench::{default_sim, epoch_series, per_mds_iops, print_series, write_json, CommonArgs};
 use lunule_core::{make_balancer, BalancerKind};
 use lunule_sim::Simulation;
 use lunule_workloads::{WorkloadKind, WorkloadSpec};
@@ -43,29 +43,8 @@ fn expansion(args: &CommonArgs) {
     sim.run_until(1800);
     let r = sim.finish();
 
-    let mut series: Vec<Series> = (0..6)
-        .map(|rank| {
-            Series::new(
-                format!("mds.{rank}"),
-                r.epochs
-                    .iter()
-                    .map(|e| {
-                        (
-                            e.time_secs as f64 / 60.0,
-                            e.per_mds_iops.get(rank).copied().unwrap_or(0.0),
-                        )
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    series.push(Series::new(
-        "total",
-        r.epochs
-            .iter()
-            .map(|e| (e.time_secs as f64 / 60.0, e.total_iops))
-            .collect(),
-    ));
+    let mut series = per_mds_iops(&r, 6);
+    series.push(epoch_series("total", &r, |e| e.total_iops));
     print_series(
         "Fig 12a — MDS expansion 4 -> 5 -> 6 (adds at 10 and 20 min), Lunule, Zipf",
         "min",
@@ -118,29 +97,8 @@ fn client_growth(args: &CommonArgs) {
     sim.run_until(1_600);
     let r = sim.finish();
 
-    let mut series: Vec<Series> = (0..5)
-        .map(|rank| {
-            Series::new(
-                format!("mds.{rank}"),
-                r.epochs
-                    .iter()
-                    .map(|e| {
-                        (
-                            e.time_secs as f64 / 60.0,
-                            e.per_mds_iops.get(rank).copied().unwrap_or(0.0),
-                        )
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    series.push(Series::new(
-        "total",
-        r.epochs
-            .iter()
-            .map(|e| (e.time_secs as f64 / 60.0, e.total_iops))
-            .collect(),
-    ));
+    let mut series = per_mds_iops(&r, 5);
+    series.push(epoch_series("total", &r, |e| e.total_iops));
     print_series(
         &format!(
             "Fig 12b — client growth {per_phase} -> {} in 4 phases, Lunule, Zipf",

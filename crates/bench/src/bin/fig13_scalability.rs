@@ -1,7 +1,8 @@
 //! Figure 13: (a) Lunule's peak throughput as the MDS cluster grows from 1
 //! to 16 ranks under the MDtest workload — expected to scale near-linearly
 //! until the fixed client population stops saturating the cluster; and
-//! (b) Lunule vs CephFS-Vanilla vs Dir-Hash on the Web workload.
+//! (c) the scale frontier beyond the paper's cluster. Part (b), Lunule vs
+//! CephFS-Vanilla vs Dir-Hash on Web, reads the runs of `single_workloads`.
 
 use lunule_bench::{
     build_sim, default_sim, run_grid_jobs, write_json, CommonArgs, ExperimentConfig, ScaleSpec,
@@ -13,7 +14,6 @@ use lunule_workloads::{WorkloadKind, WorkloadSpec};
 fn main() {
     let args = CommonArgs::parse();
     scalability(&args);
-    hash_comparison(&args);
     scale_frontier(&args);
 }
 
@@ -58,56 +58,6 @@ fn scalability(args: &CommonArgs) {
         dump.push((*n, r.peak_iops(), r.mean_iops(), eff));
     }
     write_json(&args.out_dir, "fig13a_scalability", &dump);
-}
-
-/// Fig 13(b): Lunule vs Vanilla vs Dir-Hash, Web workload.
-fn hash_comparison(args: &CommonArgs) {
-    let balancers = [
-        BalancerKind::Lunule,
-        BalancerKind::Vanilla,
-        BalancerKind::DirHash,
-    ];
-    let cells: Vec<ExperimentConfig> = balancers
-        .iter()
-        .map(|b| ExperimentConfig {
-            workload: WorkloadSpec {
-                kind: WorkloadKind::Web,
-                clients: args.clients,
-                scale: args.scale,
-                seed: args.seed,
-            },
-            balancer: *b,
-            sim: default_sim(),
-        })
-        .collect();
-    let results = run_grid_jobs(&cells, args.jobs);
-    println!("\n# Fig 13b — Lunule vs Vanilla vs Dir-Hash, Web workload");
-    println!(
-        "{:<10} {:>10} {:>10} {:>12} {:>10}",
-        "balancer", "mean IOPS", "peak IOPS", "JCT p99 (s)", "forwards"
-    );
-    let mut dump = Vec::new();
-    for r in &results {
-        let jct = r
-            .jct_percentile(0.99)
-            .map(|v| v.to_string())
-            .unwrap_or_else(|| "n/a".into());
-        println!(
-            "{:<10} {:>10.0} {:>10.0} {:>12} {:>10}",
-            r.balancer,
-            r.mean_iops(),
-            r.peak_iops(),
-            jct,
-            r.total_forwards()
-        );
-        dump.push((
-            r.balancer.clone(),
-            r.mean_iops(),
-            r.peak_iops(),
-            r.total_forwards(),
-        ));
-    }
-    write_json(&args.out_dir, "fig13b_hash_comparison", &dump);
 }
 
 /// Fig 13(c): the scale frontier the paper never reaches — 32 to 128 ranks

@@ -5,7 +5,7 @@
 //! gains for Web (its metadata imbalance is low to begin with, and the data
 //! path dilutes what remains).
 
-use lunule_bench::{default_sim, run_grid, write_json, CommonArgs, ExperimentConfig};
+use lunule_bench::{default_sim, run_grid_jobs, write_json, CommonArgs, ExperimentConfig};
 use lunule_core::BalancerKind;
 use lunule_sim::DataPathConfig;
 use lunule_workloads::{WorkloadKind, WorkloadSpec};
@@ -41,7 +41,7 @@ fn main() {
             });
         }
     }
-    let results = run_grid(&cells);
+    let results = run_grid_jobs(&cells, args.jobs);
 
     println!("# Fig 8 — end-to-end job completion time (data access enabled)");
     println!(

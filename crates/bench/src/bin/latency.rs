@@ -4,7 +4,7 @@
 //! simulation the observable is how many ticks each op spends stalled
 //! behind a saturated or frozen MDS before it is served.
 
-use lunule_bench::{default_sim, run_grid, write_json, CommonArgs, ExperimentConfig};
+use lunule_bench::{default_sim, run_grid_jobs, write_json, CommonArgs, ExperimentConfig};
 use lunule_core::BalancerKind;
 use lunule_workloads::{WorkloadKind, WorkloadSpec};
 
@@ -31,7 +31,7 @@ fn main() {
                 },
             })
             .collect();
-        let results = run_grid(&cells);
+        let results = run_grid_jobs(&cells, args.jobs);
         println!("\n# stall latency — {kind} (ticks an op waits before service)");
         println!(
             "{:<14} {:>10} {:>8} {:>6} {:>6} {:>6} {:>6}",

@@ -6,7 +6,7 @@
 //! at a fraction of its rate. Balancing helps twice here: it spreads load
 //! *and* it spreads the memory footprint.
 
-use lunule_bench::{default_sim, print_series, write_json, CommonArgs, Series};
+use lunule_bench::{default_sim, epoch_series, print_series, write_json, CommonArgs};
 use lunule_core::{make_balancer, BalancerKind};
 use lunule_sim::Simulation;
 use lunule_workloads::{WorkloadKind, WorkloadSpec};
@@ -57,24 +57,13 @@ fn main() {
             r.final_inodes,
             max_resident
         );
-        series.push(Series::new(
-            format!("{} IOPS", r.balancer),
-            r.epochs
-                .iter()
-                .map(|e| (e.time_secs as f64 / 60.0, e.total_iops))
-                .collect(),
-        ));
-        series.push(Series::new(
+        series.push(epoch_series(format!("{} IOPS", r.balancer), &r, |e| {
+            e.total_iops
+        }));
+        series.push(epoch_series(
             format!("{} max-resident", r.balancer),
-            r.epochs
-                .iter()
-                .map(|e| {
-                    (
-                        e.time_secs as f64 / 60.0,
-                        e.per_mds_resident_inodes.iter().copied().max().unwrap_or(0) as f64,
-                    )
-                })
-                .collect(),
+            &r,
+            |e| e.per_mds_resident_inodes.iter().copied().max().unwrap_or(0) as f64,
         ));
         dump.push((kind.label(), r.mean_iops(), max_resident));
     }

@@ -3,7 +3,7 @@
 //! fail over to the survivors — and the series shows the throughput dip
 //! and Lunule re-balancing the failed-over load.
 
-use lunule_bench::{default_sim, print_series, write_json, CommonArgs, Series};
+use lunule_bench::{default_sim, epoch_series, per_mds_iops, print_series, write_json, CommonArgs};
 use lunule_core::{make_balancer, BalancerKind};
 use lunule_namespace::MdsRank;
 use lunule_sim::Simulation;
@@ -32,29 +32,8 @@ fn main() {
     sim.run_until(1_200);
     let r = sim.finish();
 
-    let mut series: Vec<Series> = (0..5)
-        .map(|rank| {
-            Series::new(
-                format!("mds.{rank}"),
-                r.epochs
-                    .iter()
-                    .map(|e| {
-                        (
-                            e.time_secs as f64 / 60.0,
-                            e.per_mds_iops.get(rank).copied().unwrap_or(0.0),
-                        )
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    series.push(Series::new(
-        "total",
-        r.epochs
-            .iter()
-            .map(|e| (e.time_secs as f64 / 60.0, e.total_iops))
-            .collect(),
-    ));
+    let mut series = per_mds_iops(&r, 5);
+    series.push(epoch_series("total", &r, |e| e.total_iops));
     print_series(
         "Resilience — per-MDS IOPS around a rank drain at t=10 min, Lunule, Zipf",
         "min",

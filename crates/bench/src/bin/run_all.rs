@@ -15,20 +15,13 @@ use std::process::{Command, ExitCode};
 
 use lunule_util::WorkerPool;
 
-const EXPERIMENTS: [&str; 20] = [
+const EXPERIMENTS: [&str; 13] = [
     "table1",
-    "fig2_request_distribution",
-    "fig3_permds_throughput",
-    "fig4_migrated_inodes",
-    "fig6_imbalance_factor",
-    "fig7_throughput",
+    "single_workloads",
     "fig8_end_to_end",
-    "fig9_mixed_if",
-    "fig10_mixed_throughput",
-    "fig11_mixed_jct_cdf",
+    "mixed_workload",
     "fig12_dynamics",
     "fig13_scalability",
-    "fig14_dirhash",
     "latency",
     "ablation",
     "sweep",

@@ -2,7 +2,7 @@
 //! Useful for eyeballing whether the simulation produces the paper's
 //! qualitative ordering before running the full figure suite.
 
-use lunule_bench::{default_sim, run_grid, CommonArgs, ExperimentConfig, TelemetrySink};
+use lunule_bench::{default_sim, run_grid_jobs, CommonArgs, ExperimentConfig, TelemetrySink};
 use lunule_core::BalancerKind;
 use lunule_sim::SimConfig;
 use lunule_workloads::{WorkloadKind, WorkloadSpec};
@@ -34,7 +34,7 @@ fn main() {
             })
             .collect();
         let t0 = std::time::Instant::now();
-        let results = run_grid(&cells);
+        let results = run_grid_jobs(&cells, args.jobs);
         println!(
             "\n== {workload} (scale {}, {} clients; {:.1}s wall) ==",
             args.scale,

@@ -1,6 +1,7 @@
 //! Output helpers: aligned text series for the terminal and JSON dumps for
 //! post-processing.
 
+use lunule_sim::{EpochRecord, RunResult};
 use lunule_util::ToJson;
 use std::io::Write;
 use std::path::Path;
@@ -39,6 +40,34 @@ impl Series {
     pub fn max_y(&self) -> f64 {
         self.points.iter().map(|(_, y)| *y).fold(0.0, f64::max)
     }
+}
+
+/// `y` of each of `r`'s epochs against simulated minutes, the x axis of
+/// every time-series figure.
+pub fn epoch_series(
+    name: impl Into<String>,
+    r: &RunResult,
+    y: impl Fn(&EpochRecord) -> f64,
+) -> Series {
+    Series::new(
+        name,
+        r.epochs
+            .iter()
+            .map(|e| (e.time_secs as f64 / 60.0, y(e)))
+            .collect(),
+    )
+}
+
+/// One `mds.<rank>` IOPS series per rank in `0..n_mds`; an epoch from
+/// before a rank joined reads 0 for it.
+pub fn per_mds_iops(r: &RunResult, n_mds: usize) -> Vec<Series> {
+    (0..n_mds)
+        .map(|rank| {
+            epoch_series(format!("mds.{rank}"), r, |e| {
+                e.per_mds_iops.get(rank).copied().unwrap_or(0.0)
+            })
+        })
+        .collect()
 }
 
 /// Prints a set of series as one aligned table: first column x, one column

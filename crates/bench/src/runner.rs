@@ -50,15 +50,10 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> RunResult {
     Simulation::new(cfg.sim.clone(), ns, balancer, streams).run()
 }
 
-/// Runs a grid of experiment cells on the sanctioned worker pool with
-/// auto-sized parallelism. Each cell is single-threaded and deterministic,
-/// so the grid's results are independent of scheduling and worker count.
-pub fn run_grid(cells: &[ExperimentConfig]) -> Vec<RunResult> {
-    run_grid_jobs(cells, 0)
-}
-
-/// [`run_grid`] with an explicit worker count (`0` = auto); this is what
-/// the experiment binaries call with their `--jobs` flag.
+/// Runs a grid of experiment cells on the sanctioned worker pool, `jobs`
+/// wide (`0` = auto); the experiment binaries pass their `--jobs` flag.
+/// Each cell is single-threaded and deterministic, so the grid's results
+/// are independent of scheduling and worker count.
 pub fn run_grid_jobs(cells: &[ExperimentConfig], jobs: usize) -> Vec<RunResult> {
     WorkerPool::new(jobs).map(cells, |_, cell| run_experiment(cell))
 }
@@ -97,7 +92,7 @@ mod tests {
             tiny_cell(WorkloadKind::ZipfRead, BalancerKind::Vanilla),
             tiny_cell(WorkloadKind::ZipfRead, BalancerKind::Lunule),
         ];
-        let grid = run_grid(&cells);
+        let grid = run_grid_jobs(&cells, 0);
         let solo: Vec<_> = cells.iter().map(run_experiment).collect();
         for (g, s) in grid.iter().zip(&solo) {
             assert_eq!(g.total_ops, s.total_ops);

@@ -3,8 +3,9 @@
 //! that are byte-identical to a sequential run — pool width may only
 //! change wall time, never output.
 //!
-//! Two layers are covered here: the `sweep` binary end-to-end (transcript
-//! and JSON dump compared across `--jobs 1` / `--jobs 4`), and seeded
+//! Two layers are covered here: the `sweep`, `single_workloads` and
+//! `mixed_workload` binaries end-to-end (transcript and JSON dumps
+//! compared across `--jobs 1` / `--jobs 4`), and seeded
 //! full simulations with telemetry journals run through the pool at
 //! several widths.
 
@@ -16,15 +17,20 @@ use lunule_telemetry::Telemetry;
 use lunule_util::WorkerPool;
 use lunule_workloads::{WorkloadKind, WorkloadSpec};
 
-/// Runs the `sweep` binary with the given jobs width into a fresh temp
-/// directory, returning `(stdout, sweep.json bytes)`.
-fn run_sweep(jobs: usize, tag: &str) -> (Vec<u8>, Vec<u8>) {
+/// Runs the experiment binary at `bin` with the given jobs width into a
+/// fresh temp directory, returning its stdout and every JSON file it wrote
+/// as `(name, bytes)`, sorted by name.
+fn run_binary(bin: &str, jobs: usize) -> (Vec<u8>, Vec<(String, Vec<u8>)>) {
+    let name = std::path::Path::new(bin)
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default();
     let out_dir = std::env::temp_dir().join(format!(
-        "lunule-par-det-{tag}-{}-j{jobs}",
+        "lunule-par-det-{name}-{}-j{jobs}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&out_dir);
-    let output = Command::new(env!("CARGO_BIN_EXE_sweep"))
+    let output = Command::new(bin)
         .args([
             "--quick",
             "--scale",
@@ -39,32 +45,59 @@ fn run_sweep(jobs: usize, tag: &str) -> (Vec<u8>, Vec<u8>) {
         ])
         .arg(&out_dir)
         .output()
-        .expect("sweep binary should launch");
+        .expect("experiment binary should launch");
     assert!(
         output.status.success(),
-        "sweep --jobs {jobs} failed:\n{}",
+        "{name} --jobs {jobs} failed:\n{}",
         String::from_utf8_lossy(&output.stderr)
     );
-    let json = std::fs::read(out_dir.join("sweep.json")).expect("sweep.json should be written");
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&out_dir)
+        .expect("the JSON dump directory should exist")
+        .map(|entry| {
+            let path = entry.expect("readable dump entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("readable dump file"))
+        })
+        .collect();
+    files.sort();
     let _ = std::fs::remove_dir_all(&out_dir);
-    (output.stdout, json)
+    (output.stdout, files)
+}
+
+/// Asserts that `bin` prints the same transcript and writes the same JSON
+/// files, byte for byte, at `--jobs 1` and `--jobs 4`.
+fn assert_identical_across_pool_widths(bin: &str, expected_files: usize) {
+    let (stdout_seq, json_seq) = run_binary(bin, 1);
+    let (stdout_par, json_par) = run_binary(bin, 4);
+    assert!(
+        stdout_seq == stdout_par,
+        "{bin} transcript must not depend on --jobs:\n--- jobs=1 ---\n{}\n--- jobs=4 ---\n{}",
+        String::from_utf8_lossy(&stdout_seq),
+        String::from_utf8_lossy(&stdout_par)
+    );
+    assert_eq!(json_seq.len(), expected_files, "{bin} JSON files");
+    for (name, bytes) in &json_seq {
+        assert!(!bytes.is_empty(), "{name} is empty");
+    }
+    assert!(
+        json_seq == json_par,
+        "{bin} JSON file names, count and bytes must not depend on --jobs"
+    );
 }
 
 #[test]
 fn sweep_output_is_byte_identical_across_pool_widths() {
-    let (stdout_seq, json_seq) = run_sweep(1, "seq");
-    let (stdout_par, json_par) = run_sweep(4, "par");
-    assert!(
-        stdout_seq == stdout_par,
-        "sweep transcript must not depend on --jobs:\n--- jobs=1 ---\n{}\n--- jobs=4 ---\n{}",
-        String::from_utf8_lossy(&stdout_seq),
-        String::from_utf8_lossy(&stdout_par)
-    );
-    assert!(
-        json_seq == json_par,
-        "sweep.json must be byte-identical across pool widths"
-    );
-    assert!(!json_seq.is_empty());
+    assert_identical_across_pool_widths(env!("CARGO_BIN_EXE_sweep"), 1);
+}
+
+#[test]
+fn single_workloads_output_is_byte_identical_across_pool_widths() {
+    assert_identical_across_pool_widths(env!("CARGO_BIN_EXE_single_workloads"), 18);
+}
+
+#[test]
+fn mixed_workload_output_is_byte_identical_across_pool_widths() {
+    assert_identical_across_pool_widths(env!("CARGO_BIN_EXE_mixed_workload"), 4);
 }
 
 /// A compact fingerprint of one simulation run: op totals, migration

@@ -40,6 +40,16 @@ use lunule_snapshot::{Snapshot, SnapshotError};
 use lunule_telemetry::Telemetry;
 use lunule_workloads::{WorkloadKind, WorkloadSpec};
 
+/// Most clients a session may run: the `clients` header plus every
+/// `clients@T:N`. [`Session::build`] makes every client's dataset and op
+/// stream before the first tick, and Zipf gives each client private files
+/// (10,000 at scale 1), so this bounds what a script can make the daemon
+/// allocate. The cap is ten times the largest checked-in session (160
+/// clients in `benchmark/service_mixed.lds`). At the cap and scale 1, Zipf
+/// builds 16 M files in ~3 s within 6 GB of address space (2-vCPU VM);
+/// 10,000 clients asked for 7.5 GB in a single allocation.
+const MAX_CLIENTS: usize = 1_600;
+
 /// A parsed session: cluster shape, workload, fault schedule, and the
 /// timed operator commands.
 #[derive(Debug)]
@@ -190,6 +200,19 @@ impl Session {
         if session.n_mds == 0 || session.duration == 0 || session.epoch == 0 {
             return Err(SpecError::new("mds, duration and epoch must be positive"));
         }
+        if !(session.capacity.is_finite() && session.capacity > 0.0) {
+            return Err(SpecError::new(format!(
+                "capacity must be finite and positive, got {}",
+                session.capacity
+            )));
+        }
+        // `WorkloadSpec::validate`'s range; NaN fails both comparisons.
+        if !(session.scale > 0.0 && session.scale <= 1.0) {
+            return Err(SpecError::new(format!(
+                "scale must be in (0, 1], got {}",
+                session.scale
+            )));
+        }
         if session.clients == 0 {
             return Err(SpecError::new("clients must be positive"));
         }
@@ -231,14 +254,20 @@ impl Session {
         }
         session.faults = plan.build();
         session.commands.sort_by_key(|tc: &TimedCommand| tc.at_tick);
-        session.extra_clients = session
+        let total = session
             .commands
             .iter()
-            .map(|tc| match tc.command {
-                Command::AddClients(n) => n,
-                _ => 0,
+            .try_fold(session.clients, |sum, tc| match tc.command {
+                Command::AddClients(n) => sum.checked_add(n),
+                _ => Some(sum),
             })
-            .sum();
+            .filter(|total| *total <= MAX_CLIENTS)
+            .ok_or_else(|| {
+                SpecError::new(format!(
+                    "clients plus every clients@ count must be at most {MAX_CLIENTS}"
+                ))
+            })?;
+        session.extra_clients = total - session.clients;
         Ok(session)
     }
 
@@ -434,6 +463,60 @@ status@240
         assert!(Session::parse("not a line\n").is_err());
         assert!(Session::parse("workload=fortran\n").is_err());
         assert!(Session::parse("balancer=entropy\n").is_err());
+    }
+
+    /// Asserts that `script` is refused with an error naming `what`.
+    fn refused(script: &str, what: &str) {
+        match Session::parse(script) {
+            Ok(_) => panic!("`{script}` parsed"),
+            Err(e) => assert!(e.to_string().contains(what), "`{script}`: {e}"),
+        }
+    }
+
+    #[test]
+    fn capacity_must_be_finite_and_positive() {
+        for bad in ["0", "-5", "nan", "inf"] {
+            refused(&format!("capacity={bad}\n"), "capacity");
+        }
+    }
+
+    #[test]
+    fn scale_must_lie_in_zero_to_one() {
+        for bad in ["0", "-1", "nan", "1e12"] {
+            refused(&format!("scale={bad}\n"), "scale");
+        }
+        assert!(Session::parse("scale=1\n").is_ok());
+    }
+
+    #[test]
+    fn client_totals_are_capped() {
+        refused("clients=100000000000\n", "clients");
+        refused(&format!("clients={}\n", MAX_CLIENTS + 1), "clients");
+        // The clients@ sum overflows usize.
+        refused(
+            &format!(
+                "clients=1\nclients@1:{}\nclients@2:{}\n",
+                u64::MAX,
+                u64::MAX
+            ),
+            "clients",
+        );
+        // Each count is small, but the total passes the cap.
+        refused(&format!("clients={MAX_CLIENTS}\nclients@1:1\n"), "clients");
+        let at_cap = Session::parse(&format!("clients={}\nclients@1:1\n", MAX_CLIENTS - 1));
+        assert_eq!(at_cap.map(|s| s.extra_clients).ok(), Some(1));
+    }
+
+    #[test]
+    fn checked_in_sessions_parse() {
+        for script in [
+            include_str!("../../../examples/session.lds"),
+            include_str!("../../../benchmark/service_mixed.lds"),
+            include_str!("../../../benchmark/service_smoke.lds"),
+        ] {
+            let s = Session::parse(script).unwrap();
+            assert!(s.clients + s.extra_clients <= MAX_CLIENTS);
+        }
     }
 
     #[test]

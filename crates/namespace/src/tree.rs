@@ -40,7 +40,6 @@ pub struct Namespace {
     /// order they appear in its `children`.
     subdirs: Vec<Vec<u32>>,
     n_files: usize,
-    n_dirs: usize,
     /// Bumps on every `split_frag`, the one mutation that can move a
     /// memoized route (see [`crate::AuthorityCache`]). Not serialised; a
     /// decoded namespace starts at 0.
@@ -85,7 +84,6 @@ impl Namespace {
             dir_ids: vec![InodeId::ROOT],
             subdirs: vec![Vec::new()],
             n_files: 0,
-            n_dirs: 1,
             generation: 0,
         }
     }
@@ -115,7 +113,7 @@ impl Namespace {
 
     /// Number of directories (including the root).
     pub fn dir_count(&self) -> usize {
-        self.n_dirs
+        self.dir_ids.len()
     }
 
     /// Borrow an inode entry.
@@ -228,7 +226,6 @@ impl Namespace {
         match ftype {
             FileType::File => self.n_files += 1,
             FileType::Dir => {
-                self.n_dirs += 1;
                 if let Some(parent_slot) = self.dir_slot(parent) {
                     self.subdirs[parent_slot].push(usize_to_u32(self.dir_ids.len()));
                 }
@@ -285,7 +282,7 @@ impl Namespace {
 
     /// Number of live inodes (files + directories), excluding tombstones.
     pub fn live_count(&self) -> usize {
-        self.n_files + self.n_dirs
+        self.n_files + self.dir_ids.len()
     }
 
     /// The chain of inode ids from the root down to `id`, inclusive.
@@ -476,7 +473,6 @@ impl Namespace {
     /// whether `id`'s parent lists it.
     fn invariants_given(&self, in_parent: impl Fn(InodeId) -> bool) -> bool {
         let mut files = 0;
-        let mut dirs = 0;
         for (i, ino) in self.arena.iter().enumerate() {
             let id = InodeId::from_index(i);
             if self.name_of(ino).is_none() {
@@ -492,9 +488,8 @@ impl Namespace {
                 }
                 continue;
             }
-            match ino.ftype {
-                FileType::File => files += 1,
-                FileType::Dir => dirs += 1,
+            if ino.ftype == FileType::File {
+                files += 1;
             }
             if let Some(p) = ino.parent {
                 let parent = &self.arena[p.index()];
@@ -512,7 +507,6 @@ impl Namespace {
             }
         }
         files == self.n_files
-            && dirs == self.n_dirs
             && self.dir_index_holds()
             && self.below_holds()
             && self.frag_counts_hold()
@@ -651,7 +645,7 @@ impl Namespace {
             set.encode(e);
         });
         e.put_usize(self.n_files);
-        e.put_usize(self.n_dirs);
+        e.put_usize(self.dir_ids.len());
     }
 
     /// Reads a namespace back. Structural corruption (dangling ids,
@@ -714,7 +708,6 @@ impl Namespace {
             dir_ids: Vec::new(),
             subdirs: Vec::new(),
             n_files,
-            n_dirs,
             generation: 0,
         };
         if ns.arena.is_empty()
@@ -727,6 +720,9 @@ impl Namespace {
             return Err(invalid());
         }
         ns.rebuild_dir_index();
+        if ns.dir_ids.len() != n_dirs {
+            return Err(invalid());
+        }
         ns.recount_below();
         ns.recount_frags();
         ns.checked()
@@ -951,7 +947,8 @@ mod tests {
         let mut e = lunule_util::codec::Encoder::new();
         ns.encode(&mut e);
         let mut bytes = e.into_bytes();
-        // The trailing 16 bytes are n_files/n_dirs; corrupt n_dirs.
+        // The trailing 16 bytes are the file and directory counts; corrupt
+        // the directory count.
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         let mut dec = lunule_util::codec::Decoder::new(&bytes);
@@ -1351,12 +1348,19 @@ mod tests {
         let decode = |bytes: &[u8]| {
             Namespace::decode(&mut lunule_util::codec::Decoder::new(bytes)).map(|_| ())
         };
-        // An empty directory, dead and detached from its parent, with the
-        // directory counter moved to match: every other check still holds.
+        // An empty directory, dead and detached from its parent: the
+        // encoded directory count still matches the rebuilt index, and
+        // every other check still holds.
         let mut ns = Namespace::new();
         let gone = ns.mkdir(InodeId::ROOT, "gone").unwrap();
-        assert_eq!(decode(&encoded_with(&ns, |_| {})), Ok(()));
-        ns.n_dirs -= 1;
+        let good = encoded_with(&ns, |_| {});
+        assert_eq!(decode(&good), Ok(()));
+        // The directory count is the encoding's last word; one too few is
+        // refused against the rebuilt index.
+        let mut short = good.clone();
+        let at = short.len() - 8;
+        short[at..].copy_from_slice(&1u64.to_le_bytes());
+        assert_eq!(decode(&short), Err(invalid.clone()));
         let dead = encoded_with(&ns, |arena| {
             arena[0].children.remove(gone);
             arena[gone.index()].alive = false;
