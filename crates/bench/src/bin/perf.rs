@@ -33,7 +33,7 @@ use lunule_namespace::{
     build_flat_dataset, dentry_hash, AuthorityCache, FlatDataset, Frag, FragKey, FragSet, InodeId,
     MdsRank, Namespace, SubtreeMap,
 };
-use lunule_sim::{SimConfig, Simulation};
+use lunule_sim::{FixedStream, OpStream, SimConfig, Simulation};
 use lunule_telemetry::Telemetry;
 use lunule_workloads::{WorkloadKind, WorkloadSpec};
 
@@ -222,6 +222,74 @@ fn migration_pipeline(p: Protocol) -> BenchResult {
         });
         let r = Simulation::new(sim, ns, balancer, Vec::new()).run();
         r.migrated_inodes()
+    })
+}
+
+/// Cohorts, ticks before timing and timed ticks of each commit-heavy
+/// simulation.
+const COMMIT_COHORTS: usize = 1_024;
+const COMMIT_WARMUP_TICKS: u64 = 10;
+const COMMIT_TICKS: u64 = 40;
+
+/// A simulation whose ticks are mostly migration commits handed to many
+/// client caches: 1,024 single-member cohorts, each of which reads one
+/// file in each of 8 of the 64 leaf directories under 8 parents and then
+/// finishes, keeping those 8 directories cached. [`ChurnBalancer`]
+/// re-exports every leaf each 2-tick epoch, so each epoch commits a
+/// batch of about 60 jobs whose cache hand-off visits every cohort. The
+/// reads finish during the [`COMMIT_WARMUP_TICKS`] run before timing.
+fn commit_cohorts_sim() -> Simulation {
+    let mut ns = Namespace::new();
+    let mut exported = Vec::new();
+    let mut leaves = Vec::new();
+    for p in 0..8 {
+        let parent = ns.mkdir_total(InodeId::ROOT, &format!("p{p}"));
+        for d in 0..8 {
+            let leaf = ns.mkdir_total(parent, &format!("d{d}"));
+            let files: Vec<InodeId> = (0..16)
+                .map(|f| ns.create_file_total(leaf, &format!("f{f}"), 0))
+                .collect();
+            exported.push(leaf);
+            leaves.push(files);
+        }
+    }
+    let groups: Vec<(Box<dyn OpStream>, u64)> = (0..COMMIT_COHORTS)
+        .map(|g| {
+            let reads = (0..8)
+                .map(|k| leaves[(g + 8 * k) % leaves.len()][g % 16])
+                .collect();
+            (Box::new(FixedStream::new(reads)) as Box<dyn OpStream>, 1)
+        })
+        .collect();
+    let cfg = SimConfig {
+        n_mds: 16,
+        mds_capacity: 20_000.0,
+        epoch_secs: 2,
+        duration_secs: COMMIT_WARMUP_TICKS + COMMIT_TICKS,
+        stop_when_done: false,
+        migration_bw: 50_000.0,
+        ..default_sim()
+    };
+    let balancer = Box::new(ChurnBalancer {
+        dirs: exported,
+        n_mds: cfg.n_mds,
+        epoch: 0,
+    });
+    let mut sim = Simulation::new_grouped(cfg, ns, balancer, groups);
+    sim.run_until(COMMIT_WARMUP_TICKS);
+    sim
+}
+
+/// Migration commit across many cohorts, simulations built and warmed
+/// before timing as in [`tick_loop`]; `ns_per_op` is the cost of one
+/// tick, most of it the commit batches' cache hand-off.
+fn migration_commit_cohorts(p: Protocol) -> BenchResult {
+    let mut sims: Vec<Simulation> = (0..p.warmup + p.rounds)
+        .map(|_| commit_cohorts_sim())
+        .collect();
+    let mut next = sims.iter_mut();
+    run_bench("migration_commit_cohorts", p, || {
+        next.next().map_or(0, step_to_end)
     })
 }
 
@@ -731,6 +799,7 @@ fn main() -> ExitCode {
         balancer_epoch_if(protocol),
         frag_split(protocol),
         migration_pipeline(protocol),
+        migration_commit_cohorts(protocol),
         telemetry_off(protocol),
         telemetry_on(protocol),
         authority_resolve(protocol),
@@ -871,6 +940,25 @@ mod tests {
         );
         assert_eq!(step_to_end(&mut sim), COLD_TICKS);
         assert!(sim.total_ops() > 200 * COLD_TICKS, "{}", sim.total_ops());
+    }
+
+    #[test]
+    fn commit_cohorts_sim_commits_batches_into_every_cohort() {
+        let mut sim = commit_cohorts_sim();
+        let set = sim.cohorts();
+        assert_eq!(set.n_cohorts(), COMMIT_COHORTS);
+        set.for_each_state(|c, _| {
+            assert!(c.finished, "cohort {} still reading", c.id);
+            assert_eq!(c.cache_len(), 8, "cohort {}", c.id);
+        });
+        let before = sim.migration_counters().completed_jobs;
+        assert_eq!(step_to_end(&mut sim), COMMIT_TICKS);
+        let committed = sim.migration_counters().completed_jobs - before;
+        // Every 2-tick epoch commits a batch of about 60 jobs.
+        assert!(
+            committed >= 50 * COMMIT_TICKS / 2,
+            "{committed} jobs in {COMMIT_TICKS} ticks"
+        );
     }
 
     #[test]

@@ -21,17 +21,21 @@
 //!
 //! [`build_candidates`] visits directories only, through the namespace's
 //! directory index ([`Namespace::dir_ids`], [`Namespace::subdir_slots`]), so
-//! an epoch close costs O(directories + fragments) — not O(inodes), and no
-//! dentry hash per child. Files enter only through `children().len()` and
+//! an epoch close costs O(directories + fragments + entries) — not
+//! O(inodes), no dentry hash per file, and no map lookup or authority walk
+//! per directory: one ascending walk merges the directory index with
+//! [`SubtreeMap::dir_entries`] and resolves every directory's authority
+//! from its parent's. Files enter only through `children().len()` and
 //! the per-fragment child counts the namespace keeps
-//! ([`lunule_namespace::FragSet::child_counts`]); only a subdirectory of a
-//! fragmented directory is hashed, to find its fragment. Directories are
+//! ([`lunule_namespace::FragSet::child_counts`]); a subdirectory is hashed
+//! to resolve its authority, and in a fragmented directory once more to
+//! find its fragment. Directories are
 //! visited in descending id order and each one sums its subdirectories in
 //! `children` order, exactly as a reverse walk over the whole arena would,
 //! so every f64 sum, and therefore every candidate, is bit-identical to
 //! that walk (a test keeps it as the oracle).
 
-use lunule_namespace::{FragKey, InodeId, MdsRank, Namespace, SubtreeMap};
+use lunule_namespace::{DirEntries, Frag, FragKey, InodeId, MdsRank, Namespace, SubtreeMap};
 use lunule_util::convert::{u32_to_usize, usize_to_f64};
 
 /// A migration candidate: a dirfrag subtree with its aggregated load.
@@ -62,6 +66,32 @@ struct FragAgg {
     /// The fragment's children plus the inode counts of subdirectories in
     /// the frag.
     inodes: usize,
+    /// Depth and rank of the deepest entry covering the fragment, if any.
+    covering: Option<(u8, MdsRank)>,
+    /// True when that entry is keyed on exactly the fragment.
+    explicit: bool,
+}
+
+/// Fills `per_frag[i]`'s entry fields for the live fragment `frags[i]`:
+/// what [`DirEntries::covering_rank`] and [`DirEntries::explicit_rank`]
+/// answer one fragment at a time. Each entry instead finds the live
+/// fragments it overlaps by binary search over the sorted fragments and
+/// claims those it contains, a deeper entry over a coarser one. An entry
+/// keyed on a live fragment is the deepest that contains it, so it is
+/// the explicit one.
+fn match_entries(frags: &[Frag], entries: DirEntries<'_>, per_frag: &mut [FragAgg]) {
+    for (e, rank) in entries.iter() {
+        let lo = frags.partition_point(|f| f.range_end() <= e.range_start());
+        for (f, agg) in frags[lo..].iter().zip(&mut per_frag[lo..]) {
+            if f.range_start() >= e.range_end() {
+                break;
+            }
+            if e.contains_frag(f) && agg.covering.is_none_or(|(bits, _)| bits < e.bits()) {
+                agg.covering = Some((e.bits(), rank));
+                agg.explicit = e == *f;
+            }
+        }
+    }
 }
 
 /// Computes the candidate list for the whole cluster given a per-directory
@@ -75,10 +105,27 @@ pub fn build_candidates(
     map: &SubtreeMap,
     local: &impl Fn(InodeId) -> f64,
 ) -> Vec<Candidate> {
-    // Bottom-up pass: a directory's id is smaller than its
-    // subdirectories' (ids only append and nothing moves a directory), so
-    // a descending walk visits them first.
     let dirs = ns.dir_ids();
+    // Top-down pass: a directory's id is smaller than its subdirectories'
+    // (ids only append and nothing moves a directory), and the map's
+    // entries are ordered by id too, so one ascending merge-walk pairs
+    // each directory slot with its entries and hands its authority down
+    // to its subdirectories, as `SubtreeMap::authority` resolves it.
+    let mut entries = vec![DirEntries::default(); dirs.len()];
+    let mut auth = vec![map.root_rank(); dirs.len()];
+    let mut walk = map.dir_entries().peekable();
+    for (slot, &id) in dirs.iter().enumerate() {
+        while let Some((dir, e)) = walk.next_if(|(dir, _)| *dir <= id) {
+            if dir == id {
+                entries[slot] = e;
+            }
+        }
+        for &s in ns.subdir_slots(slot) {
+            let s = u32_to_usize(s);
+            auth[s] = entries[slot].child_authority(ns.dentry_hash_of(dirs[s]), auth[slot]);
+        }
+    }
+    // Bottom-up pass: a descending walk visits subdirectories first.
     // Per directory slot: aggregate load and inode count of the
     // directory's *non-delegated* portion, i.e. what flows up into its
     // parent's candidate.
@@ -86,11 +133,11 @@ pub fn build_candidates(
     let mut inodes_whole = vec![0usize; dirs.len()];
     let mut per_frag: Vec<FragAgg> = Vec::new();
     let mut candidates = Vec::new();
-    let mut push = |key: FragKey, load: f64, local_load: f64, inodes: usize| {
+    let mut push = |key: FragKey, rank: MdsRank, load: f64, local_load: f64, inodes: usize| {
         if load > 0.0 {
             candidates.push(Candidate {
                 key,
-                rank: map.frag_authority(ns, key.dir, &key.frag),
+                rank,
                 load,
                 local_load,
                 inodes,
@@ -119,8 +166,9 @@ pub fn build_candidates(
                 load += agg_whole[u32_to_usize(s)];
                 count += inodes_whole[u32_to_usize(s)];
             }
-            push(key, load, local_load, count);
-            if map.explicit_entry_rank(id, &key.frag).is_none() {
+            let explicit = entries[slot].explicit_rank(&key.frag);
+            push(key, explicit.unwrap_or(auth[slot]), load, local_load, count);
+            if explicit.is_none() {
                 agg_whole[slot] = load;
                 inodes_whole[slot] = count;
             }
@@ -145,8 +193,11 @@ pub fn build_candidates(
                 local,
                 load: local,
                 inodes: children,
+                covering: None,
+                explicit: false,
             }
         }));
+        match_entries(frags, entries[slot], &mut per_frag);
         for &s in subdirs {
             let s = u32_to_usize(s);
             let hash = ns.dentry_hash_of(dirs[s]);
@@ -159,8 +210,15 @@ pub fn build_candidates(
         let mut up_load = 0.0;
         let mut up_inodes = 0usize;
         for (&frag, agg) in frags.iter().zip(&per_frag) {
-            push(FragKey { dir: id, frag }, agg.load, agg.local, agg.inodes);
-            if map.explicit_entry_rank(id, &frag).is_none() {
+            let rank = agg.covering.map_or(auth[slot], |(_, r)| r);
+            push(
+                FragKey { dir: id, frag },
+                rank,
+                agg.load,
+                agg.local,
+                agg.inodes,
+            );
+            if !agg.explicit {
                 up_load += agg.load;
                 up_inodes += agg.inodes;
             }
@@ -182,7 +240,6 @@ pub fn candidates_of_rank(all: &[Candidate], rank: MdsRank) -> Vec<Candidate> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lunule_namespace::Frag;
     use lunule_util::codec::{Decoder, Encoder};
     use lunule_util::propcheck;
     use lunule_util::rng::DetRng;
@@ -382,6 +439,60 @@ mod tests {
         ] {
             assert!(n >= 30, "only {n} of 300 cases had {what}");
         }
+    }
+
+    /// The entry match against the per-fragment lookups it replaces,
+    /// with entries coarser than, equal to and deeper than the live
+    /// fragments.
+    #[test]
+    fn entry_match_matches_per_fragment_lookups() {
+        propcheck::run(500, |rng| {
+            let mut ns = Namespace::new();
+            let d = ns.mkdir(InodeId::ROOT, "d").unwrap();
+            for _ in 0..rng.gen_range(1..8) {
+                let frags = ns.frags_of(d);
+                let frag = frags[rng.gen_range(0..frags.len())];
+                if frag.bits() < 5 {
+                    let by = if rng.gen_bool() { 1 } else { 2 };
+                    ns.split_frag(d, &frag, by).unwrap();
+                }
+            }
+            let mut map = SubtreeMap::new(MdsRank(0));
+            for _ in 0..rng.gen_range(0..12) {
+                let mut frag = Frag::root();
+                for _ in 0..rng.gen_range(0..7) {
+                    let (l, r) = frag.split_in_two();
+                    frag = if rng.gen_bool() { l } else { r };
+                }
+                map.set_authority(
+                    FragKey { dir: d, frag },
+                    MdsRank::from_index(rng.gen_range(1..5)),
+                );
+            }
+            let frags = ns.frags_of(d);
+            let entries = map
+                .dir_entries()
+                .next()
+                .map_or_else(DirEntries::default, |(_, e)| e);
+            let blank = FragAgg {
+                local: 0.0,
+                load: 0.0,
+                inodes: 0,
+                covering: None,
+                explicit: false,
+            };
+            let mut per_frag = vec![blank; frags.len()];
+            match_entries(&frags, entries, &mut per_frag);
+            for (frag, agg) in frags.iter().zip(&per_frag) {
+                let covering = agg.covering.map(|(_, r)| r);
+                assert_eq!(covering, map.covering_entry_rank(d, frag), "{frag:?}");
+                assert_eq!(
+                    agg.explicit,
+                    map.explicit_entry_rank(d, frag).is_some(),
+                    "{frag:?}"
+                );
+            }
+        });
     }
 
     /// Namespace:

@@ -45,7 +45,7 @@ pub use command::{apply_command, Command, TimedCommand};
 pub use daemon::{Daemon, RunState};
 pub use oneshot::run_oneshot;
 pub use pacing::{spawn_stdin_reader, Catchup, MaxSpeed, Pacer, RealTime};
-pub use session::Session;
+pub use session::{Session, SessionError};
 pub use source::{
     parse_interactive, CommandSource, CompositeSource, QueueSource, ScriptSource, StdinSource,
 };

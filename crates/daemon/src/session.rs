@@ -50,6 +50,34 @@ use lunule_workloads::{WorkloadKind, WorkloadSpec};
 /// 10,000 clients asked for 7.5 GB in a single allocation.
 const MAX_CLIENTS: usize = 1_600;
 
+/// A session script [`Session::parse`] refuses.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SessionError {
+    /// A `key=value` header line is malformed, or the headers together
+    /// describe no runnable session.
+    Header(String),
+    /// A `kind@tick:...` event line is malformed, with the error of the
+    /// event grammar it shares with `--faults` specs.
+    Event(SpecError),
+}
+
+impl From<SpecError> for SessionError {
+    fn from(e: SpecError) -> Self {
+        SessionError::Event(e)
+    }
+}
+
+impl std::fmt::Display for SessionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SessionError::Header(msg) => write!(f, "bad session header: {msg}"),
+            SessionError::Event(e) => write!(f, "bad session event: {}", e.message()),
+        }
+    }
+}
+
+impl std::error::Error for SessionError {}
+
 /// A parsed session: cluster shape, workload, fault schedule, and the
 /// timed operator commands.
 #[derive(Debug)]
@@ -102,7 +130,7 @@ impl Default for Session {
     }
 }
 
-fn parse_workload(label: &str) -> Result<WorkloadKind, SpecError> {
+fn parse_workload(label: &str) -> Result<WorkloadKind, SessionError> {
     match label.to_ascii_lowercase().as_str() {
         "cnn" => Ok(WorkloadKind::Cnn),
         "nlp" => Ok(WorkloadKind::Nlp),
@@ -111,7 +139,7 @@ fn parse_workload(label: &str) -> Result<WorkloadKind, SpecError> {
         "md" => Ok(WorkloadKind::MdCreate),
         "md-full" | "mdfull" => Ok(WorkloadKind::MdFull),
         "mixed" => Ok(WorkloadKind::Mixed),
-        other => Err(SpecError::new(format!(
+        other => Err(SessionError::Header(format!(
             "unknown workload '{other}' (want cnn/nlp/web/zipf/md/md-full/mixed)"
         ))),
     }
@@ -129,7 +157,7 @@ fn workload_label(kind: WorkloadKind) -> &'static str {
     }
 }
 
-fn parse_balancer(label: &str) -> Result<BalancerKind, SpecError> {
+fn parse_balancer(label: &str) -> Result<BalancerKind, SessionError> {
     match label.to_ascii_lowercase().as_str() {
         "lunule" => Ok(BalancerKind::Lunule),
         "light" | "lunule-light" => Ok(BalancerKind::LunuleLight),
@@ -137,7 +165,7 @@ fn parse_balancer(label: &str) -> Result<BalancerKind, SpecError> {
         "greedy" | "greedyspill" => Ok(BalancerKind::GreedySpill),
         "dirhash" | "dir-hash" => Ok(BalancerKind::DirHash),
         "off" => Ok(BalancerKind::Off),
-        other => Err(SpecError::new(format!(
+        other => Err(SessionError::Header(format!(
             "unknown balancer '{other}' (want lunule/light/vanilla/greedy/dirhash/off)"
         ))),
     }
@@ -156,7 +184,7 @@ fn balancer_label(kind: BalancerKind) -> &'static str {
 
 impl Session {
     /// Parses a session script (see module docs).
-    pub fn parse(text: &str) -> Result<Session, SpecError> {
+    pub fn parse(text: &str) -> Result<Session, SessionError> {
         let mut session = Session::default();
         let mut event_lines: Vec<&str> = Vec::new();
 
@@ -172,13 +200,14 @@ impl Session {
                 continue;
             }
             let (key, value) = line.split_once('=').ok_or_else(|| {
-                SpecError::new(format!(
+                SessionError::Header(format!(
                     "line {}: expected `key=value` or `kind@tick:...`, got `{raw}`",
                     i + 1
                 ))
             })?;
             let (key, value) = (key.trim(), value.trim());
-            let bad = |what: &str| SpecError::new(format!("line {}: bad {what} `{value}`", i + 1));
+            let bad =
+                |what: &str| SessionError::Header(format!("line {}: bad {what} `{value}`", i + 1));
             match key {
                 "seed" => session.seed = value.parse().map_err(|_| bad("seed"))?,
                 "mds" => session.n_mds = value.parse().map_err(|_| bad("mds"))?,
@@ -190,7 +219,7 @@ impl Session {
                 "balancer" => session.balancer = parse_balancer(value)?,
                 "capacity" => session.capacity = value.parse().map_err(|_| bad("capacity"))?,
                 other => {
-                    return Err(SpecError::new(format!(
+                    return Err(SessionError::Header(format!(
                         "line {}: unknown header `{other}`",
                         i + 1
                     )))
@@ -198,23 +227,25 @@ impl Session {
             }
         }
         if session.n_mds == 0 || session.duration == 0 || session.epoch == 0 {
-            return Err(SpecError::new("mds, duration and epoch must be positive"));
+            return Err(SessionError::Header(
+                "mds, duration and epoch must be positive".into(),
+            ));
         }
         if !(session.capacity.is_finite() && session.capacity > 0.0) {
-            return Err(SpecError::new(format!(
+            return Err(SessionError::Header(format!(
                 "capacity must be finite and positive, got {}",
                 session.capacity
             )));
         }
         // `WorkloadSpec::validate`'s range; NaN fails both comparisons.
         if !(session.scale > 0.0 && session.scale <= 1.0) {
-            return Err(SpecError::new(format!(
+            return Err(SessionError::Header(format!(
                 "scale must be in (0, 1], got {}",
                 session.scale
             )));
         }
         if session.clients == 0 {
-            return Err(SpecError::new("clients must be positive"));
+            return Err(SessionError::Header("clients must be positive".into()));
         }
 
         // Pass 2a: tokenize everything and find how large the cluster can
@@ -242,7 +273,8 @@ impl Session {
                 return Err(SpecError::new(format!(
                     "event '{}': tick {} beyond session of {} ticks",
                     line.raw, line.at_tick, session.duration
-                )));
+                ))
+                .into());
             }
             match parse_command(line, max_ranks)? {
                 Command::Fault(kind) => plan = plan.event(line.at_tick, kind),
@@ -263,7 +295,7 @@ impl Session {
             })
             .filter(|total| *total <= MAX_CLIENTS)
             .ok_or_else(|| {
-                SpecError::new(format!(
+                SessionError::Header(format!(
                     "clients plus every clients@ count must be at most {MAX_CLIENTS}"
                 ))
             })?;
@@ -471,6 +503,20 @@ status@240
             Ok(_) => panic!("`{script}` parsed"),
             Err(e) => assert!(e.to_string().contains(what), "`{script}`: {e}"),
         }
+    }
+
+    #[test]
+    fn header_and_event_errors_name_their_kind() {
+        let header = Session::parse("capacity=0\n").unwrap_err();
+        assert_eq!(
+            header.to_string(),
+            "bad session header: capacity must be finite and positive, got 0"
+        );
+        let event = Session::parse("mds=2\ncrash@10:5:5\n").unwrap_err();
+        assert_eq!(
+            event.to_string(),
+            "bad session event: event 'crash@10:5:5': rank 5 outside cluster of 2"
+        );
     }
 
     #[test]

@@ -38,6 +38,12 @@ impl SpecError {
     pub fn new(msg: impl Into<String>) -> Self {
         SpecError { msg: msg.into() }
     }
+
+    /// The message alone, without the "bad fault spec" prefix that
+    /// `Display` adds.
+    pub fn message(&self) -> &str {
+        &self.msg
+    }
 }
 
 impl std::fmt::Display for SpecError {

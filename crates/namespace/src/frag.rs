@@ -102,18 +102,6 @@ impl Frag {
         (kids[0], kids[1])
     }
 
-    /// The parent fragment one level up, or `None` for the root.
-    pub fn parent(&self) -> Option<Frag> {
-        if self.bits == 0 {
-            None
-        } else {
-            Some(Frag {
-                value: self.value >> 1,
-                bits: self.bits - 1,
-            })
-        }
-    }
-
     /// True if the two fragments cover disjoint hash ranges.
     pub fn disjoint(&self, other: &Frag) -> bool {
         !self.contains_frag(other) && !other.contains_frag(self)
@@ -395,12 +383,14 @@ mod tests {
     }
 
     #[test]
-    fn parent_of_both_halves() {
+    fn halves_sit_one_level_below_the_root() {
         let r = Frag::root();
         let (a, b) = r.split_in_two();
-        assert_eq!(a.parent(), Some(r));
-        assert_eq!(b.parent(), Some(r));
-        assert_eq!(r.parent(), None);
+        for half in [a, b] {
+            assert_eq!(half.bits(), r.bits() + 1);
+            assert!(r.contains_frag(&half));
+        }
+        assert!(r.is_root());
         assert!(a.disjoint(&b));
     }
 

@@ -43,5 +43,5 @@ pub use error::{NsError, NsResult};
 pub use frag::{dentry_hash, Frag, FragSet, HASH_BITS, HASH_MASK};
 pub use inode::{FileType, Inode, InodeId};
 pub use stats::NamespaceStats;
-pub use subtree::{FragKey, MdsRank, SubtreeMap};
+pub use subtree::{DirEntries, FragKey, MdsRank, SubtreeMap};
 pub use tree::Namespace;

@@ -63,6 +63,44 @@ impl FragKey {
     }
 }
 
+/// The explicit entries of one directory: `(fragment, rank)` pairs whose
+/// fragments may nest. Read through [`SubtreeMap::dir_entries`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DirEntries<'a>(&'a [(Frag, MdsRank)]);
+
+impl<'a> DirEntries<'a> {
+    /// Authority of the child whose dentry hash is `hash`, given that the
+    /// directory itself is served by `dir_auth`: the deepest entry
+    /// containing the hash, else `dir_auth`.
+    pub fn child_authority(self, hash: u32, dir_auth: MdsRank) -> MdsRank {
+        self.0
+            .iter()
+            .filter(|(f, _)| f.contains_hash(hash))
+            .max_by_key(|(f, _)| f.bits())
+            .map_or(dir_auth, |(_, r)| *r)
+    }
+
+    /// Every `(fragment, rank)` pair, in insertion order.
+    pub fn iter(self) -> impl Iterator<Item = (Frag, MdsRank)> + 'a {
+        self.0.iter().copied()
+    }
+
+    /// Rank of the entry keyed on exactly `frag`, if any.
+    pub fn explicit_rank(self, frag: &Frag) -> Option<MdsRank> {
+        self.0.iter().find(|(f, _)| f == frag).map(|(_, r)| *r)
+    }
+
+    /// Rank of the deepest entry whose fragment covers `frag` entirely,
+    /// if any.
+    pub fn covering_rank(self, frag: &Frag) -> Option<MdsRank> {
+        self.0
+            .iter()
+            .filter(|(f, _)| f.contains_frag(frag))
+            .max_by_key(|(f, _)| f.bits())
+            .map(|(_, r)| *r)
+    }
+}
+
 /// The cluster-wide authority table.
 ///
 /// Changes are tracked by a monotonically increasing `generation`, which the
@@ -156,15 +194,19 @@ impl SubtreeMap {
     /// `dir` itself is served by `dir_auth`. Shared with
     /// [`crate::AuthorityCache`], whose memo replays exactly this recurrence.
     pub(crate) fn child_authority(&self, dir: InodeId, hash: u32, dir_auth: MdsRank) -> MdsRank {
-        match self.entries.get(&dir) {
-            None => dir_auth,
-            Some(dir_entries) => dir_entries
-                .iter()
-                .filter(|(f, _)| f.contains_hash(hash))
-                .max_by_key(|(f, _)| f.bits())
-                .map(|(_, r)| *r)
-                .unwrap_or(dir_auth),
-        }
+        self.entries_of(dir).child_authority(hash, dir_auth)
+    }
+
+    /// The entries on `dir` (empty when it has none).
+    fn entries_of(&self, dir: InodeId) -> DirEntries<'_> {
+        DirEntries(self.entries.get(&dir).map_or(&[], Vec::as_slice))
+    }
+
+    /// Every directory that carries entries, with its entries, in
+    /// ascending id order: the order of [`Namespace::dir_ids`], so one
+    /// merge-walk of the two pairs each directory with its entries.
+    pub fn dir_entries(&self) -> impl Iterator<Item = (InodeId, DirEntries<'_>)> {
+        self.entries.iter().map(|(dir, v)| (*dir, DirEntries(v)))
     }
 
     /// The MDS rank authoritative for inode `ino`.
@@ -200,22 +242,13 @@ impl SubtreeMap {
 
     /// Rank of the entry keyed on exactly `(dir, frag)`, if any.
     pub fn explicit_entry_rank(&self, dir: InodeId, frag: &Frag) -> Option<MdsRank> {
-        self.entries
-            .get(&dir)?
-            .iter()
-            .find(|(f, _)| f == frag)
-            .map(|(_, r)| *r)
+        self.entries_of(dir).explicit_rank(frag)
     }
 
     /// Rank of the deepest entry on `dir` whose fragment covers `frag`
     /// entirely, if any.
     pub fn covering_entry_rank(&self, dir: InodeId, frag: &Frag) -> Option<MdsRank> {
-        self.entries
-            .get(&dir)?
-            .iter()
-            .filter(|(f, _)| f.contains_frag(frag))
-            .max_by_key(|(f, _)| f.bits())
-            .map(|(_, r)| *r)
+        self.entries_of(dir).covering_rank(frag)
     }
 
     /// The rank serving the children of `dir` that fall inside `frag`:
@@ -301,14 +334,43 @@ impl SubtreeMap {
     /// authority, now answers with the same rank. So no entry's
     /// redundancy changes, and a second pass would remove nothing.
     pub fn simplify(&mut self, ns: &Namespace) -> usize {
-        let mut removed = 0;
-        for (key, rank) in self.all_entries() {
-            if self.inherited_rank(ns, &key) == rank {
-                self.clear_authority(key);
-                removed += 1;
-            }
+        self.remove_redundant(ns, |_| true)
+    }
+
+    /// [`SubtreeMap::simplify`] after a batch of commits that set entries
+    /// to the ranks in `importers`, on a map that had no redundant entry
+    /// before the batch. Only entries holding one of those ranks are
+    /// checked.
+    ///
+    /// Setting `K → to` changes the effective authority of some inodes to
+    /// `to` and of no inode to anything else. So after the batch an
+    /// entry's inherited rank is either what it was or one of the
+    /// importers, and an entry that is not itself an importer's keeps its
+    /// rank. An entry that was not redundant and whose rank is no
+    /// importer therefore still is not.
+    pub fn simplify_after(&mut self, ns: &Namespace, importers: &[MdsRank]) -> usize {
+        self.remove_redundant(ns, |rank| importers.contains(&rank))
+    }
+
+    /// Removes every entry whose rank passes `check` and equals its
+    /// inherited rank. Removing one changes no other's redundancy (see
+    /// [`SubtreeMap::simplify`]), so they are found first and cleared
+    /// after; the list stays unallocated when nothing is redundant.
+    fn remove_redundant(&mut self, ns: &Namespace, check: impl Fn(MdsRank) -> bool) -> usize {
+        let redundant: Vec<FragKey> = self
+            .entries
+            .iter()
+            .flat_map(|(&dir, v)| {
+                v.iter()
+                    .map(move |&(frag, rank)| (FragKey { dir, frag }, rank))
+            })
+            .filter(|(key, rank)| check(*rank) && self.inherited_rank(ns, key) == *rank)
+            .map(|(key, _)| key)
+            .collect();
+        for key in &redundant {
+            self.clear_authority(*key);
         }
-        removed
+        redundant.len()
     }
 
     /// The rank the region of entry `key` resolves to without it: the
@@ -623,15 +685,33 @@ mod tests {
         }
     }
 
+    /// A random directory tree: the root plus up to eleven directories.
+    fn random_dirs(rng: &mut lunule_util::DetRng) -> (Namespace, Vec<InodeId>) {
+        let mut ns = Namespace::new();
+        let mut dirs = vec![InodeId::ROOT];
+        for i in 0..rng.gen_range(1..12) {
+            let parent = dirs[rng.gen_range(0..dirs.len())];
+            dirs.push(ns.mkdir_total(parent, &format!("d{i}")));
+        }
+        (ns, dirs)
+    }
+
+    /// A random entry key: any directory, up to three bits deep, so one
+    /// directory's entries nest.
+    fn random_key(rng: &mut lunule_util::DetRng, dirs: &[InodeId]) -> FragKey {
+        let dir = dirs[rng.gen_range(0..dirs.len())];
+        let mut frag = Frag::root();
+        for _ in 0..rng.gen_range(0..4) {
+            let (l, r) = frag.split_in_two();
+            frag = if rng.gen_bool() { l } else { r };
+        }
+        FragKey { dir, frag }
+    }
+
     #[test]
     fn one_simplify_pass_reaches_the_fixpoint() {
         lunule_util::propcheck::run(256, |rng| {
-            let mut ns = Namespace::new();
-            let mut dirs = vec![InodeId::ROOT];
-            for i in 0..rng.gen_range(1..12) {
-                let parent = dirs[rng.gen_range(0..dirs.len())];
-                dirs.push(ns.mkdir_total(parent, &format!("d{i}")));
-            }
+            let (ns, dirs) = random_dirs(rng);
             let mut map = SubtreeMap::new(MdsRank(0));
             for _ in 0..rng.gen_range(0..24) {
                 let rank = MdsRank::from_index(rng.gen_range(0..3));
@@ -639,14 +719,7 @@ mod tests {
                     map.set_root_rank(rank);
                     continue;
                 }
-                let dir = dirs[rng.gen_range(0..dirs.len())];
-                // Up to three bits deep, so one directory's entries nest.
-                let mut frag = Frag::root();
-                for _ in 0..rng.gen_range(0..4) {
-                    let (l, r) = frag.split_in_two();
-                    frag = if rng.gen_bool() { l } else { r };
-                }
-                map.set_authority(FragKey { dir, frag }, rank);
+                map.set_authority(random_key(rng, &dirs), rank);
             }
             let mut looped = map.clone();
             let looped_removed = simplify_to_fixpoint(&mut looped, &ns);
@@ -655,6 +728,46 @@ mod tests {
             assert_eq!(map.generation(), looped.generation());
             assert_eq!(map.simplify(&ns), 0);
         });
+    }
+
+    /// From a simplified map, a batch of commits followed by
+    /// `simplify_after` with the batch's importers removes exactly what
+    /// the global `simplify` removes.
+    #[test]
+    fn simplify_after_a_batch_matches_the_global_simplify() {
+        let mut removing_batches = 0;
+        lunule_util::propcheck::run(512, |rng| {
+            let (ns, dirs) = random_dirs(rng);
+            let mut map = SubtreeMap::new(MdsRank::from_index(rng.gen_range(0..4)));
+            for _ in 0..rng.gen_range(0..24) {
+                let rank = MdsRank::from_index(rng.gen_range(0..4));
+                map.set_authority(random_key(rng, &dirs), rank);
+            }
+            map.simplify(&ns);
+            let mut importers = Vec::new();
+            for _ in 0..rng.gen_range(1..6) {
+                // Half the commits re-key an existing entry.
+                let entries = map.all_entries();
+                let key = if !entries.is_empty() && rng.gen_bool() {
+                    entries[rng.gen_range(0..entries.len())].0
+                } else {
+                    random_key(rng, &dirs)
+                };
+                let to = MdsRank::from_index(rng.gen_range(0..4));
+                map.set_authority(key, to);
+                importers.push(to);
+            }
+            let mut global = map.clone();
+            let want = global.simplify(&ns);
+            assert_eq!(map.simplify_after(&ns, &importers), want);
+            assert_eq!(map.all_entries(), global.all_entries());
+            assert_eq!(map.generation(), global.generation());
+            removing_batches += usize::from(want > 0);
+        });
+        assert!(
+            removing_batches >= 50,
+            "only {removing_batches} batches removed entries"
+        );
     }
 
     #[test]

@@ -154,8 +154,9 @@ impl Namespace {
         self.subdirs.get(slot).map_or(&[], Vec::as_slice)
     }
 
-    /// Slot of directory `dir` in [`Namespace::dir_ids`].
-    fn dir_slot(&self, dir: InodeId) -> Option<usize> {
+    /// Slot of directory `dir` in [`Namespace::dir_ids`], `None` for an
+    /// inode that is no directory.
+    pub fn dir_slot(&self, dir: InodeId) -> Option<usize> {
         self.dir_ids.binary_search(&dir).ok()
     }
 

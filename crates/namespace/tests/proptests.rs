@@ -49,17 +49,21 @@ fn contains_matches_ranges() {
     });
 }
 
-/// parent() inverts split().
+/// Each half of a split lies one level below the fragment it came from:
+/// one more bit, with the fragment's value as its prefix.
 #[test]
-fn parent_inverts_split() {
+fn halves_sit_one_level_below_their_split() {
     propcheck::run(256, |rng| {
         let frag = arb_frag(rng);
         if frag.bits() >= HASH_BITS {
             return;
         }
         let (l, r) = frag.split_in_two();
-        assert_eq!(l.parent(), Some(frag));
-        assert_eq!(r.parent(), Some(frag));
+        for half in [l, r] {
+            assert_eq!(half.bits(), frag.bits() + 1);
+            assert!(frag.contains_frag(&half));
+        }
+        assert_ne!(l, r);
     });
 }
 

@@ -39,6 +39,55 @@ impl Default for Route {
     }
 }
 
+/// One step's committed migrations, `(subtree, importer)` in job order,
+/// and what they answer per cached directory. The answers are indexed by
+/// directory slot ([`Namespace::dir_slot`]) and stamped with the batch, so
+/// a batch costs one containment walk per distinct cached directory, not
+/// one per job, cohort and directory. Transient: never serialised.
+#[derive(Default)]
+pub(crate) struct HandoffMemo {
+    jobs: Vec<(FragKey, MdsRank)>,
+    /// Bumps on every [`HandoffMemo::begin`]; an answer with another
+    /// stamp belongs to an earlier batch.
+    stamp: u64,
+    /// Per directory slot: the batch stamp, the index of the last job
+    /// whose region holds the directory through an ancestor, and whether
+    /// some job is keyed on the directory itself.
+    answers: Vec<(u64, Option<usize>, bool)>,
+}
+
+impl HandoffMemo {
+    /// Starts a batch of `jobs`, forgetting every earlier answer.
+    pub(crate) fn begin(&mut self, ns: &Namespace, jobs: impl Iterator<Item = (FragKey, MdsRank)>) {
+        self.jobs.clear();
+        self.jobs.extend(jobs);
+        self.stamp += 1;
+        if self.answers.len() < ns.dir_count() {
+            self.answers.resize(ns.dir_count(), (0, None, false));
+        }
+    }
+
+    /// For directory `dir`: the last job whose region holds it through an
+    /// ancestor, and whether some job is keyed on `dir` itself.
+    fn answer(&mut self, ns: &Namespace, dir: InodeId) -> (Option<usize>, bool) {
+        let walk = |jobs: &[(FragKey, MdsRank)]| {
+            let below = jobs
+                .iter()
+                .rposition(|(k, _)| ns.in_dirfrag(k.dir, &k.frag, dir));
+            (below, jobs.iter().any(|(k, _)| k.dir == dir))
+        };
+        match ns.dir_slot(dir).and_then(|s| self.answers.get_mut(s)) {
+            Some(&mut (stamp, below, keyed)) if stamp == self.stamp => (below, keyed),
+            Some(slot) => {
+                let (below, keyed) = walk(&self.jobs);
+                *slot = (self.stamp, below, keyed);
+                (below, keyed)
+            }
+            None => walk(&self.jobs),
+        }
+    }
+}
+
 /// Default maximum dirfrag→rank entries a client caches. CephFS clients
 /// hold a bounded view of the subtree map; an unbounded cache would make
 /// static pinning (Dir-Hash) artificially forward-free after warm-up,
@@ -307,12 +356,41 @@ impl Client {
         self.cache_count += 1;
     }
 
-    /// Applies a completed subtree migration to the cache: entries covered
-    /// by the migrated dirfrag switch to the importer in place. This models
-    /// CephFS's cap/session transfer — clients actively working in a
-    /// subtree are handed to the importer at commit rather than discovering
-    /// the move via a redirect.
-    pub fn apply_migration(&mut self, ns: &Namespace, subtree: &FragKey, new_rank: MdsRank) {
+    /// Applies one step's completed subtree migrations, the batch `memo`
+    /// was last begun with, to the cache: each entry covered by a migrated
+    /// dirfrag switches in place to the importer of the last job, in job
+    /// order, that covers it. This models CephFS's cap/session transfer —
+    /// clients actively working in a subtree are handed to the importer at
+    /// commit rather than discovering the move via a redirect.
+    ///
+    /// Whether a job covers an entry depends only on the entry's `(dir,
+    /// frag)`, so taking the last covering job's rank equals applying the
+    /// jobs one by one. An entry on a job's own directory is covered when
+    /// the job's fragment contains the entry's; one on any other
+    /// directory when the job's region holds that directory through an
+    /// ancestor, which `memo` answers once per directory per batch.
+    pub(crate) fn apply_migrations(&mut self, ns: &Namespace, memo: &mut HandoffMemo) {
+        for (dir, entries) in self.cache.iter_mut() {
+            let (below, keyed) = memo.answer(ns, *dir);
+            for (f, r) in entries.iter_mut() {
+                let on_dir = if keyed {
+                    memo.jobs
+                        .iter()
+                        .rposition(|(k, _)| k.dir == *dir && k.frag.contains_frag(f))
+                } else {
+                    None
+                };
+                if let Some(j) = on_dir.max(below) {
+                    *r = memo.jobs[j].1;
+                }
+            }
+        }
+    }
+
+    /// Applies one completed subtree migration to the cache: the per-job
+    /// form [`Client::apply_migrations`] replaced, kept as its oracle.
+    #[cfg(test)]
+    pub(crate) fn apply_migration(&mut self, ns: &Namespace, subtree: &FragKey, new_rank: MdsRank) {
         for (dir, entries) in self.cache.iter_mut() {
             if *dir == subtree.dir {
                 for (f, r) in entries.iter_mut() {
@@ -677,7 +755,9 @@ mod tests {
         let (r0, _) = resolve(&c, &ns, &map, d, hash);
         c.learn_route(d, &r0);
         map.set_authority(FragKey::whole(d), MdsRank(1));
-        c.apply_migration(&ns, &FragKey::whole(d), MdsRank(1));
+        let mut memo = HandoffMemo::default();
+        memo.begin(&ns, [(FragKey::whole(d), MdsRank(1))].into_iter());
+        c.apply_migrations(&ns, &mut memo);
         let (r, hit) = resolve(&c, &ns, &map, d, hash);
         assert!(hit, "cap transfer keeps the cache fresh");
         assert_eq!(r.target, MdsRank(1));
@@ -863,6 +943,81 @@ mod tests {
         assert!(c.can_issue(0, 10.0));
     }
 
+    /// The batched hand-off against the per-job oracle, on random caches
+    /// of whole-directory and fragment entries and batches whose jobs
+    /// overlap: on nested fragments of one directory and on nested
+    /// directories. One memo serves every case, so answers stamped by an
+    /// earlier batch (and namespace) must be recomputed.
+    #[test]
+    fn batched_handoff_matches_per_job_apply() {
+        let mut memo = HandoffMemo::default();
+        let (mut same_dir, mut nested_dirs) = (0, 0);
+        lunule_util::propcheck::run(256, |rng| {
+            let (mut ns, dirs) = random_tree(rng);
+            let pick = |rng: &mut lunule_util::DetRng, ns: &Namespace| {
+                let dir = dirs[rng.gen_range(0..dirs.len())];
+                let frags = ns.frags_of(dir);
+                (dir, frags[rng.gen_range(0..frags.len())])
+            };
+            for _ in 0..rng.gen_range(0..6) {
+                let (dir, frag) = pick(rng, &ns);
+                if frag.bits() < 3 {
+                    ns.split_frag(dir, &frag, 1).unwrap();
+                }
+            }
+            let mut batched: Vec<Client> = (0..3)
+                .map(|i| Client::new(i, Box::new(FixedStream::new(vec![])), 0))
+                .collect();
+            for c in &mut batched {
+                for _ in 0..rng.gen_range(0..16) {
+                    let (dir, frag) = pick(rng, &ns);
+                    c.update_cache(dir, frag, MdsRank::from_index(rng.gen_range(0..4)));
+                }
+            }
+            let mut per_job: Vec<Client> = batched.iter().map(|c| c.try_clone().unwrap()).collect();
+            let mut jobs: Vec<(FragKey, MdsRank)> = Vec::new();
+            for _ in 0..rng.gen_range(1..8) {
+                let (mut dir, _) = pick(rng, &ns);
+                if !jobs.is_empty() && rng.gen_ratio(0.3) {
+                    dir = jobs[rng.gen_range(0..jobs.len())].0.dir;
+                }
+                // A live fragment, or the whole directory around them.
+                let frags = ns.frags_of(dir);
+                let live = frags[rng.gen_range(0..frags.len())];
+                let frag = if rng.gen_bool() { live } else { Frag::root() };
+                let to = MdsRank::from_index(rng.gen_range(0..6));
+                jobs.push((FragKey { dir, frag }, to));
+            }
+            memo.begin(&ns, jobs.iter().copied());
+            for c in &mut batched {
+                c.apply_migrations(&ns, &mut memo);
+            }
+            for (key, to) in &jobs {
+                for c in &mut per_job {
+                    c.apply_migration(&ns, key, *to);
+                }
+            }
+            for (b, p) in batched.iter().zip(&per_job) {
+                assert_eq!(b.cache, p.cache);
+                assert_eq!(b.cache_order, p.cache_order);
+                assert_eq!(b.cache_count, p.cache_count);
+            }
+            let pairs = || {
+                jobs.iter()
+                    .flat_map(|a| jobs.iter().map(move |b| (a.0, b.0)))
+            };
+            same_dir += usize::from(pairs().any(|(a, b)| a != b && a.dir == b.dir));
+            nested_dirs += usize::from(pairs().any(|(a, b)| ns.in_dirfrag(a.dir, &a.frag, b.dir)));
+        });
+        // The generator really overlaps jobs both ways.
+        for (what, n) in [
+            ("same-directory", same_dir),
+            ("nested-directory", nested_dirs),
+        ] {
+            assert!(n >= 40, "only {n} of 256 batches had {what} overlaps");
+        }
+    }
+
     /// A random namespace of nested directories with files, a few of them
     /// empty: `(namespace, directories)`.
     fn random_tree(rng: &mut lunule_util::DetRng) -> (Namespace, Vec<InodeId>) {
@@ -896,11 +1051,12 @@ mod tests {
                 let _ = ns.split_frag(dir, &frag, by);
             }
             1 => {
-                // A live fragment, or a coarser one, so entries nest.
-                let key_frag = if rng.next_u64().is_multiple_of(2) {
+                // A live fragment, or the one it was split from, so
+                // entries nest.
+                let key_frag = if rng.next_u64().is_multiple_of(2) || frag.is_root() {
                     frag
                 } else {
-                    frag.parent().unwrap_or(frag)
+                    Frag::new(frag.value() >> 1, frag.bits() - 1)
                 };
                 map.set_authority(
                     FragKey {

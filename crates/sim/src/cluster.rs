@@ -71,6 +71,10 @@ pub struct Simulation {
     /// reuse their capacity. Transient like `name_scratch`: never
     /// serialized, empty after a restore.
     pub(crate) round_scratch: crate::cohort_engine::RoundScratch,
+    /// The commit step's cache hand-off answers, per directory slot.
+    /// Transient like `name_scratch`: never serialized, empty after a
+    /// restore.
+    pub(crate) handoff: crate::client::HandoffMemo,
     /// Memoized subtree-map authority lookups and per-directory routes,
     /// shared by every resolve site and filled as the issue rounds go.
     /// Self-invalidating when the subtree map's or the namespace's
@@ -173,6 +177,7 @@ impl Simulation {
             journal_base: (0, 0, 0),
             name_scratch: String::new(),
             round_scratch: Default::default(),
+            handoff: Default::default(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
             op_ledger: crate::tick_ledger::TickOpLedger::default(),
             cfg,
@@ -469,10 +474,14 @@ impl Simulation {
         // Cap/session transfer: clients working in a migrated subtree are
         // handed to the importer at commit (no per-client redirect storm).
         // Resident accounting moves with the subtree.
-        let ns = &self.ns;
-        for job in self.migrator.completed_last_step() {
+        let jobs = self.migrator.completed_last_step();
+        if !jobs.is_empty() {
+            let (ns, memo) = (&self.ns, &mut self.handoff);
+            memo.begin(ns, jobs.iter().map(|j| (j.subtree, j.to)));
             self.cohorts
-                .for_each_state_mut(|st, _| st.apply_migration(ns, &job.subtree, job.to));
+                .for_each_state_mut(|st, _| st.apply_migrations(ns, memo));
+        }
+        for job in jobs {
             if let Some(r) = self.resident.get_mut(job.from.index()) {
                 *r = r.saturating_sub(job.total_inodes);
             }

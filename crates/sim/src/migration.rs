@@ -313,6 +313,9 @@ impl Migrator {
     /// Advances all jobs by one tick. Authority flips exactly when a job's
     /// commit window elapses; the subtree map is re-coalesced after any
     /// completion so traversal paths stay as short as CephFS keeps them.
+    /// Only entries on the step's importers can have become redundant
+    /// ([`SubtreeMap::simplify_after`]), given a map with none when the
+    /// step starts (see [`lunule_core::Balancer::setup`]).
     /// Returns the per-rank migration op-cost to charge ((rank, cost) pairs
     /// for both endpoints of each active job).
     pub fn step(&mut self, ns: &Namespace, map: &mut SubtreeMap, tick: u64) -> Vec<(MdsRank, f64)> {
@@ -387,10 +390,10 @@ impl Migrator {
                 }
             }
         }
-        let before = self.jobs.len();
         self.jobs.retain(|j| j.moved != u64::MAX);
-        if self.jobs.len() != before {
-            map.simplify(ns);
+        if !self.completed_last_step.is_empty() {
+            let importers: Vec<MdsRank> = self.completed_last_step.iter().map(|j| j.to).collect();
+            map.simplify_after(ns, &importers);
         }
         self.stalls.retain(|(_, until)| *until > tick);
         charges

@@ -282,6 +282,7 @@ impl Simulation {
             journal_base,
             name_scratch: String::new(),
             round_scratch: Default::default(),
+            handoff: Default::default(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
             op_ledger: crate::tick_ledger::TickOpLedger::default(),
             cfg,

@@ -18,6 +18,8 @@ use lunule_util::convert::usize_to_u64;
 pub struct InvariantChecker {
     model: ImbalanceFactorModel,
     last_generation: Option<u64>,
+    /// Committed migrations as of the last audited tick.
+    last_completed_jobs: u64,
     violations: Vec<Violation>,
 }
 
@@ -33,6 +35,7 @@ impl InvariantChecker {
         InvariantChecker {
             model: ImbalanceFactorModel::new(if_cfg),
             last_generation: None,
+            last_completed_jobs: 0,
             violations: Vec::new(),
         }
     }
@@ -309,6 +312,33 @@ impl InvariantChecker {
         self.violations.len() - before
     }
 
+    /// No redundant entry: the global [`SubtreeMap::simplify`] removes
+    /// nothing from (a clone of) `map`. A commit step only re-checks the
+    /// entries on its importers ([`SubtreeMap::simplify_after`]), which is
+    /// exact only on a map with no redundant entry; this is that
+    /// precondition, checked by [`InvariantChecker::audit_simulation`] on
+    /// every tick that committed a migration.
+    pub fn check_simplified(&mut self, ns: &Namespace, map: &SubtreeMap) -> usize {
+        let mut simplified = map.clone();
+        if simplified.simplify(ns) == 0 {
+            return 0;
+        }
+        let kept = simplified.all_entries();
+        let before = self.violations.len();
+        for (key, rank) in map.all_entries() {
+            if !kept.contains(&(key, rank)) {
+                self.record(
+                    InvariantKind::RedundantEntry,
+                    format!(
+                        "entry ({:?}, {:?}) -> {rank:?} repeats the rank it inherits",
+                        key.dir, key.frag
+                    ),
+                );
+            }
+        }
+        self.violations.len() - before
+    }
+
     /// No authority on a crashed rank: `down[r]` marks rank `r` as
     /// currently down; neither the root default nor any subtree entry may
     /// target such a rank. Fault injection must fail subtrees over *before*
@@ -476,6 +506,8 @@ impl InvariantChecker {
     /// [`Simulation::step`]. Each call checks the subtree map's
     /// well-formedness, that subtrees in their commit window still resolve
     /// to their exporters, and that no authority sits on a crashed rank.
+    /// When the last step committed a migration, it also checks that the
+    /// map holds no redundant entry ([`InvariantChecker::check_simplified`]).
     /// When the last step closed an epoch, it also checks fragment
     /// partitions, inode conservation, the IF-model laws on the epoch's
     /// per-rank IOPS (with the simulation's capacity as `C`), the
@@ -493,6 +525,11 @@ impl InvariantChecker {
         self.check_subtree_map(ns, map);
         self.check_frozen_subtrees(ns, map, &frozen);
         self.check_down_ranks(map, &sim.down_ranks());
+        let c = sim.migration_counters();
+        if c.completed_jobs > self.last_completed_jobs {
+            self.check_simplified(ns, map);
+        }
+        self.last_completed_jobs = c.completed_jobs;
         let closed = sim.epochs().last().filter(|e| e.time_secs == sim.now());
         if let Some(epoch) = closed {
             let cfg = sim.config();
@@ -503,7 +540,6 @@ impl InvariantChecker {
                 ..IfModelConfig::default()
             });
             self.check_if_laws(&model, &epoch.per_mds_iops, &cfg.mds_capacities);
-            let c = sim.migration_counters();
             let journal = sim
                 .telemetry()
                 .is_enabled()
@@ -637,6 +673,20 @@ mod tests {
         // Forward progress from the rewound value is accepted again.
         let mut checker2 = InvariantChecker::default();
         assert_eq!(checker2.check_subtree_map(&ns, &map), 0);
+    }
+
+    #[test]
+    fn redundant_entry_detected() {
+        let (ns, mut map, _, a1) = fixture();
+        let mut checker = InvariantChecker::default();
+        assert_eq!(checker.check_simplified(&ns, &map), 0);
+        // a1 sits inside a's subtree on mds.1; pinning it to mds.1 too
+        // repeats the rank it inherits.
+        map.set_authority(FragKey::whole(a1), MdsRank(1));
+        assert_eq!(checker.check_simplified(&ns, &map), 1);
+        assert_eq!(kinds(&checker), vec![InvariantKind::RedundantEntry]);
+        // The check audits a clone: the map keeps its entry.
+        assert_eq!(map.explicit_entry_rank(a1, &Frag::root()), Some(MdsRank(1)));
     }
 
     #[test]

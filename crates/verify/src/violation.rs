@@ -19,6 +19,10 @@ pub enum InvariantKind {
     InodeConservation,
     /// A frozen (committing) subtree no longer resolves to its exporter.
     FrozenAuthorityChanged,
+    /// After a step that committed migrations, an authority entry holds
+    /// the rank its region would inherit anyway: the commit path's
+    /// simplify left it behind.
+    RedundantEntry,
     /// An IF-model output escaped `[0, 1]` or violated a model law.
     IfModel,
     /// The migration lifecycle ledger failed to reconcile: started jobs
