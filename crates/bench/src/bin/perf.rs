@@ -554,6 +554,45 @@ fn tick_loop_cold(p: Protocol) -> BenchResult {
     })
 }
 
+/// Ticks each stalled-cohort simulation runs before timing starts (long
+/// enough for the balancer to spread the groups over the ranks and for
+/// them to split), and the ticks timed: eight of them close an epoch.
+const STALLED_WARMUP_TICKS: u64 = 300;
+const STALLED_TICKS: u64 = 40;
+
+/// A grouped population that asks for some 80 times what the cluster
+/// serves: 256 groups of 2,000 members over 1,000 directories of 32
+/// files, on 64 ranks of capacity 500, an epoch every 5 ticks. Once the
+/// groups have split, most cohorts stall on a spent rank every tick, so
+/// most routes and cohort states carry over unchanged from one tick, and
+/// one epoch close, to the next.
+fn stalled_sim() -> Simulation {
+    let spec = ScaleSpec {
+        clients: 512_000,
+        groups: 256,
+        dirs: 1_000,
+        files_per_dir: 32,
+        n_mds: 64,
+        duration_secs: STALLED_WARMUP_TICKS + STALLED_TICKS,
+        epoch_secs: 5,
+        seed: 42,
+    };
+    let mut sim = build_sim(&spec, Telemetry::disabled());
+    sim.run_until(STALLED_WARMUP_TICKS);
+    sim
+}
+
+/// The stalled-cohort tick loop alone, epoch closes included,
+/// simulations built and warmed before timing as in [`tick_loop`];
+/// `ns_per_op` is the cost of one tick.
+fn tick_loop_stalled(p: Protocol) -> BenchResult {
+    let mut sims: Vec<Simulation> = (0..p.warmup + p.rounds).map(|_| stalled_sim()).collect();
+    let mut next = sims.iter_mut();
+    run_bench("tick_loop_stalled_cohorts", p, || {
+        next.next().map_or(0, step_to_end)
+    })
+}
+
 /// A flat dataset of `dirs` directories of `files_per_dir` files, with its
 /// directories and its files in scan order.
 fn flat_fixture(dirs: usize, files_per_dir: usize) -> (Namespace, Vec<InodeId>, Vec<InodeId>) {
@@ -810,6 +849,7 @@ fn main() -> ExitCode {
         tick_loop("tick_loop_c100k_m128", 100_000, protocol),
         tick_loop_sparse(protocol),
         tick_loop_cold(protocol),
+        tick_loop_stalled(protocol),
         record_access(protocol),
         mindex_of(protocol),
         imbalance_factor_16(protocol),
@@ -948,7 +988,7 @@ mod tests {
         let set = sim.cohorts();
         assert_eq!(set.n_cohorts(), COMMIT_COHORTS);
         set.for_each_state(|c, _| {
-            assert!(c.finished, "cohort {} still reading", c.id);
+            assert!(c.finished(), "cohort {} still reading", c.id);
             assert_eq!(c.cache_len(), 8, "cohort {}", c.id);
         });
         let before = sim.migration_counters().completed_jobs;

@@ -375,20 +375,33 @@ mod tests {
         ns
     }
 
-    /// Explicit delegations on whole directories and on single live
-    /// fragments of split ones, over four ranks.
+    /// Explicit delegations over four ranks, up to three per directory:
+    /// on the whole directory, on one of its live fragments, and on a
+    /// child of a live fragment, deeper than any live fragment. On a
+    /// fragmented directory they nest.
     fn random_map(rng: &mut DetRng, ns: &Namespace) -> SubtreeMap {
         let mut map = SubtreeMap::new(MdsRank(0));
         for &d in ns.dir_ids() {
-            let rank = MdsRank::from_index(rng.gen_range(0..4));
-            match rng.gen_range(0..6) {
-                0 => map.set_authority(FragKey::whole(d), rank),
-                1 => {
-                    let frags = ns.frags_of(d);
-                    let frag = frags[rng.gen_range(0..frags.len())];
-                    map.set_authority(FragKey { dir: d, frag }, rank);
+            let frags = ns.frags_of(d);
+            for shape in 0..3 {
+                if !rng.gen_ratio(0.25) {
+                    continue;
                 }
-                _ => {}
+                let live = frags[rng.gen_range(0..frags.len())];
+                let frag = match shape {
+                    0 => Frag::root(),
+                    1 => live,
+                    _ => {
+                        let (low, high) = live.split_in_two();
+                        if rng.gen_bool() {
+                            low
+                        } else {
+                            high
+                        }
+                    }
+                };
+                let rank = MdsRank::from_index(rng.gen_range(0..4));
+                map.set_authority(FragKey { dir: d, frag }, rank);
             }
         }
         map
@@ -414,6 +427,8 @@ mod tests {
     fn prop_index_walk_matches_arena_walk_bit_for_bit() {
         let mut fragmented = 0;
         let mut frag_delegations = 0;
+        let mut nested = 0;
+        let mut below_live = 0;
         propcheck::run(300, |rng| {
             let ns = random_namespace(rng);
             let map = random_map(rng, &ns);
@@ -429,13 +444,26 @@ mod tests {
             assert_eq!(as_bits(&build_candidates(&back, &map, &local)), want);
 
             fragmented += usize::from(ns.dir_ids().iter().any(|d| ns.frag_set(*d).is_some()));
-            frag_delegations +=
-                usize::from(map.all_entries().iter().any(|(k, _)| !k.frag.is_root()));
+            let entries = map.all_entries();
+            frag_delegations += usize::from(entries.iter().any(|(k, _)| !k.frag.is_root()));
+            nested += usize::from(entries.iter().any(|(k, _)| {
+                ns.frag_set(k.dir).is_some()
+                    && entries
+                        .iter()
+                        .any(|(o, _)| o.dir == k.dir && o.frag != k.frag)
+            }));
+            below_live += usize::from(entries.iter().any(|(k, _)| {
+                ns.frags_of(k.dir)
+                    .iter()
+                    .any(|f| f.contains_frag(&k.frag) && *f != k.frag)
+            }));
         });
         // The generator really reaches every shape the walk special-cases.
         for (what, n) in [
             ("fragmented directories", fragmented),
             ("fragment delegations", frag_delegations),
+            ("nested entries on a fragmented directory", nested),
+            ("entries below a live fragment", below_live),
         ] {
             assert!(n >= 30, "only {n} of 300 cases had {what}");
         }

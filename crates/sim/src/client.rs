@@ -98,42 +98,53 @@ pub const CLIENT_CACHE_CAP: usize = 256;
 pub(crate) const ENCODED_ID_LEN: usize = 8;
 
 /// One simulated client.
+///
+/// Every field that `Client::encode` writes is private to this module
+/// and changes only through methods that move the client's *change
+/// stamp* when, and only when, the encoded state really changes. Cohort
+/// merge and the issue round key what they memoize on that stamp.
 pub struct Client {
     /// Client index (stable across the run). Under the cohort engine this
-    /// is the cohort's canonical id: the lowest member id.
+    /// is the cohort's canonical id: the lowest member id. Not covered by
+    /// the change stamp: merge compares the state after the id.
     pub id: usize,
-    pub(crate) stream: Box<dyn OpStream>,
+    stream: Box<dyn OpStream>,
     /// Op returned by the stream but not yet served (stall retry buffer),
     /// with the tick it was first attempted (for stall-latency tracking).
-    pub(crate) pending: Option<(MetaOp, u64)>,
+    pending: Option<(MetaOp, u64)>,
     /// Cached dirfrag→rank authority mappings.
-    pub(crate) cache: BTreeMap<InodeId, Vec<(Frag, MdsRank)>>,
+    cache: BTreeMap<InodeId, Vec<(Frag, MdsRank)>>,
     /// FIFO of cached directories for eviction when the cap is reached.
-    pub(crate) cache_order: std::collections::VecDeque<InodeId>,
+    cache_order: std::collections::VecDeque<InodeId>,
     /// Total cached entries (across all directories).
-    pub(crate) cache_count: usize,
+    cache_count: usize,
     /// Ops issued in the current tick (rate limiting).
-    pub issued_this_tick: u32,
+    issued_this_tick: u32,
     /// True once `next_op` returned `None`.
-    pub finished: bool,
+    finished: bool,
     /// Tick at which the stream finished (metadata side).
-    pub finished_at: Option<u64>,
+    finished_at: Option<u64>,
     /// Bytes of data transfer still owed before the client may proceed
     /// (data-path model).
-    pub data_pending: u64,
+    data_pending: u64,
     /// Total metadata ops served for this client.
-    pub ops_done: u64,
+    ops_done: u64,
     /// Tick the client becomes active (for staged client arrival).
-    pub starts_at: u64,
+    starts_at: u64,
     /// Maximum cached dirfrag entries before FIFO eviction.
-    pub cache_cap: usize,
+    cache_cap: usize,
     /// In-flight data window, bytes: the client stalls once `data_pending`
     /// exceeds this. Zero means every byte blocks immediately.
-    pub data_window: u64,
+    data_window: u64,
     /// Cached dirfrag entries evicted by the FIFO cap over the client's
     /// lifetime — telemetry samples this to show when a run's working set
     /// outgrows the client cache.
-    pub cache_evictions: u64,
+    cache_evictions: u64,
+    /// The change stamp: moves on every change to what `encode` writes
+    /// after the id, and on nothing else. Transient: never encoded, and 0
+    /// on construction, clone and decode; only the cohort slot that holds
+    /// the client keeps keys on it.
+    stamp: u64,
 }
 
 impl Client {
@@ -156,6 +167,100 @@ impl Client {
             cache_cap: CLIENT_CACHE_CAP,
             data_window: 0,
             cache_evictions: 0,
+            stamp: 0,
+        }
+    }
+
+    /// Sets the cache cap and the in-flight data window: construction-time
+    /// configuration.
+    pub(crate) fn with_limits(mut self, cache_cap: usize, data_window: u64) -> Self {
+        self.cache_cap = cache_cap;
+        self.data_window = data_window;
+        self.touch();
+        self
+    }
+
+    /// The change stamp: equal readings bracket an unchanged encoding.
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// Moves the change stamp; every change to the encoded state calls it.
+    fn touch(&mut self) {
+        self.stamp = self.stamp.wrapping_add(1);
+    }
+
+    /// True once the op stream has run dry.
+    pub fn finished(&self) -> bool {
+        self.finished
+    }
+
+    /// Tick at which the member finished, once it has.
+    pub fn finished_at(&self) -> Option<u64> {
+        self.finished_at
+    }
+
+    /// Bytes of data transfer still owed.
+    pub fn data_pending(&self) -> u64 {
+        self.data_pending
+    }
+
+    /// Total metadata ops served.
+    pub fn ops_done(&self) -> u64 {
+        self.ops_done
+    }
+
+    /// Cached entries the FIFO cap has evicted so far.
+    pub fn cache_evictions(&self) -> u64 {
+        self.cache_evictions
+    }
+
+    /// The buffered op and the tick it was first attempted, if any.
+    pub(crate) fn pending(&self) -> Option<(MetaOp, u64)> {
+        self.pending
+    }
+
+    /// The cached dirfrag→rank mappings, per directory.
+    pub(crate) fn cache(&self) -> &BTreeMap<InodeId, Vec<(Frag, MdsRank)>> {
+        &self.cache
+    }
+
+    /// True once the stream ran dry and the data debt is paid: the member
+    /// has completed.
+    pub fn is_done(&self) -> bool {
+        self.finished && self.data_pending == 0
+    }
+
+    /// Stamps the completion tick of a member that has just completed.
+    pub(crate) fn note_done(&mut self, tick: u64) {
+        if self.is_done() && self.finished_at.is_none() {
+            self.finished_at = Some(tick);
+            self.touch();
+        }
+    }
+
+    /// Per-tick reset: clears the issue count and stamps completion.
+    pub(crate) fn start_tick(&mut self, tick: u64) {
+        if self.issued_this_tick != 0 {
+            self.issued_this_tick = 0;
+            self.touch();
+        }
+        self.note_done(tick);
+    }
+
+    /// Adds `bytes` of data transfer owed for a served op.
+    pub(crate) fn add_data_debt(&mut self, bytes: u64) {
+        if bytes > 0 {
+            self.data_pending += bytes;
+            self.touch();
+        }
+    }
+
+    /// Sets the data debt left after a data-path tick.
+    pub(crate) fn set_data_pending(&mut self, bytes: u64) {
+        if bytes != self.data_pending {
+            self.data_pending = bytes;
+            self.touch();
         }
     }
 
@@ -171,6 +276,7 @@ impl Client {
     /// `tick` stamps the first attempt for stall-latency accounting.
     pub fn peek_op(&mut self, ns: &Namespace, tick: u64) -> Option<MetaOp> {
         if self.pending.is_none() {
+            self.touch();
             self.pending = self.stream.next_op(ns).map(|op| (op, tick));
             if self.pending.is_none() {
                 self.finished = true;
@@ -188,13 +294,26 @@ impl Client {
             debug_assert!(false, "consume without pending op");
             return 0;
         };
+        self.touch();
         self.issued_this_tick += 1;
         self.ops_done += 1;
         tick.saturating_sub(first_attempt)
     }
 
+    /// Sets the lifetime counters directly, moving the stamp: a fixture
+    /// shortcut for tests of the aggregates.
+    #[cfg(test)]
+    pub(crate) fn set_lifetime(&mut self, ops_done: u64, evictions: u64, finished_at: Option<u64>) {
+        self.ops_done = ops_done;
+        self.cache_evictions = evictions;
+        self.finished = finished_at.is_some();
+        self.finished_at = finished_at;
+        self.touch();
+    }
+
     /// Forwards a created-inode notification to the stream.
     pub fn notify_created(&mut self, id: InodeId) {
+        self.touch();
         self.stream.on_created(id);
     }
 }
@@ -334,6 +453,7 @@ impl Client {
     /// new fragment supersedes (stale coarser or finer fragments) and
     /// evicting the oldest directories once the cap is reached.
     fn update_cache(&mut self, dir: InodeId, frag: Frag, rank: MdsRank) {
+        self.touch();
         while self.cache_count >= self.cache_cap {
             match self.cache_order.pop_front() {
                 Some(old) => {
@@ -370,6 +490,7 @@ impl Client {
     /// directory when the job's region holds that directory through an
     /// ancestor, which `memo` answers once per directory per batch.
     pub(crate) fn apply_migrations(&mut self, ns: &Namespace, memo: &mut HandoffMemo) {
+        let mut changed = false;
         for (dir, entries) in self.cache.iter_mut() {
             let (below, keyed) = memo.answer(ns, *dir);
             for (f, r) in entries.iter_mut() {
@@ -381,9 +502,13 @@ impl Client {
                     None
                 };
                 if let Some(j) = on_dir.max(below) {
+                    changed |= *r != memo.jobs[j].1;
                     *r = memo.jobs[j].1;
                 }
             }
+        }
+        if changed {
+            self.touch();
         }
     }
 
@@ -417,8 +542,11 @@ impl Client {
             removed += before - entries.len();
             !entries.is_empty()
         });
-        self.cache_count -= removed;
-        self.cache_order.retain(|d| self.cache.contains_key(d));
+        if removed > 0 {
+            self.cache_count -= removed;
+            self.cache_order.retain(|d| self.cache.contains_key(d));
+            self.touch();
+        }
     }
 
     /// Number of cached dirfrag entries (test/inspection hook).
@@ -447,6 +575,7 @@ impl Client {
             cache_cap: self.cache_cap,
             data_window: self.data_window,
             cache_evictions: self.cache_evictions,
+            stamp: 0,
         })
     }
 
@@ -579,6 +708,7 @@ impl Client {
             cache_cap,
             data_window,
             cache_evictions,
+            stamp: 0,
         })
     }
 }
@@ -1152,6 +1282,79 @@ mod tests {
                     assert_eq!(encode(&fast), encode(&slow), "cap {cap}");
                 }
             });
+        }
+    }
+
+    /// The change-stamp contract: after each mutator the stamp has moved
+    /// exactly when the encoded state after the id has changed. A learn
+    /// the cache already ends with, a hand-off that rewrites no entry and
+    /// a forgotten rank no entry names must leave it alone. (Only
+    /// `notify_created` moves it unconditionally: what the stream does
+    /// with the notification is the stream's business.)
+    #[test]
+    fn change_stamp_moves_exactly_when_the_encoding_changes() {
+        use lunule_util::codec::Encoder;
+        let state = |c: &Client| {
+            let mut e = Encoder::new();
+            c.encode(&mut e);
+            (c.stamp(), e.bytes()[ENCODED_ID_LEN..].to_vec())
+        };
+        let mut memo = HandoffMemo::default();
+        // Steps that moved the stamp and steps that left it, per mutator.
+        let mut seen = [[0usize; 2]; 8];
+        lunule_util::propcheck::run(64, |rng| {
+            let (ns, dirs) = random_tree(rng);
+            let pick = |rng: &mut lunule_util::DetRng| dirs[rng.gen_range(0..dirs.len())];
+            let ops = (0..24).map(|_| pick(rng)).collect();
+            let mut c = Client::new(0, Box::new(FixedStream::new(ops)), 0);
+            c.cache_cap = 1 + rng.gen_range(0..4);
+            let mut last = (InodeId::ROOT, Route::default());
+            for tick in 0..80 {
+                let before = state(&c);
+                let step = rng.gen_range(0..8);
+                match step {
+                    0 if !c.finished() => {
+                        c.peek_op(&ns, tick);
+                    }
+                    1 if c.pending().is_some() => {
+                        c.consume_op(tick);
+                    }
+                    2 => {
+                        if rng.gen_bool() {
+                            let target = MdsRank::from_index(rng.gen_range(0..3));
+                            last = (
+                                pick(rng),
+                                Route {
+                                    target,
+                                    ..Route::default()
+                                },
+                            );
+                        }
+                        c.learn_route(last.0, &last.1);
+                    }
+                    3 => {
+                        let to = MdsRank::from_index(rng.gen_range(0..3));
+                        memo.begin(&ns, std::iter::once((FragKey::whole(pick(rng)), to)));
+                        c.apply_migrations(&ns, &mut memo);
+                    }
+                    4 => c.forget_rank(MdsRank::from_index(rng.gen_range(0..3))),
+                    5 => c.start_tick(tick),
+                    6 => c.add_data_debt(rng.gen_range(0..2) as u64),
+                    7 => c.set_data_pending(rng.gen_range(0..2) as u64),
+                    _ => continue,
+                }
+                let after = state(&c);
+                let moved = after.0 != before.0;
+                assert_eq!(moved, after.1 != before.1, "mutator {step} at tick {tick}");
+                seen[step][usize::from(moved)] += 1;
+            }
+        });
+        for (step, [held, moved]) in seen.iter().enumerate() {
+            assert!(*moved > 0, "mutator {step} never changed the state");
+            // Peek and consume always change what they touch.
+            if step > 1 {
+                assert!(*held > 0, "mutator {step} never left the state alone");
+            }
         }
     }
 

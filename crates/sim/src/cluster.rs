@@ -140,9 +140,8 @@ impl Simulation {
                     count == 1 || s.try_clone_box().is_some(),
                     "multi-member client group needs a cloneable op stream"
                 );
-                let mut c = Client::new(at, s, 0);
-                c.cache_cap = cfg.client_cache_cap;
-                c.data_window = cfg.data_path.map(|dp| dp.client_window).unwrap_or(0);
+                let window = cfg.data_path.map(|dp| dp.client_window).unwrap_or(0);
+                let c = Client::new(at, s, 0).with_limits(cfg.client_cache_cap, window);
                 at += u64_to_usize(count);
                 (c, count)
             })
@@ -284,9 +283,8 @@ impl Simulation {
         let count = usize_to_u64(streams.len());
         let window = self.cfg.data_path.map(|dp| dp.client_window).unwrap_or(0);
         for s in streams {
-            let mut c = Client::new(self.cohorts.n_clients(), s, self.tick);
-            c.cache_cap = self.cfg.client_cache_cap;
-            c.data_window = window;
+            let c = Client::new(self.cohorts.n_clients(), s, self.tick)
+                .with_limits(self.cfg.client_cache_cap, window);
             self.cohorts.append_group(c, 1);
         }
         self.telemetry.emit(|| Event::ClientsAdd { count });
@@ -567,7 +565,9 @@ impl Simulation {
         // debt) merge back into one flow. Epoch close is the natural seam:
         // it bounds within-tick divergence growth without scanning every
         // tick, and runs at a point where no issue round is in flight.
+        // Compaction renumbers the cohorts, so held routes go with it.
         self.cohorts.merge_equal_states();
+        self.round_scratch.forget_routes();
     }
 }
 

@@ -75,15 +75,17 @@ pub struct CohortSet {
 }
 
 /// The reused buffers of [`CohortSet::merge_equal_states`] and
-/// [`CohortSet::compact`].
+/// [`CohortSet::compact`], and the state hashes the merge keeps from one
+/// epoch close to the next.
 #[derive(Default)]
 pub(crate) struct MergeScratch {
     /// Live cohorts per origin.
     live_per_origin: Vec<u32>,
-    /// The [`Client::encode`] bytes of every examined cohort, back to back.
+    /// The [`Client::encode`] bytes of the cohorts encoded this merge,
+    /// back to back.
     enc: Encoder,
     /// Per cohort index: the range of `enc` holding its state bytes after
-    /// the id (empty for cohorts not examined).
+    /// the id (empty for cohorts not encoded this merge).
     spans: Vec<(usize, usize)>,
     /// `(origin, state hash, canonical id, cohort index)` per examined
     /// cohort; sorting it groups equal candidates in id order.
@@ -91,6 +93,30 @@ pub(crate) struct MergeScratch {
     /// Per cohort index: the cohort it merges into (itself if it stays).
     /// `compact` reuses it as the old-to-new index map.
     target: Vec<usize>,
+    /// Per cohort index: the client's change stamp and state hash when a
+    /// merge last encoded it. While the stamp still reads the same, the
+    /// hash is the cohort's current one. `compact` carries entries to the
+    /// new indices; slots appended since have none.
+    stamped: Vec<Option<(u64, u64)>>,
+    /// Per cohort index: whether this merge encoded the cohort because
+    /// its stamp moved.
+    changed: Vec<bool>,
+}
+
+/// The state bytes of cohort `idx` in `enc`, encoding `state` first when
+/// this merge has not yet.
+fn state_span(
+    enc: &mut Encoder,
+    spans: &mut [(usize, usize)],
+    idx: usize,
+    state: &Client,
+) -> (usize, usize) {
+    if spans[idx].0 == spans[idx].1 {
+        let start = enc.len() + ENCODED_ID_LEN;
+        state.encode(enc);
+        spans[idx] = (start, enc.len());
+    }
+    spans[idx]
 }
 
 impl CohortSet {
@@ -319,14 +345,22 @@ impl CohortSet {
 
     /// [`CohortSet::merge_equal_states`] with the state hash as a
     /// parameter. Only origins with at least two live cohorts are
-    /// examined: each such cohort's [`Client::encode`] bytes after the id
-    /// go into one reused encoder and are hashed, the `(origin, hash, id)`
-    /// keys are sorted, and within a run of equal `(origin, hash)` a
-    /// cohort merges into the lowest-id earlier survivor whose bytes are
-    /// equal to its own. A colliding hash therefore costs a byte
+    /// examined. A cohort whose change stamp moved since a merge last
+    /// encoded it is encoded into one reused encoder and its bytes after
+    /// the id are hashed; any other keeps the hash it had. The `(origin,
+    /// hash, id)` keys are sorted, and within a run of equal `(origin,
+    /// hash)` a cohort merges into the lowest-id earlier survivor whose
+    /// bytes are equal to its own. A colliding hash therefore costs a byte
     /// comparison, never a wrong merge.
+    ///
+    /// Two cohorts whose stamps both stayed are never compared: both
+    /// survived the merge that last encoded the later of them, where both
+    /// were examined with their present bytes, and a merge leaves one
+    /// survivor per class of equal bytes. An unchanged cohort is encoded
+    /// only when a changed one in its run needs its bytes.
     fn merge_equal_states_by(&mut self, hash: fn(&[u8]) -> u64) {
         let mut m = std::mem::take(&mut self.merge);
+        let n = self.cohorts.len();
         m.live_per_origin.clear();
         m.live_per_origin.resize(self.n_groups, 0);
         for c in self.cohorts.iter().filter(|c| c.count > 0) {
@@ -335,30 +369,46 @@ impl CohortSet {
         m.enc.clear();
         m.keys.clear();
         m.spans.clear();
-        m.spans.resize(self.cohorts.len(), (0, 0));
+        m.spans.resize(n, (0, 0));
+        m.changed.clear();
+        m.changed.resize(n, false);
+        m.stamped.resize(n, None);
         for (idx, c) in self.cohorts.iter().enumerate() {
             if c.count == 0 || m.live_per_origin[u32_to_usize(c.origin)] < 2 {
                 continue;
             }
-            let start = m.enc.len() + ENCODED_ID_LEN;
-            c.state.encode(&mut m.enc);
-            let span = (start, m.enc.len());
-            m.spans[idx] = span;
-            let h = hash(&m.enc.bytes()[span.0..span.1]);
+            let stamp = c.state.stamp();
+            let h = match m.stamped[idx] {
+                Some((s, h)) if s == stamp => h,
+                _ => {
+                    let span = state_span(&mut m.enc, &mut m.spans, idx, &c.state);
+                    let h = hash(&m.enc.bytes()[span.0..span.1]);
+                    m.stamped[idx] = Some((stamp, h));
+                    m.changed[idx] = true;
+                    h
+                }
+            };
             m.keys.push((c.origin, h, c.state.id, idx));
         }
         m.keys.sort_unstable();
         m.target.clear();
-        m.target.extend(0..self.cohorts.len());
-        let bytes_of = |c: usize| &m.enc.bytes()[m.spans[c].0..m.spans[c].1];
+        m.target.extend(0..n);
         for run in m.keys.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            if !run.iter().any(|k| m.changed[k.3]) {
+                continue;
+            }
             for (j, &(_, _, _, idx)) in run.iter().enumerate().skip(1) {
-                let survivor = run[..j]
-                    .iter()
-                    .map(|k| k.3)
-                    .find(|&s| m.target[s] == s && bytes_of(s) == bytes_of(idx));
-                if let Some(s) = survivor {
-                    m.target[idx] = s;
+                for &(_, _, _, s) in &run[..j] {
+                    if m.target[s] != s || !(m.changed[s] || m.changed[idx]) {
+                        continue;
+                    }
+                    let a = state_span(&mut m.enc, &mut m.spans, s, &self.cohorts[s].state);
+                    let b = state_span(&mut m.enc, &mut m.spans, idx, &self.cohorts[idx].state);
+                    let bytes = m.enc.bytes();
+                    if bytes[a.0..a.1] == bytes[b.0..b.1] {
+                        m.target[idx] = s;
+                        break;
+                    }
                 }
             }
         }
@@ -374,6 +424,36 @@ impl CohortSet {
         }
         self.merge = m;
         self.compact();
+    }
+
+    /// Checks each stored state hash whose change stamp still reads the
+    /// same against a fresh encode of the cohort: a mutation that changed
+    /// the encoded state without moving the stamp fails here.
+    pub fn check_state_hashes(&self) -> Result<(), String> {
+        self.check_state_hashes_by(fnv1a64)
+    }
+
+    fn check_state_hashes_by(&self, hash: fn(&[u8]) -> u64) -> Result<(), String> {
+        let mut e = Encoder::new();
+        for (idx, c) in self.cohorts.iter().enumerate() {
+            let Some(Some((stamp, h))) = self.merge.stamped.get(idx) else {
+                continue;
+            };
+            if c.count == 0 || c.state.stamp() != *stamp {
+                continue;
+            }
+            e.clear();
+            c.state.encode(&mut e);
+            let fresh = hash(&e.bytes()[ENCODED_ID_LEN..]);
+            if fresh != *h {
+                return Err(format!(
+                    "cohort {idx} (id {}): stored state hash {h:#018x} at stamp {stamp}, \
+                     fresh encode hashes to {fresh:#018x}",
+                    c.state.id
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Drops dead cohorts, remaps interval indices, and coalesces adjacent
@@ -392,6 +472,14 @@ impl CohortSet {
             }
         }
         self.cohorts.retain(|c| c.count > 0);
+        let stamped = &mut self.merge.stamped;
+        // `new <= old`, so each entry is read before any write reaches it.
+        for (old, &new) in remap.iter().enumerate() {
+            if new != usize::MAX && new < stamped.len() {
+                stamped[new] = stamped.get(old).copied().flatten();
+            }
+        }
+        stamped.truncate(alive);
         for iv in &mut self.intervals {
             iv.cohort = remap[iv.cohort];
             debug_assert_ne!(iv.cohort, usize::MAX, "interval points at dead cohort");
@@ -410,7 +498,7 @@ impl CohortSet {
     pub fn active_members(&self) -> usize {
         let mut n = 0u64;
         self.for_each_state(|s, count| {
-            if !s.finished || s.data_pending > 0 {
+            if !s.is_done() {
                 n += count;
             }
         });
@@ -420,14 +508,14 @@ impl CohortSet {
     /// Total metadata ops served across all members.
     pub fn total_ops(&self) -> u64 {
         let mut n = 0u64;
-        self.for_each_state(|s, count| n += s.ops_done * count);
+        self.for_each_state(|s, count| n += s.ops_done() * count);
         n
     }
 
     /// Total cache evictions across all members.
     pub fn evictions_total(&self) -> u64 {
         let mut n = 0u64;
-        self.for_each_state(|s, count| n += s.cache_evictions * count);
+        self.for_each_state(|s, count| n += s.cache_evictions() * count);
         n
     }
 
@@ -436,7 +524,7 @@ impl CohortSet {
         self.cohorts
             .iter()
             .filter(|c| c.count > 0)
-            .all(|c| c.state.finished && c.state.data_pending == 0)
+            .all(|c| c.state.is_done())
     }
 
     /// Per-client completion ticks, expanded to one entry per member id —
@@ -446,8 +534,9 @@ impl CohortSet {
         let mut out = vec![None; self.n_clients];
         for iv in &self.intervals {
             let s = &self.cohorts[iv.cohort].state;
-            let done = if s.finished && s.data_pending == 0 {
-                s.finished_at.map(|t| u32::try_from(t).unwrap_or(u32::MAX))
+            let done = if s.is_done() {
+                s.finished_at()
+                    .map(|t| u32::try_from(t).unwrap_or(u32::MAX))
             } else {
                 None
             };
@@ -540,17 +629,20 @@ impl CohortSet {
 mod tests {
     use super::*;
     use crate::request::FixedStream;
-    use lunule_namespace::InodeId;
+    use lunule_namespace::{InodeId, Namespace};
 
     fn member(id: usize, ops: Vec<InodeId>) -> Client {
         Client::new(id, Box::new(FixedStream::new(ops)), 0)
     }
 
+    /// Ops in each group's stream: more than any battery draws.
+    const STREAM_OPS: usize = 64;
+
     fn set_of(counts: &[u64]) -> CohortSet {
         let mut groups = Vec::new();
         let mut at = 0usize;
         for &c in counts {
-            groups.push((member(at, vec![InodeId::ROOT]), c));
+            groups.push((member(at, vec![InodeId::ROOT; STREAM_OPS]), c));
             at += c as usize;
         }
         CohortSet::new(groups)
@@ -649,7 +741,7 @@ mod tests {
         s.refresh_canonical_id(0);
         s.refresh_canonical_id(idx);
         // Diverge the split-off singleton.
-        s.cohorts[idx].state.ops_done = 99;
+        s.cohorts[idx].state.add_data_debt(99);
         s.merge_equal_states();
         s.check_invariants().unwrap();
         assert_eq!(s.n_cohorts(), 2, "diverged states must not merge");
@@ -679,11 +771,8 @@ mod tests {
     #[test]
     fn aggregates_scale_by_count() {
         let mut s = set_of(&[5, 2]);
-        s.cohorts[0].state.ops_done = 3;
-        s.cohorts[0].state.cache_evictions = 2;
-        s.cohorts[1].state.ops_done = 10;
-        s.cohorts[1].state.finished = true;
-        s.cohorts[1].state.finished_at = Some(7);
+        s.cohorts[0].state.set_lifetime(3, 2, None);
+        s.cohorts[1].state.set_lifetime(10, 0, Some(7));
         assert_eq!(s.total_ops(), 5 * 3 + 2 * 10);
         assert_eq!(s.evictions_total(), 10);
         assert_eq!(s.active_members(), 5);
@@ -694,7 +783,9 @@ mod tests {
         assert_eq!(done[5], Some(7));
         assert_eq!(done[6], Some(7));
         // Completion ticks past `u32::MAX` saturate instead of wrapping.
-        s.cohorts[1].state.finished_at = Some(u64::from(u32::MAX) + 5);
+        s.cohorts[1]
+            .state
+            .set_lifetime(10, 0, Some(u64::from(u32::MAX) + 5));
         assert_eq!(s.completion_expanded()[6], Some(u32::MAX));
     }
 
@@ -846,16 +937,20 @@ mod tests {
             n: usize,
         },
         Explode(usize),
-        /// Advance one cohort's `ops_done` so its state diverges.
-        Diverge(usize, u64),
+        /// Draw one cohort's next op, or serve the op it holds, through
+        /// the client's own methods, so its state diverges.
+        Diverge(usize),
         Merge,
+        /// Merge this many times in a row: every cohort is unchanged
+        /// after the first, so the later merges take the skip path.
+        Remerge(usize),
     }
 
     fn draw_step(s: &CohortSet, rng: &mut lunule_util::DetRng) -> Step {
         let live: Vec<usize> = (0..s.cohorts.len())
             .filter(|&i| s.cohorts[i].count > 0)
             .collect();
-        match rng.gen_range(0..5) {
+        match rng.gen_range(0..6) {
             0 | 1 => {
                 let iv = s.intervals[rng.gen_range(0..s.intervals.len())];
                 let n = 1 + rng.gen_range(0..iv.len);
@@ -867,15 +962,13 @@ mod tests {
                 }
             }
             2 => Step::Explode(live[rng.gen_range(0..live.len())]),
-            3 => Step::Diverge(
-                live[rng.gen_range(0..live.len())],
-                1 + rng.gen_range(0..3) as u64,
-            ),
-            _ => Step::Merge,
+            3 => Step::Diverge(live[rng.gen_range(0..live.len())]),
+            4 => Step::Merge,
+            _ => Step::Remerge(2 + rng.gen_range(0..3)),
         }
     }
 
-    fn apply_step(s: &mut CohortSet, step: Step, merge: impl FnOnce(&mut CohortSet)) {
+    fn apply_step(s: &mut CohortSet, step: Step, merge: impl Fn(&mut CohortSet)) {
         match step {
             Step::Carve { cohort, at, n } => {
                 let state = s.cohorts[cohort].state.try_clone().unwrap();
@@ -896,8 +989,20 @@ mod tests {
             Step::Explode(idx) => {
                 s.explode(idx);
             }
-            Step::Diverge(idx, by) => s.cohorts[idx].state.ops_done += by,
+            Step::Diverge(idx) => {
+                let st = &mut s.cohorts[idx].state;
+                if st.pending().is_some() {
+                    st.consume_op(0);
+                } else {
+                    st.peek_op(&Namespace::new(), 0);
+                }
+            }
             Step::Merge => merge(s),
+            Step::Remerge(times) => {
+                for _ in 0..times {
+                    merge(s);
+                }
+            }
         }
     }
 
@@ -919,7 +1024,7 @@ mod tests {
                 let step = draw_step(&s, rng);
                 let classes = state_classes(&s);
                 apply_step(&mut s, step, CohortSet::merge_equal_states);
-                if let Step::Merge = step {
+                if let Step::Merge | Step::Remerge(_) = step {
                     assert_eq!(
                         s.n_cohorts(),
                         classes,
@@ -978,6 +1083,7 @@ mod tests {
                     apply_step(&mut oracle, step, merge_oracle);
                     assert_eq!(structure(&hashed), structure(&oracle), "after {step:?}");
                     hashed.check_invariants().unwrap();
+                    hashed.check_state_hashes_by(hash).unwrap();
                 }
             });
         }
@@ -990,8 +1096,8 @@ mod tests {
     fn colliding_hashes_still_merge_by_bytes() {
         let mut s = set_of(&[4]);
         s.explode(0);
-        s.cohorts[1].state.ops_done = 1;
-        s.cohorts[3].state.ops_done = 1;
+        s.cohorts[1].state.add_data_debt(1);
+        s.cohorts[3].state.add_data_debt(1);
         s.merge_equal_states_by(|_| 7);
         s.check_invariants().unwrap();
         assert_eq!(s.n_cohorts(), 2);

@@ -34,7 +34,10 @@
 //! 2. **Resolve** (sequential, pure): read/remove routes are looked up
 //!    against the namespace + subtree map, which cannot change until the
 //!    round ends, with authority walks memoized in the simulation's
-//!    [`AuthorityCache`](lunule_namespace::AuthorityCache). Then the ops
+//!    [`AuthorityCache`](lunule_namespace::AuthorityCache). A read or
+//!    remove carried over from a budget stall skips this: it keeps the
+//!    route it stalled with while the cohort's change stamp and both
+//!    generations read as they did then. Then the ops
 //!    whose target rank still has budget for them go to
 //!    [`Balancer::prefetch`](lunule_core::Balancer::prefetch), so the
 //!    balancer can load its per-inode state in one loop too.
@@ -104,8 +107,10 @@ pub(crate) struct RoundScratch {
     /// Per cohort: the last round whose draw walk met it.
     seen: Vec<u64>,
     worklist: Vec<usize>,
-    /// The round's drawn `(cohort, op)` pairs, in draw order.
-    drawn: Vec<(usize, MetaOp)>,
+    /// The round's drawn `(cohort, op, carried over)` triples, in draw
+    /// order; an op is carried over when the cohort held it before the
+    /// draw.
+    drawn: Vec<(usize, MetaOp, bool)>,
     /// The inode ids of the routed reads and removes expected to serve,
     /// for [`Balancer::prefetch`](lunule_core::Balancer::prefetch).
     warm: Vec<InodeId>,
@@ -113,13 +118,21 @@ pub(crate) struct RoundScratch {
     /// `warm`.
     demand: Vec<f64>,
     class: Vec<Option<Class>>,
-    /// Per cohort: the directory its resolved op routes by.
+    /// Per cohort: the directory its resolved op routes by. Like `routes`
+    /// and `costs_of`, kept while `held` vouches for it.
     dir_of: Vec<Option<InodeId>>,
     resolve_reqs: Vec<(usize, InodeId, u32)>,
     /// Per cohort: its route, valid in a round where the cohort is
     /// classified and, for a create, has reached its run. Kept across
     /// rounds and ticks so each route's `forwards` reuses its capacity.
     routes: Vec<Route>,
+    /// Per cohort: the `(change stamp, subtree-map generation, namespace
+    /// generation)` at which its read or remove stalled on budget. While
+    /// the key still reads the same, the cohort's anchor, route and costs
+    /// are the ones it holds: the stamp covers the pending op and the
+    /// cache, the generations cover what `AuthorityCache` keys on.
+    /// Dropped at compaction and restore.
+    held: Vec<Option<(u64, u64, u64)>>,
     served_count: Vec<u64>,
     budget_stalled: Vec<bool>,
     /// Per cohort: (run start, members served, run length) per run, in
@@ -156,6 +169,7 @@ impl RoundScratch {
             self.class.resize(n, None);
             self.dir_of.resize(n, None);
             self.routes.resize_with(n, Route::default);
+            self.held.resize(n, None);
             self.served_count.resize(n, 0);
             self.budget_stalled.resize(n, false);
             self.runs_of.resize_with(n, Vec::new);
@@ -164,15 +178,20 @@ impl RoundScratch {
         }
     }
 
-    /// Clears cohort `c`'s round state before it is drawn.
+    /// Clears cohort `c`'s round state before it is drawn. Its anchor,
+    /// route and costs are left to the route pass, which keeps them when
+    /// `held` still vouches for them.
     fn reset(&mut self, c: usize) {
         self.class[c] = None;
-        self.dir_of[c] = None;
         self.served_count[c] = 0;
         self.budget_stalled[c] = false;
         self.runs_of[c].clear();
-        self.costs_of[c].clear();
         self.bytes_of[c] = 0;
+    }
+
+    /// Drops every held route key: cohort indices are about to change.
+    pub(crate) fn forget_routes(&mut self) {
+        self.held.fill(None);
     }
 
     /// Test-only: checks that the kept run list is exactly the full
@@ -245,17 +264,13 @@ impl Simulation {
             scratch.reset(c);
             let st = &mut set.cohorts[c].state;
             if !st.can_issue(tick, rate) {
-                if st.finished && st.data_pending == 0 && st.finished_at.is_none() {
-                    st.finished_at = Some(tick);
-                }
+                st.note_done(tick);
                 scratch.stalled[c] = true;
                 continue;
             }
+            let carried = st.pending().is_some();
             let Some(op) = st.peek_op(&self.ns, tick) else {
-                let st = &mut set.cohorts[c].state;
-                if st.data_pending == 0 && st.finished_at.is_none() {
-                    st.finished_at = Some(tick);
-                }
+                set.cohorts[c].state.note_done(tick);
                 scratch.stalled[c] = true;
                 continue;
             };
@@ -272,7 +287,7 @@ impl Simulation {
                 worklist.extend(parts);
                 continue;
             }
-            scratch.drawn.push((c, op));
+            scratch.drawn.push((c, op, carried));
         }
         scratch.worklist = worklist;
 
@@ -282,7 +297,7 @@ impl Simulation {
         // so their cache misses overlap instead of arriving one op at a
         // time. Nothing is written, so this changes no outcome.
         let mut loaded = 0u64;
-        for &(_, op) in &scratch.drawn {
+        for &(_, op, _) in &scratch.drawn {
             if let MetaOp::Read(ino) | MetaOp::Remove(ino) = op {
                 if let Ok(inode) = self.ns.get(ino) {
                     loaded ^= inode.size() ^ inode.parent().map_or(0, InodeId::raw);
@@ -295,23 +310,35 @@ impl Simulation {
         // a commit window stalls its cohort, and the rest take their class
         // and anchor. Drawing left the namespace and the migrator alone,
         // so each op sees what it would have seen routed as it was drawn.
+        // A read or remove carried over from a budget stall keeps its
+        // anchor, route and costs while its key still reads the same.
+        let (map_gen, ns_gen) = (self.map.generation(), self.ns.generation());
         scratch.resolve_reqs.clear();
-        for &(c, op) in &scratch.drawn {
+        for &(c, op, carried) in &scratch.drawn {
             if self.migrator.is_frozen(&self.ns, op.anchor()) {
                 scratch.stalled[c] = true;
                 continue;
             }
-            match op {
-                MetaOp::Read(_) | MetaOp::Remove(_) => {
-                    let (dir, hash) = routing_anchor(&self.ns, &op);
-                    scratch.class[c] = Some(Class::Resolve);
-                    scratch.dir_of[c] = Some(dir);
-                    scratch.resolve_reqs.push((c, dir, hash));
-                }
-                MetaOp::Create { .. } => {
-                    scratch.class[c] = Some(Class::CreateInline);
+            if let MetaOp::Create { .. } = op {
+                scratch.class[c] = Some(Class::CreateInline);
+                scratch.costs_of[c].clear();
+                continue;
+            }
+            scratch.class[c] = Some(Class::Resolve);
+            // A freshly drawn op moved the stamp, so only a carried-over
+            // op can match its slot's key.
+            if carried {
+                if let Some(key) = scratch.held[c] {
+                    if key == (set.cohorts[c].state.stamp(), map_gen, ns_gen) {
+                        continue;
+                    }
+                    scratch.held[c] = None;
                 }
             }
+            scratch.costs_of[c].clear();
+            let (dir, hash) = routing_anchor(&self.ns, &op);
+            scratch.dir_of[c] = Some(dir);
+            scratch.resolve_reqs.push((c, dir, hash));
         }
 
         // Phase 2: resolve routes. Resolution is pure (namespace, subtree
@@ -319,7 +346,7 @@ impl Simulation {
         // every route before serving any is exact.
         for &(c, dir, hash) in &scratch.resolve_reqs {
             resolve_route_cached(
-                &set.cohorts[c].state.cache,
+                set.cohorts[c].state.cache(),
                 &self.ns,
                 &self.map,
                 &mut self.auth_cache,
@@ -341,7 +368,7 @@ impl Simulation {
         scratch.warm.clear();
         scratch.demand.clear();
         scratch.demand.resize(self.mds.len(), 0.0);
-        for &(c, op) in &scratch.drawn {
+        for &(c, op, _) in &scratch.drawn {
             let (MetaOp::Read(ino) | MetaOp::Remove(ino)) = op else {
                 continue;
             };
@@ -377,7 +404,7 @@ impl Simulation {
             let Some(class) = scratch.class[c] else {
                 continue;
             };
-            let Some((op, first_attempt)) = set.cohorts[c].state.pending else {
+            let Some((op, first_attempt)) = set.cohorts[c].state.pending() else {
                 debug_assert!(false, "classified cohort has a pending op");
                 continue;
             };
@@ -388,7 +415,7 @@ impl Simulation {
                 let (dir, hash) = routing_anchor(&self.ns, &op);
                 scratch.dir_of[c] = Some(dir);
                 resolve_route_cached(
-                    &set.cohorts[c].state.cache,
+                    set.cohorts[c].state.cache(),
                     &self.ns,
                     &self.map,
                     &mut self.auth_cache,
@@ -435,6 +462,12 @@ impl Simulation {
             scratch.runs_of[c].push((start, s, len));
             if s < len {
                 scratch.budget_stalled[c] = true;
+                // The stalled members retry this op next tick; unless the
+                // cohort or the world changes first, its route stands.
+                if class == Class::Resolve {
+                    let stamp = set.cohorts[c].state.stamp();
+                    scratch.held[c] = Some((stamp, map_gen, ns_gen));
+                }
             }
             if s == 0 {
                 continue;
@@ -459,7 +492,7 @@ impl Simulation {
                     let st = &mut set.cohorts[c].state;
                     self.name_scratch.clear();
                     // Writing into a `String` cannot fail.
-                    let _ = write!(self.name_scratch, "c{}_{}", st.id, st.ops_done);
+                    let _ = write!(self.name_scratch, "c{}_{}", st.id, st.ops_done());
                     match self.ns.create_file(parent, &self.name_scratch, size) {
                         Ok(id) => {
                             st.notify_created(id);
@@ -551,8 +584,8 @@ impl Simulation {
             let st = &mut set.cohorts[c].state;
             st.consume_op(tick);
             st.learn_route(dir, &scratch.routes[c]);
-            if self.cfg.data_path.is_some() && scratch.bytes_of[c] > 0 {
-                st.data_pending += scratch.bytes_of[c];
+            if self.cfg.data_path.is_some() {
+                st.add_data_debt(scratch.bytes_of[c]);
             }
         }
         // Keep only the runs of cohorts still live for the next round; a
@@ -570,16 +603,62 @@ impl Simulation {
         progressed
     }
 
+    /// Checks every memo keyed on a client's change stamp against a fresh
+    /// computation: each stored cohort state hash
+    /// ([`CohortSet::check_state_hashes`]), and each route the issue round
+    /// holds whose key still reads the same against a fresh anchor,
+    /// resolve and cost split. Read-only, so an audit can call it after
+    /// every tick.
+    pub fn check_change_stamps(&self) -> Result<(), String> {
+        self.cohorts.check_state_hashes()?;
+        let scratch = &self.round_scratch;
+        let gens = (self.map.generation(), self.ns.generation());
+        for (c, key) in scratch.held.iter().enumerate() {
+            let (Some(key), Some(cohort)) = (key, self.cohorts.cohorts.get(c)) else {
+                continue;
+            };
+            if cohort.count == 0 || *key != (cohort.state.stamp(), gens.0, gens.1) {
+                continue;
+            }
+            let op = match cohort.state.pending() {
+                Some((op @ (MetaOp::Read(_) | MetaOp::Remove(_)), _)) => op,
+                other => {
+                    return Err(format!(
+                        "cohort {c} holds a route but its pending op is {other:?}"
+                    ))
+                }
+            };
+            let (dir, hash) = routing_anchor(&self.ns, &op);
+            let mut route = Route::default();
+            resolve_route_cached(
+                cohort.state.cache(),
+                &self.ns,
+                &self.map,
+                &mut lunule_namespace::AuthorityCache::new(),
+                dir,
+                hash,
+                &mut route,
+            );
+            let mut costs = Vec::new();
+            let priced = route_costs(&route, self.mds.len(), &mut costs);
+            let held = (scratch.dir_of[c], &scratch.routes[c], &scratch.costs_of[c]);
+            if !priced || held != (Some(dir), &route, &costs) {
+                return Err(format!(
+                    "cohort {c} (id {}) holds {held:?} for {op:?}, a fresh resolve gives \
+                     {:?}",
+                    cohort.state.id,
+                    (Some(dir), &route, &costs)
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Per-tick client reset: clears each cohort's per-tick issue count
     /// and stamps completion for members that drained their stream and
     /// data debt.
     pub(crate) fn cohort_tick_reset(&mut self, tick: u64) {
-        self.cohorts.for_each_state_mut(|st, _| {
-            st.issued_this_tick = 0;
-            if st.finished && st.data_pending == 0 && st.finished_at.is_none() {
-                st.finished_at = Some(tick);
-            }
-        });
+        self.cohorts.for_each_state_mut(|st, _| st.start_tick(tick));
     }
 }
 
@@ -612,7 +691,7 @@ pub(crate) fn cohort_datapath_step(set: &mut CohortSet, bandwidth: u64) {
                 iv.start,
                 iv.len,
                 iv.cohort,
-                set.cohorts[iv.cohort].state.data_pending,
+                set.cohorts[iv.cohort].state.data_pending(),
             )
         })
         .collect();
@@ -690,7 +769,7 @@ pub(crate) fn cohort_datapath_step(set: &mut CohortSet, bandwidth: u64) {
                 values.push(p);
             }
         }
-        set.cohorts[c].state.data_pending = values[0];
+        set.cohorts[c].state.set_data_pending(values[0]);
         for &v in values.iter().skip(1) {
             let origin = set.cohorts[c].origin;
             let clone = set.cohorts[c].state.try_clone();
@@ -699,7 +778,7 @@ pub(crate) fn cohort_datapath_step(set: &mut CohortSet, bandwidth: u64) {
                 "multi-member cohort stream must be cloneable"
             );
             let Some(mut clone) = clone else { continue };
-            clone.data_pending = v;
+            clone.set_data_pending(v);
             let slot = set.cohorts.len();
             set.cohorts.push(Cohort {
                 state: clone,
@@ -795,7 +874,7 @@ mod tests {
         let counts: Vec<u64> = groups.iter().map(|&(members, _)| members).collect();
         let mut set = set_of(&counts);
         for (c, &(_, debt)) in groups.iter().enumerate() {
-            set.cohorts[c].state.data_pending = debt;
+            set.cohorts[c].state.set_data_pending(debt);
         }
         set
     }
@@ -804,7 +883,7 @@ mod tests {
     fn debts(set: &CohortSet) -> Vec<u64> {
         set.intervals()
             .iter()
-            .flat_map(|iv| std::iter::repeat_n(set.cohorts[iv.cohort].state.data_pending, iv.len))
+            .flat_map(|iv| std::iter::repeat_n(set.cohorts[iv.cohort].state.data_pending(), iv.len))
             .collect()
     }
 
@@ -1035,7 +1114,11 @@ mod tests {
         assert!(sim.step());
         assert!(sim.migrator.is_frozen(&sim.ns, fz[0]));
         assert!(sim.round_scratch.audit.explodes > 0, "cohort 0 explodes");
-        assert_eq!(sim.cohorts.cohorts[1].state.ops_done, 0, "reader is frozen");
+        assert_eq!(
+            sim.cohorts.cohorts[1].state.ops_done(),
+            0,
+            "reader is frozen"
+        );
         assert!(sim.ns.len() >= arena + 5, "both groups' creates served");
         while sim.step() {}
         assert!(sim.total_ops() > 0);

@@ -505,7 +505,9 @@ impl InvariantChecker {
     /// Audits a simulation through its public state; call it after every
     /// [`Simulation::step`]. Each call checks the subtree map's
     /// well-formedness, that subtrees in their commit window still resolve
-    /// to their exporters, and that no authority sits on a crashed rank.
+    /// to their exporters, that no authority sits on a crashed rank, and
+    /// that every memo keyed on a client's change stamp agrees with a
+    /// fresh computation ([`Simulation::check_change_stamps`]).
     /// When the last step committed a migration, it also checks that the
     /// map holds no redundant entry ([`InvariantChecker::check_simplified`]).
     /// When the last step closed an epoch, it also checks fragment
@@ -525,6 +527,9 @@ impl InvariantChecker {
         self.check_subtree_map(ns, map);
         self.check_frozen_subtrees(ns, map, &frozen);
         self.check_down_ranks(map, &sim.down_ranks());
+        if let Err(detail) = sim.check_change_stamps() {
+            self.record(InvariantKind::StaleChangeStamp, detail);
+        }
         let c = sim.migration_counters();
         if c.completed_jobs > self.last_completed_jobs {
             self.check_simplified(ns, map);

@@ -38,6 +38,11 @@ pub enum InvariantKind {
     /// The cohort id-interval partition has a gap, overlap, or a cohort
     /// whose canonical id is not its lowest member.
     CohortPartition,
+    /// A memo keyed on a client's change stamp disagrees with a fresh
+    /// computation: a stored cohort state hash with a fresh encode, or a
+    /// route the issue round holds with a fresh resolve. Some mutation
+    /// changed a client's encoded state without moving its stamp.
+    StaleChangeStamp,
 }
 
 /// One observed violation: the invariant that broke plus the offending

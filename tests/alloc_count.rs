@@ -10,8 +10,9 @@
 //! Two properties are asserted on a cohort fixture where nothing splits
 //! (rank capacity far above demand, every route cached after warm-up):
 //! a plain tick allocates nothing, and the calls of an epoch tick do not
-//! grow when the same namespace carries 8x more cohort groups. A third
-//! fixture serves creates: once warm, its calls are the geometric growth
+//! grow when the same namespace carries 8x more cohort groups. Epoch
+//! ticks over origins split into several idle cohorts make no more calls
+//! than that fixture's. A create fixture serves creates: once warm, its calls are the geometric growth
 //! of a few buffers, not one or more per create. The
 //! ignored `tick_loop_shapes` test prints the counts of the `perf`
 //! tick-loop cells' shapes; run it with
@@ -191,6 +192,76 @@ fn epoch_close_calls_do_not_grow_with_cohort_groups() {
         "epoch ticks with 64 groups made {} allocator calls, with 8 groups {}",
         sum(&many.epoch),
         sum(&few.epoch)
+    );
+}
+
+/// The steady fixture's namespace and groups, but each member reads only
+/// its group's first two targets, on ranks of capacity `capacity`. Below
+/// demand, each tick serves a slice of the rotated member order, so the
+/// members of a group finish over several ticks and each origin keeps one
+/// cohort per finishing tick: finished cohorts that sit out every tick
+/// and never re-merge. Returned once every member has finished.
+fn idle_split_sim(capacity: f64) -> Simulation {
+    let spec = ScaleSpec {
+        clients: 8_000,
+        groups: 8,
+        dirs: 64,
+        files_per_dir: 32,
+        n_mds: 16,
+        duration_secs: 1_000,
+        epoch_secs: EPOCH_SECS,
+        seed: 42,
+    };
+    let (ns, targets) = build_namespace(&spec);
+    let cfg = SimConfig {
+        n_mds: spec.n_mds,
+        mds_capacity: capacity,
+        epoch_secs: EPOCH_SECS,
+        duration_secs: spec.duration_secs,
+        stop_when_done: false,
+        client_rate: 5.0,
+        seed: spec.seed,
+        ..SimConfig::default()
+    };
+    let streams: Vec<(Box<dyn OpStream>, u64)> = targets
+        .into_iter()
+        .map(|ids| {
+            let ops = ids.into_iter().take(2).collect();
+            (Box::new(FixedStream::new(ops)) as Box<dyn OpStream>, 1_000)
+        })
+        .collect();
+    let balancer = make_balancer(BalancerKind::Lunule, cfg.mds_capacity);
+    let mut sim = Simulation::new_grouped(cfg, ns, balancer, streams);
+    while !sim.all_done() {
+        assert!(sim.now() < 500 && sim.step(), "members must finish");
+    }
+    sim
+}
+
+/// The merge over cohorts it already found distinct, and that have not
+/// changed since, skips them without allocating: with several idle
+/// cohorts per origin, the epoch ticks make no more allocator calls than
+/// those of [`epoch_close_calls_do_not_grow_with_cohort_groups`]' fixture,
+/// where nothing splits.
+#[test]
+fn merging_unchanged_split_cohorts_does_not_allocate() {
+    let mut split = idle_split_sim(300.0);
+    assert!(
+        split.n_flows() >= 4 * 8,
+        "the fixture must keep several cohorts per origin: {} flows",
+        split.n_flows()
+    );
+    let sum = |v: &[u64]| v.iter().sum::<u64>();
+    let split_calls = sum(&count_ticks(&mut split, MEASURED_TICKS).epoch);
+    let steady_calls = sum(&steady_counts(8).epoch);
+    println!(
+        "epoch ticks: {} idle split cohorts {split_calls} calls, steady fixture {steady_calls}",
+        split.n_flows()
+    );
+    assert!(
+        split_calls <= steady_calls,
+        "epoch ticks over idle split cohorts made {split_calls} allocator calls, \
+         the steady fixture's {steady_calls}"
     );
 }
 

@@ -74,3 +74,51 @@ fn md_full_under_lunule_is_invariant_clean() {
 fn mixed_under_lunule_is_invariant_clean() {
     run_audited(WorkloadKind::Mixed, BalancerKind::Lunule);
 }
+
+/// Grouped readers at one op per member per tick, on ranks that serve a
+/// small part of the demand, with an epoch every 2 ticks. A cohort that
+/// stalls on budget carries its op and its route into the next tick,
+/// and the tick that serves that op draws nothing after it at this rate,
+/// so a mutation that forgot to move the change stamp leaves the stamp
+/// the stall or the last merge keyed on: the audit's change-stamp check
+/// then sees a held route or a stored hash that a fresh computation
+/// contradicts.
+#[test]
+fn rate_one_stalls_under_lunule_are_invariant_clean() {
+    let spec = lunule_bench::ScaleSpec {
+        clients: 4_000,
+        groups: 16,
+        dirs: 64,
+        files_per_dir: 16,
+        n_mds: 4,
+        duration_secs: 60,
+        epoch_secs: 2,
+        seed: 7,
+    };
+    let (ns, targets) = lunule_bench::build_namespace(&spec);
+    let groups: Vec<(Box<dyn lunule_sim::OpStream>, u64)> = targets
+        .into_iter()
+        .map(|ids| {
+            let stream = lunule_sim::FixedStream::new(ids);
+            (Box::new(stream) as Box<dyn lunule_sim::OpStream>, 250)
+        })
+        .collect();
+    let cfg = SimConfig {
+        n_mds: spec.n_mds,
+        mds_capacity: 150.0,
+        epoch_secs: spec.epoch_secs,
+        duration_secs: spec.duration_secs,
+        stop_when_done: false,
+        client_rate: 1.0,
+        seed: spec.seed,
+        ..SimConfig::default()
+    };
+    let balancer = make_balancer(BalancerKind::Lunule, cfg.mds_capacity);
+    let mut sim = Simulation::new_grouped(cfg, ns, balancer, groups);
+    let mut checker = InvariantChecker::default();
+    while sim.step() {
+        checker.audit_simulation(&sim);
+    }
+    assert!(sim.n_flows() > 16, "the groups must split");
+    assert!(sim.total_ops() > 0);
+}
