@@ -62,8 +62,8 @@ fn scalability(args: &CommonArgs) {
 
 /// Fig 13(c): the scale frontier the paper never reaches — 32 to 128 ranks
 /// under a million-client cohort population on a 10^7-inode namespace.
-/// Quick mode shrinks the population two orders so `run_all --quick` stays
-/// within CI budgets; the `megascale` binary owns the full-size CI gate.
+/// Quick mode shrinks the population two orders so the parallel-determinism
+/// test's `--quick` runs stay within CI budgets; the `megascale` binary owns the full-size CI gate.
 fn scale_frontier(args: &CommonArgs) {
     let (counts, base): (&[usize], ScaleSpec) = if args.quick {
         (

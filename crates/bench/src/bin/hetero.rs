@@ -9,9 +9,7 @@
 //!   Algorithm 1 — the `capacities` extension of `LunuleConfig`).
 
 use lunule_bench::{default_sim, write_json, CommonArgs};
-use lunule_core::{
-    make_balancer, BalancerKind, IfModelConfig, LunuleBalancer, LunuleConfig, RoleConfig,
-};
+use lunule_core::{make_balancer, BalancerKind, LunuleBalancer, LunuleConfig};
 use lunule_sim::Simulation;
 use lunule_util::WorkerPool;
 use lunule_workloads::{WorkloadKind, WorkloadSpec};
@@ -50,15 +48,8 @@ fn main() {
     let mut dump = Vec::new();
 
     let lunule_cfg = |capacities: Option<Vec<f64>>| LunuleConfig {
-        if_model: IfModelConfig {
-            mds_capacity: base.mds_capacity,
-            ..IfModelConfig::default()
-        },
-        roles: RoleConfig {
-            migration_capacity: base.mds_capacity * 0.5,
-        },
         capacities,
-        ..LunuleConfig::default()
+        ..LunuleConfig::for_capacity(base.mds_capacity)
     };
     // Balancers are boxed trait objects (not Send), so each pool worker
     // constructs its own from the cell's recipe.

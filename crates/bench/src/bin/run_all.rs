@@ -1,6 +1,6 @@
 //! Runs the whole experiment suite — every table and figure binary — on
-//! the worker pool, forwarding the common flags. `run_all --quick` is the
-//! CI smoke path.
+//! the worker pool, forwarding the common flags. CI runs `run_all --out`
+//! once and compares every file it writes against `results/`.
 //!
 //! Each experiment runs as a child process with captured output; sections
 //! are printed in suite order once all children finish, so the console
@@ -15,7 +15,7 @@ use std::process::{Command, ExitCode};
 
 use lunule_util::WorkerPool;
 
-const EXPERIMENTS: [&str; 13] = [
+const EXPERIMENTS: [&str; 11] = [
     "table1",
     "single_workloads",
     "fig8_end_to_end",
@@ -23,8 +23,6 @@ const EXPERIMENTS: [&str; 13] = [
     "fig12_dynamics",
     "fig13_scalability",
     "latency",
-    "ablation",
-    "sweep",
     "hetero",
     "resilience",
     "memory",

@@ -3,9 +3,9 @@
 //! that are byte-identical to a sequential run — pool width may only
 //! change wall time, never output.
 //!
-//! Two layers are covered here: the `sweep`, `single_workloads` and
-//! `mixed_workload` binaries end-to-end (transcript and JSON dumps
-//! compared across `--jobs 1` / `--jobs 4`), and seeded
+//! Two layers are covered here: the `single_workloads`, `mixed_workload`
+//! and `fig13_scalability` binaries end-to-end at `--quick` (transcript and
+//! JSON dumps compared across `--jobs 1` / `--jobs 4`), and seeded
 //! full simulations with telemetry journals run through the pool at
 //! several widths.
 
@@ -86,18 +86,19 @@ fn assert_identical_across_pool_widths(bin: &str, expected_files: usize) {
 }
 
 #[test]
-fn sweep_output_is_byte_identical_across_pool_widths() {
-    assert_identical_across_pool_widths(env!("CARGO_BIN_EXE_sweep"), 1);
-}
-
-#[test]
 fn single_workloads_output_is_byte_identical_across_pool_widths() {
-    assert_identical_across_pool_widths(env!("CARGO_BIN_EXE_single_workloads"), 18);
+    // 18 paper-figure files, plus the ablation and the sweeps.
+    assert_identical_across_pool_widths(env!("CARGO_BIN_EXE_single_workloads"), 20);
 }
 
 #[test]
 fn mixed_workload_output_is_byte_identical_across_pool_widths() {
     assert_identical_across_pool_widths(env!("CARGO_BIN_EXE_mixed_workload"), 4);
+}
+
+#[test]
+fn fig13_scalability_output_is_byte_identical_across_pool_widths() {
+    assert_identical_across_pool_widths(env!("CARGO_BIN_EXE_fig13_scalability"), 2);
 }
 
 /// A compact fingerprint of one simulation run: op totals, migration

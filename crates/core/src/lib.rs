@@ -50,29 +50,11 @@ use lunule_namespace::MdsRank;
 /// Constructs a balancer instance by kind, using each policy's defaults and
 /// `capacity` (IOPS) for the policies that model MDS capacity.
 pub fn make_balancer(kind: BalancerKind, capacity: f64) -> Box<dyn Balancer> {
-    // The per-epoch migration cap scales with the MDS capacity (the paper
-    // sets it to "the maximal capacity during one epoch"): one rank can
-    // neither shed nor absorb more than half its service rate per decision
-    // without the migration itself destabilising the cluster.
-    let roles = crate::roles::RoleConfig {
-        migration_capacity: capacity * 0.5,
-    };
     match kind {
-        BalancerKind::Lunule => Box::new(LunuleBalancer::new(LunuleConfig {
-            if_model: IfModelConfig {
-                mds_capacity: capacity,
-                ..IfModelConfig::default()
-            },
-            roles,
-            ..LunuleConfig::default()
-        })),
+        BalancerKind::Lunule => Box::new(LunuleBalancer::new(LunuleConfig::for_capacity(capacity))),
         BalancerKind::LunuleLight => Box::new(LunuleBalancer::new(LunuleConfig {
-            if_model: IfModelConfig {
-                mds_capacity: capacity,
-                ..IfModelConfig::default()
-            },
-            roles,
-            ..LunuleConfig::light()
+            workload_aware: false,
+            ..LunuleConfig::for_capacity(capacity)
         })),
         BalancerKind::Vanilla => Box::new(VanillaBalancer::default()),
         BalancerKind::GreedySpill => Box::new(GreedySpillBalancer::default()),

@@ -70,11 +70,21 @@ impl Default for LunuleConfig {
 }
 
 impl LunuleConfig {
-    /// The Lunule-Light ablation: identical trigger/amount machinery,
-    /// hotspot-based selection.
-    pub fn light() -> Self {
+    /// The defaults, scaled to MDSs that each serve `capacity` IOPS: the IF
+    /// model's `C` is `capacity`, and the per-epoch migration cap is half
+    /// of it. The cap scales with the MDS capacity (the paper sets it to
+    /// "the maximal capacity during one epoch"): one rank can neither shed
+    /// nor absorb more than half its service rate per decision without the
+    /// migration itself destabilising the cluster.
+    pub fn for_capacity(capacity: f64) -> Self {
         LunuleConfig {
-            workload_aware: false,
+            if_model: IfModelConfig {
+                mds_capacity: capacity,
+                ..IfModelConfig::default()
+            },
+            roles: RoleConfig {
+                migration_capacity: capacity * 0.5,
+            },
             ..Self::default()
         }
     }
@@ -532,7 +542,11 @@ mod tests {
     #[test]
     fn prefetch_leaves_saved_state_unchanged() {
         let (ns, _, files) = fixture();
-        for cfg in [small_cfg(), LunuleConfig::light()] {
+        let light = LunuleConfig {
+            workload_aware: false,
+            ..LunuleConfig::default()
+        };
+        for cfg in [small_cfg(), light] {
             let mut b = LunuleBalancer::new(cfg);
             feed(&mut b, &ns, &files[..10]);
             let saved = |b: &LunuleBalancer| {
@@ -668,7 +682,11 @@ mod tests {
             "Lunule"
         );
         assert_eq!(
-            LunuleBalancer::new(LunuleConfig::light()).name(),
+            LunuleBalancer::new(LunuleConfig {
+                workload_aware: false,
+                ..LunuleConfig::default()
+            })
+            .name(),
             "Lunule-Light"
         );
     }

@@ -2,7 +2,7 @@
 //! pipelines at small scale, checking the paper's qualitative claims and
 //! the simulator's conservation invariants.
 
-use lunule::core::{make_balancer, BalancerKind};
+use lunule::core::{make_balancer, AnalyzerConfig, BalancerKind, LunuleBalancer, LunuleConfig};
 use lunule::namespace::InodeId;
 use lunule::sim::{RunResult, SimConfig, Simulation};
 use lunule::workloads::{WorkloadKind, WorkloadSpec};
@@ -96,6 +96,44 @@ fn lunule_balances_scans_that_defeat_vanilla() {
     assert!(
         lunule.mean_iops() > vanilla.mean_iops() * 1.3,
         "Lunule IOPS {} must clearly beat Vanilla {}",
+        lunule.mean_iops(),
+        vanilla.mean_iops()
+    );
+}
+
+#[test]
+fn sibling_propagation_carries_the_scan_win() {
+    // The ablation's load-bearing mechanism: without sibling propagation
+    // the migration index carries no forward-looking signal on a scan, so
+    // Lunule's CNN throughput falls to Vanilla's (below it at this scale),
+    // while the full system stays clearly above it.
+    let spec = WorkloadSpec {
+        kind: WorkloadKind::Cnn,
+        clients: 12,
+        scale: 0.005,
+        seed: 1234,
+    };
+    let no_sibling = {
+        let (ns, streams) = spec.build();
+        let balancer = LunuleBalancer::new(LunuleConfig {
+            analyzer: AnalyzerConfig {
+                sibling_probability: 0.0,
+            },
+            ..LunuleConfig::for_capacity(200.0)
+        });
+        Simulation::new(small_sim(5), ns, Box::new(balancer), streams).run()
+    };
+    let vanilla = run(WorkloadKind::Cnn, BalancerKind::Vanilla, 12, 0.005);
+    let lunule = run(WorkloadKind::Cnn, BalancerKind::Lunule, 12, 0.005);
+    assert!(
+        no_sibling.mean_iops() < vanilla.mean_iops() * 1.1,
+        "without sibling propagation Lunule IOPS {} must fall to Vanilla's {}",
+        no_sibling.mean_iops(),
+        vanilla.mean_iops()
+    );
+    assert!(
+        lunule.mean_iops() > vanilla.mean_iops() * 1.3,
+        "full Lunule IOPS {} must clearly beat Vanilla {}",
         lunule.mean_iops(),
         vanilla.mean_iops()
     );
