@@ -33,7 +33,7 @@ use lunule_namespace::{
     build_flat_dataset, dentry_hash, AuthorityCache, FlatDataset, Frag, FragKey, FragSet, InodeId,
     MdsRank, Namespace, SubtreeMap,
 };
-use lunule_sim::{FixedStream, OpStream, SimConfig, Simulation};
+use lunule_sim::{FixedStream, Migrator, OpStream, SimConfig, Simulation};
 use lunule_telemetry::Telemetry;
 use lunule_workloads::{WorkloadKind, WorkloadSpec};
 
@@ -290,6 +290,103 @@ fn migration_commit_cohorts(p: Protocol) -> BenchResult {
     let mut next = sims.iter_mut();
     run_bench("migration_commit_cohorts", p, || {
         next.next().map_or(0, step_to_end)
+    })
+}
+
+/// Ranks, exporting ranks, directories, files per directory and timed
+/// epoch closes of [`epoch_close_plan`]. Each exporter sheds eight
+/// importers' worth of load, so every epoch close pairs 64 times; with no
+/// reads between closes, the third would find the indices decayed.
+const PLAN_RANKS: usize = 72;
+const PLAN_EXPORTERS: usize = 8;
+const PLAN_DIRS: usize = 288;
+const PLAN_FILES: usize = 128;
+const PLAN_EPOCHS: u64 = 2;
+
+/// One epoch close's inputs and the migrator its plan goes to.
+struct PlanFixture {
+    ns: Namespace,
+    map: SubtreeMap,
+    balancer: LunuleBalancer,
+    migrator: Migrator,
+}
+
+/// An aged, fragmented cluster: [`PLAN_DIRS`] directories of
+/// [`PLAN_FILES`] files dealt round-robin over [`PLAN_RANKS`] ranks,
+/// every third one split into 2, 4 or 8 fragments with its last fragment
+/// delegated to the next rank; and a Lunule balancer that saw three idle
+/// windows of reads over all, half and a third of every directory.
+fn plan_fixture() -> PlanFixture {
+    let mut ns = Namespace::new();
+    // The root, and every directory it keeps, sits on an importer.
+    let mut map = SubtreeMap::new(MdsRank::from_index(PLAN_RANKS - 1));
+    let mut files = Vec::new();
+    for d in 0..PLAN_DIRS {
+        let dir = ns.mkdir_total(InodeId::ROOT, &format!("d{d}"));
+        let kids: Vec<InodeId> = (0..PLAN_FILES)
+            .map(|f| ns.create_file_total(dir, &format!("f{f}"), 0))
+            .collect();
+        map.set_authority(FragKey::whole(dir), MdsRank::from_index(d % PLAN_RANKS));
+        if d % 3 == 0 {
+            let by = 1 + (d / 3 % 3) as u8;
+            let frags = ns.split_frag(dir, &Frag::root(), by).unwrap_or_default();
+            if let Some(&frag) = frags.last() {
+                let next = MdsRank::from_index((d + 1) % PLAN_RANKS);
+                map.set_authority(FragKey { dir, frag }, next);
+            }
+        }
+        files.push(kids);
+    }
+    map.simplify(&ns);
+    let mut balancer = LunuleBalancer::new(LunuleConfig::for_capacity(40.0));
+    for window in 0..3 {
+        for kids in &files {
+            for f in kids.iter().step_by(1 + window) {
+                let access = Access {
+                    ino: *f,
+                    served_by: MdsRank(0),
+                    kind: OpKind::Read,
+                };
+                balancer.record_access(&ns, access);
+            }
+        }
+        let idle = EpochStats::new(window as u64, 10.0, vec![0; PLAN_RANKS]);
+        black_box(balancer.on_epoch(&ns, &map, &idle));
+    }
+    PlanFixture {
+        ns,
+        map,
+        balancer,
+        migrator: Migrator::new(50_000.0, 1, 0.0),
+    }
+}
+
+/// The skewed load report of timed epoch `epoch`: the exporters at 18 of
+/// their 40 IOPS, the other ranks idle.
+fn plan_stats(epoch: u64) -> EpochStats {
+    let requests = (0..PLAN_RANKS)
+        .map(|r| if r < PLAN_EXPORTERS { 180 } else { 0 })
+        .collect();
+    EpochStats::new(3 + epoch, 10.0, requests)
+}
+
+/// Epoch close on an aged, fragmented map: Lunule's `on_epoch` (candidate
+/// walk, 64 pairings, selection) plus the migrator's `enqueue_plan`
+/// (fragment splits, inode counts, overlap tests) for [`PLAN_EPOCHS`]
+/// closes per round, fixtures built before timing; `ns_per_op` is the
+/// cost of one close.
+fn epoch_close_plan(p: Protocol) -> BenchResult {
+    let mut fixtures: Vec<PlanFixture> = (0..p.warmup + p.rounds).map(|_| plan_fixture()).collect();
+    let mut next = fixtures.iter_mut();
+    run_bench("epoch_close_plan", p, || {
+        let Some(fx) = next.next() else {
+            return 0;
+        };
+        for epoch in 0..PLAN_EPOCHS {
+            let plan = fx.balancer.on_epoch(&fx.ns, &fx.map, &plan_stats(epoch));
+            fx.migrator.enqueue_plan(&mut fx.ns, &fx.map, &plan, epoch);
+        }
+        PLAN_EPOCHS
     })
 }
 
@@ -839,6 +936,7 @@ fn main() -> ExitCode {
         frag_split(protocol),
         migration_pipeline(protocol),
         migration_commit_cohorts(protocol),
+        epoch_close_plan(protocol),
         telemetry_off(protocol),
         telemetry_on(protocol),
         authority_resolve(protocol),
@@ -906,6 +1004,28 @@ mod tests {
         for d in &dirs {
             assert!(an.mindex_of(*d) > 0.0, "directory {d:?} reads mIndex 0");
         }
+    }
+
+    /// Every timed close of the plan fixture pairs 64 times and plans
+    /// exports, the first one splits fragments, and jobs start.
+    #[test]
+    fn plan_fixture_pairs_64_times_and_plans() {
+        let mut fx = plan_fixture();
+        let tel = Telemetry::enabled();
+        fx.balancer.attach_telemetry(tel.clone());
+        for epoch in 0..PLAN_EPOCHS {
+            let plan = fx.balancer.on_epoch(&fx.ns, &fx.map, &plan_stats(epoch));
+            assert!(plan.exports.len() >= PLAN_EXPORTERS, "epoch {epoch}");
+            let generation = fx.ns.generation();
+            fx.migrator.enqueue_plan(&mut fx.ns, &fx.map, &plan, epoch);
+            if epoch == 0 {
+                assert!(fx.ns.generation() > generation, "no fragment split");
+            }
+        }
+        assert!(fx.migrator.counters().started_jobs > 0);
+        let journal = lunule_telemetry::events_jsonl(&tel.snapshot().unwrap());
+        let decisions = journal.matches("\"pairings\":64").count();
+        assert_eq!(decisions, PLAN_EPOCHS as usize, "{journal}");
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub trait Balancer: Send {
     /// One-time hook before the run starts; static policies (Dir-Hash
     /// pinning) mutate the subtree map here. A policy whose setup leaves
     /// redundant entries must never migrate, as Dir-Hash does not: each
-    /// commit re-simplifies only the entries on its importers' ranks.
+    /// commit re-simplifies only the entries whose inherited rank it set.
     fn setup(&mut self, _ns: &Namespace, _map: &mut SubtreeMap, _n_mds: usize) {}
 
     /// Hands the balancer a telemetry handle so it can record phase spans

@@ -7,7 +7,7 @@
 //! paper's measurements its IF stays close to 1.
 
 use crate::balancer::{Access, Balancer, ExportTask, MigrationPlan};
-use crate::dirload::{build_candidates, candidates_of_rank};
+use crate::dirload::{build_candidates, RankBuckets};
 use crate::heat::HeatMap;
 use crate::selector::select_hottest;
 use crate::stats::EpochStats;
@@ -60,7 +60,7 @@ impl Balancer for GreedySpillBalancer {
             return MigrationPlan::default();
         }
         let heat = &self.heat;
-        let candidates = build_candidates(ns, map, &|d| heat.heat_of(d));
+        let candidates = RankBuckets::new(build_candidates(ns, map, &|d| heat.heat_of(d)));
         let mut exports = Vec::new();
         for (i, &load) in loads.iter().enumerate() {
             if load <= IDLE_IOPS {
@@ -71,9 +71,9 @@ impl Balancer for GreedySpillBalancer {
                 continue;
             }
             let exporter = MdsRank::from_index(i);
-            let mine = candidates_of_rank(&candidates, exporter);
+            let mine = candidates.of(exporter);
             let demand = load * SPILL_FRACTION * stats.epoch_secs;
-            let subtrees = select_hottest(ns, &mine, demand, exporter);
+            let subtrees = select_hottest(ns, mine, demand, exporter);
             if subtrees.is_empty() {
                 continue;
             }

@@ -16,7 +16,7 @@
 //!    scan-type workloads.
 
 use crate::balancer::{Access, Balancer, ExportTask, MigrationPlan};
-use crate::dirload::{build_candidates, candidates_of_rank};
+use crate::dirload::{build_candidates, RankBuckets};
 use crate::heat::HeatMap;
 use crate::selector::select_hottest;
 use crate::stats::EpochStats;
@@ -87,7 +87,7 @@ impl Balancer for VanillaBalancer {
         import_room.sort_by(|a, b| b.1.total_cmp(&a.1));
 
         let heat = &self.heat;
-        let candidates = build_candidates(ns, map, &|d| heat.heat_of(d));
+        let candidates = RankBuckets::new(build_candidates(ns, map, &|d| heat.heat_of(d)));
 
         let mut exports = Vec::new();
         for (i, &load) in loads.iter().enumerate() {
@@ -97,7 +97,7 @@ impl Balancer for VanillaBalancer {
             // Shed the entire excess in one decision.
             let mut excess = load - mean;
             let exporter = MdsRank::from_index(i);
-            let mut mine = candidates_of_rank(&candidates, exporter);
+            let mut mine = candidates.of(exporter).to_vec();
             for (j, room) in import_room.iter_mut() {
                 if excess <= 0.0 || *room <= 0.0 {
                     continue;

@@ -35,7 +35,10 @@
 //! so every f64 sum, and therefore every candidate, is bit-identical to
 //! that walk (a test keeps it as the oracle).
 
-use lunule_namespace::{DirEntries, Frag, FragKey, InodeId, MdsRank, Namespace, SubtreeMap};
+use crate::selector::subtrees_overlap;
+use lunule_namespace::{
+    DirEntries, Frag, FragKey, FragSet, InodeId, MdsRank, Namespace, SubtreeMap,
+};
 use lunule_util::convert::{u32_to_usize, usize_to_f64};
 
 /// A migration candidate: a dirfrag subtree with its aggregated load.
@@ -55,14 +58,15 @@ pub struct Candidate {
     pub inodes: usize,
 }
 
-/// One live fragment's running totals while its directory is visited.
+/// One live fragment's running totals while its directory is visited,
+/// one lane per load metric.
 #[derive(Clone, Copy)]
-struct FragAgg {
-    /// The directory's local load apportioned by the fragment's share of
+struct FragAgg<const N: usize> {
+    /// The directory's local loads apportioned by the fragment's share of
     /// its children.
-    local: f64,
+    local: [f64; N],
     /// `local` plus the aggregates of subdirectories in the frag.
-    load: f64,
+    load: [f64; N],
     /// The fragment's children plus the inode counts of subdirectories in
     /// the frag.
     inodes: usize,
@@ -79,7 +83,11 @@ struct FragAgg {
 /// claims those it contains, a deeper entry over a coarser one. An entry
 /// keyed on a live fragment is the deepest that contains it, so it is
 /// the explicit one.
-fn match_entries(frags: &[Frag], entries: DirEntries<'_>, per_frag: &mut [FragAgg]) {
+fn match_entries<const N: usize>(
+    frags: &[Frag],
+    entries: DirEntries<'_>,
+    per_frag: &mut [FragAgg<N>],
+) {
     for (e, rank) in entries.iter() {
         let lo = frags.partition_point(|f| f.range_end() <= e.range_start());
         for (f, agg) in frags[lo..].iter().zip(&mut per_frag[lo..]) {
@@ -94,65 +102,101 @@ fn match_entries(frags: &[Frag], entries: DirEntries<'_>, per_frag: &mut [FragAg
     }
 }
 
+/// Adds `b` into `a` lane by lane.
+fn add_lanes<const N: usize>(a: &mut [f64; N], b: &[f64; N]) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x += y;
+    }
+}
+
 /// Computes the candidate list for the whole cluster given a per-directory
 /// local load metric.
 ///
 /// `local` maps a directory to the load charged to its direct children.
 /// Directories with zero aggregate load are skipped. The returned vector is
-/// unsorted; callers filter by rank and order as their policy requires.
+/// unsorted; callers group it by rank ([`RankBuckets`]) and order it as
+/// their policy requires.
 pub fn build_candidates(
     ns: &Namespace,
     map: &SubtreeMap,
     local: &impl Fn(InodeId) -> f64,
 ) -> Vec<Candidate> {
+    let [all] = build_candidates_n(ns, map, &|d| [local(d)]);
+    all
+}
+
+/// [`build_candidates`] for `N` load metrics in one walk: `local` returns
+/// a directory's local load under each, and list `k` is exactly what
+/// `build_candidates` returns for metric `k` alone (same order, same
+/// `load > 0.0` filter, same bits: each lane sums in the same order). The
+/// authority pass, the entry match, the fragment shares and the
+/// subdirectory hashing are shared.
+pub fn build_candidates_n<const N: usize>(
+    ns: &Namespace,
+    map: &SubtreeMap,
+    local: &impl Fn(InodeId) -> [f64; N],
+) -> [Vec<Candidate>; N] {
     let dirs = ns.dir_ids();
     // Top-down pass: a directory's id is smaller than its subdirectories'
     // (ids only append and nothing moves a directory), and the map's
     // entries are ordered by id too, so one ascending merge-walk pairs
     // each directory slot with its entries and hands its authority down
     // to its subdirectories, as `SubtreeMap::authority` resolves it.
+    // The same walk reads each directory's fragment set (merged from
+    // `Namespace::frag_sets`, no map lookup per directory) and child
+    // count into slot-indexed scratch; on mega_cohort that took ~10% off
+    // the walk.
     let mut entries = vec![DirEntries::default(); dirs.len()];
     let mut auth = vec![map.root_rank(); dirs.len()];
+    let mut sets: Vec<Option<&FragSet>> = vec![None; dirs.len()];
+    let mut n_children = vec![0usize; dirs.len()];
     let mut walk = map.dir_entries().peekable();
+    let mut frag_sets = ns.frag_sets().peekable();
     for (slot, &id) in dirs.iter().enumerate() {
         while let Some((dir, e)) = walk.next_if(|(dir, _)| *dir <= id) {
             if dir == id {
                 entries[slot] = e;
             }
         }
+        while let Some((dir, set)) = frag_sets.next_if(|(dir, _)| *dir <= id) {
+            if dir == id {
+                sets[slot] = Some(set);
+            }
+        }
+        n_children[slot] = ns.inode(id).children().len();
         for &s in ns.subdir_slots(slot) {
             let s = u32_to_usize(s);
             auth[s] = entries[slot].child_authority(ns.dentry_hash_of(dirs[s]), auth[slot]);
         }
     }
     // Bottom-up pass: a descending walk visits subdirectories first.
-    // Per directory slot: aggregate load and inode count of the
+    // Per directory slot: aggregate loads and inode count of the
     // directory's *non-delegated* portion, i.e. what flows up into its
-    // parent's candidate.
-    let mut agg_whole = vec![0.0f64; dirs.len()];
+    // parent's candidates.
+    let mut agg_whole = vec![[0.0f64; N]; dirs.len()];
     let mut inodes_whole = vec![0usize; dirs.len()];
-    let mut per_frag: Vec<FragAgg> = Vec::new();
-    let mut candidates = Vec::new();
-    let mut push = |key: FragKey, rank: MdsRank, load: f64, local_load: f64, inodes: usize| {
-        if load > 0.0 {
-            candidates.push(Candidate {
-                key,
-                rank,
-                load,
-                local_load,
-                inodes,
-            });
-        }
-    };
+    let mut per_frag: Vec<FragAgg<N>> = Vec::new();
+    let mut candidates: [Vec<Candidate>; N] = std::array::from_fn(|_| Vec::new());
+    let mut push =
+        |key: FragKey, rank: MdsRank, load: &[f64; N], local: &[f64; N], inodes: usize| {
+            for ((list, &load), &local_load) in candidates.iter_mut().zip(load).zip(local) {
+                if load > 0.0 {
+                    list.push(Candidate {
+                        key,
+                        rank,
+                        load,
+                        local_load,
+                        inodes,
+                    });
+                }
+            }
+        };
 
     for (slot, &id) in dirs.iter().enumerate().rev() {
-        let ino = ns.inode(id);
         let local_load = local(id);
-        let n_children = ino.children().len();
+        let n_children = n_children[slot];
         let subdirs = ns.subdir_slots(slot);
-        let fragmented = ns
-            .frag_set(id)
-            .filter(|set| !matches!(set.frags(), [only] if only.is_root()));
+        let fragmented = sets[slot].filter(|set| !matches!(set.frags(), [only] if only.is_root()));
 
         // Fast path: undivided directory.
         let Some(set) = fragmented else {
@@ -163,11 +207,17 @@ pub fn build_candidates(
                 // A subdirectory's slot holds its *non-delegated* portion by
                 // construction (delegated fragments were excluded when it
                 // was visited), so it always flows up.
-                load += agg_whole[u32_to_usize(s)];
+                add_lanes(&mut load, &agg_whole[u32_to_usize(s)]);
                 count += inodes_whole[u32_to_usize(s)];
             }
             let explicit = entries[slot].explicit_rank(&key.frag);
-            push(key, explicit.unwrap_or(auth[slot]), load, local_load, count);
+            push(
+                key,
+                explicit.unwrap_or(auth[slot]),
+                &load,
+                &local_load,
+                count,
+            );
             if explicit.is_none() {
                 agg_whole[slot] = load;
                 inodes_whole[slot] = count;
@@ -188,7 +238,7 @@ pub fn build_candidates(
             } else {
                 usize_to_f64(children) / usize_to_f64(n_children)
             };
-            let local = local_load * frac;
+            let local = local_load.map(|l| l * frac);
             FragAgg {
                 local,
                 load: local,
@@ -203,23 +253,23 @@ pub fn build_candidates(
             let hash = ns.dentry_hash_of(dirs[s]);
             let i = frags.partition_point(|f| f.range_end() <= hash);
             if let Some(agg) = per_frag.get_mut(i) {
-                agg.load += agg_whole[s];
+                add_lanes(&mut agg.load, &agg_whole[s]);
                 agg.inodes += inodes_whole[s];
             }
         }
-        let mut up_load = 0.0;
+        let mut up_load = [0.0; N];
         let mut up_inodes = 0usize;
         for (&frag, agg) in frags.iter().zip(&per_frag) {
             let rank = agg.covering.map_or(auth[slot], |(_, r)| r);
             push(
                 FragKey { dir: id, frag },
                 rank,
-                agg.load,
-                agg.local,
+                &agg.load,
+                &agg.local,
                 agg.inodes,
             );
             if !agg.explicit {
-                up_load += agg.load;
+                add_lanes(&mut up_load, &agg.load);
                 up_inodes += agg.inodes;
             }
         }
@@ -229,12 +279,96 @@ pub fn build_candidates(
     candidates
 }
 
-/// Filters candidates down to one exporter and sorts them by descending
-/// load — the shape every selection policy starts from.
-pub fn candidates_of_rank(all: &[Candidate], rank: MdsRank) -> Vec<Candidate> {
-    let mut v: Vec<Candidate> = all.iter().filter(|c| c.rank == rank).copied().collect();
-    v.sort_by(|a, b| b.load.total_cmp(&a.load));
-    v
+/// Candidates grouped by rank, each group ordered by descending load with
+/// ties in list order: what every selection policy starts from, for all
+/// exporters at the cost of one sort. An exporter without candidates
+/// costs one lookup.
+#[derive(Debug)]
+pub struct RankBuckets {
+    /// The candidates, by ascending rank, then descending load.
+    sorted: Vec<Candidate>,
+    /// `starts[r]..starts[r + 1]` is rank `r`'s group.
+    starts: Vec<usize>,
+    /// Per candidate of `sorted`: how many claimed subtrees
+    /// [`RankBuckets::unused_of`] has tested it against, or [`OVERLAPS`]
+    /// once one overlapped it.
+    tested: Vec<usize>,
+}
+
+/// [`RankBuckets::tested`]'s mark of a candidate that overlaps a claimed
+/// subtree.
+const OVERLAPS: usize = usize::MAX;
+
+impl RankBuckets {
+    /// Groups `all` by rank with one stable sort.
+    pub fn new(mut all: Vec<Candidate>) -> Self {
+        all.sort_by(|a, b| a.rank.cmp(&b.rank).then(b.load.total_cmp(&a.load)));
+        let ranks = all.last().map_or(0, |c| c.rank.index() + 1);
+        let mut starts = Vec::with_capacity(ranks + 1);
+        let mut at = 0;
+        for r in 0..=ranks {
+            at += all[at..].iter().take_while(|c| c.rank.index() < r).count();
+            starts.push(at);
+        }
+        RankBuckets {
+            tested: vec![0; all.len()],
+            sorted: all,
+            starts,
+        }
+    }
+
+    /// The positions in `sorted` of rank `rank`'s group.
+    fn range(&self, rank: MdsRank) -> std::ops::Range<usize> {
+        let r = rank.index();
+        match (self.starts.get(r), self.starts.get(r + 1)) {
+            (Some(&lo), Some(&hi)) => lo..hi,
+            _ => 0..0,
+        }
+    }
+
+    /// Rank `rank`'s candidates by descending load.
+    pub fn of(&self, rank: MdsRank) -> &[Candidate] {
+        &self.sorted[self.range(rank)]
+    }
+
+    /// Appends to `out` rank `rank`'s candidates, by descending load, that
+    /// overlap none of the subtrees `used` claims ([`subtrees_overlap`]).
+    /// `used` may only grow between calls: a candidate is tested against
+    /// each claimed subtree once, and stays out once one overlaps it.
+    pub fn unused_of(
+        &mut self,
+        ns: &Namespace,
+        rank: MdsRank,
+        used: &[FragKey],
+        out: &mut Vec<Candidate>,
+    ) {
+        let range = self.range(rank);
+        for (c, tested) in self.sorted[range.clone()]
+            .iter()
+            .zip(&mut self.tested[range])
+        {
+            if *tested == OVERLAPS {
+                continue;
+            }
+            let fresh = used.get(*tested..).unwrap_or_default();
+            if fresh.iter().any(|u| subtrees_overlap(ns, u, &c.key)) {
+                *tested = OVERLAPS;
+            } else {
+                *tested = used.len();
+                out.push(*c);
+            }
+        }
+    }
+
+    /// Number of candidates over all ranks.
+    pub fn len(&self) -> usize {
+        self.sorted.len()
+    }
+
+    /// True when no rank has a candidate.
+    pub fn is_empty(&self) -> bool {
+        self.sorted.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -299,7 +433,12 @@ mod tests {
             let mut up_load = 0.0;
             let mut up_inodes = 0usize;
             for frag in frags {
-                let in_frag = ns.children_in_frag(id, &frag);
+                let in_frag: Vec<InodeId> = ino
+                    .children()
+                    .iter()
+                    .copied()
+                    .filter(|c| frag.contains_hash(ns.dentry_hash_of(*c)))
+                    .collect();
                 let frac = if n_children == 0 {
                     0.0
                 } else {
@@ -503,8 +642,8 @@ mod tests {
                 .next()
                 .map_or_else(DirEntries::default, |(_, e)| e);
             let blank = FragAgg {
-                local: 0.0,
-                load: 0.0,
+                local: [0.0],
+                load: [0.0],
                 inodes: 0,
                 covering: None,
                 explicit: false,
@@ -584,8 +723,8 @@ mod tests {
         let a1_cand = cands.iter().find(|c| c.key.dir == a1).unwrap();
         assert_eq!(a1_cand.rank, MdsRank(1));
         assert_eq!(a1_cand.load, 5.0);
-        let of_rank1 = candidates_of_rank(&cands, MdsRank(1));
-        assert_eq!(of_rank1.len(), 1);
+        let buckets = RankBuckets::new(cands);
+        assert_eq!(buckets.of(MdsRank(1)).len(), 1);
     }
 
     #[test]
@@ -619,15 +758,67 @@ mod tests {
         assert!(cands.is_empty());
     }
 
+    /// Each bucket is the filter-then-stable-sort it replaces, over
+    /// candidates with repeated loads and ranks past the last one used,
+    /// and `unused_of` is the overlap filter it replaces while the claimed
+    /// subtrees grow.
     #[test]
-    fn rank_filter_sorts_descending() {
-        let (ns, _, _, _, loads) = fixture();
-        let map = SubtreeMap::new(MdsRank(0));
-        let local = |d: InodeId| loads.get(&d).copied().unwrap_or(0.0);
-        let cands = build_candidates(&ns, &map, &local);
-        let sorted = candidates_of_rank(&cands, MdsRank(0));
-        for w in sorted.windows(2) {
-            assert!(w[0].load >= w[1].load);
-        }
+    fn rank_buckets_match_a_filter_and_stable_sort() {
+        propcheck::run(200, |rng| {
+            let ns = random_namespace(rng);
+            let map = random_map(rng, &ns);
+            // Few distinct loads, so ties are common.
+            let loads: Vec<f64> = (0..ns.len())
+                .map(|_| usize_to_f64(rng.gen_range(0..4)))
+                .collect();
+            let all = build_candidates(&ns, &map, &|d: InodeId| loads[d.index()]);
+            let mut buckets = RankBuckets::new(all.clone());
+            assert_eq!(buckets.len(), all.len());
+            for r in 0..6 {
+                let rank = MdsRank::from_index(r);
+                let mut want: Vec<Candidate> =
+                    all.iter().filter(|c| c.rank == rank).copied().collect();
+                want.sort_by(|a, b| b.load.total_cmp(&a.load));
+                assert_eq!(as_bits(buckets.of(rank)), as_bits(&want), "rank {r}");
+            }
+            // Claimed subtrees grow between queries, as pairings claim them.
+            let mut used = Vec::new();
+            for _ in 0..8 {
+                if !all.is_empty() {
+                    used.push(all[rng.gen_range(0..all.len())].key);
+                }
+                let rank = MdsRank::from_index(rng.gen_range(0..5));
+                let want: Vec<Candidate> = buckets
+                    .of(rank)
+                    .iter()
+                    .filter(|c| !used.iter().any(|u| subtrees_overlap(&ns, u, &c.key)))
+                    .copied()
+                    .collect();
+                let mut got = Vec::new();
+                buckets.unused_of(&ns, rank, &used, &mut got);
+                assert_eq!(as_bits(&got), as_bits(&want));
+            }
+        });
+    }
+
+    /// Two metrics in one walk give each metric's own list bit for bit.
+    #[test]
+    fn one_walk_matches_a_walk_per_metric() {
+        propcheck::run(200, |rng| {
+            let ns = random_namespace(rng);
+            let map = random_map(rng, &ns);
+            let a = random_loads(rng, &ns);
+            let b = random_loads(rng, &ns);
+            let [got_a, got_b] =
+                build_candidates_n(&ns, &map, &|d: InodeId| [a[d.index()], b[d.index()]]);
+            assert_eq!(
+                as_bits(&got_a),
+                as_bits(&build_candidates(&ns, &map, &|d: InodeId| a[d.index()]))
+            );
+            assert_eq!(
+                as_bits(&got_b),
+                as_bits(&build_candidates(&ns, &map, &|d: InodeId| b[d.index()]))
+            );
+        });
     }
 }

@@ -37,7 +37,7 @@ pub use balancer::{
     Access, Balancer, BalancerKind, ExportTask, MigrationPlan, NoopBalancer, OpKind, SubtreeChoice,
 };
 pub use baselines::{DirHashBalancer, GreedySpillBalancer, VanillaBalancer};
-pub use dirload::{build_candidates, candidates_of_rank, Candidate};
+pub use dirload::{build_candidates, build_candidates_n, Candidate, RankBuckets};
 pub use heat::HeatMap;
 pub use if_model::{IfModelConfig, ImbalanceFactorModel};
 pub use lunule::{LunuleBalancer, LunuleConfig};

@@ -9,13 +9,13 @@
 
 use crate::analyzer::{AnalyzerConfig, PatternAnalyzer};
 use crate::balancer::{Access, Balancer, ExportTask, MigrationPlan, OpKind};
-use crate::dirload::{build_candidates, candidates_of_rank};
+use crate::dirload::{build_candidates, build_candidates_n, Candidate, RankBuckets};
 use crate::heat::{self, HeatMap};
 use crate::if_model::{IfModelConfig, ImbalanceFactorModel};
 use crate::roles::{decide_roles_weighted, RoleConfig, DEVIATION_THRESHOLD};
-use crate::selector::{select_hottest, select_subtrees, subtrees_overlap};
+use crate::selector::{select_hottest, select_subtrees};
 use crate::stats::{EpochStats, LoadHistory};
-use lunule_namespace::{InodeId, Namespace, SubtreeMap};
+use lunule_namespace::{FragKey, InodeId, Namespace, SubtreeMap};
 use lunule_telemetry::{Event, Telemetry};
 use lunule_util::codec::{CodecError, Decoder, Encoder};
 use lunule_util::convert::usize_to_u64;
@@ -292,34 +292,34 @@ impl Balancer for LunuleBalancer {
         // Candidate loads: migration index (Lunule) or heat (Light). Both
         // are "per recent window" quantities; Algorithm 1 amounts are in
         // IOPS — scale demand into the candidate unit via the epoch length.
+        // Lunule also carries, from the same walk, the fallback metric for
+        // when every migration index is zero (e.g. a scan that already
+        // covered the whole namespace): recent visit counts.
         let _select_span = self.telemetry.span("balancer.select");
-        let candidates = if self.cfg.workload_aware {
+        let (mut candidates, mut visits) = if self.cfg.workload_aware {
             let analyzer = &self.analyzer;
-            build_candidates(ns, map, &|d| analyzer.mindex_of(d))
+            let [mindex, visits] = build_candidates_n(ns, map, &|d| {
+                analyzer
+                    .index_of(d)
+                    .map_or([0.0; 2], |m| [m.value(), m.l_t])
+            });
+            (RankBuckets::new(mindex), Some(RankBuckets::new(visits)))
         } else {
             let heat = &self.heat;
-            build_candidates(ns, map, &|d| heat.heat_of(d))
+            let all = build_candidates(ns, map, &|d| heat.heat_of(d));
+            (RankBuckets::new(all), None)
         };
 
-        // Fallback metric when every migration index is zero (e.g. a scan
-        // that already covered the whole namespace): recent visit counts.
-        let mut fallback: Option<Vec<crate::dirload::Candidate>> = None;
         // Subtrees already claimed by an earlier pairing this epoch: each
         // pairing must select from what is left, or every importer would be
         // handed the same hottest subtrees and all but one choice would be
         // rejected at migration time.
-        let mut used: Vec<lunule_namespace::FragKey> = Vec::new();
+        let mut used: Vec<FragKey> = Vec::new();
+        let mut mine: Vec<Candidate> = Vec::new();
         let mut exports = Vec::new();
         for pairing in &decision.pairings {
-            let unused = |c: &&crate::dirload::Candidate| {
-                !used.iter().any(|u| subtrees_overlap(ns, u, &c.key))
-            };
-            let mut mine: Vec<crate::dirload::Candidate> =
-                candidates_of_rank(&candidates, pairing.exporter)
-                    .iter()
-                    .filter(unused)
-                    .copied()
-                    .collect();
+            mine.clear();
+            candidates.unused_of(ns, pairing.exporter, &used, &mut mine);
             let demand = pairing.amount * stats.epoch_secs;
             let mut subtrees = if mine.is_empty() {
                 Vec::new()
@@ -328,16 +328,9 @@ impl Balancer for LunuleBalancer {
             } else {
                 select_hottest(ns, &mine, demand, pairing.exporter)
             };
-            if subtrees.is_empty() && self.cfg.workload_aware {
-                let all = fallback.get_or_insert_with(|| {
-                    let analyzer = &self.analyzer;
-                    build_candidates(ns, map, &|d| analyzer.recent_visits_of(d))
-                });
-                mine = candidates_of_rank(all, pairing.exporter)
-                    .iter()
-                    .filter(unused)
-                    .copied()
-                    .collect();
+            if let (true, Some(visits)) = (subtrees.is_empty(), &mut visits) {
+                mine.clear();
+                visits.unused_of(ns, pairing.exporter, &used, &mut mine);
                 if !mine.is_empty() {
                     subtrees = select_subtrees(ns, &mine, demand);
                 }

@@ -87,7 +87,7 @@ pub fn select_subtrees(
         if c.load > remaining * overshoot {
             continue;
         }
-        if out.iter().any(|s| keys_overlap(ns, &s.subtree, &c.key)) {
+        if out.iter().any(|s| subtrees_overlap(ns, &s.subtree, &c.key)) {
             continue;
         }
         out.push(SubtreeChoice {
@@ -138,11 +138,11 @@ fn split_candidate(
             return;
         }
         let (l, r) = cand.key.frag.split_in_two();
-        let total_children = ns.children_in_frag(cand.key.dir, &cand.key.frag).len();
+        let total_children = ns.frag_child_count(cand.key.dir, &cand.key.frag);
         if total_children == 0 {
             return;
         }
-        let left_children = ns.children_in_frag(cand.key.dir, &l).len();
+        let left_children = ns.frag_child_count(cand.key.dir, &l);
         let lfrac = usize_to_f64(left_children) / usize_to_f64(total_children);
         let halves = [
             (l, cand.load * lfrac, cand.local_load * lfrac, left_children),
@@ -230,8 +230,7 @@ fn pick_preference(load: f64, amount: f64) -> f64 {
 /// precise per-child loads live in the balancer's tracker, but at this depth
 /// an even split is the paper's own fallback).
 fn child_candidates(ns: &Namespace, cand: &Candidate) -> Vec<Candidate> {
-    let kids = ns.children_in_frag(cand.key.dir, &cand.key.frag);
-    let dirs: Vec<_> = kids.into_iter().filter(|c| ns.inode(*c).is_dir()).collect();
+    let dirs: Vec<_> = ns.subdirs_in_frag(cand.key.dir, &cand.key.frag).collect();
     if dirs.is_empty() {
         return Vec::new();
     }
@@ -256,10 +255,6 @@ fn child_candidates(ns: &Namespace, cand: &Candidate) -> Vec<Candidate> {
 /// inside the other's subtree. The simulator's migrator uses this to refuse
 /// concurrent migrations of overlapping subtrees.
 pub fn subtrees_overlap(ns: &Namespace, a: &FragKey, b: &FragKey) -> bool {
-    keys_overlap(ns, a, b)
-}
-
-fn keys_overlap(ns: &Namespace, a: &FragKey, b: &FragKey) -> bool {
     if a.dir == b.dir {
         return !a.frag.disjoint(&b.frag);
     }
@@ -300,7 +295,7 @@ pub fn select_hottest(
         if c.load > remaining * 1.5 && mostly_nested {
             continue;
         }
-        if out.iter().any(|s| keys_overlap(ns, &s.subtree, &c.key)) {
+        if out.iter().any(|s| subtrees_overlap(ns, &s.subtree, &c.key)) {
             continue;
         }
         covered += c.load;

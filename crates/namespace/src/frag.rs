@@ -8,6 +8,8 @@
 //! it for the MDtest workload, where every client creates 100k files in one
 //! directory and balance is only achievable by fragment splitting.
 
+use lunule_util::convert::u32_to_usize;
+
 /// Number of significant bits in the dentry hash space.
 pub const HASH_BITS: u8 = 24;
 
@@ -185,29 +187,48 @@ pub fn dentry_hash(raw_id: u64) -> u32 {
 /// checked in debug builds after every split.
 ///
 /// Beside each live fragment sits its child count: how many of the
-/// directory's children have a dentry hash inside it. Only
+/// directory's children have a dentry hash inside it. Beside the whole set
+/// sits a histogram of the children's top [`HIST_BITS`] hash bits, so the
+/// child count of any fragment no deeper than that, live or not, is a sum
+/// over at most `2^HIST_BITS` buckets: a split and the selector's
+/// hypothetical splits count without visiting a child. Only
 /// [`crate::Namespace`] keeps the counts (a child joining or leaving, a
 /// split, a snapshot decode), and they are not serialised; a set used on
 /// its own reads zero for every fragment a split creates.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct FragSet {
     frags: Vec<Frag>,
     /// Per fragment, in the order of `frags`: children hashing into it.
     counts: Vec<usize>,
+    /// Children per value of their top [`HIST_BITS`] hash bits.
+    hist: Box<[u32]>,
+}
+
+/// Hash bits the histogram of a [`FragSet`] resolves: 256 buckets, 1 KiB
+/// per fragmented directory.
+pub const HIST_BITS: u8 = 8;
+
+/// The histogram bucket of a dentry hash.
+fn bucket(hash: u32) -> usize {
+    u32_to_usize((hash & HASH_MASK) >> (HASH_BITS - HIST_BITS))
 }
 
 impl FragSet {
     /// A fresh, undivided directory: the single root fragment.
     pub fn new_root() -> Self {
-        Self::new_root_counting(0)
+        Self::new_root_counting(std::iter::empty())
     }
 
-    /// The single root fragment of a directory with `children` children.
-    pub(crate) fn new_root_counting(children: usize) -> Self {
-        FragSet {
+    /// The single root fragment of a directory whose children have the
+    /// dentry `hashes`.
+    pub(crate) fn new_root_counting(hashes: impl Iterator<Item = u32>) -> Self {
+        let mut set = FragSet {
             frags: vec![Frag::root()],
-            counts: vec![children],
-        }
+            counts: vec![0],
+            hist: vec![0; 1 << HIST_BITS].into_boxed_slice(),
+        };
+        set.recount(hashes);
+        set
     }
 
     /// The current fragments, in ascending hash order.
@@ -221,9 +242,23 @@ impl FragSet {
         &self.counts
     }
 
-    /// Moves the child count of the fragment containing `hash` one up
-    /// (`joined`) or one down: a child with that dentry hash joined or
-    /// left the directory.
+    /// The number of children whose dentry hash `frag` contains, when the
+    /// set can tell without them: `frag` is no deeper than [`HIST_BITS`]
+    /// (a sum over its histogram buckets) or is live (its child count).
+    pub fn child_count(&self, frag: &Frag) -> Option<usize> {
+        if frag.bits() <= HIST_BITS {
+            let lo = bucket(frag.range_start());
+            let hi = lo + (1usize << (HIST_BITS - frag.bits()));
+            let sum: u64 = self.hist[lo..hi].iter().map(|&n| u64::from(n)).sum();
+            return usize::try_from(sum).ok();
+        }
+        let i = self.frags.iter().position(|f| f == frag)?;
+        Some(self.counts[i])
+    }
+
+    /// Moves the child count of the fragment containing `hash`, and the
+    /// histogram bucket of `hash`, one up (`joined`) or one down: a child
+    /// with that dentry hash joined or left the directory.
     pub(crate) fn count_child(&mut self, hash: u32, joined: bool) {
         if let Some(n) = self
             .index_for_hash(hash)
@@ -231,6 +266,12 @@ impl FragSet {
         {
             *n = if joined { *n + 1 } else { n.saturating_sub(1) };
         }
+        let b = &mut self.hist[bucket(hash)];
+        *b = if joined {
+            b.saturating_add(1)
+        } else {
+            b.saturating_sub(1)
+        };
     }
 
     /// The child counts, for tests that make them stale.
@@ -239,13 +280,20 @@ impl FragSet {
         &mut self.counts
     }
 
-    /// Sets every fragment's child count from the dentry hashes of the
-    /// directory's children (snapshot decoding).
+    /// Sets every fragment's child count and the histogram from the
+    /// dentry hashes of the directory's children (snapshot decoding).
     pub(crate) fn recount(&mut self, hashes: impl Iterator<Item = u32>) {
         self.counts = vec![0; self.frags.len()];
+        self.hist.fill(0);
         for h in hashes {
             self.count_child(h, true);
         }
+    }
+
+    /// The histogram, for the namespace check that compares it with a
+    /// recount.
+    pub(crate) fn histogram(&self) -> &[u32] {
+        &self.hist
     }
 
     /// Number of fragments.
@@ -293,7 +341,9 @@ impl FragSet {
     }
 
     /// [`FragSet::split`], counting into the new fragments those of the
-    /// directory's child dentry `hashes` that fall inside `frag`.
+    /// directory's child dentry `hashes` that fall inside `frag`. A split
+    /// no deeper than [`HIST_BITS`] reads its counts from the histogram
+    /// and leaves `hashes` unread.
     pub(crate) fn split_counting(
         &mut self,
         frag: &Frag,
@@ -302,13 +352,22 @@ impl FragSet {
     ) -> Option<Vec<Frag>> {
         let idx = self.frags.iter().position(|f| f == frag)?;
         let children = frag.split(by);
-        self.frags.splice(idx..=idx, children.iter().copied());
-        self.counts.splice(idx..=idx, children.iter().map(|_| 0));
-        for h in hashes {
-            if let Some(i) = children.iter().position(|c| c.contains_hash(h)) {
-                self.counts[idx + i] += 1;
+        let counts: Vec<usize> = if frag.bits() + by <= HIST_BITS {
+            children
+                .iter()
+                .map(|c| self.child_count(c).unwrap_or(0))
+                .collect()
+        } else {
+            let mut counts = vec![0; children.len()];
+            for h in hashes.filter(|h| frag.contains_hash(*h)) {
+                // The `by` bits below `frag`'s prefix select the child.
+                let i = u32_to_usize((h & HASH_MASK) >> (HASH_BITS - frag.bits() - by));
+                counts[i & ((1 << by) - 1)] += 1;
             }
-        }
+            counts
+        };
+        self.frags.splice(idx..=idx, children.iter().copied());
+        self.counts.splice(idx..=idx, counts);
         self.debug_check();
         Some(children)
     }
@@ -331,8 +390,11 @@ impl FragSet {
         d: &mut lunule_util::codec::Decoder<'_>,
     ) -> Result<FragSet, lunule_util::codec::CodecError> {
         let frags = d.get_seq("fragset", Frag::decode)?;
-        let counts = vec![0; frags.len()];
-        let set = FragSet { frags, counts };
+        let set = FragSet {
+            counts: vec![0; frags.len()],
+            frags,
+            ..FragSet::new_root()
+        };
         if !set.partition_holds() {
             return Err(lunule_util::codec::CodecError::Invalid { what: "fragset" });
         }
@@ -460,6 +522,7 @@ mod tests {
         let gappy = FragSet {
             frags: vec![Frag::new(1, 1)],
             counts: vec![0],
+            ..FragSet::new_root()
         };
         assert_eq!(gappy.index_for_hash(0), None);
         assert_eq!(gappy.index_for_hash(HASH_MASK), Some(0));
@@ -468,15 +531,28 @@ mod tests {
     #[test]
     fn fragset_counts_follow_splits() {
         let hashes: Vec<u32> = (0..500u64).map(dentry_hash).collect();
-        let mut set = FragSet::new_root_counting(hashes.len());
+        let mut set = FragSet::new_root_counting(hashes.iter().copied());
         set.split_counting(&Frag::root(), 1, hashes.iter().copied())
             .unwrap();
         let (_, right) = Frag::root().split_in_two();
         set.split_counting(&right, 2, hashes.iter().copied())
             .unwrap();
+        // Past the histogram's resolution the split counts the hashes.
+        let deep = Frag::new(0b1, 1).split(2)[0].split(HIST_BITS - 3)[0];
+        let mut at = set.frags()[1];
+        while at != deep {
+            let next = at.split_in_two().0;
+            set.split_counting(&at, 1, hashes.iter().copied()).unwrap();
+            at = next;
+        }
+        set.split_counting(&deep, 3, hashes.iter().copied())
+            .unwrap();
         let counted = |f: &Frag| hashes.iter().filter(|h| f.contains_hash(**h)).count();
         let want: Vec<usize> = set.frags().iter().map(counted).collect();
         assert_eq!(set.child_counts(), want.as_slice());
+        for f in set.frags() {
+            assert_eq!(set.child_count(f), Some(counted(f)), "{f:?}");
+        }
         // A set used on its own counts nothing into a split's fragments.
         let mut alone = FragSet::new_root();
         alone.split(&Frag::root(), 1).unwrap();

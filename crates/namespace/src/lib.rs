@@ -40,7 +40,7 @@ pub use builder::{
     build_deep_tree, build_flat_dataset, build_private_dirs, BuiltDataset, FlatDataset,
 };
 pub use error::{NsError, NsResult};
-pub use frag::{dentry_hash, Frag, FragSet, HASH_BITS, HASH_MASK};
+pub use frag::{dentry_hash, Frag, FragSet, HASH_BITS, HASH_MASK, HIST_BITS};
 pub use inode::{FileType, Inode, InodeId};
 pub use stats::NamespaceStats;
 pub use subtree::{DirEntries, FragKey, MdsRank, SubtreeMap};

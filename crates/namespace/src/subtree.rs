@@ -334,29 +334,6 @@ impl SubtreeMap {
     /// authority, now answers with the same rank. So no entry's
     /// redundancy changes, and a second pass would remove nothing.
     pub fn simplify(&mut self, ns: &Namespace) -> usize {
-        self.remove_redundant(ns, |_| true)
-    }
-
-    /// [`SubtreeMap::simplify`] after a batch of commits that set entries
-    /// to the ranks in `importers`, on a map that had no redundant entry
-    /// before the batch. Only entries holding one of those ranks are
-    /// checked.
-    ///
-    /// Setting `K → to` changes the effective authority of some inodes to
-    /// `to` and of no inode to anything else. So after the batch an
-    /// entry's inherited rank is either what it was or one of the
-    /// importers, and an entry that is not itself an importer's keeps its
-    /// rank. An entry that was not redundant and whose rank is no
-    /// importer therefore still is not.
-    pub fn simplify_after(&mut self, ns: &Namespace, importers: &[MdsRank]) -> usize {
-        self.remove_redundant(ns, |rank| importers.contains(&rank))
-    }
-
-    /// Removes every entry whose rank passes `check` and equals its
-    /// inherited rank. Removing one changes no other's redundancy (see
-    /// [`SubtreeMap::simplify`]), so they are found first and cleared
-    /// after; the list stays unallocated when nothing is redundant.
-    fn remove_redundant(&mut self, ns: &Namespace, check: impl Fn(MdsRank) -> bool) -> usize {
         let redundant: Vec<FragKey> = self
             .entries
             .iter()
@@ -364,13 +341,85 @@ impl SubtreeMap {
                 v.iter()
                     .map(move |&(frag, rank)| (FragKey { dir, frag }, rank))
             })
-            .filter(|(key, rank)| check(*rank) && self.inherited_rank(ns, key) == *rank)
+            .filter(|(key, rank)| self.inherited_rank(ns, key) == *rank)
             .map(|(key, _)| key)
             .collect();
-        for key in &redundant {
+        self.clear_all(&redundant)
+    }
+
+    /// [`SubtreeMap::simplify`] after a batch of commits that set the
+    /// entries `rekeyed`, on a map that had no redundant entry before the
+    /// batch. Only the entries whose inherited rank comes from a re-keyed
+    /// one are checked: each re-keyed entry itself, the deeper entries on
+    /// its directory inside its fragment, and every entry on a directory
+    /// its region reaches without crossing another entry.
+    ///
+    /// An entry's inherited rank is the rank of the first entry above it:
+    /// the deepest other entry on its directory enclosing its fragment,
+    /// else the entry that decides its directory's authority. Setting
+    /// `K → to` changes that first entry, or its rank, only for the
+    /// entries listed above, and only to `to`. Every other entry keeps its
+    /// rank and its inherited rank, so one that was not redundant still is
+    /// not.
+    ///
+    /// The walk visits the directories of each region down to the next
+    /// entries, which is no more than the inodes the commit moved.
+    pub fn simplify_after(&mut self, ns: &Namespace, rekeyed: &[FragKey]) -> usize {
+        let mut redundant: Vec<FragKey> = Vec::new();
+        for key in rekeyed {
+            self.redundant_under(ns, key, &mut redundant);
+        }
+        self.clear_all(&redundant)
+    }
+
+    /// Adds to `redundant`, once each, the redundant entries among those
+    /// whose inherited rank may come from the entry on `key` (see
+    /// [`SubtreeMap::simplify_after`]).
+    fn redundant_under(&self, ns: &Namespace, key: &FragKey, redundant: &mut Vec<FragKey>) {
+        let mut check = |k: FragKey, rank: MdsRank| {
+            if self.inherited_rank(ns, &k) == rank && !redundant.contains(&k) {
+                redundant.push(k);
+            }
+        };
+        let own = self.entries_of(key.dir);
+        for (frag, rank) in own.iter() {
+            if key.frag.contains_frag(&frag) {
+                check(FragKey { dir: key.dir, frag }, rank);
+            }
+        }
+        // The subdirectories whose deepest covering entry is `key`'s, then
+        // everything below them that no entry covers.
+        let deepest_is_key = |d: &InodeId| {
+            let hash = dentry_hash(d.raw());
+            own.iter()
+                .filter(|(f, _)| f.contains_hash(hash))
+                .all(|(f, _)| f.bits() <= key.frag.bits())
+        };
+        let mut reached: Vec<InodeId> = ns
+            .subdirs_in_frag(key.dir, &key.frag)
+            .filter(deepest_is_key)
+            .collect();
+        while let Some(dir) = reached.pop() {
+            let entries = self.entries_of(dir);
+            for (frag, rank) in entries.iter() {
+                check(FragKey { dir, frag }, rank);
+            }
+            let uncovered = |d: &InodeId| {
+                let hash = dentry_hash(d.raw());
+                !entries.iter().any(|(f, _)| f.contains_hash(hash))
+            };
+            reached.extend(ns.subdirs_in_frag(dir, &Frag::root()).filter(uncovered));
+        }
+    }
+
+    /// Clears every entry in `keys` and returns how many there were.
+    /// Removing a redundant entry changes no other's redundancy (see
+    /// [`SubtreeMap::simplify`]), so callers find them all first.
+    fn clear_all(&mut self, keys: &[FragKey]) -> usize {
+        for key in keys {
             self.clear_authority(*key);
         }
-        redundant.len()
+        keys.len()
     }
 
     /// The rank the region of entry `key` resolves to without it: the
@@ -730,12 +779,47 @@ mod tests {
         });
     }
 
+    /// A key whose region encloses `inner`'s: on `inner.dir` with a
+    /// strictly coarser fragment, or on a proper ancestor directory with
+    /// a fragment of up to three bits that contains the path to it.
+    /// `None` for an entry on the whole root directory.
+    fn enclosing_key(
+        rng: &mut lunule_util::DetRng,
+        ns: &Namespace,
+        inner: &FragKey,
+    ) -> Option<FragKey> {
+        let chain = ns.path_chain(inner.dir);
+        if !inner.frag.is_root() && (chain.len() < 2 || rng.gen_bool()) {
+            let up = u8::try_from(rng.gen_range(1..usize::from(inner.frag.bits()) + 1)).unwrap();
+            let frag = Frag::new(inner.frag.value() >> up, inner.frag.bits() - up);
+            return Some(FragKey {
+                dir: inner.dir,
+                frag,
+            });
+        }
+        if chain.len() < 2 {
+            return None;
+        }
+        let at = rng.gen_range(0..chain.len() - 1);
+        let hash = ns.dentry_hash_of(chain[at + 1]);
+        let bits = u8::try_from(rng.gen_range(0..4)).unwrap();
+        let frag = Frag::new(hash >> (crate::HASH_BITS - bits), bits);
+        Some(FragKey {
+            dir: chain[at],
+            frag,
+        })
+    }
+
     /// From a simplified map, a batch of commits followed by
-    /// `simplify_after` with the batch's importers removes exactly what
-    /// the global `simplify` removes.
+    /// `simplify_after` with the batch's keys removes exactly what the
+    /// global `simplify` removes. A quarter of the commits take the rank of
+    /// an existing entry onto a key enclosing it, on the same directory or
+    /// on an ancestor's fragment, so the batch may make deeper entries
+    /// redundant.
     #[test]
     fn simplify_after_a_batch_matches_the_global_simplify() {
         let mut removing_batches = 0;
+        let (mut same_dir, mut ancestor_dir) = (0, 0);
         lunule_util::propcheck::run(512, |rng| {
             let (ns, dirs) = random_dirs(rng);
             let mut map = SubtreeMap::new(MdsRank::from_index(rng.gen_range(0..4)));
@@ -744,22 +828,47 @@ mod tests {
                 map.set_authority(random_key(rng, &dirs), rank);
             }
             map.simplify(&ns);
-            let mut importers = Vec::new();
+            let mut rekeyed = Vec::new();
             for _ in 0..rng.gen_range(1..6) {
-                // Half the commits re-key an existing entry.
                 let entries = map.all_entries();
-                let key = if !entries.is_empty() && rng.gen_bool() {
-                    entries[rng.gen_range(0..entries.len())].0
-                } else {
-                    random_key(rng, &dirs)
+                let pick = (!entries.is_empty()).then(|| entries[rng.gen_range(0..entries.len())]);
+                let (key, to) = match (pick, rng.gen_range(0..4)) {
+                    // A quarter of the commits enclose an entry with its rank.
+                    (Some((inner, rank)), 0) => match enclosing_key(rng, &ns, &inner) {
+                        Some(key) => (key, rank),
+                        None => (random_key(rng, &dirs), rank),
+                    },
+                    // Half the rest re-key an existing entry.
+                    (Some((key, _)), _) if rng.gen_bool() => {
+                        (key, MdsRank::from_index(rng.gen_range(0..4)))
+                    }
+                    _ => (
+                        random_key(rng, &dirs),
+                        MdsRank::from_index(rng.gen_range(0..4)),
+                    ),
                 };
-                let to = MdsRank::from_index(rng.gen_range(0..4));
                 map.set_authority(key, to);
-                importers.push(to);
+                rekeyed.push(key);
             }
+            let entries = map.all_entries();
+            let encloses = |same: bool| {
+                rekeyed.iter().any(|k| {
+                    let to = map.explicit_entry_rank(k.dir, &k.frag);
+                    entries.iter().any(|(e, rank)| {
+                        let inside = if same {
+                            e.dir == k.dir && e.frag != k.frag && k.frag.contains_frag(&e.frag)
+                        } else {
+                            e.dir != k.dir && ns.in_dirfrag(k.dir, &k.frag, e.dir)
+                        };
+                        inside && Some(*rank) == to
+                    })
+                })
+            };
+            same_dir += usize::from(encloses(true));
+            ancestor_dir += usize::from(encloses(false));
             let mut global = map.clone();
             let want = global.simplify(&ns);
-            assert_eq!(map.simplify_after(&ns, &importers), want);
+            assert_eq!(map.simplify_after(&ns, &rekeyed), want);
             assert_eq!(map.all_entries(), global.all_entries());
             assert_eq!(map.generation(), global.generation());
             removing_batches += usize::from(want > 0);
@@ -768,6 +877,15 @@ mod tests {
             removing_batches >= 50,
             "only {removing_batches} batches removed entries"
         );
+        for (shape, n) in [
+            ("same-directory", same_dir),
+            ("ancestor-directory", ancestor_dir),
+        ] {
+            assert!(
+                n >= 30,
+                "only {n} batches had a {shape} key enclosing a same-rank entry"
+            );
+        }
     }
 
     #[test]

@@ -346,8 +346,10 @@ impl Namespace {
         dentry_hash(child.raw())
     }
 
-    /// The live fragment of directory `dir` that `child` belongs to.
-    pub fn frag_of_child(&self, dir: InodeId, child: InodeId) -> Frag {
+    /// The live fragment of directory `dir` that `child` belongs to; the
+    /// tests' shorthand for [`Namespace::frag_for_hash`].
+    #[cfg(test)]
+    pub(crate) fn frag_of_child(&self, dir: InodeId, child: InodeId) -> Frag {
         match self.frags.get(&dir) {
             None => Frag::root(),
             Some(set) => set.frag_for_hash(dentry_hash(child.raw())),
@@ -367,6 +369,13 @@ impl Namespace {
         self.frags.get(&dir)
     }
 
+    /// Every fragmented directory with its fragment set, in ascending id
+    /// order: the order of [`Namespace::dir_ids`], so one merge-walk pairs
+    /// each directory with its set.
+    pub fn frag_sets(&self) -> impl Iterator<Item = (InodeId, &FragSet)> {
+        self.frags.iter().map(|(dir, set)| (*dir, set))
+    }
+
     /// Live fragments of `dir` (a single root fragment when undivided).
     pub fn frags_of(&self, dir: InodeId) -> Vec<Frag> {
         match self.frags.get(&dir) {
@@ -377,31 +386,69 @@ impl Namespace {
 
     /// Splits fragment `frag` of directory `dir` into `2^by` children and
     /// returns them. Creates the fragment set on first split, counting
-    /// every child into its root fragment, so a split that fails leaves
-    /// the count right; a split recounts the children of `frag` only.
+    /// every child into its root fragment and histogram in one pass, so a
+    /// split that fails leaves the counts right. A split no deeper than
+    /// [`crate::HIST_BITS`] reads its counts from the histogram; a deeper
+    /// one recounts the children of `frag`.
     pub fn split_frag(&mut self, dir: InodeId, frag: &Frag, by: u8) -> NsResult<Vec<Frag>> {
         if !self.get(dir)?.is_dir() {
             return Err(NsError::NotADirectory(dir));
         }
         self.generation += 1;
         let children = &self.arena[dir.index()].children;
-        let set = self
-            .frags
+        let hashes = || children.iter().map(|c| dentry_hash(c.raw()));
+        self.frags
             .entry(dir)
-            .or_insert_with(|| FragSet::new_root_counting(children.len()));
-        let hashes = children.iter().map(|c| dentry_hash(c.raw()));
-        set.split_counting(frag, by, hashes)
+            .or_insert_with(|| FragSet::new_root_counting(hashes()))
+            .split_counting(frag, by, hashes())
             .ok_or(NsError::NoSuchFrag { dir, frag: *frag })
     }
 
-    /// Children of `dir` that fall inside `frag`.
-    pub fn children_in_frag(&self, dir: InodeId, frag: &Frag) -> Vec<InodeId> {
+    /// Children of `dir` that fall inside `frag`: the oracle of
+    /// [`Namespace::frag_child_count`].
+    #[cfg(test)]
+    pub(crate) fn children_in_frag(&self, dir: InodeId, frag: &Frag) -> Vec<InodeId> {
         self.inode(dir)
             .children
             .iter()
             .copied()
             .filter(|c| frag.contains_hash(dentry_hash(c.raw())))
             .collect()
+    }
+
+    /// Number of children of `dir` whose dentry hash `frag` contains. The
+    /// whole directory reads its child list's length, and a fragmented
+    /// directory answers from its [`FragSet::child_count`]; only an
+    /// undivided directory asked for a part, or a fragment deeper than
+    /// [`crate::HIST_BITS`] that is not live, hashes its children.
+    pub fn frag_child_count(&self, dir: InodeId, frag: &Frag) -> usize {
+        let children = &self.inode(dir).children;
+        if frag.is_root() {
+            return children.len();
+        }
+        self.frags
+            .get(&dir)
+            .and_then(|set| set.child_count(frag))
+            .unwrap_or_else(|| {
+                children
+                    .iter()
+                    .filter(|c| frag.contains_hash(dentry_hash(c.raw())))
+                    .count()
+            })
+    }
+
+    /// Subdirectories of `dir` whose dentry hash `frag` contains, in
+    /// child-list order, read from the directory index.
+    pub fn subdirs_in_frag<'a>(
+        &'a self,
+        dir: InodeId,
+        frag: &'a Frag,
+    ) -> impl Iterator<Item = InodeId> + 'a {
+        let slots = self.dir_slot(dir).map_or(&[][..], |s| self.subdir_slots(s));
+        slots
+            .iter()
+            .map(|s| self.dir_ids[u32_to_usize(*s)])
+            .filter(|d| frag.contains_hash(dentry_hash(d.raw())))
     }
 
     /// Iterative pre-order walk of the subtree rooted at `root`
@@ -420,18 +467,19 @@ impl Namespace {
     /// CephFS a subtree root dirfrag covers its contents, while the directory
     /// inode stays with the parent subtree.
     ///
-    /// Costs one dentry hash per child of `root`, or nothing for the whole
-    /// directory: each child's subtree size is read from its `below` count.
+    /// The whole directory reads its `below` count. A fragment sums its
+    /// [`Namespace::frag_child_count`] and the `below` counts of the
+    /// subdirectories it contains (a file has nothing below it), so it
+    /// costs one dentry hash per subdirectory of `root`, not per child.
     pub fn subtree_inode_count(&self, root: InodeId, frag: &Frag) -> usize {
-        let ino = self.inode(root);
         if frag.is_root() {
-            return u32_to_usize(ino.below);
+            return u32_to_usize(self.inode(root).below);
         }
-        ino.children
-            .iter()
-            .filter(|c| frag.contains_hash(dentry_hash(c.raw())))
-            .map(|c| self.subtree_size(*c))
-            .sum()
+        let nested: usize = self
+            .subdirs_in_frag(root, frag)
+            .map(|d| u32_to_usize(self.inode(d).below))
+            .sum();
+        self.frag_child_count(root, frag) + nested
     }
 
     /// Number of inodes in the subtree rooted at `root`, `root` included,
@@ -513,9 +561,9 @@ impl Namespace {
             && self.frag_counts_hold()
     }
 
-    /// Every fragment set belongs to an inode, and each live fragment's
-    /// child count is the number of that inode's children whose dentry
-    /// hash it contains.
+    /// Every fragment set belongs to an inode, each live fragment's child
+    /// count is the number of that inode's children whose dentry hash it
+    /// contains, and so is each histogram bucket's.
     fn frag_counts_hold(&self) -> bool {
         self.frags.iter().all(|(dir, set)| {
             let Some(ino) = self.arena.get(dir.index()) else {
@@ -523,7 +571,7 @@ impl Namespace {
             };
             let mut fresh = set.clone();
             fresh.recount(ino.children.iter().map(|c| dentry_hash(c.raw())));
-            fresh.child_counts() == set.child_counts()
+            fresh.child_counts() == set.child_counts() && fresh.histogram() == set.histogram()
         })
     }
 
@@ -1084,6 +1132,129 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// Fragments to ask `dir` about: the whole directory, every live
+    /// fragment with its halves and its parent, and eight random
+    /// fragments up to 12 bits deep, past the histogram's resolution.
+    fn probe_frags(rng: &mut lunule_util::rng::DetRng, ns: &Namespace, dir: InodeId) -> Vec<Frag> {
+        let mut out = vec![Frag::root()];
+        for f in ns.frags_of(dir) {
+            let (l, r) = f.split_in_two();
+            out.extend([f, l, r]);
+            if !f.is_root() {
+                out.push(Frag::new(f.value() >> 1, f.bits() - 1));
+            }
+        }
+        for _ in 0..8 {
+            let mut f = Frag::root();
+            for _ in 0..rng.gen_range(0..13) {
+                let (l, r) = f.split_in_two();
+                f = if rng.gen_bool() { l } else { r };
+            }
+            out.push(f);
+        }
+        out
+    }
+
+    /// The counts a split, the selector and a migration read without
+    /// walking the children, against a walk of them: every live
+    /// fragment's child count, [`Namespace::frag_child_count`],
+    /// [`Namespace::subdirs_in_frag`] and [`Namespace::subtree_inode_count`]
+    /// on live, coarser, finer and random fragments, after nested splits
+    /// past [`crate::HIST_BITS`] mixed with creates and unlinks, and
+    /// again after a snapshot round trip.
+    #[test]
+    fn frag_counts_match_a_child_walk() {
+        let mut past_histogram = 0;
+        propcheck::run(96, |rng| {
+            let (mut ns, dirs) = random_namespace(rng, |_| {});
+            // Half the steps go to one directory, so its splits nest deep.
+            let focus = dirs[rng.gen_range(0..dirs.len())];
+            for step in 0..rng.gen_range(10..50) {
+                let d = if rng.gen_bool() {
+                    focus
+                } else {
+                    dirs[rng.gen_range(0..dirs.len())]
+                };
+                match rng.gen_range(0..4) {
+                    0 | 1 => {
+                        // Mostly the fragment holding a random child, so
+                        // the splits nest where the children are.
+                        let children = ns.inode(d).children();
+                        let frag = if children.is_empty() || rng.gen_ratio(0.2) {
+                            let frags = ns.frags_of(d);
+                            frags[rng.gen_range(0..frags.len())]
+                        } else {
+                            let c = children[rng.gen_range(0..children.len())];
+                            ns.frag_for_hash(d, ns.dentry_hash_of(c))
+                        };
+                        let by = u8::try_from(1 + rng.gen_range(0..3)).unwrap();
+                        if frag.bits() + by <= 12 {
+                            ns.split_frag(d, &frag, by).unwrap();
+                        }
+                    }
+                    2 => {
+                        for i in 0..rng.gen_range(1..40) {
+                            ns.create_file_total(d, &format!("g{step}.{i}"), 0);
+                        }
+                    }
+                    _ => {
+                        let files: Vec<InodeId> = ns
+                            .inode(d)
+                            .children()
+                            .iter()
+                            .copied()
+                            .filter(|c| !ns.inode(*c).is_dir())
+                            .collect();
+                        if !files.is_empty() {
+                            ns.unlink(files[rng.gen_range(0..files.len())]).unwrap();
+                        }
+                    }
+                }
+            }
+            let mut e = lunule_util::codec::Encoder::new();
+            ns.encode(&mut e);
+            let bytes = e.into_bytes();
+            let back = Namespace::decode(&mut lunule_util::codec::Decoder::new(&bytes)).unwrap();
+            for ns in [&ns, &back] {
+                assert!(ns.invariants_hold());
+                for &d in &dirs {
+                    if let Some(set) = ns.frag_set(d) {
+                        for (f, n) in set.frags().iter().zip(set.child_counts()) {
+                            assert_eq!(*n, ns.children_in_frag(d, f).len(), "{d:?} {f:?}");
+                        }
+                    }
+                    for frag in probe_frags(rng, ns, d) {
+                        let walked = ns.children_in_frag(d, &frag);
+                        assert_eq!(
+                            ns.frag_child_count(d, &frag),
+                            walked.len(),
+                            "{d:?} {frag:?}"
+                        );
+                        let subdirs: Vec<InodeId> = walked
+                            .into_iter()
+                            .filter(|c| ns.inode(*c).is_dir())
+                            .collect();
+                        assert!(ns.subdirs_in_frag(d, &frag).eq(subdirs));
+                        assert_eq!(
+                            ns.subtree_inode_count(d, &frag),
+                            walked_inode_count(ns, d, &frag),
+                            "{d:?} {frag:?}"
+                        );
+                    }
+                }
+            }
+            past_histogram += usize::from(dirs.iter().any(|d| {
+                ns.frags_of(*d)
+                    .iter()
+                    .any(|f| f.bits() > crate::HIST_BITS && !ns.children_in_frag(*d, f).is_empty())
+            }));
+        });
+        assert!(
+            past_histogram >= 30,
+            "only {past_histogram} of 96 cases split a populated fragment past the histogram"
+        );
     }
 
     /// The check `invariants_hold` replaced, kept as its oracle: each

@@ -11,7 +11,7 @@
 
 use crate::config::SimConfig;
 use lunule_core::{subtrees_overlap, MigrationPlan};
-use lunule_namespace::{FragKey, MdsRank, Namespace, SubtreeMap};
+use lunule_namespace::{Frag, FragKey, MdsRank, Namespace, SubtreeMap};
 use lunule_telemetry::{Event, Telemetry};
 use lunule_util::convert::{f64_to_u64, u64_to_f64, usize_to_f64, usize_to_u64};
 
@@ -313,9 +313,10 @@ impl Migrator {
     /// Advances all jobs by one tick. Authority flips exactly when a job's
     /// commit window elapses; the subtree map is re-coalesced after any
     /// completion so traversal paths stay as short as CephFS keeps them.
-    /// Only entries on the step's importers can have become redundant
-    /// ([`SubtreeMap::simplify_after`]), given a map with none when the
-    /// step starts (see [`lunule_core::Balancer::setup`]).
+    /// Only the committed entries and the entries their regions enclose
+    /// can have become redundant ([`SubtreeMap::simplify_after`]), given a
+    /// map with none when the step starts (see
+    /// [`lunule_core::Balancer::setup`]).
     /// Returns the per-rank migration op-cost to charge ((rank, cost) pairs
     /// for both endpoints of each active job).
     pub fn step(&mut self, ns: &Namespace, map: &mut SubtreeMap, tick: u64) -> Vec<(MdsRank, f64)> {
@@ -392,8 +393,9 @@ impl Migrator {
         }
         self.jobs.retain(|j| j.moved != u64::MAX);
         if !self.completed_last_step.is_empty() {
-            let importers: Vec<MdsRank> = self.completed_last_step.iter().map(|j| j.to).collect();
-            map.simplify_after(ns, &importers);
+            let rekeyed: Vec<FragKey> =
+                self.completed_last_step.iter().map(|j| j.subtree).collect();
+            map.simplify_after(ns, &rekeyed);
         }
         self.stalls.retain(|(_, until)| *until > tick);
         charges
@@ -627,32 +629,38 @@ fn deadline_after(tick: u64, timeout_ticks: u64) -> u64 {
     }
 }
 
-/// Splits `key.dir`'s live fragment set until `key.frag` is live. Returns
-/// false when `key.frag` is *shallower* than the live fragmentation (cannot
-/// be represented without a merge) — callers treat that as a stale choice.
+/// Splits `key.dir`'s live fragment set until `key.frag` is live, one bit
+/// at a time, each split journalled. Returns false when `key.frag` is
+/// *shallower* than the live fragmentation (cannot be represented without
+/// a merge) — callers treat that as a stale choice.
 fn ensure_frag_live(ns: &mut Namespace, key: FragKey, telemetry: &Telemetry) -> bool {
     loop {
-        let frags = ns.frags_of(key.dir);
-        if frags.contains(&key.frag) {
+        // The live frag containing the target: the target itself once it
+        // is live, else the one to split.
+        let live = match ns.frag_set(key.dir) {
+            None => Some(Frag::root()),
+            Some(set) => set
+                .frags()
+                .iter()
+                .find(|f| f.contains_frag(&key.frag))
+                .copied(),
+        };
+        let Some(parent) = live else {
+            return false;
+        };
+        if parent == key.frag {
             return true;
         }
-        // Find the live frag strictly containing the target and split it.
-        match frags.iter().find(|f| f.contains_frag(&key.frag)) {
-            // A split of a frag we just observed live can only fail if the
-            // set was mutated under us; treat that as a stale choice too.
-            Some(parent) => {
-                let parent = *parent;
-                if ns.split_frag(key.dir, &parent, 1).is_err() {
-                    return false;
-                }
-                telemetry.emit(|| Event::FragSplit {
-                    dir: key.dir.raw(),
-                    value: parent.value(),
-                    bits: u32::from(parent.bits()),
-                });
-            }
-            None => return false,
+        // A split of a frag we just observed live can only fail if the
+        // set was mutated under us; treat that as a stale choice too.
+        if ns.split_frag(key.dir, &parent, 1).is_err() {
+            return false;
         }
+        telemetry.emit(|| Event::FragSplit {
+            dir: key.dir.raw(),
+            value: parent.value(),
+            bits: u32::from(parent.bits()),
+        });
     }
 }
 

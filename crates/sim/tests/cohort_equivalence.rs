@@ -17,7 +17,8 @@
 //! pressure, data path) over a mixed read/create/remove workload, plus a
 //! wide population with hundreds of routes per resolve batch and three
 //! grouped populations (read-only, create-heavy, and one that a rank's
-//! budget splits mid-round). [`KIND_GOLDEN`]
+//! budget splits mid-round), plus a scan that the balancer can only
+//! split by recent visit counts. [`KIND_GOLDEN`]
 //! pins one case under every balancer kind, with a mid-run snapshot.
 //! Every case is audited by `lunule-verify` after every tick.
 
@@ -67,6 +68,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     ("expanded8", 0x4f84_cd82_226f_d5d9, 0x6c34_e138_87ae_e209, 54),
     ("creates6", 0x24fa_dad4_8192_3a35, 0xacf3_f989_c7a8_c773, 30),
     ("contended12", 0x28da_a08c_ef4f_fa8b, 0x718e_e528_3374_02e5, 170),
+    ("scan10", 0x6dbb_2c67_18cb_4618, 0xe161_2e31_2702_a680, 720),
 ];
 
 /// The `seed7/chaotic/plain` case under every balancer kind: `(kind,
@@ -610,4 +612,29 @@ fn mid_round_split_matches_golden() {
         "a group split mid-round must journal like its singletons"
     );
     g.assert_golden("contended12");
+}
+
+/// Readers that each read every file once, starting at their own offset,
+/// so the first epoch visits every file of a directory within one window:
+/// nothing is recurrent and nothing is left unvisited, every migration
+/// index reads zero, and the exporter's subtrees are chosen by recent
+/// visit counts (the fallback of `LunuleBalancer::on_epoch`).
+fn scan_streams(n: usize) -> Vec<Box<dyn OpStream>> {
+    let (_, _, files) = fixture();
+    let all: Vec<InodeId> = files.iter().flatten().copied().collect();
+    (0..n)
+        .map(|c| {
+            let ops = (0..all.len())
+                .map(|k| MetaOp::Read(all[(c * 7 + k) % all.len()]))
+                .collect();
+            Box::new(ScriptStream::new(ops)) as Box<dyn OpStream>
+        })
+        .collect()
+}
+
+/// The visit-count fallback selects at the first epoch close; a run that
+/// skips it selects nothing there and drifts from the golden digest.
+#[test]
+fn visit_fallback_matches_golden() {
+    run_once(base_cfg(3), scan_streams(10)).assert_golden("scan10");
 }
