@@ -1,13 +1,20 @@
 //! Round-trip validator for telemetry exports: parses every
-//! `*.events.jsonl` back through the typed event decoder and structurally
+//! `*.events.jsonl` back through the typed event decoder, structurally
 //! validates every `*.trace.json` as Chrome `trace_event` JSON (the format
-//! Perfetto loads). CI runs this against the artifacts a `--telemetry-out`
-//! run produced; a malformed file fails the build.
+//! Perfetto loads), and checks that the phases of every `*.profile.json`
+//! (the daemon's `--profile` output) cover at least [`MIN_COVERAGE`] of
+//! the timed tick time. CI runs this against the artifacts a
+//! `--telemetry-out` or `--profile` run produced; a malformed file fails
+//! the build.
 //!
 //! Usage: `telemetry_check <dir>`
 
 use lunule_telemetry::{parse_events_jsonl, validate_chrome_trace, Event, EventRecord};
+use lunule_util::json::Json;
 use std::path::Path;
+
+/// Share of the timed tick time a profile's phases must account for.
+const MIN_COVERAGE: f64 = 0.95;
 
 fn main() {
     let dir = std::env::args().nth(1).unwrap_or_else(|| {
@@ -56,12 +63,49 @@ fn check_dir(dir: &Path) -> Result<(usize, usize), String> {
             n_trace += validate_chrome_trace(&text)
                 .map_err(|e| format!("{}: bad Chrome trace: {e}", path.display()))?;
             n_files += 1;
+        } else if name.ends_with(".profile.json") {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            check_profile(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+            n_files += 1;
         }
     }
     if n_files == 0 {
         return Err(format!("no telemetry files found in {}", dir.display()));
     }
     Ok((n_events, n_trace))
+}
+
+/// Checks a PROFILE.json document: it times at least one tick, and its
+/// tick-level phases, summed, cover at least [`MIN_COVERAGE`] of the
+/// timed tick time (recomputed here, not read from its `coverage` field).
+fn check_profile(text: &str) -> Result<(), String> {
+    let doc = Json::parse(text).map_err(|e| format!("bad profile: {e}"))?;
+    let field = |k: &str| doc.get(k).and_then(Json::as_f64);
+    let tick_ns = field("tick_ns").ok_or("profile has no tick_ns")?;
+    if field("ticks").unwrap_or(0.0) < 1.0 || tick_ns <= 0.0 {
+        return Err("profile timed no tick".into());
+    }
+    let phases = doc
+        .get("phases")
+        .and_then(Json::as_arr)
+        .ok_or("profile has no phases")?;
+    let mut covered = 0.0;
+    for phase in phases {
+        covered += phase
+            .get("ns")
+            .and_then(Json::as_f64)
+            .ok_or("profile phase has no ns")?;
+    }
+    let coverage = covered / tick_ns;
+    if !(MIN_COVERAGE..=1.0).contains(&coverage) {
+        return Err(format!(
+            "phases cover {:.1}% of tick time (want {:.0}%..100%)",
+            100.0 * coverage,
+            100.0 * MIN_COVERAGE
+        ));
+    }
+    Ok(())
 }
 
 /// Validates the `(t, seq)` stamping discipline the deterministic clock
@@ -155,6 +199,23 @@ mod tests {
 
     fn rejection(stamps: &[(u64, u64)]) -> String {
         check_stamps(&journal(stamps)).expect_err("journal must be rejected")
+    }
+
+    #[test]
+    fn profile_coverage_is_recomputed_and_gated() {
+        let doc = |tick_ns: u64, phases: &[u64]| {
+            let phases: Vec<String> = phases.iter().map(|ns| format!("{{\"ns\":{ns}}}")).collect();
+            format!(
+                "{{\"ticks\":3,\"tick_ns\":{tick_ns},\"coverage\":1,\"phases\":[{}]}}",
+                phases.join(",")
+            )
+        };
+        assert_eq!(check_profile(&doc(1000, &[600, 390])), Ok(()));
+        let err = check_profile(&doc(1000, &[600, 300])).unwrap_err();
+        assert!(err.contains("90.0%"), "{err}");
+        assert!(check_profile(&doc(1000, &[600, 600])).is_err(), "over 100%");
+        assert!(check_profile(&doc(0, &[])).is_err(), "no tick timed");
+        assert!(check_profile("{}").is_err());
     }
 
     #[test]

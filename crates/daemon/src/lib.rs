@@ -43,7 +43,7 @@ pub mod source;
 pub use bus::{JournalFileSink, JsonlWriter, StatusSnapshot, Subscriber};
 pub use command::{apply_command, Command, TimedCommand};
 pub use daemon::{Daemon, RunState};
-pub use oneshot::run_oneshot;
+pub use oneshot::{run_oneshot, run_oneshot_profiled};
 pub use pacing::{spawn_stdin_reader, Catchup, MaxSpeed, Pacer, RealTime};
 pub use session::{Session, SessionError};
 pub use source::{

@@ -17,6 +17,9 @@
 //!   --snapshot-every N   snapshot cadence in ticks (0 = only on `snapshot` commands)
 //!   --restore PATH       resume from a snapshot file, or from the newest
 //!                        valid snapshot when PATH is a directory
+//!   --profile PATH       time the phases of every tick; write the totals
+//!                        to PATH and the tick spans as a Chrome trace to
+//!                        PATH with its extension replaced by .trace.json
 //! ```
 //!
 //! The same script through `--oneshot` and through the daemon loop at
@@ -26,12 +29,14 @@
 //! `--restore` stitches the old journal at the snapshot's clock position,
 //! re-simulates from there (catching up at max speed under real-time
 //! pacing), and the finished journal is byte-identical to an
-//! uninterrupted run's.
+//! uninterrupted run's. `--profile` reads the wall clock beside the
+//! simulation and leaves the journal unchanged.
 
 use lunule_daemon::{
-    run_oneshot, Catchup, CommandSource, CompositeSource, Daemon, JournalFileSink, JsonlWriter,
-    MaxSpeed, Pacer, RealTime, ScriptSource, Session, StdinSource,
+    run_oneshot_profiled, Catchup, CommandSource, CompositeSource, Daemon, JournalFileSink,
+    JsonlWriter, MaxSpeed, Pacer, RealTime, ScriptSource, Session, StdinSource,
 };
+use lunule_sim::Profile;
 use lunule_snapshot::Snapshot;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -48,6 +53,7 @@ struct Cli {
     snapshot_dir: Option<PathBuf>,
     snapshot_every: u64,
     restore: Option<PathBuf>,
+    profile: Option<PathBuf>,
 }
 
 #[allow(clippy::exit)]
@@ -59,7 +65,7 @@ fn usage(err: &str) -> ! {
         "usage: lunule-daemon --script FILE [--oneshot] [--max-speed | --ticks-per-sec F]\n\
          \x20                    [--journal-dir DIR] [--label NAME] [--status-every N]\n\
          \x20                    [--interactive] [--stdout] [--snapshot-dir DIR]\n\
-         \x20                    [--snapshot-every N] [--restore PATH]"
+         \x20                    [--snapshot-every N] [--restore PATH] [--profile PATH]"
     );
     std::process::exit(2)
 }
@@ -83,6 +89,7 @@ fn parse_cli() -> Cli {
         snapshot_dir: None,
         snapshot_every: 0,
         restore: None,
+        profile: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -122,6 +129,10 @@ fn parse_cli() -> Cli {
             "--restore" => match args.next() {
                 Some(v) => cli.restore = Some(PathBuf::from(v)),
                 None => usage("--restore needs a snapshot file or directory"),
+            },
+            "--profile" => match args.next() {
+                Some(v) => cli.profile = Some(PathBuf::from(v)),
+                None => usage("--profile needs a file"),
             },
             "--help" | "-h" => usage("help"),
             other => usage(&format!("unknown flag '{other}'")),
@@ -191,6 +202,30 @@ fn load_snapshot(restore: &Path, digest: u64) -> Snapshot {
     }
 }
 
+/// Writes PROFILE.json to `path` and the tick spans as a Chrome trace
+/// beside it (`<stem>.trace.json`).
+fn write_profile(path: &Path, profile: &Profile) {
+    let trace = path.with_extension("trace.json");
+    let json = profile.to_json().to_string_pretty();
+    for (file, text) in [(path, json), (trace.as_path(), profile.chrome_trace())] {
+        if let Some(dir) = file.parent().filter(|d| !d.as_os_str().is_empty()) {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                fail(&format!("cannot create {}: {e}", dir.display()));
+            }
+        }
+        if let Err(e) = std::fs::write(file, text) {
+            fail(&format!("cannot write {}: {e}", file.display()));
+        }
+    }
+    let _ = writeln!(
+        std::io::stderr(),
+        "profile: {} ticks, phases cover {:.1}% -> {}",
+        profile.ticks,
+        100.0 * profile.coverage(),
+        path.display()
+    );
+}
+
 fn script_label(cli: &Cli) -> String {
     if let Some(label) = &cli.label {
         return label.clone();
@@ -214,7 +249,7 @@ fn main() {
     let label = script_label(&cli);
 
     if cli.oneshot {
-        let (result, snapshot) = run_oneshot(&session);
+        let (result, snapshot, profile) = run_oneshot_profiled(&session, cli.profile.is_some());
         if let Err(e) = std::fs::create_dir_all(&cli.journal_dir) {
             fail(&format!("cannot create {}: {e}", cli.journal_dir.display()));
         }
@@ -230,6 +265,9 @@ fn main() {
             snapshot.events.len(),
             path.display()
         );
+        if let Some(path) = &cli.profile {
+            write_profile(path, &profile);
+        }
         return;
     }
 
@@ -238,7 +276,7 @@ fn main() {
         .restore
         .as_deref()
         .map(|path| load_snapshot(path, session.digest()));
-    let (sim, pool) = match &restored {
+    let (mut sim, pool) = match &restored {
         Some(snap) => match session.build_restored(telemetry, snap) {
             Ok(built) => built,
             Err(e) => fail(&format!("cannot restore: {e}")),
@@ -257,6 +295,7 @@ fn main() {
     } else {
         Box::new(script)
     };
+    sim.set_profiling(cli.profile.is_some());
     let mut daemon = Daemon::new(sim, pool, source);
     daemon.set_status_every(cli.status_every);
     if let Some(dir) = &cli.snapshot_dir {
@@ -300,6 +339,9 @@ fn main() {
         fail(&format!("event bus error: {e}"));
     }
     let ticks = daemon.sim().now();
+    if let Some(path) = &cli.profile {
+        write_profile(path, daemon.sim().profile());
+    }
     match daemon.finish() {
         Ok(result) => {
             let _ = writeln!(

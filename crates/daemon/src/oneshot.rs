@@ -9,7 +9,7 @@
 
 use crate::command::{apply_command, Command};
 use crate::session::Session;
-use lunule_sim::RunResult;
+use lunule_sim::{Profile, RunResult};
 use lunule_telemetry::{Snapshot, Telemetry};
 
 /// Runs `session` start-to-finish without a daemon loop: commands are
@@ -20,8 +20,17 @@ use lunule_telemetry::{Snapshot, Telemetry};
 /// `finish`, so the flushed partial epoch is included — same as the
 /// daemon's journal tail).
 pub fn run_oneshot(session: &Session) -> (RunResult, Snapshot) {
+    let (result, snapshot, _) = run_oneshot_profiled(session, false);
+    (result, snapshot)
+}
+
+/// [`run_oneshot`] with the simulator's phase profiler on or off; also
+/// returns what the profiler measured. The journal does not depend on
+/// `profiling`.
+pub fn run_oneshot_profiled(session: &Session, profiling: bool) -> (RunResult, Snapshot, Profile) {
     let telemetry = Telemetry::enabled();
     let (mut sim, mut pool) = session.build(telemetry.clone());
+    sim.set_profiling(profiling);
     let mut stopped = false;
     for tc in &session.commands {
         if tc.command.is_journal_neutral() {
@@ -42,9 +51,10 @@ pub fn run_oneshot(session: &Session) -> (RunResult, Snapshot) {
     if !stopped {
         sim.run_until(u64::MAX);
     }
+    let profile = sim.profile().clone();
     let result = sim.finish();
     let snapshot = telemetry.snapshot().unwrap_or_default();
-    (result, snapshot)
+    (result, snapshot, profile)
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@ use crate::config::SimConfig;
 use crate::latency::LatencyHistogram;
 use crate::mds::MdsState;
 use crate::migration::{MigrationCounters, MigrationJob, Migrator};
+use crate::profile::{Phase, Profile};
 use crate::request::OpStream;
 use crate::results::{EpochRecord, RunResult};
 use lunule_core::{Balancer, EpochStats};
@@ -86,6 +87,10 @@ pub struct Simulation {
     /// ticks, so it is transient state like the scratch buffers above
     /// and never appears in snapshots.
     pub(crate) op_ledger: crate::tick_ledger::TickOpLedger,
+    /// The wall-clock phase profiler, off unless
+    /// [`Simulation::set_profiling`] turned it on. Transient: never
+    /// serialized, off after a restore.
+    pub(crate) profiler: crate::profile::Profiler,
 }
 
 impl Simulation {
@@ -179,6 +184,7 @@ impl Simulation {
             handoff: Default::default(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
             op_ledger: crate::tick_ledger::TickOpLedger::default(),
+            profiler: Default::default(),
             cfg,
         }
     }
@@ -376,6 +382,18 @@ impl Simulation {
         &self.cfg
     }
 
+    /// Turns the wall-clock phase profiler on or off (see
+    /// [`crate::profile`]). It measures how long each phase of a tick
+    /// takes and changes nothing the simulation computes.
+    pub fn set_profiling(&mut self, on: bool) {
+        self.profiler.set_on(on);
+    }
+
+    /// What the phase profiler has measured so far.
+    pub fn profile(&self) -> &Profile {
+        self.profiler.profile()
+    }
+
     /// Runs the whole configured duration and returns the results.
     pub fn run(mut self) -> RunResult {
         self.run_until(self.cfg.duration_secs);
@@ -403,16 +421,19 @@ impl Simulation {
 
     /// One simulated second.
     fn step_tick(&mut self) {
+        self.profiler.begin_tick();
         let tick = self.tick;
         // Telemetry timestamps derive from the simulated clock, never wall
         // time, so journals from same-seed runs are byte-identical.
         self.telemetry.set_clock(tick);
         self.telemetry.emit(|| Event::TickStart);
+        self.profiler.skip();
 
         // 0. Faults due this tick, then recoveries.
         self.apply_fault_events(tick);
         // 1. Budgets refill; migrations progress and drain them.
         self.refill_budgets(tick);
+        self.profiler.lap(Phase::Faults);
         self.step_migrations(tick);
 
         // 2. Data-path progress frees blocked clients.
@@ -420,20 +441,24 @@ impl Simulation {
             cohort_datapath_step(&mut self.cohorts, dp.osd_bandwidth);
         }
         self.cohort_tick_reset(tick);
+        self.profiler.lap(Phase::Datapath);
 
         // 3. Closed-loop issue rounds: one op per client per round, rotating
         // the starting client for fairness, until nobody can make progress.
         self.cohort_issue_rounds(tick);
+        self.profiler.lap(Phase::Issue);
 
         // The tick's served-op metrics reach telemetry as one batch, so
         // every between-tick reader sees fully settled totals.
         self.op_ledger.flush(&self.telemetry);
+        self.profiler.lap(Phase::Ledger);
 
         // 4. Epoch boundary: stats, balancer, plan execution.
         self.tick += 1;
         if self.tick.is_multiple_of(self.cfg.epoch_secs) {
             self.close_epoch();
         }
+        self.profiler.end_tick();
     }
 
     /// Refills every rank's per-tick request budget. A rank whose resident
@@ -469,6 +494,7 @@ impl Simulation {
                 self.mds[rank.index()].drain(cost);
             }
         }
+        self.profiler.lap(Phase::Migrator);
         // Cap/session transfer: clients working in a migrated subtree are
         // handed to the importer at commit (no per-client redirect storm).
         // Resident accounting moves with the subtree.
@@ -487,6 +513,7 @@ impl Simulation {
                 *r += job.total_inodes;
             }
         }
+        self.profiler.lap(Phase::Handoff);
     }
 
     /// Epoch boundary bookkeeping: record the epoch, consult the balancer,
@@ -534,6 +561,7 @@ impl Simulation {
         }
         let (record_if, record_iops) = (record.imbalance_factor, record.total_iops);
         self.epochs.push(record);
+        self.profiler.lap(Phase::EpochStats);
 
         let mut plan = self.balancer.on_epoch(&self.ns, &self.map, &stats);
         // Never migrate into (or out of) a dead rank: a drained MDS reports
@@ -548,10 +576,12 @@ impl Simulation {
             alive(t.from) && alive(t.to)
         });
         let plan_subtrees = usize_to_u64(plan.subtree_count());
+        self.profiler.lap(Phase::OnEpoch);
         if !plan.is_empty() {
             self.migrator
                 .enqueue_plan(&mut self.ns, &self.map, &plan, self.tick);
         }
+        self.profiler.lap(Phase::EnqueuePlan);
         self.telemetry.emit(|| Event::EpochClose {
             epoch,
             imbalance_factor: record_if,
@@ -568,6 +598,7 @@ impl Simulation {
         // Compaction renumbers the cohorts, so held routes go with it.
         self.cohorts.merge_equal_states();
         self.round_scratch.forget_routes();
+        self.profiler.lap(Phase::Merge);
     }
 }
 
@@ -577,6 +608,7 @@ mod tests {
     use crate::request::{FixedStream, MetaOp};
     use lunule_core::{make_balancer, Access, BalancerKind, NoopBalancer};
     use lunule_namespace::InodeId;
+    use lunule_util::json::Json;
 
     fn tiny_cfg() -> SimConfig {
         SimConfig {
@@ -660,6 +692,61 @@ mod tests {
         assert_eq!(a.per_mds_requests_total, b.per_mds_requests_total);
         assert_eq!(a.total_ops, b.total_ops);
         assert_eq!(a.epochs.len(), b.epochs.len());
+    }
+
+    /// The profiler is a side channel: a profiled run journals and
+    /// results byte-identically, and its phases account for the ticks.
+    #[test]
+    fn profiling_changes_nothing_and_covers_the_tick() {
+        let run = |profiling: bool| {
+            let (ns, ids) = tiny_ns(400);
+            let streams: Vec<Box<dyn OpStream>> = (0..4)
+                .map(|_| Box::new(FixedStream::new(ids.clone())) as Box<dyn OpStream>)
+                .collect();
+            let cfg = SimConfig {
+                telemetry: Telemetry::enabled(),
+                duration_secs: 40,
+                stop_when_done: false,
+                ..tiny_cfg()
+            };
+            let telemetry = cfg.telemetry.clone();
+            let mut sim =
+                Simulation::new(cfg, ns, make_balancer(BalancerKind::Lunule, 100.0), streams);
+            sim.set_profiling(profiling);
+            sim.run_until(u64::MAX);
+            let profile = sim.profile().clone();
+            let result = sim.finish();
+            let journal = lunule_telemetry::events_jsonl(&telemetry.snapshot().unwrap());
+            (
+                result.total_ops,
+                result.per_mds_requests_total,
+                journal,
+                profile,
+            )
+        };
+        let (ops, per_mds, journal, off) = run(false);
+        let (ops_on, per_mds_on, journal_on, on) = run(true);
+        assert_eq!((ops, per_mds, journal), (ops_on, per_mds_on, journal_on));
+        assert_eq!(off.ticks, 0, "off measures nothing");
+        assert_eq!(on.ticks, 40);
+        assert_eq!(
+            on.sampled_ticks,
+            40_u64.div_ceil(crate::profile::ROUND_SAMPLE_EVERY)
+        );
+        assert!(on.sampled_rounds >= on.sampled_ticks);
+        assert!(
+            on.coverage() > 0.5 && on.coverage() <= 1.0,
+            "{}",
+            on.coverage()
+        );
+        assert!(on.round_coverage() <= 1.0, "{}", on.round_coverage());
+        let trace = on.chrome_trace();
+        // 40 tick spans, each with its phases, as B/E pairs.
+        let events = lunule_telemetry::validate_chrome_trace(&trace).unwrap();
+        assert!(events > 2 * 40 * 6, "{events}");
+        assert_eq!(trace.matches("\"name\":\"tick\"").count(), 80);
+        let json = on.to_json();
+        assert_eq!(json.get("ticks").and_then(Json::as_f64), Some(40.0));
     }
 
     #[test]

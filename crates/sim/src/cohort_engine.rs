@@ -69,11 +69,11 @@
 use crate::client::{resolve_route_cached, routing_anchor, Route};
 use crate::cluster::Simulation;
 use crate::cohort::{Cohort, CohortSet};
+use crate::profile::RoundPhase;
 use crate::request::MetaOp;
 use lunule_core::{Access, OpKind};
 use lunule_namespace::InodeId;
 use lunule_util::convert::{u64_to_f64, u64_to_usize, usize_to_u64};
-use std::fmt::Write as _;
 
 /// Where a classified cohort's route comes from this round. Either way
 /// the cohort then serves through the same run loop.
@@ -238,6 +238,7 @@ impl Simulation {
         let rate = self.cfg.client_rate;
         #[cfg(test)]
         scratch.audit_runs(set, offset);
+        self.profiler.begin_round();
 
         // Phase 1, draw: each live cohort in rotation (first-encounter)
         // order checks that it can issue and peeks its op. Drawing only
@@ -290,6 +291,7 @@ impl Simulation {
             scratch.drawn.push((c, op, carried));
         }
         scratch.worklist = worklist;
+        self.profiler.round_lap(RoundPhase::Draw);
 
         // Phase 1, warm: load both cache lines of the inode of each drawn
         // read and remove (its parent, which the route pass reads, and its
@@ -305,6 +307,7 @@ impl Simulation {
             }
         }
         std::hint::black_box(loaded);
+        self.profiler.round_lap(RoundPhase::Warm);
 
         // Phase 1, route: in drawn order, an op whose subtree is frozen in
         // a commit window stalls its cohort, and the rest take their class
@@ -340,6 +343,7 @@ impl Simulation {
             scratch.dir_of[c] = Some(dir);
             scratch.resolve_reqs.push((c, dir, hash));
         }
+        self.profiler.round_lap(RoundPhase::Route);
 
         // Phase 2: resolve routes. Resolution is pure (namespace, subtree
         // map and client caches are all frozen for the round), so resolving
@@ -355,6 +359,7 @@ impl Simulation {
                 &mut scratch.routes[c],
             );
         }
+        self.profiler.round_lap(RoundPhase::Resolve);
 
         // Likewise hand the balancer the ids of the routed reads and removes
         // that can expect to serve, so it can load its per-inode state in
@@ -384,6 +389,7 @@ impl Simulation {
             scratch.warm.push(ino);
         }
         self.balancer.prefetch(&scratch.warm);
+        self.profiler.round_lap(RoundPhase::Demand);
 
         // Phase 3: serve runs in rotation order, effects in member order.
         // An explode re-tiled the intervals mid-draw, so the kept list
@@ -490,9 +496,12 @@ impl Simulation {
                 MetaOp::Remove(ino) => (ino, OpKind::Remove),
                 MetaOp::Create { parent, size } => {
                     let st = &mut set.cohorts[c].state;
-                    self.name_scratch.clear();
-                    // Writing into a `String` cannot fail.
-                    let _ = write!(self.name_scratch, "c{}_{}", st.id, st.ops_done());
+                    let name = &mut self.name_scratch;
+                    name.clear();
+                    name.push('c');
+                    push_decimal(name, usize_to_u64(st.id));
+                    name.push('_');
+                    push_decimal(name, st.ops_done());
                     match self.ns.create_file(parent, &self.name_scratch, size) {
                         Ok(id) => {
                             st.notify_created(id);
@@ -538,6 +547,8 @@ impl Simulation {
                 }
             }
         }
+
+        self.profiler.round_lap(RoundPhase::Serve);
 
         // Post-round: split partially served cohorts, then advance each
         // served cohort's shared state exactly once (stream cursor, route
@@ -600,6 +611,7 @@ impl Simulation {
         }
         let stalled = &scratch.stalled;
         scratch.runs.retain(|&(_, _, c)| !stalled[c]);
+        self.profiler.round_lap(RoundPhase::PostRound);
         progressed
     }
 
@@ -842,6 +854,23 @@ fn rotated_runs_into(set: &CohortSet, offset: usize, out: &mut Vec<(usize, usize
     }
 }
 
+/// Appends the decimal digits of `v` to `out`: the bytes `write!(out,
+/// "{v}")` appends, without the formatting machinery, which a served
+/// create's name would otherwise pay for.
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b"0123456789"[u64_to_usize(v % 10)];
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().copied().map(char::from));
+}
+
 #[cfg(test)]
 fn rotated_runs(set: &CohortSet, offset: usize) -> Vec<(usize, usize, usize)> {
     let mut out = Vec::new();
@@ -885,6 +914,26 @@ mod tests {
             .iter()
             .flat_map(|iv| std::iter::repeat_n(set.cohorts[iv.cohort].state.data_pending(), iv.len))
             .collect()
+    }
+
+    #[test]
+    fn push_decimal_writes_what_format_writes() {
+        let edges = [
+            0,
+            9,
+            10,
+            99,
+            100,
+            1_234_567,
+            u64::MAX,
+            usize_to_u64(usize::MAX),
+        ];
+        let mut out = String::from("c");
+        for v in edges {
+            out.truncate(1);
+            push_decimal(&mut out, v);
+            assert_eq!(out, format!("c{v}"));
+        }
     }
 
     #[test]

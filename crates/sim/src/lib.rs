@@ -24,6 +24,7 @@ pub mod latency;
 pub mod mds;
 pub mod migration;
 mod persist;
+pub mod profile;
 pub mod request;
 pub mod results;
 mod tick_ledger;
@@ -39,5 +40,6 @@ pub use lunule_faults::{seeded, ChaosProfile, FaultEvent, FaultKind, FaultPlan, 
 pub use mds::MdsState;
 pub use migration::{MigrationCounters, MigrationJob, Migrator};
 pub use persist::snapshot_stream_count;
+pub use profile::Profile;
 pub use request::{FixedStream, MetaOp, OpStream};
 pub use results::{EpochRecord, RunResult};

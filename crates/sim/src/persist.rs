@@ -285,6 +285,7 @@ impl Simulation {
             handoff: Default::default(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
             op_ledger: crate::tick_ledger::TickOpLedger::default(),
+            profiler: Default::default(),
             cfg,
         })
     }

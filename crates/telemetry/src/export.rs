@@ -21,6 +21,7 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use lunule_util::convert::u64_to_f64;
 use lunule_util::json::{FromJson, Json, JsonError, ToJson};
 
 use crate::event::{Event, EventRecord};
@@ -88,14 +89,14 @@ pub fn metrics_csv(snap: &Snapshot) -> String {
 fn trace_obj(
     name: &str,
     ph: &str,
-    ts: u64,
+    ts: f64,
     args: Vec<(String, Json)>,
     extra: Vec<(String, Json)>,
 ) -> Json {
     let mut fields = vec![
         ("name".to_string(), Json::Str(name.to_string())),
         ("ph".to_string(), Json::Str(ph.to_string())),
-        ("ts".to_string(), ts.to_json()),
+        ("ts".to_string(), Json::Num(ts)),
         ("pid".to_string(), Json::Num(0.0)),
         ("tid".to_string(), Json::Num(0.0)),
     ];
@@ -119,7 +120,7 @@ fn event_args(event: &Event) -> Vec<(String, Json)> {
 pub fn chrome_trace(snap: &Snapshot) -> String {
     let mut trace_events = Vec::new();
     for record in &snap.events {
-        let ts = record.t * TICK_US + record.seq;
+        let ts = u64_to_f64(record.t * TICK_US + record.seq);
         match &record.event {
             // TickStart instants would flood the timeline; the tick grid
             // is already implied by the timestamp scale.
@@ -147,11 +148,60 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
             trace_events.push(trace_obj(
                 &track,
                 "C",
-                tick * TICK_US,
+                u64_to_f64(tick * TICK_US),
                 vec![("value".to_string(), Json::Num(value))],
                 Vec::new(),
             ));
         }
+    }
+    Json::Obj(vec![("traceEvents".to_string(), Json::Arr(trace_events))]).to_string_compact()
+}
+
+/// A wall-clock span for [`span_trace`]: a name and its begin and end in
+/// microseconds on any clock shared by all spans of one trace.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct WallSpan<'a> {
+    /// Span name, shown on the timeline.
+    pub name: &'a str,
+    /// Begin, microseconds.
+    pub begin_us: f64,
+    /// End, microseconds; not before `begin_us`.
+    pub end_us: f64,
+}
+
+/// Renders wall-clock spans as a Chrome `trace_event` document of
+/// balanced `B`/`E` pairs on one track. `spans` come in pre-order: sorted
+/// by begin, and an enclosing span before the spans it contains. A span
+/// that ends before the next one begins is closed first, so sequential
+/// spans sit side by side and contained spans nest.
+pub fn span_trace(spans: &[WallSpan<'_>]) -> String {
+    let mut trace_events = Vec::with_capacity(spans.len() * 2);
+    let mut open: Vec<&WallSpan<'_>> = Vec::new();
+    let close = |span: &WallSpan<'_>, out: &mut Vec<Json>| {
+        out.push(trace_obj(
+            span.name,
+            "E",
+            span.end_us,
+            Vec::new(),
+            Vec::new(),
+        ));
+    };
+    for span in spans {
+        while let Some(top) = open.last().filter(|top| top.end_us <= span.begin_us) {
+            close(top, &mut trace_events);
+            open.pop();
+        }
+        trace_events.push(trace_obj(
+            span.name,
+            "B",
+            span.begin_us,
+            Vec::new(),
+            Vec::new(),
+        ));
+        open.push(span);
+    }
+    while let Some(top) = open.pop() {
+        close(top, &mut trace_events);
     }
     Json::Obj(vec![("traceEvents".to_string(), Json::Arr(trace_events))]).to_string_compact()
 }
@@ -304,6 +354,49 @@ mod tests {
         let trace = chrome_trace(&t.snapshot().unwrap());
         assert!(trace.contains("\"ts\":3000000"));
         assert!(trace.contains("\"ts\":3000001"));
+    }
+
+    #[test]
+    fn span_trace_nests_contained_spans_and_closes_sequential_ones() {
+        let span = |name, begin_us, end_us| WallSpan {
+            name,
+            begin_us,
+            end_us,
+        };
+        let spans = [
+            span("tick", 0.0, 10.0),
+            span("a", 0.5, 4.0),
+            span("b", 4.0, 9.5),
+            span("tick", 12.0, 13.0),
+        ];
+        let trace = span_trace(&spans);
+        assert_eq!(validate_chrome_trace(&trace), Ok(8));
+        let doc = Json::parse(&trace).unwrap();
+        let order: Vec<(&str, &str)> = doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|e| {
+                let field = |k| e.get(k).and_then(Json::as_str).unwrap();
+                (field("name"), field("ph"))
+            })
+            .collect();
+        assert_eq!(
+            order,
+            [
+                ("tick", "B"),
+                ("a", "B"),
+                ("a", "E"),
+                ("b", "B"),
+                ("b", "E"),
+                ("tick", "E"),
+                ("tick", "B"),
+                ("tick", "E"),
+            ]
+        );
+        assert!(trace.contains("\"ts\":0.5"));
+        assert_eq!(validate_chrome_trace(&span_trace(&[])), Ok(0));
     }
 
     #[test]

@@ -36,7 +36,8 @@ pub mod metrics;
 
 pub use event::{Event, EventRecord};
 pub use export::{
-    chrome_trace, events_jsonl, export_all, metrics_csv, parse_events_jsonl, validate_chrome_trace,
+    chrome_trace, events_jsonl, export_all, metrics_csv, parse_events_jsonl, span_trace,
+    validate_chrome_trace, WallSpan,
 };
 pub use metrics::{FixedHistogram, MetricsRegistry};
 

@@ -136,25 +136,51 @@ impl OpStream for ReplayStream {
 }
 
 /// Random reads over a private file set under the 80/20 rule
-/// (Filebench-Zipfian workload).
+/// (Filebench-Zipfian workload). The files are a contiguous id range, so
+/// a draw is an addition, not a load from a per-client table.
 #[derive(Clone)]
 pub struct HotSetStream {
-    files: Vec<InodeId>,
+    /// Arena index of the first file; the set is `first .. first + n`.
+    first: usize,
     sampler: HotSetSampler,
     rng: DetRng,
     remaining: u64,
 }
 
 impl HotSetStream {
-    /// `ops` reads over `files`, 80 % of them on the first 20 %.
-    pub fn new(files: Vec<InodeId>, ops: u64, seed: u64) -> Self {
-        let sampler = HotSetSampler::new(files.len(), 0.2, 0.8);
-        HotSetStream {
-            files,
-            sampler,
+    /// `ops` reads over `files`, 80 % of them on the first 20 %. Returns
+    /// `None` unless `files` is a non-empty run of consecutive ids (a
+    /// dataset builder whose create failed hands back the parent instead,
+    /// which breaks the run): a gap is refused, never drawn around.
+    pub fn new(files: &[InodeId], ops: u64, seed: u64) -> Option<Self> {
+        let first = files.first()?.index();
+        if !files
+            .iter()
+            .zip(first..)
+            .all(|(id, want)| id.index() == want)
+        {
+            return None;
+        }
+        Some(HotSetStream {
+            first,
+            sampler: HotSetSampler::new(files.len(), 0.2, 0.8),
             rng: DetRng::seed_from_u64(seed),
             remaining: ops,
+        })
+    }
+}
+
+impl HotSetStream {
+    /// The table form this stream replaced, kept as its oracle: the same
+    /// draw, looked up in the file list instead of added to the first id.
+    #[cfg(test)]
+    fn next_from_table(&mut self, files: &[InodeId]) -> Option<MetaOp> {
+        if self.remaining == 0 {
+            return None;
         }
+        self.remaining -= 1;
+        let idx = self.sampler.sample(&mut self.rng);
+        Some(MetaOp::Read(files[idx]))
     }
 }
 
@@ -165,7 +191,7 @@ impl OpStream for HotSetStream {
         }
         self.remaining -= 1;
         let idx = self.sampler.sample(&mut self.rng);
-        Some(MetaOp::Read(self.files[idx]))
+        Some(MetaOp::Read(InodeId::from_index(self.first + idx)))
     }
 
     fn len_hint(&self) -> Option<u64> {
@@ -318,7 +344,7 @@ mod tests {
     #[test]
     fn hotset_stream_respects_quota_and_skews() {
         let (ns, _d, files) = ns_with_files(100);
-        let mut s = HotSetStream::new(files.clone(), 1000, 42);
+        let mut s = HotSetStream::new(&files, 1000, 42).unwrap();
         let mut hot_hits = 0;
         let mut count = 0;
         while let Some(MetaOp::Read(ino)) = s.next_op(&ns) {
@@ -329,6 +355,66 @@ mod tests {
         }
         assert_eq!(count, 1000);
         assert!(hot_hits > 700, "hot share too low: {hot_hits}/1000");
+    }
+
+    /// The range form draws exactly the ids the table form drew, for
+    /// file sets that start anywhere in the arena.
+    #[test]
+    fn hotset_range_draws_what_the_table_draws() {
+        lunule_util::propcheck::run(64, |rng| {
+            let mut ns = Namespace::new();
+            let other = ns.mkdir(InodeId::ROOT, "other").unwrap();
+            for i in 0..rng.gen_range(0..50) {
+                ns.create_file(other, &format!("o{i}"), 1).unwrap();
+            }
+            let d = ns.mkdir(InodeId::ROOT, "d").unwrap();
+            let files: Vec<InodeId> = (0..rng.gen_range(1..400))
+                .map(|i| ns.create_file(d, &format!("f{i}"), 1).unwrap())
+                .collect();
+            let ops = lunule_util::convert::usize_to_u64(rng.gen_range(0..600));
+            let seed = rng.next_u64();
+            let mut range = HotSetStream::new(&files, ops, seed).unwrap();
+            let mut table = range.clone();
+            loop {
+                let (a, b) = (range.next_op(&ns), table.next_from_table(&files));
+                assert_eq!(a, b, "range and table forms diverged");
+                if a.is_none() {
+                    break;
+                }
+            }
+        });
+    }
+
+    /// A file set that is not one run of consecutive ids is refused.
+    #[test]
+    fn hotset_refuses_a_gap() {
+        let (mut ns, d, files) = ns_with_files(4);
+        assert!(HotSetStream::new(&files, 10, 1).is_some());
+        assert!(HotSetStream::new(&[], 10, 1).is_none(), "empty set");
+        // A failed dataset create hands back the parent directory.
+        let mut gap = files.clone();
+        gap[2] = d;
+        assert!(HotSetStream::new(&gap, 10, 1).is_none(), "parent in place");
+        let mut spaced = files.clone();
+        spaced.push(ns.mkdir(InodeId::ROOT, "e").unwrap());
+        spaced.push(ns.create_file(d, "late", 1).unwrap());
+        spaced.remove(4);
+        assert!(HotSetStream::new(&spaced, 10, 1).is_none(), "skipped id");
+        let mut swapped = files;
+        swapped.swap(0, 1);
+        assert!(HotSetStream::new(&swapped, 10, 1).is_none(), "out of order");
+    }
+
+    /// The saved state is the RNG and the remaining count only: the file
+    /// set is configuration, rebuilt with the workload.
+    #[test]
+    fn hotset_state_is_rng_and_remaining() {
+        let (ns, _d, files) = ns_with_files(10);
+        let mut s = HotSetStream::new(&files, 50, 7).unwrap();
+        s.next_op(&ns);
+        let mut e = lunule_util::codec::Encoder::new();
+        s.save_state(&mut e);
+        assert_eq!(e.into_bytes().len(), 5 * 8);
     }
 
     #[test]
@@ -384,8 +470,8 @@ mod tests {
         );
         check(
             &ns,
-            HotSetStream::new(files.clone(), 50, 7),
-            HotSetStream::new(files.clone(), 50, 7),
+            HotSetStream::new(&files, 50, 7).unwrap(),
+            HotSetStream::new(&files, 50, 7).unwrap(),
             23,
         );
         check(

@@ -40,6 +40,10 @@ impl ZipfReadWorkload {
     }
 
     /// Builds the private directories and returns per-client streams.
+    ///
+    /// # Panics
+    /// Panics when a client's files are not consecutive ids, which only a
+    /// failed dataset create can cause (see [`HotSetStream::new`]).
     pub fn build(&self, ns: &mut Namespace) -> Vec<Box<dyn OpStream>> {
         let dataset = build_private_dirs(
             ns,
@@ -52,12 +56,14 @@ impl ZipfReadWorkload {
             .dirs
             .iter()
             .enumerate()
-            .map(|(c, (_dir, files))| {
-                Box::new(HotSetStream::new(
-                    files.clone(),
-                    self.ops_per_client,
-                    client_seed(self.seed, c as u64),
-                )) as Box<dyn OpStream>
+            .filter_map(|(c, (_dir, files))| {
+                let stream =
+                    HotSetStream::new(files, self.ops_per_client, client_seed(self.seed, c as u64));
+                assert!(
+                    stream.is_some(),
+                    "a private directory's files are consecutive ids"
+                );
+                stream.map(|s| Box::new(s) as Box<dyn OpStream>)
             })
             .collect()
     }
