@@ -233,9 +233,19 @@ impl PatternAnalyzer {
         (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    fn inode_state(&mut self, ino: InodeId) -> &mut InodeVisits {
+    /// `ino`'s visit record, extending the table to cover it. The table's
+    /// first allocation holds every inode of the namespace (`ns_len`), and
+    /// later ones at least double it. Grown only to the highest id seen so
+    /// far, the table would pass through a chain of ever larger copies as
+    /// accesses reach higher ids, leaving the heap holed with their freed
+    /// blocks; how much of that stays resident depends on what else the
+    /// allocator placed around them.
+    fn inode_state(&mut self, ino: InodeId, ns_len: usize) -> &mut InodeVisits {
         let idx = ino.index();
         if idx >= self.inodes.len() {
+            if idx >= self.inodes.capacity() {
+                self.inodes.reserve(ns_len.max(idx + 1) - self.inodes.len());
+            }
             self.inodes.resize_with(idx + 1, InodeVisits::default);
         }
         &mut self.inodes[idx]
@@ -336,7 +346,7 @@ impl PatternAnalyzer {
         let window = self.window;
 
         // -- per-inode visit mask ------------------------------------------
-        let st = self.inode_state(ino);
+        let st = self.inode_state(ino, ns.len());
         let gap = window - st.last_window;
         if gap > 0 {
             st.mask = if gap >= u64::from(MASK_BITS) {
@@ -604,6 +614,33 @@ mod tests {
             all.push(fs);
         }
         (ns, dirs, all)
+    }
+
+    /// The per-inode table is allocated once for the whole namespace on the
+    /// first access and grows at most by doubling after a create, while its
+    /// length, which snapshots encode, still ends at the highest id seen.
+    #[test]
+    fn inode_table_is_sized_by_the_namespace_once() {
+        let (mut ns, dirs, files) = two_dirs(40);
+        let mut an = analyzer(0.0);
+        an.record_access(&ns, files[0][0], false);
+        assert_eq!(an.inodes.len(), files[0][0].index() + 1);
+        assert!(an.inodes.capacity() >= ns.len());
+        let table = an.inodes.as_ptr();
+        an.record_access(&ns, files[1][39], false);
+        assert_eq!(an.inodes.len(), ns.len());
+        assert_eq!(
+            an.inodes.as_ptr(),
+            table,
+            "no regrowth within the namespace"
+        );
+        let cap = an.inodes.capacity();
+        for i in 0..cap {
+            let f = ns.create_file(dirs[0], &format!("new{i}"), 1).unwrap();
+            an.record_access(&ns, f, true);
+        }
+        assert_eq!(an.inodes.len(), ns.len());
+        assert!(an.inodes.capacity() >= 2 * cap, "grows geometrically");
     }
 
     #[test]
