@@ -223,13 +223,16 @@ impl PatternAnalyzer {
     }
 
     /// xorshift64* — cheap deterministic coin for sibling propagation.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "the top 53 bits of a u64 are exact in f64; 2^53 likewise"
+    )]
     fn next_coin(&mut self) -> f64 {
         let mut x = self.rng_state;
         x ^= x >> 12;
         x ^= x << 25;
         x ^= x >> 27;
         self.rng_state = x;
-        // as-ok: top 53 bits of a u64 are exact in f64; 2^53 likewise
         (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
     }
 

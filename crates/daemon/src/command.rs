@@ -98,7 +98,6 @@ pub fn parse_command(line: &EventLine<'_>, max_ranks: usize) -> Result<Command, 
                         line.raw
                     )));
                 }
-                // as-ok: bounded to 1024 above
                 Command::AddMds(n as u32)
             }
         },
@@ -115,7 +114,6 @@ pub fn parse_command(line: &EventLine<'_>, max_ranks: usize) -> Result<Command, 
                     line.raw
                 )));
             }
-            // as-ok: client counts are small; usize is at least u32 here
             Command::AddClients(n as usize)
         }
         "knob" => {

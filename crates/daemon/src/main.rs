@@ -32,6 +32,21 @@
 //! uninterrupted run's. `--profile` reads the wall clock beside the
 //! simulation and leaves the journal unchanged.
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp
+    )
+)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use lunule_daemon::{
     run_oneshot_profiled, Catchup, CommandSource, CompositeSource, Daemon, JournalFileSink,
     JsonlWriter, MaxSpeed, Pacer, RealTime, ScriptSource, Session, StdinSource,
@@ -76,6 +91,10 @@ fn fail(err: &str) -> ! {
     std::process::exit(1)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the CLI reads its flags from std::env::args; they select pacing, sinks and the script path, none of which feed the simulation"
+)]
 fn parse_cli() -> Cli {
     let mut cli = Cli {
         script: PathBuf::new(),

@@ -4,9 +4,14 @@
 //! The daemon loop ([`crate::Daemon::run`]) computes every tick the same
 //! way regardless of pacing; a [`Pacer`] only decides *when* the next
 //! iteration starts. Confining `Instant`/`thread` here keeps the
-//! determinism auditor's job easy: everything else in the crate is
+//! determinism bans of `clippy.toml` whole: everything else in the crate is
 //! wall-clock-free, which is what lets a max-speed daemon run journal
 //! byte-identically to a one-shot batch run.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the daemon's wall-clock and thread boundary: pacing decides when the next tick runs, never what it computes, and owns the stdin reader thread"
+)]
 
 use std::io::BufRead;
 use std::sync::mpsc::{self, Receiver};

@@ -258,7 +258,6 @@ impl Session {
         for line in &tokenized {
             if line.kind == "addmds" {
                 max_ranks += match line.fields.first() {
-                    // as-ok: parse_command re-validates the bound below
                     Some(_) => line.num(0)?.min(1024) as usize,
                     None => 1,
                 };

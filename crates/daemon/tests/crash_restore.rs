@@ -4,6 +4,11 @@
 //! to the `--oneshot` reference — including when `--restore` is pointed at
 //! a corrupted snapshot file and the daemon has to fall back to the newest
 //! valid one.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "test code, exempt like every #[cfg(test)] module: it times the kill against the wall clock and writes under the OS temp dir"
+)]
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -29,6 +29,10 @@ addmds@120
 knob@140:if_threshold:0.15
 ";
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test code, exempt like every #[cfg(test)] module: journals go under the OS temp dir"
+)]
 fn scratch_dir(test: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lunule-daemon-{}-{test}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);

@@ -110,7 +110,6 @@ impl<'a> EventLine<'a> {
                 self.raw
             )));
         }
-        // as-ok: bounded by n_mds, which fits u16 by construction
         Ok(MdsRank(raw as u16))
     }
 }

@@ -176,7 +176,6 @@ impl std::fmt::Display for Frag {
 /// behave like Ceph's dentry-name hashing on our integer-keyed namespace.
 pub fn dentry_hash(raw_id: u64) -> u32 {
     let h = raw_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    // as-ok: h >> 40 leaves 24 bits, which fit u32 exactly
     ((h >> 40) as u32) & HASH_MASK
 }
 

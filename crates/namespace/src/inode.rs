@@ -26,6 +26,10 @@ impl InodeId {
 
     /// Rebuilds an id from a raw index. Only meaningful for indices handed
     /// out by the same namespace.
+    #[expect(
+        clippy::expect_used,
+        reason = "a namespace past the u32 inode space is a hard capacity limit, not a recoverable condition"
+    )]
     pub fn from_index(idx: usize) -> Self {
         InodeId(u32::try_from(idx).expect("namespace exceeds u32 inode space"))
     }

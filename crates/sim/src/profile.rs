@@ -15,6 +15,10 @@
 //!
 //! [`Profile::to_json`] renders the totals (PROFILE.json) and
 //! [`Profile::chrome_trace`] the tick-level spans as a Chrome trace.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the simulator's one wall-clock boundary: a side channel that times the phases of a tick and feeds nothing back"
+)]
 
 use lunule_telemetry::WallSpan;
 use lunule_util::convert::u64_to_f64;

@@ -322,7 +322,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize]; // as-ok: masked to 8 bits
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
         k += 1;

@@ -18,7 +18,7 @@
 #[inline]
 #[must_use]
 pub fn usize_to_u64(n: usize) -> u64 {
-    n as u64 // as-ok: usize is 64-bit on supported targets; widening
+    n as u64
 }
 
 /// `u64` → `usize`, exact on the supported 64-bit targets (saturates on a
@@ -42,38 +42,56 @@ pub fn usize_to_u32(n: usize) -> u32 {
 #[inline]
 #[must_use]
 pub fn u32_to_usize(n: u32) -> usize {
-    n as usize // as-ok: usize is at least 32-bit on supported targets
+    n as usize
 }
 
 /// `usize` → `f64`, exact for values up to 2^53 (namespace sizes, op
 /// counts and tick counts all sit far below that).
 #[inline]
 #[must_use]
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "exact below 2^53; counts never reach that"
+)]
 pub fn usize_to_f64(n: usize) -> f64 {
-    n as f64 // as-ok: exact below 2^53; counts never reach that
+    n as f64
 }
 
 /// `u64` → `f64`, exact for values up to 2^53 (see [`usize_to_f64`]).
 #[inline]
 #[must_use]
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "exact below 2^53; counts never reach that"
+)]
 pub fn u64_to_f64(n: u64) -> f64 {
-    n as f64 // as-ok: exact below 2^53; counts never reach that
+    n as f64
 }
 
 /// `f64` → `u64` with Rust's saturating cast semantics: truncates toward
 /// zero, negative and NaN become 0, overflow saturates to `u64::MAX`.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the saturating float-to-int cast is the intent here"
+)]
 pub fn f64_to_u64(x: f64) -> u64 {
-    x as u64 // as-ok: saturating float-to-int cast is the intent here
+    x as u64
 }
 
 /// `f64` → `usize` with Rust's saturating cast semantics (see
 /// [`f64_to_u64`]).
 #[inline]
 #[must_use]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the saturating float-to-int cast is the intent here"
+)]
 pub fn f64_to_usize(x: f64) -> usize {
-    x as usize // as-ok: saturating float-to-int cast is the intent here
+    x as usize
 }
 
 #[cfg(test)]

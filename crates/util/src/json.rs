@@ -188,12 +188,19 @@ fn write_seq(
     out.push(close);
 }
 
+#[expect(
+    clippy::float_cmp,
+    reason = "an exact integrality test: n == n.trunc() holds exactly when n has no fraction"
+)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "guarded integral and |n| < 1e15, well inside i64 range"
+)]
 fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no NaN/Inf; null is the conventional stand-in.
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 1e15 {
-        // as-ok: guarded integral and |n| < 1e15, well inside i64 range
         out.push_str(&format!("{}", n as i64));
     } else {
         out.push_str(&format!("{n}"));
@@ -406,7 +413,6 @@ macro_rules! impl_json_int {
         $(
             impl ToJson for $ty {
                 fn to_json(&self) -> Json {
-                    // as-ok: JSON numbers are f64; exact below 2^53 by contract
                     Json::Num(*self as f64)
                 }
             }
@@ -415,7 +421,6 @@ macro_rules! impl_json_int {
                     let n = v
                         .as_f64()
                         .ok_or_else(|| JsonError::new("expected number"))?;
-                    // Saturating float-to-int conversion; callers get a total decode.
                     Ok(n as $ty)
                 }
             }
@@ -423,7 +428,21 @@ macro_rules! impl_json_int {
     };
 }
 
-impl_json_int!(u8, u16, u32, u64, usize, i32, i64);
+// The expectations sit on a module that holds every expansion: the
+// precision and sign lints fire for only some of the types.
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "JSON numbers are f64; exact below 2^53 by contract"
+)]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "a saturating float-to-int conversion gives callers a total decode"
+)]
+mod int_impls {
+    use super::{FromJson, Json, JsonError, ToJson};
+    impl_json_int!(u8, u16, u32, u64, usize, i32, i64);
+}
 
 impl ToJson for f64 {
     fn to_json(&self) -> Json {

@@ -25,6 +25,10 @@ pub const JOBS_ENV: &str = "LUNULE_JOBS";
 
 /// The default worker count: `LUNULE_JOBS` when set to a positive integer,
 /// otherwise [`std::thread::available_parallelism`], otherwise 1.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the LUNULE_JOBS override changes only how many workers run, never what they compute"
+)]
 pub fn default_jobs() -> usize {
     if let Ok(v) = std::env::var(JOBS_ENV) {
         if let Ok(n) = v.parse::<usize>() {
@@ -76,6 +80,10 @@ impl WorkerPool {
     /// the whole point of the pool is that it cannot observe either. Items
     /// are handed out through an atomic cursor, so a slow item does not
     /// hold up the others beyond the final join.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sanctioned worker pool is the one place allowed to touch std::thread"
+    )]
     pub fn map_indices<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,

@@ -21,6 +21,10 @@ pub fn case_seed(case: u64) -> u64 {
 /// The closure asserts its property with ordinary `assert!` macros; when a
 /// case panics the harness prints the case index and seed (for
 /// reproduction with [`DetRng::seed_from_u64`]) and re-raises the panic.
+#[expect(
+    clippy::print_stderr,
+    reason = "the failing seed goes straight to stderr so it survives even when the panic message is swallowed"
+)]
 pub fn run<F>(cases: u64, mut property: F)
 where
     F: FnMut(&mut DetRng),
@@ -44,6 +48,10 @@ where
 /// [`run`] would — only wall time changes. When cases fail, the harness
 /// reports (and re-raises) the **lowest** failing case index, so the
 /// reported failure does not depend on worker count or scheduling.
+#[expect(
+    clippy::print_stderr,
+    reason = "the failing seed goes straight to stderr so it survives even when the panic message is swallowed"
+)]
 pub fn run_par<F>(cases: u64, jobs: usize, property: F)
 where
     F: Fn(&mut DetRng) + Sync,

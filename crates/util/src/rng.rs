@@ -51,8 +51,11 @@ impl DetRng {
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "the top 53 bits of a u64 are exact in f64; 2^53 likewise"
+    )]
     pub fn gen_f64(&mut self) -> f64 {
-        // as-ok: top 53 bits of a u64 are exact in f64; 2^53 likewise
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -75,7 +78,6 @@ impl DetRng {
         let span = crate::convert::usize_to_u64(range.end - range.start);
         // Multiply-shift bounded sampling (Lemire); the slight modulo bias
         // of the naive approach is avoided without a rejection loop.
-        // as-ok: u128 product of two u64s shifted down 64 fits u64 exactly
         let hi = ((u128::from(self.next_u64()) * u128::from(span)) >> 64) as u64;
         range.start + crate::convert::u64_to_usize(hi)
     }

@@ -1,25 +1,11 @@
-//! The deeper analysis passes: determinism auditor, crate-layering
-//! checker, and cast-safety lint.
+//! The project rules clippy cannot express: the crate-layering checker,
+//! the crate-root check and the float-literal rule.
 //!
-//! ## Determinism auditor (`det-*`)
-//!
-//! Every figure this reproduction ships depends on byte-identical
-//! same-seed runs. The auditor bans, in library-crate code (tests exempt):
-//!
-//! - `HashMap` / `HashSet` (`det-collection`) — their iteration order is
-//!   randomized per process (`RandomState`), so any iteration that reaches
-//!   output, telemetry, or balancer decisions breaks reproducibility; use
-//!   `BTreeMap` / `BTreeSet` or index-keyed `Vec`s instead;
-//! - `SystemTime` / `Instant` (`det-clock`) — wall-clock reads in logic
-//!   paths leak real time into results; the telemetry clock is derived
-//!   from `(tick, seq)` instead;
-//! - `std::env` (`det-env`) — environment reads make runs depend on
-//!   ambient state; configuration flows through explicit config structs;
-//! - `RandomState` (`det-random`) — OS-seeded hashing.
-//!
-//! Sanctioned exceptions (e.g. the worker pool's `LUNULE_JOBS` default,
-//! which by construction cannot change results) are waived in
-//! `lint-allow.txt` and stale-checked like every other waiver.
+//! Every per-expression rule (no unwrap/expect/panic or prints in library
+//! code, the determinism bans, the cast lints) is a clippy lint: the
+//! crate roots enable them and `clippy.toml` configures the bans (DESIGN
+//! §6.1–6.2). What stays here needs a view of the workspace or a rule
+//! clippy does not have.
 //!
 //! ## Crate-layering checker (`layering`)
 //!
@@ -28,36 +14,40 @@
 //! reference) not in the declared allowed set, a crate missing from the
 //! table, or a cycle in the table itself.
 //!
-//! ## Cast-safety lint (`cast-lossy`)
+//! ## Crate roots (`crate-root`)
 //!
-//! Numeric `as` casts silently truncate, wrap, or round. In hot-path
-//! crates every `expr as <numeric>` must either carry a token-level
-//! widening proof (literal value/suffix that provably fits, or a cast
-//! chain whose previous target widens into the new one) or an inline
-//! waiver comment `// as-ok: <reason>` on the same or preceding line.
-//! Waiver comments that no longer cover a cast are themselves findings
-//! (`stale-cast-waiver`).
+//! Every library crate root (and the daemon's `main.rs`) must carry
+//! `#![forbid(unsafe_code)]`, `#![warn(missing_docs)]` and the shared
+//! lint block: [`ROOT_LINTS`] warned in non-test builds, and
+//! [`TEST_ALLOWS`] allowed in test builds, which exempts `#[cfg(test)]`
+//! code from the determinism bans. A new library crate cannot skip the
+//! rules by leaving its root bare.
+//!
+//! ## Float literals (`float-eq`)
+//!
+//! No `==` / `!=` against a floating-point literal in library code, tests
+//! exempt. Clippy's `float_cmp` exempts comparisons with zero; this rule
+//! refuses `x == 0.0` too.
 
-use crate::lexer::{lex, literal_suffix, TokKind};
-use crate::lint::cfg_test_mask;
-use crate::{
-    collect_rs_files, filter_with_stale_check, rel_path, AllowEntry, Finding, HOT_PATH_CRATES,
-    LIB_CRATES,
-};
+use crate::lexer::{lex, Tok, TokKind};
+use crate::{collect_rs_files, rel_path, Finding, LIB_CRATES};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-/// Check ids owned by the analyze command (used for stale-waiver
-/// detection against `lint-allow.txt`).
-pub const ANALYZE_CHECKS: &[&str] = &[
-    "det-collection",
-    "det-clock",
-    "det-env",
-    "det-random",
-    "cast-lossy",
-    "layering",
+/// Lints every library crate root warns on outside test builds.
+pub const ROOT_LINTS: &[&str] = &[
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+    "clippy::print_stdout",
+    "clippy::print_stderr",
+    "clippy::float_cmp",
 ];
+
+/// Lints every library crate root allows in test builds: test code may
+/// use the types and calls that `clippy.toml` bans.
+pub const TEST_ALLOWS: &[&str] = &["clippy::disallowed_types", "clippy::disallowed_methods"];
 
 /// One crate's position in the layering DAG: its name, source directory,
 /// and the complete set of workspace crates it may depend on.
@@ -193,247 +183,217 @@ pub const LAYERING: &[CrateLayer] = &[
     },
 ];
 
-/// Runs all three analysis passes over the workspace; returns unexempted
-/// findings (plus stale-waiver findings for dead allowlist entries and
-/// dead `as-ok` comments).
-pub fn analyze_workspace(root: &Path, allow: &[AllowEntry]) -> Result<Vec<Finding>, String> {
+/// Runs the three passes over the workspace and returns every finding.
+pub fn analyze_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
     for krate in LIB_CRATES {
         let src_dir = root.join("crates").join(krate).join("src");
         for file in collect_rs_files(&src_dir)? {
             let text = fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
-            findings.extend(determinism_scan(&rel_path(root, &file), &text));
-        }
-    }
-    for krate in HOT_PATH_CRATES {
-        let src_dir = root.join("crates").join(krate).join("src");
-        for file in collect_rs_files(&src_dir)? {
-            let text = fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
-            findings.extend(cast_scan(&rel_path(root, &file), &text));
+            let rel = rel_path(root, &file);
+            findings.extend(float_literal_scan(&rel, &text));
+            if file.parent() == Some(src_dir.as_path())
+                && file
+                    .file_name()
+                    .is_some_and(|n| n == "lib.rs" || n == "main.rs")
+            {
+                findings.extend(check_crate_root(&rel, &text));
+            }
         }
     }
     findings.extend(layering_check(root)?);
-    Ok(filter_with_stale_check(findings, allow, ANALYZE_CHECKS))
+    Ok(findings)
 }
 
 // ---------------------------------------------------------------------------
-// Determinism auditor
+// Crate roots
 // ---------------------------------------------------------------------------
 
-/// Scans one library source file for determinism hazards (tests exempt).
-pub fn determinism_scan(file: &str, text: &str) -> Vec<Finding> {
-    let toks = lex(text);
-    let in_test = cfg_test_mask(&toks);
-    let lines: Vec<&str> = text.lines().collect();
-    let sig: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
-    let mut findings = Vec::new();
-    for (si, &ti) in sig.iter().enumerate() {
-        if in_test[ti] {
+/// The crate-level inner attributes of `text`, each with its tokens
+/// joined without whitespace and a trailing comma before `)` dropped:
+/// `#![cfg_attr(test, allow(a, b,))]` becomes `cfg_attr(test,allow(a,b))`.
+fn inner_attributes(text: &str) -> Vec<String> {
+    let toks: Vec<Tok<'_>> = lex(text).into_iter().filter(|t| !t.is_comment()).collect();
+    let is = |i: usize, s: &str| {
+        toks.get(i)
+            .is_some_and(|t| t.kind == TokKind::Punct && t.text == s)
+    };
+    let mut attrs = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        if !(is(i, "#") && is(i + 1, "!") && is(i + 2, "[")) {
+            i += 1;
             continue;
         }
-        let t = &toks[ti];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let check = match t.text {
-            "HashMap" | "HashSet" => Some("det-collection"),
-            "SystemTime" | "Instant" => Some("det-clock"),
-            "RandomState" => Some("det-random"),
-            "env" => {
-                // `std :: env` — other `env` idents (variables, `env!`) are
-                // not ambient-state reads.
-                let prev2 = si.checked_sub(2).map(|p| &toks[sig[p]]);
-                let prev1 = si.checked_sub(1).map(|p| &toks[sig[p]]);
-                let from_std = prev1.is_some_and(|t| t.kind == TokKind::Punct && t.text == "::")
-                    && prev2.is_some_and(|t| t.kind == TokKind::Ident && t.text == "std");
-                from_std.then_some("det-env")
+        let mut depth = 1usize;
+        let mut body = String::new();
+        i += 3;
+        while i < toks.len() {
+            if is(i, "[") {
+                depth += 1;
+            } else if is(i, "]") {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
             }
-            _ => None,
-        };
-        if let Some(check) = check {
-            findings.push(Finding {
-                file: file.to_string(),
-                line: t.line,
-                check,
-                excerpt: lines.get(t.line - 1).copied().unwrap_or(t.text).to_string(),
-            });
+            if is(i, ")") && body.ends_with(',') {
+                body.pop();
+            }
+            body.push_str(toks[i].text);
+            i += 1;
         }
+        attrs.push(body);
     }
-    findings
+    attrs
 }
 
-// ---------------------------------------------------------------------------
-// Cast-safety lint
-// ---------------------------------------------------------------------------
-
-/// A numeric type as seen by the cast checker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Num {
-    /// Unsigned integer with the given bit width.
-    U(u32),
-    /// Signed integer with the given bit width.
-    I(u32),
-    /// Float with the given mantissa width (f32: 24, f64: 53).
-    F(u32),
-}
-
-/// Numeric type named by an identifier, if any. `usize`/`isize` are
-/// treated as 64-bit: the supported targets (and every machine the figures
-/// are produced on) are 64-bit, and a 32-bit port would make casts *less*
-/// safe, never more.
-fn numeric_type(name: &str) -> Option<Num> {
-    Some(match name {
-        "u8" => Num::U(8),
-        "u16" => Num::U(16),
-        "u32" => Num::U(32),
-        "u64" | "usize" => Num::U(64),
-        "u128" => Num::U(128),
-        "i8" => Num::I(8),
-        "i16" => Num::I(16),
-        "i32" => Num::I(32),
-        "i64" | "isize" => Num::I(64),
-        "i128" => Num::I(128),
-        "f32" => Num::F(24),
-        "f64" => Num::F(53),
-        _ => return None,
-    })
-}
-
-/// True when every value of `src` is exactly representable in `dst`
-/// (widening: no truncation, no sign change, no rounding).
-fn widens(src: Num, dst: Num) -> bool {
-    match (src, dst) {
-        (Num::U(s), Num::U(d)) => s <= d,
-        (Num::U(s), Num::I(d)) => s < d,
-        (Num::I(s), Num::I(d)) => s <= d,
-        (Num::I(_), Num::U(_)) => false,
-        (Num::U(s), Num::F(m)) => s <= m,
-        (Num::I(s), Num::F(m)) => s - 1 <= m,
-        (Num::F(s), Num::F(d)) => s <= d,
-        (Num::F(_), _) => false,
-    }
-}
-
-/// True when the integer literal value `v` is exactly representable in
-/// `dst` (e.g. `255 as u8`, `1 as f64`).
-fn literal_fits(v: u128, dst: Num) -> bool {
-    match dst {
-        Num::U(b) => b >= 128 || v < (1u128 << b),
-        Num::I(b) => v < (1u128 << (b - 1)),
-        Num::F(m) => v <= (1u128 << m),
-    }
-}
-
-/// Parses a decimal / hex / octal / binary integer literal token value.
-fn literal_value(text: &str) -> Option<u128> {
-    let suffix = literal_suffix(text);
-    let raw = text[..text.len() - suffix.len()].replace('_', "");
-    let raw = raw.as_str();
-    if let Some(hex) = raw.strip_prefix("0x") {
-        u128::from_str_radix(hex, 16).ok()
-    } else if let Some(oct) = raw.strip_prefix("0o") {
-        u128::from_str_radix(oct, 8).ok()
-    } else if let Some(bin) = raw.strip_prefix("0b") {
-        u128::from_str_radix(bin, 2).ok()
-    } else {
-        raw.parse().ok()
-    }
-}
-
-/// Scans one hot-path source file for lossy numeric `as` casts (tests
-/// exempt). A cast passes without a waiver when the token stream proves it
-/// widening:
-///
-/// - the cast operand is an integer literal whose value fits the target
-///   exactly (`255 as u8`, `1 as f64`);
-/// - the operand carries a type suffix that widens into the target
-///   (`7u32 as u64`);
-/// - the cast extends a chain whose previous target widens into the new
-///   one (`x as u32 as u64` — the second cast is safe whatever `x` is).
-///
-/// Anything else needs `// as-ok: <reason>` on the same or the preceding
-/// line. `as-ok` comments covering no cast are reported as
-/// `stale-cast-waiver`.
-pub fn cast_scan(file: &str, text: &str) -> Vec<Finding> {
-    let toks = lex(text);
-    let in_test = cfg_test_mask(&toks);
-    let lines: Vec<&str> = text.lines().collect();
-    let sig: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
-    // Lines carrying an `as-ok:` waiver comment.
-    let waiver_lines: BTreeSet<usize> = toks
+/// The lints named by every `#![cfg_attr(<cfg>, <level>(…))]` of a root
+/// whose head is `cfg_attr(<cfg>,<level>(`.
+fn cfg_attr_lints<'a>(attrs: &'a [String], head: &str) -> BTreeSet<&'a str> {
+    attrs
         .iter()
-        .filter(|t| t.is_comment() && t.text.contains("as-ok:"))
-        .map(|t| t.line)
-        .collect();
-    let mut cast_lines: BTreeSet<usize> = BTreeSet::new();
+        .filter_map(|a| a.strip_prefix(head)?.strip_suffix("))"))
+        .flat_map(|list| list.split(','))
+        .collect()
+}
+
+/// Checks that a crate root carries the mandatory attributes and the
+/// shared lint block.
+pub fn check_crate_root(file: &str, text: &str) -> Vec<Finding> {
+    let attrs = inner_attributes(text);
+    let warned = cfg_attr_lints(&attrs, "cfg_attr(not(test),warn(");
+    let allowed = cfg_attr_lints(&attrs, "cfg_attr(test,allow(");
+    let mut missing = Vec::new();
+    for attr in ["forbid(unsafe_code)", "warn(missing_docs)"] {
+        if !attrs.iter().any(|a| a == attr) {
+            missing.push(format!("#![{attr}]"));
+        }
+    }
+    for lint in ROOT_LINTS {
+        if !warned.contains(lint) {
+            missing.push(format!("#![cfg_attr(not(test), warn({lint}))]"));
+        }
+    }
+    for lint in TEST_ALLOWS {
+        if !allowed.contains(lint) {
+            missing.push(format!("#![cfg_attr(test, allow({lint}))]"));
+        }
+    }
+    missing
+        .into_iter()
+        .map(|m| Finding {
+            file: file.to_string(),
+            line: 1,
+            check: "crate-root",
+            excerpt: format!("crate root lacks {m}"),
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Float literals
+// ---------------------------------------------------------------------------
+
+/// Scans one library source file for `==` / `!=` against a float literal
+/// (tests exempt).
+pub fn float_literal_scan(file: &str, text: &str) -> Vec<Finding> {
+    let toks = lex(text);
+    let in_test = cfg_test_mask(&toks);
+    let lines: Vec<&str> = text.lines().collect();
+    let sig: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
+    let float = |s: Option<&usize>| s.is_some_and(|&i| toks[i].kind == TokKind::Float);
     let mut findings = Vec::new();
     for (si, &ti) in sig.iter().enumerate() {
         let t = &toks[ti];
-        if !(t.kind == TokKind::Ident && t.text == "as") {
+        if in_test[ti] || t.kind != TokKind::Punct || !(t.text == "==" || t.text == "!=") {
             continue;
         }
-        let Some(&next_ti) = sig.get(si + 1) else {
-            continue;
-        };
-        let next = &toks[next_ti];
-        let Some(dst) = (next.kind == TokKind::Ident)
-            .then(|| numeric_type(next.text))
-            .flatten()
-        else {
-            continue;
-        };
-        cast_lines.insert(t.line);
-        if in_test[ti] {
-            continue;
-        }
-        let prev = si.checked_sub(1).map(|p| &toks[sig[p]]);
-        let prev2 = si.checked_sub(2).map(|p| &toks[sig[p]]);
-        let proven = match prev {
-            // `7u32 as u64` / `255 as u8` / `1.5 as f64`.
-            Some(p) if matches!(p.kind, TokKind::Int | TokKind::Float) => {
-                let suffix = literal_suffix(p.text);
-                if let Some(src) = numeric_type(suffix) {
-                    widens(src, dst)
-                } else if p.kind == TokKind::Int {
-                    literal_value(p.text).is_some_and(|v| literal_fits(v, dst))
-                } else {
-                    // Unsuffixed float literal: defaults to f64.
-                    widens(Num::F(53), dst)
-                }
-            }
-            // `… as u32 as u64`: the previous cast target is the source.
-            Some(p) if p.kind == TokKind::Ident => match numeric_type(p.text) {
-                Some(src) if prev2.is_some_and(|q| q.kind == TokKind::Ident && q.text == "as") => {
-                    widens(src, dst)
-                }
-                _ => false,
-            },
-            _ => false,
-        };
-        let waived =
-            waiver_lines.contains(&t.line) || (t.line > 1 && waiver_lines.contains(&(t.line - 1)));
-        if !proven && !waived {
+        let prev = si.checked_sub(1).and_then(|p| sig.get(p));
+        if float(prev) || float(sig.get(si + 1)) {
             findings.push(Finding {
                 file: file.to_string(),
                 line: t.line,
-                check: "cast-lossy",
+                check: "float-eq",
                 excerpt: lines.get(t.line - 1).copied().unwrap_or(t.text).to_string(),
             });
         }
     }
-    // A waiver comment is live when a numeric cast sits on its own line or
-    // the one after it (trailing and comment-above styles).
-    for &w in &waiver_lines {
-        if !cast_lines.contains(&w) && !cast_lines.contains(&(w + 1)) {
-            findings.push(Finding {
-                file: file.to_string(),
-                line: w,
-                check: "stale-cast-waiver",
-                excerpt: format!("`as-ok:` waiver on line {w} covers no numeric cast — remove it"),
-            });
+    findings
+}
+
+/// Per-token mask: `true` for tokens inside a `#[cfg(test)]`-gated item.
+///
+/// After a `#[cfg(test)]` attribute, any further attributes are skipped,
+/// then the gated item extends to its closing brace (brace-matched on
+/// tokens) or, for brace-less items like `use`, to the first `;`.
+pub fn cfg_test_mask(toks: &[Tok<'_>]) -> Vec<bool> {
+    let mut mask = vec![false; toks.len()];
+    let sig: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
+    let is = |s: usize, kind: TokKind, text: &str| {
+        sig.get(s)
+            .is_some_and(|&i| toks[i].kind == kind && toks[i].text == text)
+    };
+    let mut s = 0;
+    while s < sig.len() {
+        let attr_here = is(s, TokKind::Punct, "#")
+            && is(s + 1, TokKind::Punct, "[")
+            && is(s + 2, TokKind::Ident, "cfg")
+            && is(s + 3, TokKind::Punct, "(")
+            && is(s + 4, TokKind::Ident, "test")
+            && is(s + 5, TokKind::Punct, ")")
+            && is(s + 6, TokKind::Punct, "]");
+        if !attr_here {
+            s += 1;
+            continue;
+        }
+        let start = s;
+        s += 7;
+        // Skip any further attributes (`#[test]`, `#[allow(...)]`, …).
+        while is(s, TokKind::Punct, "#") && is(s + 1, TokKind::Punct, "[") {
+            let mut depth = 0usize;
+            while s < sig.len() {
+                if is(s, TokKind::Punct, "[") {
+                    depth += 1;
+                } else if is(s, TokKind::Punct, "]") {
+                    depth -= 1;
+                    if depth == 0 {
+                        s += 1;
+                        break;
+                    }
+                }
+                s += 1;
+            }
+        }
+        // The gated item: to the matching close brace, or `;` if brace-less.
+        let mut depth = 0usize;
+        let mut opened = false;
+        while s < sig.len() {
+            if !opened && is(s, TokKind::Punct, ";") {
+                s += 1;
+                break;
+            }
+            if is(s, TokKind::Punct, "{") {
+                depth += 1;
+                opened = true;
+            } else if is(s, TokKind::Punct, "}") {
+                depth = depth.saturating_sub(1);
+                if opened && depth == 0 {
+                    s += 1;
+                    break;
+                }
+            }
+            s += 1;
+        }
+        let end_tok = sig
+            .get(s.saturating_sub(1))
+            .copied()
+            .unwrap_or(toks.len() - 1);
+        for m in &mut mask[sig[start]..=end_tok] {
+            *m = true;
         }
     }
-    findings
+    mask
 }
 
 // ---------------------------------------------------------------------------
@@ -627,131 +587,77 @@ pub fn topo_layers() -> Option<Vec<(&'static str, usize)>> {
 mod tests {
     use super::*;
 
-    // -- determinism ---------------------------------------------------------
+    // -- crate roots ---------------------------------------------------------
+
+    const GOOD_ROOT: &str = "//! Docs.\n#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n#![cfg_attr(\n    not(test),\n    warn(\n        clippy::unwrap_used,\n        clippy::expect_used,\n        clippy::panic,\n        clippy::print_stdout,\n        clippy::print_stderr,\n        clippy::float_cmp,\n    )\n)]\n#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]\nfn f() {}\n";
 
     #[test]
-    fn hash_collections_are_flagged_in_code_only() {
-        let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); }\n";
-        let findings = determinism_scan("lib.rs", src);
-        assert_eq!(findings.len(), 3);
-        assert!(findings.iter().all(|f| f.check == "det-collection"));
-        // The same text inside comments and strings is invisible.
-        let clean = "// HashMap is banned\nfn f() { let s = \"HashSet\"; let _ = s; }\n";
-        assert!(determinism_scan("lib.rs", clean).is_empty());
+    fn crate_root_with_the_shared_block_passes() {
+        assert!(check_crate_root("lib.rs", GOOD_ROOT).is_empty());
     }
 
     #[test]
-    fn wall_clocks_env_and_randomstate_are_flagged() {
-        let src = "fn f() {\n    let t = std::time::Instant::now();\n    let s = std::time::SystemTime::now();\n    let v = std::env::var(\"X\");\n    let h: std::collections::hash_map::RandomState = Default::default();\n}\n";
-        let checks: Vec<&str> = determinism_scan("lib.rs", src)
-            .iter()
-            .map(|f| f.check)
-            .collect();
+    fn crate_root_reports_each_missing_attribute() {
+        let excerpts = |src: &str| -> Vec<String> {
+            check_crate_root("lib.rs", src)
+                .into_iter()
+                .map(|f| f.excerpt)
+                .collect()
+        };
+        let bare = excerpts("fn f() {}\n");
+        assert_eq!(bare.len(), 2 + ROOT_LINTS.len() + TEST_ALLOWS.len());
+        let no_panic = excerpts(&GOOD_ROOT.replace("clippy::panic,", ""));
         assert_eq!(
-            checks,
-            vec!["det-clock", "det-clock", "det-env", "det-random"]
+            no_panic,
+            vec!["crate root lacks #![cfg_attr(not(test), warn(clippy::panic))]"]
         );
+        // A lint named under the wrong cfg does not count.
+        let swapped = excerpts(&GOOD_ROOT.replace(
+            "allow(clippy::disallowed_types",
+            "warn(clippy::disallowed_types",
+        ));
+        assert_eq!(swapped.len(), TEST_ALLOWS.len());
+        // Mentions in comments are not attributes.
+        let commented =
+            excerpts(&GOOD_ROOT.replace("#![forbid(unsafe_code)]", "// #![forbid(unsafe_code)]"));
+        assert_eq!(commented, vec!["crate root lacks #![forbid(unsafe_code)]"]);
+    }
+
+    // -- float literals ------------------------------------------------------
+
+    #[test]
+    fn float_equality_is_flagged() {
+        let hits =
+            |src: &str| !float_literal_scan("lib.rs", &format!("fn f() {{ {src} }}")).is_empty();
+        assert!(hits("if x == 1.0 {}"));
+        assert!(hits("if x == 0.0 {}"));
+        assert!(hits("if 0.5 != y {}"));
+        assert!(hits("assert!(v == 1e-9);"));
+        assert!(!hits("if x == 1 {}"));
+        assert!(!hits("let r = 0.0..=1.0;"));
+        assert!(!hits("if x <= 1.0 {}"));
+        assert!(!hits("if x.to_bits() == y.to_bits() {}"));
+        assert!(!hits("match x { 1 => 2.0, _ => 3.0 };"));
     }
 
     #[test]
-    fn env_ident_alone_is_not_flagged() {
-        let src = "fn f(env: u32) -> u32 { env + 1 }\n";
-        assert!(determinism_scan("lib.rs", src).is_empty());
+    fn cfg_test_blocks_are_exempt() {
+        let src = "fn f() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        assert!(g() == 1.0);\n    }\n}\n";
+        assert!(float_literal_scan("lib.rs", src).is_empty());
     }
 
     #[test]
-    fn tests_may_use_hash_collections() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n    #[test]\n    fn t() { let _ = HashMap::<u32, u32>::new(); }\n}\n";
-        assert!(determinism_scan("lib.rs", src).is_empty());
-    }
-
-    // -- cast safety ---------------------------------------------------------
-
-    #[test]
-    fn widening_matrix() {
-        assert!(widens(Num::U(32), Num::U(64)));
-        assert!(widens(Num::U(32), Num::I(64)));
-        assert!(widens(Num::U(32), Num::F(53)));
-        assert!(widens(Num::I(32), Num::F(53)));
-        assert!(widens(Num::F(24), Num::F(53)));
-        assert!(!widens(Num::U(64), Num::U(32)), "narrowing");
-        assert!(
-            !widens(Num::U(64), Num::F(53)),
-            "u64 -> f64 loses precision"
-        );
-        assert!(!widens(Num::I(32), Num::U(64)), "sign-changing");
-        assert!(
-            !widens(Num::U(32), Num::F(24)),
-            "u32 -> f32 loses precision"
-        );
-        assert!(!widens(Num::F(53), Num::I(64)), "float -> int truncates");
+    fn cfg_test_on_braceless_item_ends_at_semicolon() {
+        let src = "#[cfg(test)]\nuse helper::g;\nfn f() -> bool { g() == 1.0 }\n";
+        let findings = float_literal_scan("lib.rs", src);
+        assert_eq!(findings.len(), 1, "code after the gated use is scanned");
+        assert_eq!(findings[0].line, 3);
     }
 
     #[test]
-    fn suffixed_and_fitting_literals_pass() {
-        let clean = "fn f() -> u64 { 7u32 as u64 }\nfn g() -> u8 { 255 as u8 }\nfn h() -> f64 { 1 as f64 }\nfn k() -> u64 { 0xFF as u64 }\n";
-        assert!(
-            cast_scan("lib.rs", clean).is_empty(),
-            "{:?}",
-            cast_scan("lib.rs", clean)
-        );
-    }
-
-    #[test]
-    fn non_fitting_literal_is_flagged() {
-        let src = "fn f() -> u8 { 256 as u8 }\n";
-        let findings = cast_scan("lib.rs", src);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].check, "cast-lossy");
-    }
-
-    #[test]
-    fn unknown_source_requires_waiver() {
-        let flagged = "fn f(x: u64) -> u32 { x as u32 }\n";
-        assert_eq!(cast_scan("lib.rs", flagged).len(), 1);
-        let waived = "fn f(x: u64) -> u32 { x as u32 } // as-ok: x is a rank index < 2^16\n";
-        assert!(cast_scan("lib.rs", waived).is_empty());
-        let waived_above =
-            "fn f(x: u64) -> u32 {\n    // as-ok: x is a rank index < 2^16\n    x as u32\n}\n";
-        assert!(cast_scan("lib.rs", waived_above).is_empty());
-    }
-
-    #[test]
-    fn cast_chains_prove_widening() {
-        let clean = "fn f(x: MyId) -> u64 { x.raw() as u32 as u64 } // as-ok: raw is u32\n";
-        assert!(cast_scan("lib.rs", clean).is_empty());
-        // Chain that narrows is still flagged.
-        let dirty = "fn f(x: u8) -> u32 { x as u64 as u32 } // first cast unproven too\n";
-        assert_eq!(cast_scan("lib.rs", dirty).len(), 2);
-    }
-
-    #[test]
-    fn non_numeric_as_is_ignored() {
-        let src = "use std::fmt as f;\nfn g(x: &dyn std::any::Any) { let _ = x as &dyn std::any::Any; }\n";
-        assert!(cast_scan("lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn casts_in_tests_are_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { let x = 3.7_f64 as u32; let _ = x; }\n}\n";
-        assert!(cast_scan("lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn stale_as_ok_comment_is_flagged() {
-        let src = "// as-ok: nothing here anymore\nfn f() {}\n";
-        let findings = cast_scan("lib.rs", src);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].check, "stale-cast-waiver");
-    }
-
-    #[test]
-    fn waiver_on_test_cast_is_not_stale() {
-        // The cast is exempt (test code) but the waiver still covers a
-        // cast line, so it is not reported stale.
-        let src =
-            "#[cfg(test)]\nmod tests {\n    fn t() { let _ = 3.7 as u32; } // as-ok: test\n}\n";
-        assert!(cast_scan("lib.rs", src).is_empty());
+    fn comments_and_strings_are_exempt() {
+        let src = "//! x == 1.0\n/// y != 0.5\nfn f() {\n    let s = \"z == 2.0\";\n    /* w == 3.0 */\n    let _ = s;\n}\n";
+        assert!(float_literal_scan("lib.rs", src).is_empty());
     }
 
     // -- layering ------------------------------------------------------------

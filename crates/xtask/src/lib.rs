@@ -1,25 +1,19 @@
-//! Workspace automation library: the token-aware static-analysis suite.
+//! Workspace automation library.
 //!
-//! The `xtask` binary (see `main.rs`) fronts three commands:
+//! The `xtask` binary (see `main.rs`) fronts two commands:
 //!
-//! - **`lint`** — project-rule lint over the library crates (no
-//!   unwrap/expect/panic, no unsafe, no float `==`, no `println!`, no ad-hoc
-//!   threads, mandatory crate-root attributes), rebuilt on the
-//!   [`lexer`] so comments, strings, doc examples and char literals can
-//!   never produce false positives;
-//! - **`analyze`** — the deeper analysis passes: a *determinism auditor*
-//!   (no `HashMap`/`HashSet`, wall clocks, `std::env` or `RandomState` in
-//!   library code), a *crate-layering checker* (the workspace dependency
-//!   DAG, declared in [`analyze::LAYERING`], with source-level import
-//!   verification), and a *cast-safety lint* (numeric `as` casts in
-//!   hot-path crates need a widening proof or an inline `as-ok:` waiver);
+//! - **`analyze`** — the project rules clippy cannot express, on the
+//!   token [`lexer`] so comments, strings and doc examples never produce
+//!   false positives: the *crate-layering checker* (the workspace
+//!   dependency DAG, declared in [`analyze::LAYERING`], with source-level
+//!   import verification), the *crate-root check* (every library root
+//!   carries the shared lint block) and the *float-literal rule*;
 //! - **`bench-diff`** — the CI bench-regression gate.
 //!
-//! Waivers for `lint` and the determinism pass live in
-//! `crates/xtask/lint-allow.txt` as `<repo-relative-path> <check-id>`
-//! lines; cast waivers are inline `// as-ok: <reason>` comments. Both kinds
-//! are *stale-checked*: a waiver that no longer matches any finding fails
-//! the run, so the allowlist can only shrink.
+//! Every per-expression rule is a clippy lint, enabled by the crate roots
+//! and configured in `clippy.toml`; its waivers are
+//! `#[expect(clippy::…, reason = "…")]` attributes, which clippy reports
+//! as unfulfilled once they silence nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,15 +21,14 @@
 pub mod analyze;
 pub mod bench_diff;
 pub mod lexer;
-pub mod lint;
 
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Library crates covered by the lint and determinism passes (binaries and
-/// the bench harness are exempt: aborting on a broken experiment config is
-/// the right behavior there).
+/// Library crates covered by the crate-root check and the float-literal
+/// rule (the bench harness is exempt: aborting on a broken experiment
+/// config is the right behavior there).
 pub const LIB_CRATES: &[&str] = &[
     "namespace",
     "core",
@@ -49,11 +42,6 @@ pub const LIB_CRATES: &[&str] = &[
     "snapshot",
 ];
 
-/// Hot-path crates covered by the cast-safety pass: the per-op and per-tick
-/// code where a silently lossy cast can skew balancer decisions or corrupt
-/// determinism at scale.
-pub const HOT_PATH_CRATES: &[&str] = &["core", "namespace", "sim", "util"];
-
 /// One finding: file, 1-based line, stable check id, and the offending
 /// source line (or a synthetic description for file-level checks).
 #[derive(Debug, Clone)]
@@ -62,7 +50,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Stable check id (also the allowlist key).
+    /// Stable check id.
     pub check: &'static str,
     /// The offending source line, or a description for file-level checks.
     pub excerpt: String,
@@ -118,129 +106,4 @@ pub fn rel_path(root: &Path, file: &Path) -> String {
         .unwrap_or(file)
         .to_string_lossy()
         .replace('\\', "/")
-}
-
-/// An allowlist entry: repo-relative path plus the check id it exempts.
-pub type AllowEntry = (String, String);
-
-/// Parses the allowlist file: `<path> <check-id>` per line, `#` comments.
-/// A missing file is an empty allowlist.
-pub fn load_allowlist(path: &Path) -> Result<Vec<AllowEntry>, String> {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("{}: {e}", path.display())),
-    };
-    parse_allowlist(&text)
-}
-
-/// Parses allowlist text (split out for tests).
-pub fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, String> {
-    let mut entries = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        match (parts.next(), parts.next(), parts.next()) {
-            (Some(path), Some(check), None) => {
-                entries.push((path.to_string(), check.to_string()));
-            }
-            _ => {
-                return Err(format!(
-                    "allowlist line {}: expected `<path> <check-id>`, got `{raw}`",
-                    i + 1
-                ));
-            }
-        }
-    }
-    Ok(entries)
-}
-
-/// True when `(file, check)` is exempted by the allowlist.
-pub fn allowed(allow: &[AllowEntry], file: &str, check: &str) -> bool {
-    allow
-        .iter()
-        .any(|(p, c)| p == file && (c == check || c == "*"))
-}
-
-/// Splits `findings` into kept (unexempted) findings and, for every
-/// allowlist entry covering checks in `known_checks`, verifies the entry
-/// matched at least one raw finding — a *stale* waiver (one that silences
-/// nothing) becomes a `stale-waiver` finding itself, so the allowlist can
-/// only shrink over time. Entries for other commands' checks are ignored.
-pub fn filter_with_stale_check(
-    findings: Vec<Finding>,
-    allow: &[AllowEntry],
-    known_checks: &[&str],
-) -> Vec<Finding> {
-    let mut kept: Vec<Finding> = Vec::new();
-    let mut matched = vec![false; allow.len()];
-    for f in findings {
-        let mut exempt = false;
-        for (i, (p, c)) in allow.iter().enumerate() {
-            if *p == f.file && (*c == f.check || c == "*") {
-                matched[i] = true;
-                exempt = true;
-            }
-        }
-        if !exempt {
-            kept.push(f);
-        }
-    }
-    for (i, (p, c)) in allow.iter().enumerate() {
-        let relevant = c == "*" || known_checks.contains(&c.as_str());
-        if relevant && !matched[i] && c != "*" {
-            kept.push(Finding {
-                file: p.clone(),
-                line: 0,
-                check: "stale-waiver",
-                excerpt: format!("allowlist entry `{p} {c}` matches no finding — remove it"),
-            });
-        }
-    }
-    kept
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn allowlist_parses_and_filters() {
-        let text = "# grandfathered\ncrates/a/src/x.rs expect\ncrates/b/src/y.rs *\n\n";
-        let allow = parse_allowlist(text).unwrap();
-        assert_eq!(allow.len(), 2);
-        assert!(allowed(&allow, "crates/a/src/x.rs", "expect"));
-        assert!(!allowed(&allow, "crates/a/src/x.rs", "unwrap"));
-        assert!(allowed(&allow, "crates/b/src/y.rs", "panic"));
-        assert!(parse_allowlist("one-field-only\n").is_err());
-    }
-
-    #[test]
-    fn stale_waivers_are_reported() {
-        let allow = vec![
-            ("crates/a/src/x.rs".to_string(), "expect".to_string()),
-            ("crates/b/src/y.rs".to_string(), "unwrap".to_string()),
-        ];
-        let findings = vec![Finding {
-            file: "crates/a/src/x.rs".to_string(),
-            line: 3,
-            check: "expect",
-            excerpt: "x.expect(\"y\")".to_string(),
-        }];
-        let kept = filter_with_stale_check(findings, &allow, &["expect", "unwrap"]);
-        // The live entry silences its finding; the dead entry surfaces.
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].check, "stale-waiver");
-        assert_eq!(kept[0].file, "crates/b/src/y.rs");
-    }
-
-    #[test]
-    fn foreign_check_waivers_are_not_stale_for_this_command() {
-        let allow = vec![("crates/a/src/x.rs".to_string(), "det-env".to_string())];
-        let kept = filter_with_stale_check(Vec::new(), &allow, &["expect", "unwrap"]);
-        assert!(kept.is_empty(), "det-env is another command's check");
-    }
 }

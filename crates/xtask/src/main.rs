@@ -4,72 +4,55 @@
 //! the thin CLI front:
 //!
 //! ```text
-//! cargo run -p xtask -- lint
 //! cargo run -p xtask -- analyze
 //! cargo run -p xtask -- bench-diff bench-baseline.json BENCH.json [--threshold 0.15]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings/regressions, 2 usage/IO error.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use xtask::bench_diff::bench_diff_command;
-use xtask::{analyze, lint, load_allowlist, workspace_root, AllowEntry, Finding};
+use xtask::{analyze::analyze_workspace, workspace_root};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => findings_command("lint", lint::lint_workspace),
-        Some("analyze") => findings_command("analyze", analyze::analyze_workspace),
+        Some("analyze") => analyze_command(),
         Some("bench-diff") => bench_diff_command(&args[1..]),
         Some(other) => {
-            eprintln!("unknown task `{other}`; available tasks: lint, analyze, bench-diff");
+            eprintln!("unknown task `{other}`; available tasks: analyze, bench-diff");
             ExitCode::from(2)
         }
         None => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint\n       cargo run -p xtask -- analyze\n       cargo run -p xtask -- bench-diff <baseline.json> <current.json> [--threshold 0.15]"
+                "usage: cargo run -p xtask -- analyze\n       cargo run -p xtask -- bench-diff <baseline.json> <current.json> [--threshold 0.15]"
             );
             ExitCode::from(2)
         }
     }
 }
 
-/// Shared driver for the finding-producing commands (`lint`, `analyze`):
-/// locates the workspace, loads the allowlist, runs the pass, reports.
-fn findings_command(
-    name: &str,
-    run: fn(&std::path::Path, &[AllowEntry]) -> Result<Vec<Finding>, String>,
-) -> ExitCode {
-    let root: PathBuf = match workspace_root() {
-        Some(r) => r,
-        None => {
-            eprintln!("xtask: could not locate the workspace root");
-            return ExitCode::from(2);
-        }
+/// Locates the workspace, runs the analysis passes and reports.
+fn analyze_command() -> ExitCode {
+    let Some(root) = workspace_root() else {
+        eprintln!("xtask: could not locate the workspace root");
+        return ExitCode::from(2);
     };
-    let allow = match load_allowlist(&root.join("crates/xtask/lint-allow.txt")) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("xtask: failed to read allowlist: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match run(&root, &allow) {
+    match analyze_workspace(&root) {
         Ok(findings) if findings.is_empty() => {
-            println!("xtask {name}: clean");
+            println!("xtask analyze: clean");
             ExitCode::SUCCESS
         }
         Ok(findings) => {
             for f in &findings {
                 println!("{f}");
             }
-            println!("xtask {name}: {} finding(s)", findings.len());
+            println!("xtask analyze: {} finding(s)", findings.len());
             ExitCode::from(1)
         }
         Err(e) => {
-            eprintln!("xtask: {name} failed: {e}");
+            eprintln!("xtask: analyze failed: {e}");
             ExitCode::from(2)
         }
     }

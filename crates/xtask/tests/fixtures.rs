@@ -1,26 +1,15 @@
-//! Fixture-driven integration tests for the static-analysis suite.
-//!
-//! Each analysis pass gets a positive fixture (code that must be flagged)
-//! and a negative fixture (commented, quoted, test-gated or provably-safe
-//! occurrences that must NOT be flagged), so false-positive regressions in
-//! the token-aware passes fail loudly here. The fixtures live under
-//! `tests/fixtures/` and are lexed, never compiled.
+//! Fixture-driven integration tests for the analysis passes: the lexer
+//! tour (lexed, never compiled), the layering checker on a synthetic
+//! workspace, and the real workspace, which must be clean.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 
-use xtask::analyze::{
-    analyze_workspace, cast_scan, determinism_scan, layering_check, CrateLayer, LAYERING,
-};
+use xtask::analyze::{analyze_workspace, layering_check, CrateLayer, LAYERING};
 use xtask::lexer::{lex, literal_suffix, TokKind};
-use xtask::lint::lint_workspace;
-use xtask::{load_allowlist, workspace_root};
+use xtask::workspace_root;
 
-const DET_POSITIVE: &str = include_str!("fixtures/det_positive.rs");
-const DET_NEGATIVE: &str = include_str!("fixtures/det_negative.rs");
-const CAST_POSITIVE: &str = include_str!("fixtures/cast_positive.rs");
-const CAST_NEGATIVE: &str = include_str!("fixtures/cast_negative.rs");
 const LEXER_TOUR: &str = include_str!("fixtures/lexer_tour.rs");
 
 // ---------------------------------------------------------------------------
@@ -70,49 +59,6 @@ fn lexer_tour_classifies_every_token_shape() {
     assert!(toks
         .iter()
         .any(|t| t.kind == TokKind::Punct && t.text == ".."));
-}
-
-// ---------------------------------------------------------------------------
-// Determinism auditor
-// ---------------------------------------------------------------------------
-
-#[test]
-fn determinism_positive_fixture_flags_each_hazard_once() {
-    let findings = determinism_scan("fixture.rs", DET_POSITIVE);
-    let checks: Vec<&str> = findings.iter().map(|f| f.check).collect();
-    assert_eq!(
-        checks,
-        vec!["det-collection", "det-clock", "det-env", "det-random"],
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn determinism_negative_fixture_is_clean() {
-    let findings = determinism_scan("fixture.rs", DET_NEGATIVE);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-// ---------------------------------------------------------------------------
-// Cast-safety lint
-// ---------------------------------------------------------------------------
-
-#[test]
-fn cast_positive_fixture_flags_lossy_casts_and_stale_waiver() {
-    let findings = cast_scan("fixture.rs", CAST_POSITIVE);
-    let lossy = findings.iter().filter(|f| f.check == "cast-lossy").count();
-    let stale = findings
-        .iter()
-        .filter(|f| f.check == "stale-cast-waiver")
-        .count();
-    assert_eq!(lossy, 3, "{findings:?}");
-    assert_eq!(stale, 1, "{findings:?}");
-}
-
-#[test]
-fn cast_negative_fixture_is_clean() {
-    let findings = cast_scan("fixture.rs", CAST_NEGATIVE);
-    assert!(findings.is_empty(), "{findings:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -196,22 +142,14 @@ fn layering_flags_a_crate_directory_missing_from_the_table() {
 }
 
 // ---------------------------------------------------------------------------
-// The real workspace is clean under the checked-in allowlist
+// The real workspace is clean
 // ---------------------------------------------------------------------------
 
 #[test]
-fn real_workspace_is_clean_under_the_checked_in_allowlist() {
+fn real_workspace_is_clean() {
     let root = workspace_root().expect("workspace root");
-    let allow = load_allowlist(&root.join("crates/xtask/lint-allow.txt")).expect("allowlist loads");
-    let lint = lint_workspace(&root, &allow).expect("lint runs");
-    assert!(lint.is_empty(), "lint findings: {lint:?}");
-    let analyze = analyze_workspace(&root, &allow).expect("analyze runs");
-    assert!(analyze.is_empty(), "analyze findings: {analyze:?}");
-    // And every allowlist entry is live: covered by the stale check above,
-    // but assert the list stayed small too. It may only grow for a newly
-    // *designated* boundary module (like the daemon's pacing layer, the
-    // one sanctioned wall-clock/thread site) — never for convenience.
-    assert!(allow.len() <= 8, "allowlist grew: {allow:?}");
+    let findings = analyze_workspace(&root).expect("analyze runs");
+    assert!(findings.is_empty(), "analyze findings: {findings:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -231,15 +169,6 @@ fn fixture_directory_matches_expectations() {
                 .into_owned()
         })
         .collect();
-    let expected: BTreeSet<String> = [
-        "det_positive.rs",
-        "det_negative.rs",
-        "cast_positive.rs",
-        "cast_negative.rs",
-        "lexer_tour.rs",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    let expected: BTreeSet<String> = ["lexer_tour.rs".to_string()].into();
     assert_eq!(names, expected);
 }

@@ -30,6 +30,10 @@ fn demo_trace() -> String {
     t
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the example reads its optional trace path from the command line"
+)]
 fn main() {
     let text = match std::env::args().nth(1) {
         Some(path) => std::fs::read_to_string(&path)
