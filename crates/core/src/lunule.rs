@@ -646,6 +646,41 @@ mod tests {
         }
     }
 
+    /// Pins today's behaviour, not a wanted one (DESIGN §10): a claimed
+    /// subtree overlaps every subtree nested under it, delegated ones
+    /// included. When the root's rank exports first and claims
+    /// `(/, whole)`, the other exporter, whose subtrees (`/d1`, `/d3`) all
+    /// lie under `/`, finds no candidate, by mIndex or by the visit
+    /// fallback: three pairings, one subtree.
+    #[test]
+    fn a_claimed_root_leaves_later_pairings_empty() {
+        let (ns, mut map, files) = fixture();
+        for d in [1, 3] {
+            let dir = ns.inode(files[d * 25]).parent().unwrap();
+            map.set_authority(FragKey::whole(dir), MdsRank(1));
+        }
+        let mut b = LunuleBalancer::new(small_cfg());
+        for epoch in 0..3 {
+            for _ in 0..=epoch {
+                feed(&mut b, &ns, &files);
+            }
+            b.on_epoch(&ns, &map, &EpochStats::new(epoch as u64, 10.0, vec![0; 4]));
+        }
+        let stats = EpochStats::new(3, 10.0, vec![1000, 900, 0, 0]);
+        let tel = Telemetry::enabled();
+        b.attach_telemetry(tel.clone());
+        let plan = b.on_epoch(&ns, &map, &stats);
+        let chosen: Vec<(MdsRank, FragKey)> = plan
+            .exports
+            .iter()
+            .flat_map(|t| t.subtrees.iter().map(move |s| (t.from, s.subtree)))
+            .collect();
+        assert_eq!(chosen, vec![(MdsRank(0), FragKey::whole(InodeId::ROOT))]);
+        let journal = lunule_telemetry::events_jsonl(&tel.snapshot().unwrap());
+        let decision = "\"pairings\":3,\"subtrees\":1,\"candidates\":5";
+        assert!(journal.contains(decision), "{journal}");
+    }
+
     #[test]
     fn missing_reports_fall_back_to_last_good() {
         let (ns, map, files) = fixture();

@@ -139,6 +139,60 @@ fn sibling_propagation_carries_the_scan_win() {
     );
 }
 
+/// Migrated inodes of Lunule on CNN, stock and with `tweak` applied, on
+/// the ablation grid's cluster (`single_workloads`: 5 ranks of capacity
+/// 500, 10 s epochs, 100 clients) at half its scale. The claims below
+/// hold on that grid; smaller runs need not show them (DESIGN §9).
+fn cnn_migrated(tweak: impl FnOnce(&mut LunuleConfig)) -> (u64, u64) {
+    let run = |cfg: LunuleConfig| {
+        let spec = WorkloadSpec {
+            kind: WorkloadKind::Cnn,
+            clients: 100,
+            scale: 0.05,
+            seed: 42,
+        };
+        let (ns, streams) = spec.build();
+        let sim = SimConfig {
+            mds_capacity: 500.0,
+            epoch_secs: 10,
+            duration_secs: 1_800,
+            migration_bw: 5_000.0,
+            client_rate: 50.0,
+            seed: 42,
+            ..small_sim(5)
+        };
+        let balancer = Box::new(LunuleBalancer::new(cfg));
+        Simulation::new(sim, ns, balancer, streams)
+            .run()
+            .migrated_inodes()
+    };
+    let mut ablated = LunuleConfig::for_capacity(500.0);
+    tweak(&mut ablated);
+    (run(LunuleConfig::for_capacity(500.0)), run(ablated))
+}
+
+#[test]
+fn future_load_correction_curbs_cnn_migration() {
+    // EXPERIMENTS' ablation: without the importer future-load correction,
+    // CNN migrates >= 1.5x the inodes of full Lunule (2.0x on the grid).
+    let (full, ablated) = cnn_migrated(|c| c.ablate_future_load = true);
+    assert!(
+        ablated * 2 >= full * 3,
+        "without the future-load correction CNN must migrate >= 1.5x the inodes: {ablated} vs {full}"
+    );
+}
+
+#[test]
+fn migration_cap_curbs_cnn_migration() {
+    // EXPERIMENTS' ablation: without Algorithm 1's per-epoch migration
+    // cap, CNN migrates >= 1.5x the inodes of full Lunule (3.0x on the grid).
+    let (full, uncapped) = cnn_migrated(|c| c.roles.migration_capacity = f64::MAX);
+    assert!(
+        uncapped * 2 >= full * 3,
+        "without the migration cap CNN must migrate >= 1.5x the inodes: {uncapped} vs {full}"
+    );
+}
+
 #[test]
 fn greedyspill_is_worst_on_scans() {
     let greedy = run(WorkloadKind::Cnn, BalancerKind::GreedySpill, 12, 0.005);
