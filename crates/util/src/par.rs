@@ -11,9 +11,9 @@
 //! scheduling: `--jobs 1` and `--jobs 32` produce identical results.
 //!
 //! This module is the only place in the workspace allowed to touch
-//! `std::thread` — `cargo run -p xtask -- lint` bans `thread::spawn` /
-//! `thread::scope` everywhere else, so ad-hoc threading cannot silently
-//! break run determinism.
+//! `std::thread` — `clippy.toml` bans `thread::spawn` / `thread::scope`
+//! everywhere else, so ad-hoc threading cannot silently break run
+//! determinism.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
