@@ -1,10 +1,10 @@
 //! Named, total numeric conversions for the workspace.
 //!
-//! The cast-safety lint (`cargo run -p xtask -- analyze`) bans raw numeric
-//! `as` casts in hot-path crates because they silently truncate, wrap, or
-//! round. Call sites use these helpers (or `From`/`try_from`) instead, so
-//! every conversion's contract is named at the call site and the handful
-//! of underlying `as` casts are waived once, here, with their proofs.
+//! Clippy's cast lints (enabled at the hot-path crate roots) refuse raw
+//! numeric `as` casts that can truncate, wrap, or round. Call sites use
+//! these helpers (or `From`/`try_from`) instead, so every conversion's
+//! contract is named at the call site and the handful of underlying lossy
+//! `as` casts are waived once, here, with their proofs.
 //!
 //! All helpers compile to the same machine code as the raw cast they wrap:
 //! they exist to document intent, not to change semantics. The

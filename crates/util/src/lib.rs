@@ -12,8 +12,8 @@
 //!   report the failing case index on panic.
 //! * [`par`] — the sanctioned scoped worker pool with deterministic result
 //!   ordering; the only module in the workspace allowed to spawn threads.
-//! * [`convert`] — named, total numeric conversions; the only place the
-//!   cast-safety lint lets hot-path code spell a lossy `as` cast.
+//! * [`convert`] — named, total numeric conversions; the place hot-path
+//!   code spells a lossy `as` cast past clippy's cast lints.
 //! * [`codec`] — the little-endian binary codec (plus CRC-32 and FNV-1a)
 //!   snapshot sections are written with; floats round-trip bit-exactly.
 
