@@ -615,15 +615,43 @@ mod tests {
         assert_eq!(kinds.len(), total);
     }
 
+    /// The compact line of each [`all_variants`] entry stamped `t: 120`,
+    /// `seq: 3`, in the same order: the tag, every key and the key order
+    /// are the journal's contract.
+    const VARIANT_LINES: [&str; 19] = [
+        r#"{"t":120,"seq":3,"type":"run_start","n_mds":5}"#,
+        r#"{"t":120,"seq":3,"type":"tick_start"}"#,
+        r#"{"t":120,"seq":3,"type":"epoch_close","epoch":3,"imbalance_factor":0.42,"total_iops":1250.5,"plan_subtrees":2}"#,
+        r#"{"t":120,"seq":3,"type":"phase_begin","name":"balancer.epoch"}"#,
+        r#"{"t":120,"seq":3,"type":"phase_end","name":"balancer.epoch"}"#,
+        r#"{"t":120,"seq":3,"type":"decision","epoch":3,"imbalance_factor":0.42,"triggered":true,"pairings":2,"subtrees":4,"candidates":17}"#,
+        r#"{"t":120,"seq":3,"type":"migration_start","from":0,"to":2,"dir":99,"frag_value":1,"frag_bits":1,"inodes":300}"#,
+        r#"{"t":120,"seq":3,"type":"migration_commit","from":0,"to":2,"dir":99,"inodes":300,"duration_ticks":12}"#,
+        r#"{"t":120,"seq":3,"type":"migration_abandon","from":0,"to":2,"dir":99,"moved":120}"#,
+        r#"{"t":120,"seq":3,"type":"frag_split","dir":99,"value":0,"bits":1}"#,
+        r#"{"t":120,"seq":3,"type":"mds_add","rank":4}"#,
+        r#"{"t":120,"seq":3,"type":"mds_drain","rank":1,"subtrees_failed_over":6}"#,
+        r#"{"t":120,"seq":3,"type":"clients_add","count":32}"#,
+        r#"{"t":120,"seq":3,"type":"fault_injected","kind":"crash","rank":1,"param":60}"#,
+        r#"{"t":120,"seq":3,"type":"rank_crashed","rank":1,"down_ticks":60}"#,
+        r#"{"t":120,"seq":3,"type":"rank_recovered","rank":1,"down_ticks":61}"#,
+        r#"{"t":120,"seq":3,"type":"knob_set","name":"if_threshold","value":0.15}"#,
+        r#"{"t":120,"seq":3,"type":"migration_timeout","from":0,"to":2,"dir":99,"attempt":0,"moved":120}"#,
+        r#"{"t":120,"seq":3,"type":"migration_retry","from":0,"to":2,"dir":99,"attempt":1,"backoff_ticks":8}"#,
+    ];
+
     #[test]
     fn record_serialises_flat_with_type_tag() {
-        let record = EventRecord {
-            t: 120,
-            seq: 3,
-            event: Event::MdsAdd { rank: 7 },
-        };
-        let line = record.to_json().to_string_compact();
-        assert_eq!(line, r#"{"t":120,"seq":3,"type":"mds_add","rank":7}"#);
+        let variants = all_variants();
+        assert_eq!(variants.len(), VARIANT_LINES.len());
+        for (event, expected) in variants.into_iter().zip(VARIANT_LINES) {
+            let record = EventRecord {
+                t: 120,
+                seq: 3,
+                event,
+            };
+            assert_eq!(record.to_json().to_string_compact(), expected);
+        }
     }
 
     #[test]
@@ -635,6 +663,12 @@ mod tests {
     #[test]
     fn missing_payload_field_is_rejected() {
         let v = Json::parse(r#"{"t":0,"seq":0,"type":"mds_add"}"#).unwrap();
+        assert!(EventRecord::from_json(&v).is_err());
+    }
+
+    #[test]
+    fn wrong_typed_payload_field_is_rejected() {
+        let v = Json::parse(r#"{"t":0,"seq":0,"type":"mds_add","rank":"x"}"#).unwrap();
         assert!(EventRecord::from_json(&v).is_err());
     }
 }
