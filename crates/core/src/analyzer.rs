@@ -449,14 +449,6 @@ impl PatternAnalyzer {
         }
     }
 
-    /// Visits to `dir` over the recent windows (`l_t` alone). Used as a
-    /// selection fallback when every migration index is zero — e.g. a scan
-    /// that has covered the whole namespace leaves nothing unvisited and
-    /// nothing recurrent, yet load still has to move somewhere.
-    pub fn recent_visits_of(&self, dir: InodeId) -> f64 {
-        self.index_of(dir).map(|m| m.l_t).unwrap_or(0.0)
-    }
-
     /// Number of directories with live statistics.
     pub fn tracked_dirs(&self) -> usize {
         self.dirs.len()

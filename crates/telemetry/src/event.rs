@@ -11,21 +11,77 @@
 //! snake-case kind name, e.g.
 //! `{"t":120,"seq":3,"type":"migration_start","from":0,"to":2,...}` — one
 //! such object per line in the JSONL export.
+//!
+//! Each variant is declared once, in the `events!` table below: its docs,
+//! its tag and its typed fields. The table generates the enum,
+//! [`Event::kind`], the payload and the JSON codec, whose keys are the
+//! field names in declaration order, so a new field is one line there.
 
 use lunule_util::json::{FromJson, Json, JsonError, ToJson};
 
-/// One structured journal entry, before timestamping.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Event {
+/// Generates [`Event`] from a table of `Variant "tag" { field: Type, .. }`
+/// entries (the braces are left out for a unit variant): the enum,
+/// [`Event::kind`], [`Event::payload`] and [`FromJson`].
+macro_rules! events {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident $tag:literal $({
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty),* $(,)?
+        })?
+    ),* $(,)?) => {
+        /// One structured journal entry, before timestamping.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Event {
+            $(
+                $(#[$doc])*
+                $variant $({ $($(#[$field_doc])* $field: $ty),* })?,
+            )*
+        }
+
+        impl Event {
+            /// The snake-case kind tag used in serialised records and by
+            /// [`crate::Telemetry::count_kind`].
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// The variant's payload as ordered `(key, value)` JSON fields,
+            /// excluding the `"type"` tag.
+            pub(crate) fn payload(&self) -> Vec<(String, Json)> {
+                match self {
+                    $(Event::$variant $({ $($field),* })? => vec![
+                        $($((stringify!($field).to_string(), $field.to_json())),*)?
+                    ],)*
+                }
+            }
+        }
+
+        impl FromJson for Event {
+            fn from_json(v: &Json) -> Result<Self, JsonError> {
+                let kind: String = req(v, "type")?;
+                match kind.as_str() {
+                    $($tag => Ok(Event::$variant $({
+                        $($field: req(v, stringify!($field))?),*
+                    })?),)*
+                    other => Err(JsonError::new(format!("unknown event type '{other}'"))),
+                }
+            }
+        }
+    };
+}
+
+events! {
     /// A simulation run began.
-    RunStart {
+    RunStart "run_start" {
         /// Number of MDS ranks at start.
         n_mds: u32,
     },
     /// A simulated tick began (the clock was advanced to it).
-    TickStart,
+    TickStart "tick_start",
     /// A balance epoch closed and its statistics were recorded.
-    EpochClose {
+    EpochClose "epoch_close" {
         /// The epoch index (1-based, matching `EpochRecord::epoch`).
         epoch: u64,
         /// Imbalance factor computed over this epoch's per-MDS IOPS.
@@ -36,17 +92,17 @@ pub enum Event {
         plan_subtrees: u64,
     },
     /// A named phase span opened (paired with `PhaseEnd` by name + order).
-    PhaseBegin {
+    PhaseBegin "phase_begin" {
         /// Span name, e.g. `"balancer.epoch"`.
         name: String,
     },
     /// A named phase span closed.
-    PhaseEnd {
+    PhaseEnd "phase_end" {
         /// Span name matching the `PhaseBegin`.
         name: String,
     },
     /// The balancer's per-epoch decision outcome.
-    Decision {
+    Decision "decision" {
         /// The epoch index the decision was made for.
         epoch: u64,
         /// The imbalance factor the decision was based on.
@@ -61,7 +117,7 @@ pub enum Event {
         candidates: u64,
     },
     /// A migration job was enqueued and began transferring.
-    MigrationStart {
+    MigrationStart "migration_start" {
         /// Exporting rank.
         from: u32,
         /// Importing rank.
@@ -76,7 +132,7 @@ pub enum Event {
         inodes: u64,
     },
     /// A migration job finished its commit phase; authority switched.
-    MigrationCommit {
+    MigrationCommit "migration_commit" {
         /// Exporting rank.
         from: u32,
         /// Importing rank.
@@ -89,7 +145,7 @@ pub enum Event {
         duration_ticks: u64,
     },
     /// A migration job was abandoned (e.g. one endpoint drained).
-    MigrationAbandon {
+    MigrationAbandon "migration_abandon" {
         /// Exporting rank.
         from: u32,
         /// Importing rank.
@@ -100,7 +156,7 @@ pub enum Event {
         moved: u64,
     },
     /// A directory fragment was split to carve out a migration root.
-    FragSplit {
+    FragSplit "frag_split" {
         /// Directory inode whose fragment split.
         dir: u64,
         /// Fragment id value bits of the fragment that was split.
@@ -109,25 +165,25 @@ pub enum Event {
         bits: u32,
     },
     /// A new MDS rank joined the cluster.
-    MdsAdd {
+    MdsAdd "mds_add" {
         /// The rank that was added.
         rank: u32,
     },
     /// An MDS rank was drained and its subtrees failed over.
-    MdsDrain {
+    MdsDrain "mds_drain" {
         /// The rank that was drained.
         rank: u32,
         /// Subtree roots re-homed onto surviving ranks.
         subtrees_failed_over: u64,
     },
     /// A batch of clients joined mid-run.
-    ClientsAdd {
+    ClientsAdd "clients_add" {
         /// Number of clients added.
         count: u64,
     },
     /// A scheduled fault fired (emitted once per fault, alongside any
     /// kind-specific event such as `RankCrashed`).
-    FaultInjected {
+    FaultInjected "fault_injected" {
         /// Fault taxonomy label: `crash`, `limp`, `report_loss`, or
         /// `migration_stall`.
         kind: String,
@@ -137,21 +193,21 @@ pub enum Event {
         param: u64,
     },
     /// An MDS rank crashed: capacity zeroed, subtrees failed over.
-    RankCrashed {
+    RankCrashed "rank_crashed" {
         /// The rank that went down.
         rank: u32,
         /// Scheduled outage length in ticks.
         down_ticks: u64,
     },
     /// A crashed MDS rank rejoined the cluster (empty, to be re-filled).
-    RankRecovered {
+    RankRecovered "rank_recovered" {
         /// The rank that came back.
         rank: u32,
         /// Actual ticks the rank spent down.
         down_ticks: u64,
     },
     /// A migration job exceeded its transfer deadline.
-    MigrationTimedOut {
+    MigrationTimedOut "migration_timeout" {
         /// Exporting rank.
         from: u32,
         /// Importing rank.
@@ -165,14 +221,14 @@ pub enum Event {
     },
     /// A balancer tuning knob was changed at runtime (daemon control
     /// plane).
-    KnobSet {
+    KnobSet "knob_set" {
         /// Knob name, e.g. `"if_threshold"`.
         name: String,
         /// The new value.
         value: f64,
     },
     /// A timed-out migration job was re-queued after backoff.
-    MigrationRetried {
+    MigrationRetried "migration_retry" {
         /// Exporting rank.
         from: u32,
         /// Importing rank.
@@ -186,167 +242,6 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// The snake-case kind tag used in serialised records and by
-    /// [`crate::Telemetry::count_kind`].
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::RunStart { .. } => "run_start",
-            Event::TickStart => "tick_start",
-            Event::EpochClose { .. } => "epoch_close",
-            Event::PhaseBegin { .. } => "phase_begin",
-            Event::PhaseEnd { .. } => "phase_end",
-            Event::Decision { .. } => "decision",
-            Event::MigrationStart { .. } => "migration_start",
-            Event::MigrationCommit { .. } => "migration_commit",
-            Event::MigrationAbandon { .. } => "migration_abandon",
-            Event::FragSplit { .. } => "frag_split",
-            Event::MdsAdd { .. } => "mds_add",
-            Event::MdsDrain { .. } => "mds_drain",
-            Event::ClientsAdd { .. } => "clients_add",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::RankCrashed { .. } => "rank_crashed",
-            Event::RankRecovered { .. } => "rank_recovered",
-            Event::KnobSet { .. } => "knob_set",
-            Event::MigrationTimedOut { .. } => "migration_timeout",
-            Event::MigrationRetried { .. } => "migration_retry",
-        }
-    }
-
-    /// The variant's payload as ordered `(key, value)` JSON fields,
-    /// excluding the `"type"` tag.
-    fn payload(&self) -> Vec<(String, Json)> {
-        fn field(name: &str, v: impl ToJson) -> (String, Json) {
-            (name.to_string(), v.to_json())
-        }
-        match self {
-            Event::RunStart { n_mds } => vec![field("n_mds", n_mds)],
-            Event::TickStart => Vec::new(),
-            Event::EpochClose {
-                epoch,
-                imbalance_factor,
-                total_iops,
-                plan_subtrees,
-            } => vec![
-                field("epoch", epoch),
-                field("imbalance_factor", imbalance_factor),
-                field("total_iops", total_iops),
-                field("plan_subtrees", plan_subtrees),
-            ],
-            Event::PhaseBegin { name } => vec![field("name", name)],
-            Event::PhaseEnd { name } => vec![field("name", name)],
-            Event::Decision {
-                epoch,
-                imbalance_factor,
-                triggered,
-                pairings,
-                subtrees,
-                candidates,
-            } => vec![
-                field("epoch", epoch),
-                field("imbalance_factor", imbalance_factor),
-                field("triggered", triggered),
-                field("pairings", pairings),
-                field("subtrees", subtrees),
-                field("candidates", candidates),
-            ],
-            Event::MigrationStart {
-                from,
-                to,
-                dir,
-                frag_value,
-                frag_bits,
-                inodes,
-            } => vec![
-                field("from", from),
-                field("to", to),
-                field("dir", dir),
-                field("frag_value", frag_value),
-                field("frag_bits", frag_bits),
-                field("inodes", inodes),
-            ],
-            Event::MigrationCommit {
-                from,
-                to,
-                dir,
-                inodes,
-                duration_ticks,
-            } => vec![
-                field("from", from),
-                field("to", to),
-                field("dir", dir),
-                field("inodes", inodes),
-                field("duration_ticks", duration_ticks),
-            ],
-            Event::MigrationAbandon {
-                from,
-                to,
-                dir,
-                moved,
-            } => vec![
-                field("from", from),
-                field("to", to),
-                field("dir", dir),
-                field("moved", moved),
-            ],
-            Event::FragSplit { dir, value, bits } => vec![
-                field("dir", dir),
-                field("value", value),
-                field("bits", bits),
-            ],
-            Event::MdsAdd { rank } => vec![field("rank", rank)],
-            Event::MdsDrain {
-                rank,
-                subtrees_failed_over,
-            } => vec![
-                field("rank", rank),
-                field("subtrees_failed_over", subtrees_failed_over),
-            ],
-            Event::ClientsAdd { count } => vec![field("count", count)],
-            Event::FaultInjected { kind, rank, param } => vec![
-                field("kind", kind),
-                field("rank", rank),
-                field("param", param),
-            ],
-            Event::RankCrashed { rank, down_ticks } => {
-                vec![field("rank", rank), field("down_ticks", down_ticks)]
-            }
-            Event::RankRecovered { rank, down_ticks } => {
-                vec![field("rank", rank), field("down_ticks", down_ticks)]
-            }
-            Event::MigrationTimedOut {
-                from,
-                to,
-                dir,
-                attempt,
-                moved,
-            } => vec![
-                field("from", from),
-                field("to", to),
-                field("dir", dir),
-                field("attempt", attempt),
-                field("moved", moved),
-            ],
-            Event::KnobSet { name, value } => {
-                vec![field("name", name), field("value", value)]
-            }
-            Event::MigrationRetried {
-                from,
-                to,
-                dir,
-                attempt,
-                backoff_ticks,
-            } => vec![
-                field("from", from),
-                field("to", to),
-                field("dir", dir),
-                field("attempt", attempt),
-                field("backoff_ticks", backoff_ticks),
-            ],
-        }
-    }
-}
-
 fn req<T: FromJson>(v: &Json, key: &str) -> Result<T, JsonError> {
     let field = v
         .get(key)
@@ -354,111 +249,21 @@ fn req<T: FromJson>(v: &Json, key: &str) -> Result<T, JsonError> {
     T::from_json(field)
 }
 
-impl ToJson for Event {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![("type".to_string(), Json::Str(self.kind().to_string()))];
-        fields.extend(self.payload());
-        Json::Obj(fields)
+impl Event {
+    /// `head`, then the `"type"` tag, then the payload, in one vector.
+    fn fields_after<const N: usize>(&self, head: [(String, Json); N]) -> Vec<(String, Json)> {
+        let payload = self.payload();
+        let mut fields = Vec::with_capacity(N + 1 + payload.len());
+        fields.extend(head);
+        fields.push(("type".to_string(), Json::Str(self.kind().to_string())));
+        fields.extend(payload);
+        fields
     }
 }
 
-impl FromJson for Event {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let kind: String = req(v, "type")?;
-        match kind.as_str() {
-            "run_start" => Ok(Event::RunStart {
-                n_mds: req(v, "n_mds")?,
-            }),
-            "tick_start" => Ok(Event::TickStart),
-            "epoch_close" => Ok(Event::EpochClose {
-                epoch: req(v, "epoch")?,
-                imbalance_factor: req(v, "imbalance_factor")?,
-                total_iops: req(v, "total_iops")?,
-                plan_subtrees: req(v, "plan_subtrees")?,
-            }),
-            "phase_begin" => Ok(Event::PhaseBegin {
-                name: req(v, "name")?,
-            }),
-            "phase_end" => Ok(Event::PhaseEnd {
-                name: req(v, "name")?,
-            }),
-            "decision" => Ok(Event::Decision {
-                epoch: req(v, "epoch")?,
-                imbalance_factor: req(v, "imbalance_factor")?,
-                triggered: req(v, "triggered")?,
-                pairings: req(v, "pairings")?,
-                subtrees: req(v, "subtrees")?,
-                candidates: req(v, "candidates")?,
-            }),
-            "migration_start" => Ok(Event::MigrationStart {
-                from: req(v, "from")?,
-                to: req(v, "to")?,
-                dir: req(v, "dir")?,
-                frag_value: req(v, "frag_value")?,
-                frag_bits: req(v, "frag_bits")?,
-                inodes: req(v, "inodes")?,
-            }),
-            "migration_commit" => Ok(Event::MigrationCommit {
-                from: req(v, "from")?,
-                to: req(v, "to")?,
-                dir: req(v, "dir")?,
-                inodes: req(v, "inodes")?,
-                duration_ticks: req(v, "duration_ticks")?,
-            }),
-            "migration_abandon" => Ok(Event::MigrationAbandon {
-                from: req(v, "from")?,
-                to: req(v, "to")?,
-                dir: req(v, "dir")?,
-                moved: req(v, "moved")?,
-            }),
-            "frag_split" => Ok(Event::FragSplit {
-                dir: req(v, "dir")?,
-                value: req(v, "value")?,
-                bits: req(v, "bits")?,
-            }),
-            "mds_add" => Ok(Event::MdsAdd {
-                rank: req(v, "rank")?,
-            }),
-            "mds_drain" => Ok(Event::MdsDrain {
-                rank: req(v, "rank")?,
-                subtrees_failed_over: req(v, "subtrees_failed_over")?,
-            }),
-            "clients_add" => Ok(Event::ClientsAdd {
-                count: req(v, "count")?,
-            }),
-            "fault_injected" => Ok(Event::FaultInjected {
-                kind: req(v, "kind")?,
-                rank: req(v, "rank")?,
-                param: req(v, "param")?,
-            }),
-            "rank_crashed" => Ok(Event::RankCrashed {
-                rank: req(v, "rank")?,
-                down_ticks: req(v, "down_ticks")?,
-            }),
-            "rank_recovered" => Ok(Event::RankRecovered {
-                rank: req(v, "rank")?,
-                down_ticks: req(v, "down_ticks")?,
-            }),
-            "knob_set" => Ok(Event::KnobSet {
-                name: req(v, "name")?,
-                value: req(v, "value")?,
-            }),
-            "migration_timeout" => Ok(Event::MigrationTimedOut {
-                from: req(v, "from")?,
-                to: req(v, "to")?,
-                dir: req(v, "dir")?,
-                attempt: req(v, "attempt")?,
-                moved: req(v, "moved")?,
-            }),
-            "migration_retry" => Ok(Event::MigrationRetried {
-                from: req(v, "from")?,
-                to: req(v, "to")?,
-                dir: req(v, "dir")?,
-                attempt: req(v, "attempt")?,
-                backoff_ticks: req(v, "backoff_ticks")?,
-            }),
-            other => Err(JsonError::new(format!("unknown event type '{other}'"))),
-        }
+impl ToJson for Event {
+    fn to_json(&self) -> Json {
+        Json::Obj(self.fields_after([]))
     }
 }
 
@@ -475,14 +280,10 @@ pub struct EventRecord {
 
 impl ToJson for EventRecord {
     fn to_json(&self) -> Json {
-        let mut fields = vec![
+        Json::Obj(self.event.fields_after([
             ("t".to_string(), self.t.to_json()),
             ("seq".to_string(), self.seq.to_json()),
-        ];
-        if let Json::Obj(event_fields) = self.event.to_json() {
-            fields.extend(event_fields);
-        }
-        Json::Obj(fields)
+        ]))
     }
 }
 

@@ -107,15 +107,6 @@ fn trace_obj(
     Json::Obj(fields)
 }
 
-/// The event's payload fields (everything but the `"type"` tag), for use
-/// as Chrome trace `args`.
-fn event_args(event: &Event) -> Vec<(String, Json)> {
-    match event.to_json() {
-        Json::Obj(fields) => fields.into_iter().filter(|(k, _)| k != "type").collect(),
-        _ => Vec::new(),
-    }
-}
-
 /// Renders the Chrome `trace_event` JSON document.
 pub fn chrome_trace(snap: &Snapshot) -> String {
     let mut trace_events = Vec::new();
@@ -136,7 +127,7 @@ pub fn chrome_trace(snap: &Snapshot) -> String {
                     other.kind(),
                     "i",
                     ts,
-                    event_args(other),
+                    other.payload(),
                     vec![("s".to_string(), Json::Str("t".to_string()))],
                 ));
             }

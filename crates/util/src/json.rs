@@ -1,11 +1,10 @@
 //! A minimal JSON value model, parser, and writer.
 //!
 //! Result types that need to round-trip through JSON implement [`ToJson`]
-//! and [`FromJson`]; the [`crate::impl_json_struct!`] and
-//! [`crate::impl_json_enum!`] macros generate the field plumbing. Parsing
-//! follows missing-field-keeps-default semantics: a struct is built from
-//! `Default::default()` and only the keys present in the object overwrite
-//! fields, so old dumps stay readable as types grow.
+//! and [`FromJson`]; the [`crate::impl_json_struct!`] macro generates the
+//! field plumbing. Parsing follows missing-field-keeps-default semantics: a
+//! struct is built from `Default::default()` and only the keys present in
+//! the object overwrite fields, so old dumps stay readable as types grow.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -606,37 +605,6 @@ macro_rules! impl_json_struct {
                     }
                 )+
                 Ok(out)
-            }
-        }
-    };
-}
-
-/// Implements [`ToJson`]/[`FromJson`] for a fieldless enum as its variant
-/// name string.
-#[macro_export]
-macro_rules! impl_json_enum {
-    ($ty:ty { $($variant:ident),+ $(,)? }) => {
-        impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Json {
-                let name = match self {
-                    $(<$ty>::$variant => stringify!($variant),)+
-                };
-                $crate::json::Json::Str(name.to_string())
-            }
-        }
-        impl $crate::json::FromJson for $ty {
-            fn from_json(
-                v: &$crate::json::Json,
-            ) -> Result<Self, $crate::json::JsonError> {
-                let s = v
-                    .as_str()
-                    .ok_or_else(|| $crate::json::JsonError::new("expected string"))?;
-                match s {
-                    $(stringify!($variant) => Ok(<$ty>::$variant),)+
-                    other => Err($crate::json::JsonError::new(format!(
-                        "unknown variant '{other}'"
-                    ))),
-                }
             }
         }
     };
