@@ -651,6 +651,50 @@ fn tick_loop_cold(p: Protocol) -> BenchResult {
     })
 }
 
+/// Ticks each mixed simulation runs before timing starts, and then while
+/// timed.
+const MIXED_WARMUP_TICKS: u64 = 200;
+const MIXED_TICKS: u64 = 40;
+
+/// service_mixed's shape at a small scale: the four-way mixture (CNN,
+/// NLP, Web and Zipf groups of 50 singleton clients, ~59,000 inodes) on
+/// 8 ranks of capacity 500, an epoch every 20 ticks. The Web clients
+/// read across many directories, so their route caches fill to the
+/// 256-entry cap, which no other cell's clients do; each simulation runs
+/// [`MIXED_WARMUP_TICKS`] before timing to get them there.
+fn mixed_sim() -> Simulation {
+    let spec = WorkloadSpec {
+        kind: WorkloadKind::Mixed,
+        clients: 200,
+        scale: 0.02,
+        seed: 42,
+    };
+    let cfg = SimConfig {
+        n_mds: 8,
+        mds_capacity: 500.0,
+        epoch_secs: 20,
+        duration_secs: MIXED_WARMUP_TICKS + MIXED_TICKS,
+        stop_when_done: false,
+        seed: 42,
+        ..SimConfig::default()
+    };
+    let (ns, streams) = spec.build();
+    let b = make_balancer(BalancerKind::Lunule, cfg.mds_capacity);
+    let mut sim = Simulation::new(cfg, ns, b, streams);
+    sim.run_until(MIXED_WARMUP_TICKS);
+    sim
+}
+
+/// The mixed tick loop alone, simulations built and warmed before timing
+/// as in [`tick_loop`]; `ns_per_op` is the cost of one tick.
+fn tick_loop_mixed(p: Protocol) -> BenchResult {
+    let mut sims: Vec<Simulation> = (0..p.warmup + p.rounds).map(|_| mixed_sim()).collect();
+    let mut next = sims.iter_mut();
+    run_bench("tick_loop_mixed_c200_m8", p, || {
+        next.next().map_or(0, step_to_end)
+    })
+}
+
 /// Ticks each stalled-cohort simulation runs before timing starts (long
 /// enough for the balancer to spread the groups over the ranks and for
 /// them to split), and the ticks timed: eight of them close an epoch.
@@ -947,6 +991,7 @@ fn main() -> ExitCode {
         tick_loop("tick_loop_c100k_m128", 100_000, protocol),
         tick_loop_sparse(protocol),
         tick_loop_cold(protocol),
+        tick_loop_mixed(protocol),
         tick_loop_stalled(protocol),
         record_access(protocol),
         mindex_of(protocol),
@@ -1100,6 +1145,24 @@ mod tests {
         );
         assert_eq!(step_to_end(&mut sim), COLD_TICKS);
         assert!(sim.total_ops() > 200 * COLD_TICKS, "{}", sim.total_ops());
+    }
+
+    #[test]
+    fn mixed_sim_fills_the_web_caches_and_serves_every_tick() {
+        let mut sim = mixed_sim();
+        let mut web = Vec::new();
+        sim.cohorts().for_each_state(|c, _| {
+            // Client `i` runs group `i % 4`, and group 2 is Web.
+            if c.id % 4 == 2 {
+                web.push(c.cache_len());
+            }
+        });
+        assert_eq!(web.len(), 50);
+        let narrowest = web.iter().min().copied().unwrap_or(0);
+        assert!(narrowest >= 240, "a Web cache holds {narrowest} entries");
+        assert_eq!(step_to_end(&mut sim), MIXED_TICKS);
+        assert!(!sim.all_done());
+        assert!(sim.total_ops() > 200 * MIXED_TICKS, "{}", sim.total_ops());
     }
 
     #[test]

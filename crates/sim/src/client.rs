@@ -3,9 +3,12 @@
 //! Each client issues metadata ops back-to-back (closed loop, zero think
 //! time) up to a per-second rate cap, stalling when its target MDS has no
 //! capacity left this tick. Clients cache dirfrag→rank mappings (CephFS
-//! clients cache the subtree map the same way); the cache is flushed
-//! whenever the cluster's partition map changes, so traversals — and the
-//! inter-MDS forwards they cause — resume right after every migration.
+//! clients cache the subtree map the same way), and no partition-map
+//! change flushes the cache. A committed migration hands the entries it
+//! covers to the importer (`Client::apply_migrations`); a drained or
+//! crashed rank's entries are dropped ([`Client::forget_rank`]), so their
+//! next op pays a traversal from the root; any other stale entry costs one
+//! redirect forward at the rank it names.
 
 use crate::request::{MetaOp, OpStream};
 use lunule_namespace::{
@@ -16,7 +19,7 @@ use std::collections::BTreeMap;
 
 /// Outcome of resolving an op's route.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Route {
+pub(crate) struct Route {
     /// Rank that serves the op.
     pub target: MdsRank,
     /// Ranks that forward the request on a traversal (may repeat the
@@ -25,6 +28,12 @@ pub struct Route {
     /// The live fragment of the op's directory the op hashed into: what
     /// the client caches once the op is served.
     pub frag: Frag,
+    /// Whether the resolving client's newest cached entry for the op's
+    /// directory already is `(frag, target)`, so that
+    /// [`Client::learn_route`] has nothing to learn below the cap. It
+    /// describes the cache the route was resolved against, so only that
+    /// client may learn the route.
+    pub newest: bool,
 }
 
 /// A route to rank 0 with no forwards: a blank buffer for the cohort
@@ -35,6 +44,7 @@ impl Default for Route {
             target: MdsRank(0),
             forwards: Vec::new(),
             frag: Frag::root(),
+            newest: false,
         }
     }
 }
@@ -329,6 +339,14 @@ pub(crate) fn resolve_route(
     hash: u32,
 ) -> (Route, bool) {
     let frag = ns.frag_for_hash(dir, hash);
+    // Whether the last entry equal to `(frag, target)` is the directory's
+    // last entry.
+    let newest = |target: MdsRank| {
+        cache.get(&dir).is_some_and(|entries| {
+            let at = entries.iter().rposition(|&(f, r)| f == frag && r == target);
+            at.is_some_and(|i| i + 1 == entries.len())
+        })
+    };
     let cached = cache.get(&dir).and_then(|entries| {
         entries
             .iter()
@@ -350,6 +368,7 @@ pub(crate) fn resolve_route(
             target: true_auth,
             forwards,
             frag,
+            newest: newest(true_auth),
         };
         return (route, true_auth == cached_rank);
     }
@@ -373,6 +392,7 @@ pub(crate) fn resolve_route(
         target: final_auth,
         forwards,
         frag,
+        newest: newest(final_auth),
     };
     (route, false)
 }
@@ -383,6 +403,8 @@ pub(crate) fn resolve_route(
 /// a fresh cache hit. The op's fragment and serving rank come from one
 /// [`AuthorityCache::child_route`] lookup; only a cache miss walks the
 /// directory's (memoized) authority chain for the traversal's forwards.
+/// The one probe of the cache also fills [`Route::newest`], so learning the
+/// route needs no second probe.
 ///
 /// Cache semantics mirror CephFS clients: a cached dirfrag→rank mapping
 /// is used optimistically; if it has gone stale (the subtree migrated),
@@ -405,13 +427,13 @@ pub(crate) fn resolve_route_cached(
     let (frag, true_auth) = auth.child_route(map, ns, dir, hash);
     out.frag = frag;
     out.target = true_auth;
-    let cached = cache.get(&dir).and_then(|entries| {
-        entries
-            .iter()
-            .filter(|(f, _)| f.contains_hash(hash))
-            .max_by_key(|(f, _)| f.bits())
-            .map(|(_, r)| *r)
-    });
+    let entries = cache.get(&dir).map_or(&[][..], Vec::as_slice);
+    out.newest = entries.last() == Some(&(frag, true_auth));
+    let cached = entries
+        .iter()
+        .filter(|(f, _)| f.contains_hash(hash))
+        .max_by_key(|(f, _)| f.bits())
+        .map(|(_, r)| *r);
     if let Some(cached_rank) = cached {
         if true_auth == cached_rank {
             return true;
@@ -438,12 +460,17 @@ impl Client {
     ///
     /// Entries of one directory are pairwise disjoint, so re-learning the
     /// directory's newest entry unchanged would drop it and push it back:
-    /// below the cap, where nothing is evicted first, that is skipped.
-    pub fn learn_route(&mut self, dir: InodeId, route: &Route) {
-        let entry = (route.frag, route.target);
-        if self.cache_count < self.cache_cap
-            && self.cache.get(&dir).and_then(|e| e.last()) == Some(&entry)
-        {
+    /// below the cap, where nothing is evicted first, that is skipped. The
+    /// resolve that produced `route` against this client's cache already
+    /// read whether it is so ([`Route::newest`]), so the skip costs no
+    /// lookup.
+    pub(crate) fn learn_route(&mut self, dir: InodeId, route: &Route) {
+        debug_assert_eq!(
+            route.newest,
+            self.cache.get(&dir).and_then(|e| e.last()) == Some(&(route.frag, route.target)),
+            "route resolved against another cache"
+        );
+        if route.newest && self.cache_count < self.cache_cap {
             return;
         }
         self.update_cache(dir, route.frag, route.target);
@@ -788,8 +815,9 @@ mod tests {
 
     /// The two resolve implementations — live walk and tick-cached — must
     /// be observationally identical for every cache state (miss, fresh
-    /// hit, stale hit). The cohort engine resolves through the cached one,
-    /// so this keeps its journals equal to the live-walk reference.
+    /// hit, stale hit), the `newest` bit included. The cohort engine
+    /// resolves through the cached one, so this keeps its journals equal
+    /// to the live-walk reference.
     #[test]
     fn resolve_variants_agree_on_every_cache_state() {
         let mut ns = Namespace::new();
@@ -807,32 +835,52 @@ mod tests {
             if i == 1 {
                 map.set_authority(FragKey::whole(sub), MdsRank(2));
             }
+            if i >= 2 {
+                // Two halves, so a directory caches two entries.
+                ns.split_frag(sub, &Frag::root(), 1).unwrap();
+            }
         }
-        // Three cache states: empty (miss), correct entry (fresh hit),
-        // wrong entry (stale hit → one forward).
+        // Cache states: empty (miss), correct entry (fresh hit), wrong
+        // entry (stale hit → one forward); on a split directory, each
+        // beside the other half's entry, before and after it.
         let empty = BTreeMap::new();
+        // Non-empty caches whose route read `newest` false and true.
+        let mut newest = [0usize; 2];
         for &(dir, f) in &files {
             let hash = dentry_hash(f.raw());
-            let mut fresh = BTreeMap::new();
-            fresh.insert(
-                dir,
-                vec![(ns.frag_for_hash(dir, hash), map.authority(&ns, f))],
-            );
-            let mut stale = BTreeMap::new();
-            stale.insert(dir, vec![(ns.frag_for_hash(dir, hash), MdsRank(9))]);
-            for cache in [&empty, &fresh, &stale] {
-                let live = resolve_route(cache, &ns, &map, dir, hash);
+            let frag = ns.frag_for_hash(dir, hash);
+            let rank = resolve_route(&empty, &ns, &map, dir, hash).0.target;
+            let mut states = vec![vec![(frag, rank)], vec![(frag, MdsRank(9))]];
+            if let Some(other) = ns.frags_of(dir).into_iter().find(|o| *o != frag) {
+                for mine in [(frag, rank), (frag, MdsRank(9))] {
+                    states.push(vec![(other, rank), mine]);
+                    states.push(vec![mine, (other, rank)]);
+                }
+            }
+            let caches = states
+                .into_iter()
+                .map(|entries| BTreeMap::from([(dir, entries)]));
+            for cache in std::iter::once(empty.clone()).chain(caches) {
+                let live = resolve_route(&cache, &ns, &map, dir, hash);
                 let mut auth = AuthorityCache::new();
                 // A reused route with stale forwards must be overwritten.
                 let mut route = Route {
                     target: MdsRank(7),
                     forwards: vec![MdsRank(5), MdsRank(6)],
                     frag: Frag::new(1, 1),
+                    newest: true,
                 };
-                let hit = resolve_route_cached(cache, &ns, &map, &mut auth, dir, hash, &mut route);
+                let hit = resolve_route_cached(&cache, &ns, &map, &mut auth, dir, hash, &mut route);
+                if !cache.is_empty() {
+                    newest[usize::from(route.newest)] += 1;
+                }
                 assert_eq!(live, (route, hit), "cached variant diverged");
             }
         }
+        assert!(
+            newest.iter().all(|&n| n > 0),
+            "newest false/true: {newest:?}"
+        );
     }
 
     #[test]
@@ -857,6 +905,7 @@ mod tests {
                 target: MdsRank(0),
                 forwards: vec![],
                 frag: Frag::root(),
+                newest: true,
             }
         );
     }
@@ -907,10 +956,7 @@ mod tests {
         let mut c = Client::new(0, Box::new(FixedStream::new(vec![])), 0);
         c.cache_cap = 4;
         for (d, h) in &dirs {
-            let route = Route {
-                frag: ns.frag_for_hash(*d, *h),
-                ..Route::default()
-            };
+            let (route, _) = resolve(&c, &ns, &map, *d, *h);
             c.learn_route(*d, &route);
         }
         assert!(
@@ -1211,14 +1257,20 @@ mod tests {
     /// [`AuthorityCache::child_route`] against the live `resolve_child`
     /// walk, and the memoized route against the live route, with the memo
     /// primed before every mutation so a missed invalidation would show.
+    /// The routes resolve against an empty cache and against a client's
+    /// cache that learns each of them, so mutations leave it stale.
     #[test]
     fn child_route_matches_the_live_walk_across_mutations() {
+        // Learned-cache routes that were fresh hits and stale ones, by
+        // whether they read `newest`.
+        let mut seen = [[0usize; 2]; 2];
         lunule_util::propcheck::run(48, |rng| {
             let (mut ns, dirs) = random_tree(rng);
             let mut map = SubtreeMap::new(MdsRank(0));
             let mut auth = AuthorityCache::new();
             let hashes: Vec<u32> = (0..24u64).map(dentry_hash).collect();
             let empty = BTreeMap::new();
+            let mut c = Client::new(0, Box::new(FixedStream::new(vec![])), 0);
             for _ in 0..24 {
                 for &dir in &dirs {
                     for &hash in &hashes {
@@ -1233,15 +1285,34 @@ mod tests {
                             &empty, &ns, &map, &mut auth, dir, hash, &mut route,
                         );
                         assert_eq!((route, hit), resolve_route(&empty, &ns, &map, dir, hash));
+                        let mut route = Route::default();
+                        let hit = resolve_route_cached(
+                            &c.cache, &ns, &map, &mut auth, dir, hash, &mut route,
+                        );
+                        let expected = resolve_route(&c.cache, &ns, &map, dir, hash);
+                        assert_eq!((&route, hit), (&expected.0, expected.1));
+                        if c.cache.contains_key(&dir) {
+                            seen[usize::from(hit)][usize::from(route.newest)] += 1;
+                        }
+                        c.learn_route(dir, &route);
                     }
                 }
                 mutate(rng, &mut ns, &mut map, &dirs);
             }
         });
+        // A stale route never reads `newest`: its entry names another rank.
+        assert_eq!(seen[0][1], 0, "{seen:?}");
+        assert!(
+            seen[0][0] > 0 && seen[1][0] > 0 && seen[1][1] > 0,
+            "stale, fresh older, fresh newest: {seen:?}"
+        );
     }
 
     /// `learn_route`'s early return leaves the client exactly as always
     /// calling `update_cache` would, byte for byte, below and at the cap.
+    /// Each route is resolved against the learning client's own cache, on
+    /// a namespace and map that mutate (splits move an op's fragment,
+    /// authority changes its rank).
     #[test]
     fn learn_fast_path_matches_update_cache() {
         use lunule_util::codec::Encoder;
@@ -1250,35 +1321,28 @@ mod tests {
             c.encode(&mut e);
             e.into_bytes()
         };
-        let frags = [
-            Frag::root(),
-            Frag::new(0, 1),
-            Frag::new(1, 1),
-            Frag::new(2, 2),
-            Frag::new(3, 2),
-        ];
         for cap in [1, 3, 256] {
             lunule_util::propcheck::run(16, |rng| {
+                let (mut ns, dirs) = random_tree(rng);
+                let mut map = SubtreeMap::new(MdsRank(0));
                 let mut fast = Client::new(0, Box::new(FixedStream::new(vec![])), 0);
                 let mut slow = Client::new(0, Box::new(FixedStream::new(vec![])), 0);
                 fast.cache_cap = cap;
                 slow.cache_cap = cap;
-                let mut last = (InodeId::ROOT, Route::default());
+                let mut last = (InodeId::ROOT, 0);
                 for _ in 0..200 {
-                    // Half the time re-learn the previous route unchanged.
+                    // Half the time re-learn the previous op's route.
                     if rng.next_u64().is_multiple_of(2) {
-                        last = (
-                            InodeId::from_index(rng.gen_range(1..6)),
-                            Route {
-                                frag: frags[rng.gen_range(0..frags.len())],
-                                target: MdsRank(u16::try_from(rng.next_u64() % 3).unwrap()),
-                                ..Route::default()
-                            },
-                        );
+                        if rng.next_u64().is_multiple_of(4) {
+                            mutate(rng, &mut ns, &mut map, &dirs);
+                        }
+                        let dir = dirs[rng.gen_range(0..dirs.len())];
+                        last = (dir, dentry_hash(rng.next_u64() % 8));
                     }
-                    let (dir, route) = &last;
-                    fast.learn_route(*dir, route);
-                    slow.update_cache(*dir, route.frag, route.target);
+                    let (dir, hash) = last;
+                    let (route, _) = resolve(&fast, &ns, &map, dir, hash);
+                    fast.learn_route(dir, &route);
+                    slow.update_cache(dir, route.frag, route.target);
                     assert_eq!(encode(&fast), encode(&slow), "cap {cap}");
                 }
             });
@@ -1308,7 +1372,8 @@ mod tests {
             let ops = (0..24).map(|_| pick(rng)).collect();
             let mut c = Client::new(0, Box::new(FixedStream::new(ops)), 0);
             c.cache_cap = 1 + rng.gen_range(0..4);
-            let mut last = (InodeId::ROOT, Route::default());
+            let mut map = SubtreeMap::new(MdsRank(0));
+            let mut last = (InodeId::ROOT, 0);
             for tick in 0..80 {
                 let before = state(&c);
                 let step = rng.gen_range(0..8);
@@ -1321,16 +1386,13 @@ mod tests {
                     }
                     2 => {
                         if rng.gen_bool() {
+                            let dir = pick(rng);
                             let target = MdsRank::from_index(rng.gen_range(0..3));
-                            last = (
-                                pick(rng),
-                                Route {
-                                    target,
-                                    ..Route::default()
-                                },
-                            );
+                            map.set_authority(FragKey::whole(dir), target);
+                            last = (dir, dentry_hash(rng.next_u64()));
                         }
-                        c.learn_route(last.0, &last.1);
+                        let (route, _) = resolve(&c, &ns, &map, last.0, last.1);
+                        c.learn_route(last.0, &route);
                     }
                     3 => {
                         let to = MdsRank::from_index(rng.gen_range(0..3));

@@ -45,7 +45,7 @@ pub mod request;
 pub mod results;
 mod tick_ledger;
 
-pub use client::{Client, Route};
+pub use client::Client;
 pub use cluster::Simulation;
 pub use cohort::{Cohort, CohortSet, Interval};
 pub use config::{DataPathConfig, SimConfig};

@@ -18,7 +18,8 @@
 //! wide population with hundreds of routes per resolve batch and three
 //! grouped populations (read-only, create-heavy, and one that a rank's
 //! budget splits mid-round), plus a scan that the balancer can only
-//! split by recent visit counts. [`KIND_GOLDEN`]
+//! split by recent visit counts, plus a two-level tree whose nested
+//! bounds leave clients stale entries on live fragments. [`KIND_GOLDEN`]
 //! pins one case under every balancer kind, with a mid-run snapshot.
 //! Every case is audited by `lunule-verify` after every tick.
 
@@ -69,6 +70,7 @@ const GOLDEN: &[(&str, u64, u64, u64)] = &[
     ("creates6", 0x24fa_dad4_8192_3a35, 0xacf3_f989_c7a8_c773, 30),
     ("contended12", 0x28da_a08c_ef4f_fa8b, 0x718e_e528_3374_02e5, 170),
     ("scan10", 0x6dbb_2c67_18cb_4618, 0xe161_2e31_2702_a680, 720),
+    ("nested12", 0x1cd9_3595_a7df_328c, 0x4547_96c0_8a23_0de2, 1440),
 ];
 
 /// The `seed7/chaotic/plain` case under every balancer kind: `(kind,
@@ -299,19 +301,20 @@ fn drive(mut sim: Simulation, checker: &mut InvariantChecker, tel: &Telemetry) -
 
 /// Builds and runs one simulation with one stream per client.
 fn run_once(cfg: SimConfig, streams: Vec<Box<dyn OpStream>>) -> Outcome {
-    run_kind(BalancerKind::Lunule, cfg, streams, None)
+    run_kind(BalancerKind::Lunule, fixture().0, cfg, streams, None)
 }
 
-/// [`run_once`] under any balancer kind. With `snapshot_at`, the run stops
-/// before that tick and stores the FNV-1a digest of the simulation's
-/// snapshot bytes, then runs on to its configured duration.
+/// [`run_once`] under any balancer kind, on namespace `ns`. With
+/// `snapshot_at`, the run stops before that tick and stores the FNV-1a
+/// digest of the simulation's snapshot bytes, then runs on to its
+/// configured duration.
 fn run_kind(
     kind: BalancerKind,
+    ns: Namespace,
     cfg: SimConfig,
     streams: Vec<Box<dyn OpStream>>,
     snapshot_at: Option<(u64, &mut u64)>,
 ) -> Outcome {
-    let (ns, _, _) = fixture();
     let cfg = SimConfig {
         telemetry: Telemetry::enabled(),
         ..cfg
@@ -430,6 +433,7 @@ fn every_balancer_kind_matches_golden() {
         let mut snapshot = 0u64;
         let out = run_kind(
             kind,
+            fixture().0,
             cfg,
             streams_for(10, seed),
             Some((SNAPSHOT_TICK, &mut snapshot)),
@@ -637,4 +641,61 @@ fn scan_streams(n: usize) -> Vec<Box<dyn OpStream>> {
 #[test]
 fn visit_fallback_matches_golden() {
     run_once(base_cfg(3), scan_streams(10)).assert_golden("scan10");
+}
+
+/// Two levels of directories, `a{i}/b{j}`, with files only at the
+/// bottom; returns the namespace and its files, directory by directory.
+fn nested_fixture() -> (Namespace, Vec<InodeId>) {
+    let mut ns = Namespace::new();
+    let mut files = Vec::new();
+    for i in 0..3 {
+        let a = ns.mkdir(InodeId::ROOT, &format!("a{i}")).unwrap();
+        for j in 0..3 {
+            let b = ns.mkdir(a, &format!("b{j}")).unwrap();
+            files.extend((0..6).map(|f| ns.create_file(b, &format!("f{f}"), 8).unwrap()));
+        }
+    }
+    (ns, files)
+}
+
+/// Readers of [`nested_fixture`]'s files, a third of their reads on the
+/// 18 files under `a0`.
+fn nested_streams(n: usize, seed: u64, files: &[InodeId]) -> Vec<Box<dyn OpStream>> {
+    (0..n)
+        .map(|c| {
+            let mut x = seed
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .wrapping_add(((c as u64) << 9) | 1);
+            let ops = (0..120)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let pool = if x.is_multiple_of(3) { 18 } else { files.len() };
+                    MetaOp::Read(files[((x >> 20) as usize) % pool])
+                })
+                .collect();
+            Box::new(ScriptStream::new(ops)) as Box<dyn OpStream>
+        })
+        .collect()
+}
+
+/// Lunule on a two-level tree exports directories and fragments inside
+/// one another, so some clients come to cache their op's live fragment
+/// under the rank of the directory around it while the fragment is a
+/// bound of its own on another rank. The next op there pays one forward
+/// and relearns the entry. The flat [`fixture`] never leaves such an
+/// entry.
+#[test]
+fn nested_bounds_match_golden() {
+    let seed = 2;
+    let cfg = SimConfig {
+        n_mds: 4,
+        mds_capacity: 40.0,
+        duration_secs: 45,
+        ..base_cfg(seed)
+    };
+    let (ns, files) = nested_fixture();
+    let streams = nested_streams(12, seed, &files);
+    run_kind(BalancerKind::Lunule, ns, cfg, streams, None).assert_golden("nested12");
 }
