@@ -26,20 +26,6 @@ impl Series {
             points,
         }
     }
-
-    /// Mean of the y values (0 for an empty series).
-    pub fn mean_y(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|(_, y)| y).sum::<f64>() / self.points.len() as f64
-        }
-    }
-
-    /// Maximum y value.
-    pub fn max_y(&self) -> f64 {
-        self.points.iter().map(|(_, y)| *y).fold(0.0, f64::max)
-    }
 }
 
 /// `y` of each of `r`'s epochs against simulated minutes, the x axis of
@@ -136,14 +122,6 @@ pub fn write_json<T: ToJson>(dir: &Option<String>, name: &str, value: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn series_stats() {
-        let s = Series::new("a", vec![(0.0, 1.0), (1.0, 3.0)]);
-        assert_eq!(s.mean_y(), 2.0);
-        assert_eq!(s.max_y(), 3.0);
-        assert_eq!(Series::new("e", vec![]).mean_y(), 0.0);
-    }
 
     #[test]
     fn json_dump_roundtrip() {

@@ -26,14 +26,6 @@ impl TelemetrySink {
         }
     }
 
-    /// A sink exporting into `dir`.
-    pub fn to_dir(dir: impl AsRef<Path>) -> Self {
-        TelemetrySink {
-            dir: Some(dir.as_ref().to_path_buf()),
-            handles: Vec::new(),
-        }
-    }
-
     /// True when exports were requested.
     pub fn is_enabled(&self) -> bool {
         self.dir.is_some()
@@ -114,7 +106,10 @@ mod tests {
     #[test]
     fn enabled_sink_exports_labelled_files() {
         let dir = std::env::temp_dir().join(format!("lunule-sink-{}", std::process::id()));
-        let mut sink = TelemetrySink::to_dir(&dir);
+        let mut sink = TelemetrySink {
+            dir: Some(dir.clone()),
+            handles: Vec::new(),
+        };
         assert!(sink.is_enabled());
         let tel = sink.handle("Fig 6 / zipf");
         assert!(tel.is_enabled());

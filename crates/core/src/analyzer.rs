@@ -449,11 +449,6 @@ impl PatternAnalyzer {
         }
     }
 
-    /// Number of directories with live statistics.
-    pub fn tracked_dirs(&self) -> usize {
-        self.dirs.len()
-    }
-
     /// Writes the analyzer's dynamic state (window cursor, per-inode visit
     /// masks, per-directory rings, RNG position) to a snapshot section.
     /// The configuration is *not* serialized — a restored analyzer is

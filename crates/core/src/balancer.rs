@@ -53,13 +53,6 @@ pub struct ExportTask {
     pub subtrees: Vec<SubtreeChoice>,
 }
 
-impl ExportTask {
-    /// Load the selected subtrees are estimated to carry.
-    pub fn selected_load(&self) -> f64 {
-        self.subtrees.iter().map(|s| s.estimated_load).sum()
-    }
-}
-
 /// The migration plan a balancer returns for one epoch. An empty plan means
 /// "do nothing".
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -240,7 +233,6 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(task.selected_load(), 95.0);
         let plan = MigrationPlan {
             exports: vec![task],
         };

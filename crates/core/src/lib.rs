@@ -61,8 +61,6 @@ pub use roles::{decide_roles, Pairing, RoleConfig, RoleDecision};
 pub use selector::{observe_selection, select_hottest, select_subtrees, subtrees_overlap};
 pub use stats::{EpochStats, LoadHistory};
 
-use lunule_namespace::MdsRank;
-
 /// Constructs a balancer instance by kind, using each policy's defaults and
 /// `capacity` (IOPS) for the policies that model MDS capacity.
 pub fn make_balancer(kind: BalancerKind, capacity: f64) -> Box<dyn Balancer> {
@@ -89,9 +87,6 @@ pub fn imbalance_factor(loads: &[f64], capacity: f64) -> f64 {
     })
     .imbalance_factor(loads)
 }
-
-/// Re-export: the rank type policies address MDSs by.
-pub type Rank = MdsRank;
 
 #[cfg(test)]
 mod tests {

@@ -58,11 +58,6 @@ pub struct RoleDecision {
 }
 
 impl RoleDecision {
-    /// Total load the decision moves.
-    pub fn total_amount(&self) -> f64 {
-        self.pairings.iter().map(|p| p.amount).sum()
-    }
-
     /// Export demand assigned to `rank` across all its pairings.
     pub fn export_amount_of(&self, rank: MdsRank) -> f64 {
         self.pairings
@@ -217,7 +212,7 @@ mod tests {
             migration_capacity: 50.0,
         };
         let d = decide_roles(&[900.0, 10.0, 10.0], &no_history(), &tight);
-        assert!(d.total_amount() <= 50.0 + 1e-9);
+        assert!(d.pairings.iter().map(|p| p.amount).sum::<f64>() <= 50.0 + 1e-9);
     }
 
     #[test]

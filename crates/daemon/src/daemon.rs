@@ -99,16 +99,6 @@ impl<S: CommandSource> Daemon<S> {
         self.snapshot_every = every;
     }
 
-    /// Number of state snapshots written this session.
-    pub fn snapshot_count(&self) -> u64 {
-        self.snapshot_count
-    }
-
-    /// Tick of the most recent state snapshot, if any were written.
-    pub fn last_snapshot_tick(&self) -> Option<u64> {
-        self.last_snapshot_tick
-    }
-
     /// Current loop state.
     pub fn state(&self) -> RunState {
         self.state
@@ -359,8 +349,8 @@ mod tests {
         daemon.set_snapshots(dir.clone(), 0);
         daemon.subscribe(Box::new(MemorySink::default()));
         assert!(daemon.tick_once().unwrap());
-        assert_eq!(daemon.snapshot_count(), 1);
-        assert_eq!(daemon.last_snapshot_tick(), Some(0));
+        assert_eq!(daemon.snapshot_count, 1);
+        assert_eq!(daemon.last_snapshot_tick, Some(0));
         let path = dir.join(lunule_snapshot::snapshot_filename(0));
         let snap = lunule_snapshot::read(&path).unwrap();
         assert_eq!(snap.tick, 0);
@@ -377,11 +367,11 @@ mod tests {
         daemon.set_snapshots(dir.clone(), 15);
         daemon.run(&mut MaxSpeed).unwrap();
         // duration=40 with a snapshot every 15 ticks: ticks 15 and 30.
-        assert_eq!(daemon.snapshot_count(), 2);
-        assert_eq!(daemon.last_snapshot_tick(), Some(30));
+        assert_eq!(daemon.snapshot_count, 2);
+        assert_eq!(daemon.last_snapshot_tick, Some(30));
         let mut status = crate::bus::StatusSnapshot::capture(daemon.sim(), false);
-        status.last_snapshot_tick = daemon.last_snapshot_tick();
-        status.snapshots = daemon.snapshot_count();
+        status.last_snapshot_tick = daemon.last_snapshot_tick;
+        status.snapshots = daemon.snapshot_count;
         assert!(status.to_json_line().contains(r#""last_snapshot_tick":30"#));
         let _ = daemon.finish().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -416,7 +406,7 @@ mod tests {
             for _ in 0..20 {
                 assert!(daemon.tick_once().unwrap());
             }
-            assert_eq!(daemon.snapshot_count(), 1);
+            assert_eq!(daemon.snapshot_count, 1);
             daemon
                 .sim()
                 .telemetry()

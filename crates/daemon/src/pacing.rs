@@ -108,11 +108,6 @@ impl<P: Pacer> Catchup<P> {
             inner,
         }
     }
-
-    /// True once the replay has reached the target and `inner` paces.
-    pub fn is_caught_up(&self) -> bool {
-        self.caught_up
-    }
 }
 
 impl<P: Pacer> Pacer for Catchup<P> {
@@ -187,11 +182,11 @@ mod tests {
             pacer.observe_tick(tick);
             pacer.pace(false);
         }
-        assert!(!pacer.is_caught_up());
+        assert!(!pacer.caught_up);
         assert_eq!(pacer.inner.0, 0, "inner pacer must not run during replay");
         pacer.observe_tick(10);
         pacer.pace(false);
-        assert!(pacer.is_caught_up());
+        assert!(pacer.caught_up);
         assert_eq!(pacer.inner.0, 1);
     }
 

@@ -44,11 +44,6 @@ impl ScriptSource {
         }
     }
 
-    /// True once every command has been handed out.
-    pub fn is_drained(&self) -> bool {
-        self.cursor >= self.commands.len()
-    }
-
     /// Skips every command an interrupted run already applied: a restored
     /// simulation at tick `T` has executed the boundary commands of ticks
     /// `0..T-1` (their effects are inside the snapshot), while commands at
@@ -205,11 +200,11 @@ mod tests {
         assert!(matches!(due[0], Command::AddMds(1)));
         assert!(matches!(due[1], Command::Status));
         assert!(src.poll(5, 2, false).is_empty(), "no double fire");
-        assert!(!src.is_drained());
+        assert!(src.cursor < src.commands.len());
         // A skipped-ahead clock still delivers everything due.
         let late = src.poll(50, 2, false);
         assert_eq!(late.len(), 1);
-        assert!(src.is_drained());
+        assert_eq!(src.cursor, src.commands.len());
     }
 
     #[test]
@@ -234,7 +229,7 @@ mod tests {
         let due = src.poll(7, 2, false);
         assert_eq!(due.len(), 1);
         assert!(matches!(due[0], Command::AddClients(2)));
-        assert!(!src.is_drained());
+        assert!(src.cursor < src.commands.len());
     }
 
     #[test]

@@ -201,12 +201,6 @@ impl FaultSchedule {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// The highest rank index any event targets, if any — used to validate
-    /// a schedule against a cluster size.
-    pub fn max_rank(&self) -> Option<MdsRank> {
-        self.events.iter().map(|e| e.kind.rank()).max()
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +235,6 @@ mod tests {
         assert_eq!(s.events()[0], b);
         assert_eq!(s.events()[1], a, "stable: a scripted before c at t=30");
         assert_eq!(s.events()[2], c);
-        assert_eq!(s.max_rank(), Some(MdsRank(2)));
     }
 
     #[test]
@@ -304,7 +297,6 @@ mod tests {
         let s = FaultSchedule::empty();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-        assert_eq!(s.max_rank(), None);
     }
 
     #[test]

@@ -15,14 +15,10 @@ pub struct NamespaceStats {
     pub dirs: usize,
     /// Deepest live inode's depth (root = 0).
     pub max_depth: u16,
-    /// Mean depth over live files.
-    pub mean_file_depth: f64,
     /// Largest directory's direct-children count.
     pub max_fanout: usize,
     /// Mean direct-children count over live directories.
     pub mean_fanout: f64,
-    /// Number of directories holding at least one live file.
-    pub leaf_dirs: usize,
     /// Total bytes across live files.
     pub total_bytes: u64,
 }
@@ -33,10 +29,8 @@ impl NamespaceStats {
         let mut files = 0usize;
         let mut dirs = 0usize;
         let mut max_depth = 0u16;
-        let mut file_depth_sum = 0u64;
         let mut max_fanout = 0usize;
         let mut fanout_sum = 0u64;
-        let mut leaf_dirs = 0usize;
         let mut total_bytes = 0u64;
         for idx in 0..ns.len() {
             let ino = ns.inode(InodeId::from_index(idx));
@@ -49,12 +43,8 @@ impl NamespaceStats {
                 let fanout = ino.children().len();
                 max_fanout = max_fanout.max(fanout);
                 fanout_sum += usize_to_u64(fanout);
-                if ino.children().iter().any(|c| !ns.inode(*c).is_dir()) {
-                    leaf_dirs += 1;
-                }
             } else {
                 files += 1;
-                file_depth_sum += u64::from(ino.depth());
                 total_bytes += ino.size();
             }
         }
@@ -62,18 +52,12 @@ impl NamespaceStats {
             files,
             dirs,
             max_depth,
-            mean_file_depth: if files == 0 {
-                0.0
-            } else {
-                u64_to_f64(file_depth_sum) / usize_to_f64(files)
-            },
             max_fanout,
             mean_fanout: if dirs == 0 {
                 0.0
             } else {
                 u64_to_f64(fanout_sum) / usize_to_f64(dirs)
             },
-            leaf_dirs,
             total_bytes,
         }
     }
@@ -111,9 +95,7 @@ mod tests {
         assert_eq!(s.dirs, 3);
         assert_eq!(s.max_depth, 3);
         assert_eq!(s.max_fanout, 2);
-        assert_eq!(s.leaf_dirs, 2); // b and the root hold files
         assert_eq!(s.total_bytes, 350);
-        assert!((s.mean_file_depth - (3.0 + 3.0 + 1.0) / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -125,7 +107,6 @@ mod tests {
         let s = NamespaceStats::of(&ns);
         assert_eq!(s.files, 0);
         assert_eq!(s.total_bytes, 0);
-        assert_eq!(s.leaf_dirs, 0);
     }
 
     #[test]
@@ -133,7 +114,6 @@ mod tests {
         let s = NamespaceStats::of(&Namespace::new());
         assert_eq!(s.files, 0);
         assert_eq!(s.dirs, 1);
-        assert_eq!(s.mean_file_depth, 0.0);
         let rendered = s.to_string();
         assert!(rendered.contains("0 files"));
     }

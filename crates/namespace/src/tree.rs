@@ -317,20 +317,6 @@ impl Namespace {
         false
     }
 
-    /// Human-readable absolute path, for display/debugging.
-    pub fn path_string(&self, id: InodeId) -> String {
-        let chain = self.path_chain(id);
-        if chain.len() == 1 {
-            return "/".to_string();
-        }
-        let mut s = String::new();
-        for c in &chain[1..] {
-            s.push('/');
-            s.push_str(self.name(*c));
-        }
-        s
-    }
-
     /// Looks up a direct child of `dir` by name (linear scan; not a hot
     /// path — see [`Inode::children`] docs).
     pub fn child_by_name(&self, dir: InodeId, name: &str) -> Option<InodeId> {
@@ -870,11 +856,10 @@ mod tests {
     }
 
     #[test]
-    fn path_chain_and_string() {
+    fn path_chain_runs_from_the_root() {
         let (ns, d, f, _) = tiny();
         assert_eq!(ns.path_chain(f), vec![InodeId::ROOT, d, f]);
-        assert_eq!(ns.path_string(f), "/data/a.bin");
-        assert_eq!(ns.path_string(InodeId::ROOT), "/");
+        assert_eq!(ns.path_chain(InodeId::ROOT), vec![InodeId::ROOT]);
     }
 
     #[test]

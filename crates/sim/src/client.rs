@@ -943,6 +943,34 @@ mod tests {
         assert!(r.forwards.is_empty());
     }
 
+    /// Pins a known deviation (DESIGN §10 item 6): the hand-off gives the
+    /// importer to every cached entry under the migrated region, nested
+    /// bounds included, so an entry on a bound that stays behind names a
+    /// rank that does not hold it, and the next resolve pays a forward.
+    #[test]
+    fn handoff_gives_a_nested_bound_that_stays_the_importer() {
+        let mut ns = Namespace::new();
+        let d = ns.mkdir(InodeId::ROOT, "d").unwrap();
+        let sub = ns.mkdir(d, "sub").unwrap();
+        let f = ns.create_file(sub, "f", 1).unwrap();
+        let mut map = SubtreeMap::new(MdsRank(0));
+        map.set_authority(FragKey::whole(sub), MdsRank(3));
+        let mut c = Client::new(0, Box::new(FixedStream::new(vec![])), 0);
+        let hash = dentry_hash(f.raw());
+        let (r0, _) = resolve(&c, &ns, &map, sub, hash);
+        assert_eq!(r0.target, MdsRank(3));
+        c.learn_route(sub, &r0);
+        map.set_authority(FragKey::whole(d), MdsRank(1));
+        let mut memo = HandoffMemo::default();
+        memo.begin(&ns, [(FragKey::whole(d), MdsRank(1))].into_iter());
+        c.apply_migrations(&ns, &mut memo);
+        assert_eq!(c.cache[&sub], vec![(r0.frag, MdsRank(1))]);
+        let (r, hit) = resolve(&c, &ns, &map, sub, hash);
+        assert!(!hit);
+        assert_eq!(r.target, MdsRank(3), "the bound stayed on rank 3");
+        assert_eq!(r.forwards, vec![MdsRank(1)], "one forward to reach it");
+    }
+
     #[test]
     fn cache_cap_evicts_fifo() {
         let mut ns = Namespace::new();

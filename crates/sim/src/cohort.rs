@@ -616,7 +616,8 @@ impl CohortSet {
     }
 
     /// Per-origin member totals, indexed by origin.
-    pub fn origin_totals(&self) -> Vec<u64> {
+    #[cfg(test)]
+    fn origin_totals(&self) -> Vec<u64> {
         let mut totals = vec![0u64; self.n_groups];
         for c in &self.cohorts {
             totals[u32_to_usize(c.origin)] += c.count;

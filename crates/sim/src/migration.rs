@@ -180,11 +180,6 @@ impl Migrator {
         usize_to_u64(self.jobs.len() + self.retry_queue.len())
     }
 
-    /// Timed-out jobs currently waiting to restart.
-    pub fn retry_queue_len(&self) -> usize {
-        self.retry_queue.len()
-    }
-
     /// Jobs whose authority flipped during the most recent
     /// [`Migrator::step`].
     pub fn completed_last_step(&self) -> &[MigrationJob] {
@@ -853,7 +848,7 @@ mod tests {
         mig.enqueue_plan(&mut ns, &map, &plan_for(d, 0, 1), 0);
         mig.step(&ns, &mut map, 1); // deadline blown -> parked
         assert_eq!(mig.jobs().len(), 0);
-        assert_eq!(mig.retry_queue_len(), 1);
+        assert_eq!(mig.retry_queue.len(), 1);
         assert_eq!(mig.in_flight(), 1, "parked jobs are still in flight");
         // A new plan for the same subtree must be rejected as overlapping.
         mig.enqueue_plan(&mut ns, &map, &plan_for(d, 0, 2), 1);

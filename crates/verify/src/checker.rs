@@ -13,7 +13,7 @@ use lunule_util::convert::usize_to_u64;
 /// The checker is an accumulator: each `check_*` method appends any
 /// violations it finds and returns how many it added, so callers can run a
 /// subset of checks per tick and the full battery per epoch. Collected
-/// violations stay until [`InvariantChecker::take_violations`] drains them.
+/// violations stay for the checker's lifetime.
 #[derive(Clone, Debug)]
 pub struct InvariantChecker {
     model: ImbalanceFactorModel,
@@ -47,16 +47,6 @@ impl InvariantChecker {
     /// Violations observed so far, oldest first.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
-    }
-
-    /// True when no violation has been observed (or all were drained).
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Drains and returns the accumulated violations.
-    pub fn take_violations(&mut self) -> Vec<Violation> {
-        std::mem::take(&mut self.violations)
     }
 
     /// Panics with a readable report if any violation was observed.
@@ -632,7 +622,6 @@ mod tests {
         assert_eq!(checker.audit(&ns, &map, 3, &frozen), 0);
         assert_eq!(checker.check_if_model(&[100.0, 5.0, 5.0], &[]), 0);
         checker.assert_clean();
-        assert!(checker.is_clean());
     }
 
     #[test]
@@ -789,25 +778,12 @@ mod tests {
         // a1's authority (mds.2) crashes without fail-over: one violation.
         assert_eq!(checker.check_down_ranks(&map, &[false, false, true]), 1);
         assert_eq!(
-            checker.take_violations()[0].kind,
+            checker.violations()[0].kind,
             InvariantKind::AuthorityOnDownRank
         );
         // The root default rank going down is also caught.
         assert_eq!(checker.check_down_ranks(&map, &[true, false, false]), 1);
         assert!(kinds(&checker).contains(&InvariantKind::AuthorityOnDownRank));
-    }
-
-    #[test]
-    fn take_violations_drains() {
-        let (ns, mut map, a, _) = fixture();
-        map.fault_inject_entry(FragKey::whole(a), MdsRank(2));
-        let mut checker = InvariantChecker::default();
-        checker.check_subtree_map(&ns, &map);
-        assert!(!checker.is_clean());
-        let drained = checker.take_violations();
-        assert!(!drained.is_empty());
-        assert!(checker.is_clean());
-        checker.assert_clean();
     }
 
     #[test]

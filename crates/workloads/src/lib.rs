@@ -49,7 +49,7 @@ pub use mixed::MixedWorkload;
 pub use nlp::NlpWorkload;
 pub use spec::{WorkloadKind, WorkloadSpec};
 pub use streams::{client_seed, CreateStream, HotSetStream, ReplayStream, ScanStream};
-pub use trace::{dump_trace, load_trace, trace_streams, LoadedTrace};
+pub use trace::{load_trace, trace_streams, LoadedTrace};
 pub use web::WebWorkload;
 pub use zipf::{HotSetSampler, ZipfSampler};
 pub use zipf_read::ZipfReadWorkload;

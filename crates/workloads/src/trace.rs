@@ -1,4 +1,4 @@
-//! Trace-file workloads: record a run's access sequence and replay it.
+//! Trace-file workloads: replay a recorded access sequence.
 //!
 //! The paper's Web workload replays a real Apache access log; when users
 //! have such a trace, this module maps it onto a namespace. The format is
@@ -75,18 +75,6 @@ pub fn trace_streams(trace: &LoadedTrace, clients: usize) -> Vec<Box<dyn OpStrea
         .collect()
 }
 
-/// Renders an access sequence back into the path-per-line format, the
-/// inverse of [`load_trace`] (useful for exporting simulator-generated
-/// workloads as portable trace files).
-pub fn dump_trace(ns: &Namespace, accesses: &[InodeId]) -> String {
-    let mut out = String::new();
-    for ino in accesses {
-        out.push_str(&ns.path_string(*ino));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,24 +119,6 @@ mod tests {
             streams[1].next_op(&ns),
             Some(MetaOp::Read(trace.accesses[0]))
         );
-    }
-
-    #[test]
-    fn dump_roundtrips() {
-        let mut ns = Namespace::new();
-        let trace = load_trace(&mut ns, SAMPLE, 1);
-        let dumped = dump_trace(&ns, &trace.accesses);
-        let mut ns2 = Namespace::new();
-        let trace2 = load_trace(&mut ns2, &dumped, 1);
-        assert_eq!(trace2.accesses.len(), trace.accesses.len());
-        assert_eq!(trace2.distinct_files, trace.distinct_files);
-        let paths1: Vec<String> = trace.accesses.iter().map(|i| ns.path_string(*i)).collect();
-        let paths2: Vec<String> = trace2
-            .accesses
-            .iter()
-            .map(|i| ns2.path_string(*i))
-            .collect();
-        assert_eq!(paths1, paths2);
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl HotSetSampler {
             rng.gen_range(self.hot_n..self.n)
         }
     }
-
-    /// Size of the hot set.
-    pub fn hot_len(&self) -> usize {
-        self.hot_n
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +127,7 @@ mod tests {
     #[test]
     fn hotset_obeys_eighty_twenty() {
         let h = HotSetSampler::new(1000, 0.2, 0.8);
-        assert_eq!(h.hot_len(), 200);
+        assert_eq!(h.hot_n, 200);
         let mut rng = DetRng::seed_from_u64(11);
         let hot_hits = (0..50_000).filter(|_| h.sample(&mut rng) < 200).count();
         let share = hot_hits as f64 / 50_000.0;

@@ -1,5 +1,5 @@
 //! The project rules clippy cannot express: the crate-layering checker,
-//! the crate-root check and the float-literal rule.
+//! the crate-root check, the float-literal rule and the unused-api pass.
 //!
 //! Every per-expression rule (no unwrap/expect/panic or prints in library
 //! code, the determinism bans, the cast lints) is a clippy lint: the
@@ -12,7 +12,9 @@
 //! [`LAYERING`] declares the workspace dependency DAG. The checker fails
 //! on back-edges: a `[dependencies]` entry (or a `lunule_*` source
 //! reference) not in the declared allowed set, a crate missing from the
-//! table, or a cycle in the table itself.
+//! table, or a cycle in the table itself. It also fails on a
+//! `[dependencies]` entry that no file under the package's `src/` names,
+//! which belongs under `[dev-dependencies]` or nowhere.
 //!
 //! ## Crate roots (`crate-root`)
 //!
@@ -27,10 +29,18 @@
 //! No `==` / `!=` against a floating-point literal in library code, tests
 //! exempt. Clippy's `float_cmp` exempts comparisons with zero; this rule
 //! refuses `x == 0.0` too.
+//!
+//! ## Public API nothing calls (`unused-api`)
+//!
+//! Every unrestricted `pub` item of a library crate must be named by some
+//! code outside its definition (see [`unused_api_scan`] for what counts).
+//! rustc's `dead_code` treats every `pub` item of a library as used, and
+//! already reports unused `pub(crate)` and private items, so the pass
+//! collects only plain `pub` ones.
 
 use crate::lexer::{lex, Tok, TokKind};
 use crate::{collect_rs_files, rel_path, Finding, LIB_CRATES};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
@@ -179,25 +189,32 @@ pub const LAYERING: &[CrateLayer] = &[
     },
 ];
 
-/// Runs the three passes over the workspace and returns every finding.
+/// Runs the four passes over the workspace and returns every finding.
 pub fn analyze_workspace(root: &Path) -> Result<Vec<Finding>, String> {
-    let mut findings = Vec::new();
-    for krate in LIB_CRATES {
-        let src_dir = root.join("crates").join(krate).join("src");
-        for file in collect_rs_files(&src_dir)? {
+    let mut files = Vec::new();
+    for dir in USE_ROOTS {
+        for file in collect_rs_files(&root.join(dir))? {
             let text = fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
-            let rel = rel_path(root, &file);
-            findings.extend(float_literal_scan(&rel, &text));
-            if file.parent() == Some(src_dir.as_path())
-                && file
-                    .file_name()
-                    .is_some_and(|n| n == "lib.rs" || n == "main.rs")
-            {
-                findings.extend(check_crate_root(&rel, &text));
+            files.push((rel_path(root, &file), text));
+        }
+    }
+    let mut findings = Vec::new();
+    for (path, text) in &files {
+        let Some((krate, file)) = path
+            .strip_prefix("crates/")
+            .and_then(|p| p.split_once("/src/"))
+        else {
+            continue;
+        };
+        if LIB_CRATES.contains(&krate) {
+            findings.extend(float_literal_scan(path, text));
+            if file == "lib.rs" || file == "main.rs" {
+                findings.extend(check_crate_root(path, text));
             }
         }
     }
     findings.extend(layering_check(root)?);
+    findings.extend(unused_api_scan(&files));
     Ok(findings)
 }
 
@@ -257,78 +274,184 @@ pub fn float_literal_scan(file: &str, text: &str) -> Vec<Finding> {
     findings
 }
 
-/// Per-token mask: `true` for tokens inside a `#[cfg(test)]`-gated item.
-///
-/// After a `#[cfg(test)]` attribute, any further attributes are skipped,
-/// then the gated item extends to its closing brace (brace-matched on
-/// tokens) or, for brace-less items like `use`, to the first `;`.
+/// Per-token mask: `true` for tokens inside a `#[cfg(test)]`-gated item,
+/// through its matching close brace, or its `;` if one comes first.
 pub fn cfg_test_mask(toks: &[Tok<'_>]) -> Vec<bool> {
-    let mut mask = vec![false; toks.len()];
+    item_mask(toks, &["#", "[", "cfg", "(", "test", ")", "]"])
+}
+
+/// Per-token mask: `true` inside every item whose code tokens begin with
+/// `head`, through the item's matching close brace, or its `;` if one
+/// comes before any brace. Attributes contain neither, so the mask of a
+/// `#[cfg(test)]` runs through any attributes after it to the item.
+fn item_mask(toks: &[Tok<'_>], head: &[&str]) -> Vec<bool> {
     let sig: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
-    let is = |s: usize, kind: TokKind, text: &str| {
-        sig.get(s)
-            .is_some_and(|&i| toks[i].kind == kind && toks[i].text == text)
-    };
+    let text = |s: usize| sig.get(s).map_or("", |&i| toks[i].text);
+    let mut mask = vec![false; toks.len()];
     let mut s = 0;
     while s < sig.len() {
-        let attr_here = is(s, TokKind::Punct, "#")
-            && is(s + 1, TokKind::Punct, "[")
-            && is(s + 2, TokKind::Ident, "cfg")
-            && is(s + 3, TokKind::Punct, "(")
-            && is(s + 4, TokKind::Ident, "test")
-            && is(s + 5, TokKind::Punct, ")")
-            && is(s + 6, TokKind::Punct, "]");
-        if !attr_here {
+        if !head.iter().enumerate().all(|(k, h)| text(s + k) == *h) {
             s += 1;
             continue;
         }
         let start = s;
-        s += 7;
-        // Skip any further attributes (`#[test]`, `#[allow(...)]`, …).
-        while is(s, TokKind::Punct, "#") && is(s + 1, TokKind::Punct, "[") {
-            let mut depth = 0usize;
-            while s < sig.len() {
-                if is(s, TokKind::Punct, "[") {
-                    depth += 1;
-                } else if is(s, TokKind::Punct, "]") {
-                    depth -= 1;
-                    if depth == 0 {
-                        s += 1;
-                        break;
-                    }
-                }
-                s += 1;
-            }
-        }
-        // The gated item: to the matching close brace, or `;` if brace-less.
-        let mut depth = 0usize;
-        let mut opened = false;
+        let (mut depth, mut opened) = (0usize, false);
         while s < sig.len() {
-            if !opened && is(s, TokKind::Punct, ";") {
-                s += 1;
-                break;
-            }
-            if is(s, TokKind::Punct, "{") {
-                depth += 1;
-                opened = true;
-            } else if is(s, TokKind::Punct, "}") {
-                depth = depth.saturating_sub(1);
-                if opened && depth == 0 {
-                    s += 1;
-                    break;
-                }
-            }
             s += 1;
+            match text(s - 1) {
+                ";" if !opened => break,
+                "{" => (depth, opened) = (depth + 1, true),
+                "}" if opened && depth == 1 => break,
+                "}" => depth = depth.saturating_sub(1),
+                _ => {}
+            }
         }
-        let end_tok = sig
-            .get(s.saturating_sub(1))
-            .copied()
-            .unwrap_or(toks.len() - 1);
-        for m in &mut mask[sig[start]..=end_tok] {
-            *m = true;
-        }
+        mask[sig[start]..=sig[s - 1]].fill(true);
     }
     mask
+}
+
+// ---------------------------------------------------------------------------
+// Public API nothing calls
+// ---------------------------------------------------------------------------
+
+/// The directories whose `.rs` files `analyze` reads.
+const USE_ROOTS: &[&str] = &["crates", "src", "tests", "examples", "benchmark"];
+
+/// The package a repo-relative path belongs to: `crates/<name>` for a
+/// workspace crate, `benchmark`, or `.` (the facade) for the root `src/`,
+/// `tests/` and `examples/`.
+fn package_of(path: &str) -> &str {
+    match path.strip_prefix("crates/").and_then(|p| p.split_once('/')) {
+        Some((name, _)) => &path[.."crates/".len() + name.len()],
+        None if path.starts_with("benchmark/") => "benchmark",
+        None => ".",
+    }
+}
+
+/// True for a source file of a library target whose `pub` items the
+/// unused-api pass collects: the `src/` of a [`LIB_CRATES`] crate or of
+/// `lunule-bench`, less the binaries (`main.rs`, `src/bin/`).
+fn is_api_file(path: &str) -> bool {
+    path.strip_prefix("crates/")
+        .and_then(|p| p.split_once("/src/"))
+        .is_some_and(|(krate, file)| {
+            (krate == "bench" || LIB_CRATES.contains(&krate))
+                && file != "main.rs"
+                && !file.starts_with("bin/")
+        })
+}
+
+/// The name token and kind of every unrestricted `pub` item of one library
+/// source file: fns, consts, statics, structs, enums with their variants,
+/// traits, type aliases and named fields. Items inside `#[cfg(test)]` code
+/// and `macro_rules!` bodies are skipped.
+fn api_items<'a>(toks: &[Tok<'a>]) -> Vec<(usize, &'a str)> {
+    let in_test = cfg_test_mask(toks);
+    let in_macro = item_mask(toks, &["macro_rules", "!"]);
+    let sig: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
+    let text = |s: usize| sig.get(s).map_or("", |&i| toks[i].text);
+    let mut items = Vec::new();
+    let mut push = |s: usize, kind| {
+        if sig.get(s).is_some_and(|&i| toks[i].kind == TokKind::Ident) && text(s) != "_" {
+            items.push((sig[s], kind));
+        }
+    };
+    for s in 0..sig.len() {
+        if in_test[sig[s]] || in_macro[sig[s]] || text(s) != "pub" || text(s + 1) == "(" {
+            continue;
+        }
+        let mut k = s + 1;
+        while matches!(text(k), "unsafe" | "async") || (text(k) == "const" && text(k + 1) == "fn") {
+            k += 1;
+        }
+        let kind = match text(k) {
+            kind @ ("fn" | "const" | "static" | "struct" | "enum" | "trait" | "type" | "union") => {
+                kind
+            }
+            _ if text(k + 1) == ":" => {
+                push(k, "field");
+                continue;
+            }
+            _ => continue,
+        };
+        k += usize::from(text(k + 1) == "mut") + 1;
+        push(k, kind);
+        // An enum's variants: the idents at depth 1 of its body that follow
+        // the `{`, a `,` or an attribute's `]`.
+        let mut depth = 0usize;
+        for j in (k + 1..sig.len()).take_while(|_| kind == "enum") {
+            match text(j) {
+                "{" | "(" | "[" => depth += 1,
+                "}" if depth == 1 => break,
+                "}" | ")" | "]" => depth = depth.saturating_sub(1),
+                _ if depth == 1 && matches!(text(j - 1), "{" | "," | "]") => push(j, "variant"),
+                _ => {}
+            }
+        }
+    }
+    items
+}
+
+/// Reports every unrestricted `pub` item of a library target that no code
+/// names (DESIGN §6.2). `files` holds `(repo-relative path, text)` pairs:
+/// items come from the library sources among them (see `api_items`), and
+/// a use is an identifier token in code anywhere in them, except
+///
+/// - the name tokens of the collected items themselves, so that two dead
+///   items of one name do not keep each other alive;
+/// - tokens inside `use` items, so that a re-export is not a use;
+/// - tokens in the defining package's own `#[cfg(test)]` code: an item
+///   only those tests name can be gated `#[cfg(test)]` itself.
+pub fn unused_api_scan(files: &[(String, String)]) -> Vec<Finding> {
+    let lexed: Vec<(&str, Vec<Tok<'_>>)> = files
+        .iter()
+        .map(|(path, text)| (path.as_str(), lex(text)))
+        .collect();
+    let name = |f: usize, i: usize| lexed[f].1[i].text.trim_start_matches("r#");
+    // (file, name token) -> kind, for every item.
+    let mut items = BTreeMap::new();
+    for (f, (path, toks)) in lexed.iter().enumerate() {
+        if is_api_file(path) {
+            items.extend(api_items(toks).into_iter().map(|(i, kind)| ((f, i), kind)));
+        }
+    }
+    // name -> (uses outside `#[cfg(test)]` code, package of each use in it).
+    let mut uses: BTreeMap<&str, (usize, Vec<&str>)> = items
+        .keys()
+        .map(|&(f, i)| (name(f, i), (0, Vec::new())))
+        .collect();
+    for (f, (path, toks)) in lexed.iter().enumerate() {
+        let (in_test, in_use) = (cfg_test_mask(toks), item_mask(toks, &["use"]));
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind != TokKind::Ident || in_use[i] || items.contains_key(&(f, i)) {
+                continue;
+            }
+            match uses.get_mut(name(f, i)) {
+                Some((_, packages)) if in_test[i] => packages.push(package_of(path)),
+                Some((live, _)) => *live += 1,
+                None => {}
+            }
+        }
+    }
+    let mut findings = Vec::new();
+    for (&(f, i), kind) in &items {
+        let (path, toks) = &lexed[f];
+        let (live, packages) = &uses[name(f, i)];
+        if *live == 0 && packages.iter().all(|p| *p == package_of(path)) {
+            findings.push(Finding {
+                file: path.to_string(),
+                line: toks[i].line,
+                check: "unused-api",
+                excerpt: format!(
+                    "pub {kind} `{}`: no code names it but its own crate's tests \
+                     (delete it, or gate it `#[cfg(test)]`)",
+                    name(f, i)
+                ),
+            });
+        }
+    }
+    findings
 }
 
 // ---------------------------------------------------------------------------
@@ -384,24 +507,26 @@ pub fn source_crate_refs(text: &str) -> BTreeSet<String> {
 }
 
 /// Checks the whole workspace against [`LAYERING`]: table self-consistency
-/// (known names, acyclicity), every crate directory present in the table,
-/// declared dependencies within the allowed set, and source references
-/// covered by declared dependencies.
+/// (every dependency listed above its dependent, so the table is a known
+/// acyclic order), every crate directory present in the table,
+/// declared dependencies within the allowed set, source references
+/// covered by declared dependencies, and every normal dependency named by
+/// the package's `src/`.
 pub fn layering_check(root: &Path) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
-    // Table self-check: deps name known crates, and the DAG is acyclic.
-    for layer in LAYERING {
-        for dep in layer.deps {
-            if !LAYERING.iter().any(|l| l.name == *dep) {
-                return Err(format!(
-                    "layering table: `{}` lists unknown crate `{dep}`",
-                    layer.name
-                ));
-            }
+    // Table self-check: listing each crate below its dependencies makes
+    // the table a topological order, so it cannot hold a cycle.
+    for (i, layer) in LAYERING.iter().enumerate() {
+        if let Some(dep) = layer
+            .deps
+            .iter()
+            .find(|dep| !LAYERING[..i].iter().any(|l| l.name == **dep))
+        {
+            return Err(format!(
+                "layering table: `{}` lists `{dep}`, which is not a crate above it",
+                layer.name
+            ));
         }
-    }
-    if topo_layers().is_none() {
-        return Err("layering table contains a dependency cycle".to_string());
     }
     // Every crates/ directory must be in the table.
     let crates_dir = root.join("crates");
@@ -459,9 +584,12 @@ pub fn layering_check(root: &Path) -> Result<Vec<Finding>, String> {
             .chain(deps.dev.iter())
             .map(String::as_str)
             .collect();
+        let mut named = BTreeSet::new();
         for file in collect_rs_files(&src_dir)? {
             let text = fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
-            for reference in source_crate_refs(&text) {
+            let refs = source_crate_refs(&text);
+            named.extend(refs.iter().cloned());
+            for reference in refs {
                 // Only idents naming actual workspace crates count — local
                 // `lunule_*` identifiers (functions, variables) do not.
                 if !LAYERING.iter().any(|l| l.name == reference) {
@@ -479,43 +607,21 @@ pub fn layering_check(root: &Path) -> Result<Vec<Finding>, String> {
                 }
             }
         }
-    }
-    Ok(findings)
-}
-
-/// Topological layer index of every crate in [`LAYERING`] (0 = lowest), or
-/// `None` if the table has a cycle. Used for the self-check and the
-/// human-readable report.
-pub fn topo_layers() -> Option<Vec<(&'static str, usize)>> {
-    let mut layers: Vec<Option<usize>> = vec![None; LAYERING.len()];
-    let mut progressed = true;
-    while progressed {
-        progressed = false;
-        for (i, l) in LAYERING.iter().enumerate() {
-            if layers[i].is_some() {
-                continue;
-            }
-            let dep_layers: Option<Vec<usize>> = l
-                .deps
-                .iter()
-                .map(|d| {
-                    LAYERING
-                        .iter()
-                        .position(|x| x.name == *d)
-                        .and_then(|j| layers[j])
-                })
-                .collect();
-            if let Some(ds) = dep_layers {
-                layers[i] = Some(ds.iter().max().map_or(0, |m| m + 1));
-                progressed = true;
-            }
+        // A normal dependency must be named by the package's own sources;
+        // one that only its tests or examples name is a dev-dependency.
+        for dep in deps.normal.iter().filter(|dep| !named.contains(*dep)) {
+            findings.push(Finding {
+                file: manifest_rel.clone(),
+                line: 1,
+                check: "layering",
+                excerpt: format!(
+                    "`{}` depends on `{dep}`, which no file under its src/ names",
+                    layer.name
+                ),
+            });
         }
     }
-    layers
-        .iter()
-        .enumerate()
-        .map(|(i, l)| l.map(|v| (LAYERING[i].name, v)))
-        .collect()
+    Ok(findings)
 }
 
 #[cfg(test)]
@@ -573,6 +679,103 @@ mod tests {
         assert!(float_literal_scan("lib.rs", src).is_empty());
     }
 
+    // -- unused public API ---------------------------------------------------
+
+    const CORE: &str = "crates/core/src/lib.rs";
+
+    /// The names the unused-api pass flags over `files`, space-separated.
+    fn flagged(files: &[(&str, &str)]) -> String {
+        let files: Vec<_> = files
+            .iter()
+            .map(|(p, t)| (p.to_string(), t.to_string()))
+            .collect();
+        let names: Vec<_> = unused_api_scan(&files)
+            .into_iter()
+            .map(|f| f.excerpt.split('`').nth(1).unwrap_or("").to_string())
+            .collect();
+        names.join(" ")
+    }
+
+    #[test]
+    fn unused_pub_items_of_every_kind_are_flagged() {
+        let lib = "pub fn dead_fn() {}\npub const fn dead_const() {}\npub const DEAD: u32 = 1;\n\
+            pub static mut DEAD_STATIC: u32 = 2;\npub type Alias = u32;\npub trait Tr {}\n\
+            pub enum E { Live, #[default] DeadVariant(u32), Other { x: u8 } }\n\
+            pub struct S { pub live: u32, pub dead_field: u32, hidden: u32 }\n\
+            pub fn live() -> u32 { 0 }\nfn private() {}\npub(crate) fn crate_only() {}\n\
+            macro_rules! m { () => { pub fn templated() {} } }\n\
+            #[cfg(test)]\nmod tests { pub fn test_helper() {} }\n";
+        let user = "fn f(s: S) -> u32 { let _ = (E::Live, E::Other { x: 1 }); s.live + live() }\n";
+        let bin = "pub fn bin_only() {}\n";
+        let files = [
+            (CORE, lib),
+            ("crates/sim/src/lib.rs", user),
+            ("crates/core/src/main.rs", bin),
+            ("crates/bench/src/bin/b.rs", bin),
+        ];
+        let dead = "dead_fn dead_const DEAD DEAD_STATIC Alias Tr DeadVariant dead_field";
+        assert_eq!(flagged(&files), dead);
+    }
+
+    #[test]
+    fn own_crate_tests_do_not_keep_an_item_alive() {
+        let lib = "pub fn oracle() -> u32 { 0 }\n\
+            #[cfg(test)]\nmod tests { #[test] fn t() { assert_eq!(super::oracle(), 0); } }\n";
+        let sibling = "#[cfg(test)]\nmod tests { fn t() { crate::oracle(); } }\n";
+        assert_eq!(
+            flagged(&[(CORE, lib), ("crates/core/src/a.rs", sibling)]),
+            "oracle"
+        );
+    }
+
+    #[test]
+    fn other_packages_tests_and_integration_tests_keep_an_item_alive() {
+        let lib = "pub fn a() {}\npub fn b() {}\n";
+        let unit = "#[cfg(test)]\nmod tests { fn t() { lunule_core::a(); } }\n";
+        let integration = "fn t() { lunule_core::b(); }\n";
+        assert_eq!(flagged(&[(CORE, lib)]), "a b");
+        let sim = [
+            ("crates/sim/src/lib.rs", unit),
+            ("crates/core/tests/it.rs", integration),
+        ];
+        assert_eq!(flagged(&[(CORE, lib), sim[0], sim[1]]), "");
+        let root = [
+            ("tests/it.rs", unit),
+            ("benchmark/src/main.rs", integration),
+        ];
+        assert_eq!(flagged(&[(CORE, lib), root[0], root[1]]), "");
+    }
+
+    #[test]
+    fn re_exports_doc_links_comments_and_strings_are_not_uses() {
+        let lib = "pub mod m { pub fn shown() {} }\npub use m::shown;\n\
+            /// Calls [`shown`].\npub fn documented() { let _ = \"shown\"; /* shown */ }\n";
+        let facade = "pub use lunule_core::{documented, shown};\n";
+        let example = "fn main() { lunule::documented(); }\n";
+        let files = [
+            (CORE, lib),
+            ("src/lib.rs", facade),
+            ("examples/e.rs", example),
+        ];
+        assert_eq!(flagged(&files), "shown");
+    }
+
+    #[test]
+    fn same_named_dead_items_are_both_flagged() {
+        let a = "pub fn len() -> usize { 0 }\n";
+        let b = "pub struct T;\nimpl T { pub fn len(&self) -> usize { 1 } }\n";
+        let user = "fn f(t: lunule_sim::T) {}\n";
+        let files = [
+            (CORE, a),
+            ("crates/sim/src/lib.rs", b),
+            ("tests/a.rs", user),
+        ];
+        assert_eq!(flagged(&files), "len len");
+        // Uses match by name: one call keeps every item of that name.
+        let caller = "fn g(t: lunule_sim::T) -> usize { t.len() }\n";
+        assert_eq!(flagged(&[files[0], files[1], ("tests/b.rs", caller)]), "");
+    }
+
     // -- layering ------------------------------------------------------------
 
     #[test]
@@ -591,15 +794,5 @@ mod tests {
             refs.into_iter().collect::<Vec<_>>(),
             vec!["lunule-namespace", "lunule-util"]
         );
-    }
-
-    #[test]
-    fn layering_table_is_acyclic_and_layered() {
-        let layers = topo_layers().expect("table must be acyclic");
-        let layer_of = |name: &str| layers.iter().find(|(n, _)| *n == name).map(|(_, l)| *l);
-        assert_eq!(layer_of("lunule-util"), Some(0));
-        assert!(layer_of("lunule-core") < layer_of("lunule-sim"));
-        assert!(layer_of("lunule-sim") < layer_of("lunule-workloads"));
-        assert!(layer_of("lunule-workloads") < layer_of("lunule-bench"));
     }
 }

@@ -391,29 +391,6 @@ fn is_ident_continue(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// The numeric suffix of an integer/float literal token (`"u32"` for
-/// `7u32`, `""` for `7`). Exponents are not suffixes.
-pub fn literal_suffix(text: &str) -> &str {
-    for s in [
-        "usize", "isize", "u128", "i128", "u64", "i64", "u32", "i32", "u16", "i16", "u8", "i8",
-        "f64", "f32",
-    ] {
-        if let Some(pre) = text.strip_suffix(s) {
-            if pre.is_empty() {
-                continue;
-            }
-            // In hex literals `f32`/`f64` are valid digit runs (`0x1f32` is
-            // an integer) — only a separating `_` marks them as a suffix.
-            let hex = text.starts_with("0x") || text.starts_with("0X");
-            if hex && s.starts_with('f') && !pre.ends_with('_') {
-                continue;
-            }
-            return s;
-        }
-    }
-    ""
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,14 +538,6 @@ mod tests {
         assert!(toks
             .iter()
             .any(|t| t.kind == TokKind::Ident && t.text == "max"));
-    }
-
-    #[test]
-    fn literal_suffixes() {
-        assert_eq!(literal_suffix("7u32"), "u32");
-        assert_eq!(literal_suffix("0.5_f64"), "f64");
-        assert_eq!(literal_suffix("1_000"), "");
-        assert_eq!(literal_suffix("0xFF_u8"), "u8");
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!   false positives: the *crate-layering checker* (the workspace
 //!   dependency DAG, declared in [`analyze::LAYERING`], with source-level
 //!   import verification), the *crate-root check* (every library root
-//!   carries the shared lint block) and the *float-literal rule*;
+//!   carries the shared lint block), the *float-literal rule* and the
+//!   *unused-api pass* (every `pub` item of a library crate is named by
+//!   some code outside its definition);
 //! - **`bench-diff`** — the CI bench-regression gate.
 //!
 //! Every per-expression rule is a clippy lint, enabled by the crate roots
@@ -80,6 +82,7 @@ pub fn workspace_root() -> Option<PathBuf> {
 }
 
 /// Recursively collects `.rs` files under `dir`, sorted for stable reports.
+/// Build output (`target/` directories) is skipped.
 pub fn collect_rs_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
         let entries = fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -87,7 +90,9 @@ pub fn collect_rs_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
             let entry = entry.map_err(|e| format!("{}: {e}", dir.display()))?;
             let path = entry.path();
             if path.is_dir() {
-                walk(&path, out)?;
+                if entry.file_name() != "target" {
+                    walk(&path, out)?;
+                }
             } else if path.extension().is_some_and(|x| x == "rs") {
                 out.push(path);
             }

@@ -1,16 +1,34 @@
-//! Fixture-driven integration tests for the analysis passes: the lexer
-//! tour (lexed, never compiled), the layering checker on a synthetic
-//! workspace, and the real workspace, which must be clean.
+//! Integration tests for the analysis passes: the lexer tour (lexed,
+//! never compiled), the layering checker on a synthetic workspace, and
+//! the real workspace, which must be clean.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 
 use xtask::analyze::{analyze_workspace, layering_check, CrateLayer, LAYERING};
-use xtask::lexer::{lex, literal_suffix, TokKind};
+use xtask::lexer::{lex, TokKind};
 use xtask::workspace_root;
 
-const LEXER_TOUR: &str = include_str!("fixtures/lexer_tour.rs");
+const LEXER_TOUR: &str = r###"//! A tour of the token shapes the lexer must classify without ever
+//! confusing code with text.
+
+/* A nested /* block */ comment is one token. */
+
+pub fn tour<'a>(s: &'a str) -> usize {
+    let _plain = "a \" escaped quote and a // non-comment";
+    let _raw = r#"raw "inner" text with # marks"#;
+    let _bytes = b"byte string";
+    let _braw = br##"raw # bytes"##;
+    let _quote = '\'';
+    let _newline = '\n';
+    let r#type = 1u64 << 3;
+    let _exp = 2.5e-3_f32;
+    let _hex = 0x1f32; // an integer: f32 here is hex digits, not a suffix
+    let _range = 0..10;
+    let _static: &'static str = "done";
+    s.len() + r#type as usize
+}
+"###;
 
 // ---------------------------------------------------------------------------
 // Lexer
@@ -45,15 +63,13 @@ fn lexer_tour_classifies_every_token_shape() {
         .find(|t| t.text == "0x1f32")
         .expect("hex literal present");
     assert_eq!(hex.kind, TokKind::Int);
-    assert_eq!(literal_suffix(hex.text), "");
 
-    // `2.5e-3_f32` is one float token with a real suffix.
+    // `2.5e-3_f32` is one float token, suffix included.
     let exp = toks
         .iter()
         .find(|t| t.text == "2.5e-3_f32")
         .expect("exponent literal present");
     assert_eq!(exp.kind, TokKind::Float);
-    assert_eq!(literal_suffix(exp.text), "f32");
 
     // `0..10` produced a range punct, not a float.
     assert!(toks
@@ -65,9 +81,9 @@ fn lexer_tour_classifies_every_token_shape() {
 // Crate-layering checker (synthetic workspace)
 // ---------------------------------------------------------------------------
 
-/// Materialises a minimal fake workspace matching [`LAYERING`], applies
-/// `mutate` to it, runs [`layering_check`], cleans up, and returns the
-/// findings' excerpts.
+/// Materialises a minimal fake workspace matching [`LAYERING`], whose
+/// sources name every dependency, applies `mutate` to it, runs
+/// [`layering_check`], cleans up, and returns the findings' excerpts.
 fn layering_findings_with(tag: &str, mutate: impl Fn(&PathBuf)) -> Vec<String> {
     let root = std::env::temp_dir().join(format!("xtask-layering-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
@@ -76,12 +92,13 @@ fn layering_findings_with(tag: &str, mutate: impl Fn(&PathBuf)) -> Vec<String> {
         let crate_dir = root.join(dir);
         fs::create_dir_all(crate_dir.join("src")).expect("mkdir fixture crate");
         let mut manifest = format!("[package]\nname = \"{name}\"\n\n[dependencies]\n");
+        let mut lib = "//! Fixture crate.\n".to_string();
         for dep in *deps {
             manifest.push_str(&format!("{dep} = {{ workspace = true }}\n"));
+            lib.push_str(&format!("use {} as _;\n", dep.replace('-', "_")));
         }
         fs::write(crate_dir.join("Cargo.toml"), manifest).expect("write manifest");
-        fs::write(crate_dir.join("src").join("lib.rs"), "//! Fixture crate.\n")
-            .expect("write lib.rs");
+        fs::write(crate_dir.join("src").join("lib.rs"), lib).expect("write lib.rs");
     }
     mutate(&root);
     let findings = layering_check(&root).expect("layering check runs");
@@ -116,7 +133,7 @@ fn layering_flags_an_undeclared_source_reference() {
     let excerpts = layering_findings_with("srcref", |root| {
         fs::write(
             root.join("crates/telemetry/src/lib.rs"),
-            "//! Fixture.\npub fn f() { lunule_core::g(); }\n",
+            "//! Fixture.\npub fn f() { lunule_core::g(); lunule_util::h(); }\n",
         )
         .expect("write lib.rs");
     });
@@ -125,6 +142,21 @@ fn layering_flags_an_undeclared_source_reference() {
             .iter()
             .any(|e| e.contains("references `lunule-core` without declaring it")),
         "{excerpts:?}"
+    );
+}
+
+#[test]
+fn layering_flags_a_dependency_its_sources_do_not_name() {
+    let excerpts = layering_findings_with("unnamed", |root| {
+        fs::write(
+            root.join("crates/core/src/lib.rs"),
+            "//! Fixture.\nuse lunule_namespace as _;\nuse lunule_util as _;\n",
+        )
+        .expect("write lib.rs");
+    });
+    assert_eq!(
+        excerpts,
+        ["`lunule-core` depends on `lunule-telemetry`, which no file under its src/ names"]
     );
 }
 
@@ -150,25 +182,4 @@ fn real_workspace_is_clean() {
     let root = workspace_root().expect("workspace root");
     let findings = analyze_workspace(&root).expect("analyze runs");
     assert!(findings.is_empty(), "analyze findings: {findings:?}");
-}
-
-// ---------------------------------------------------------------------------
-// Fixture hygiene: the fixtures directory holds exactly the files the
-// tests above reference (a renamed fixture would silently skip coverage).
-// ---------------------------------------------------------------------------
-
-#[test]
-fn fixture_directory_matches_expectations() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    let names: BTreeSet<String> = fs::read_dir(dir)
-        .expect("fixtures dir")
-        .map(|e| {
-            e.expect("dir entry")
-                .file_name()
-                .to_string_lossy()
-                .into_owned()
-        })
-        .collect();
-    let expected: BTreeSet<String> = ["lexer_tour.rs".to_string()].into();
-    assert_eq!(names, expected);
 }

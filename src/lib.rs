@@ -17,14 +17,3 @@ pub use lunule_namespace as namespace;
 pub use lunule_sim as sim;
 pub use lunule_telemetry as telemetry;
 pub use lunule_workloads as workloads;
-
-/// Convenience prelude bringing the types most programs need into scope.
-pub mod prelude {
-    pub use lunule_core::{Balancer, BalancerKind, ImbalanceFactorModel, MigrationPlan};
-    pub use lunule_daemon::{Daemon, Session};
-    pub use lunule_faults::{FaultPlan, FaultSchedule};
-    pub use lunule_namespace::{FileType, Frag, FragKey, InodeId, MdsRank, Namespace, SubtreeMap};
-    pub use lunule_sim::{RunResult, SimConfig, Simulation};
-    pub use lunule_telemetry::Telemetry;
-    pub use lunule_workloads::{WorkloadKind, WorkloadSpec};
-}
